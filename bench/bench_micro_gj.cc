@@ -1,18 +1,16 @@
-// Micro: the generic-join expansion loop, scalar vs batched, on
-// output-heavy workloads — exactly where per-key virtual dispatch and
-// row-at-a-time materialization dominate after the CSR-trie (PR 3) and
-// plan-cache (PR 4) work. Three shapes:
+// Micro: the generic-join expansion loop at one-row blocks
+// (batch_size = 1) vs full blocks (--batch), on output-heavy workloads
+// where row-at-a-time materialization would dominate. Three shapes:
 //
 //   triangle  R(A,B) x S(B,C) x T(A,C) over dense random relations —
-//             two CSR participants at the deepest level, so batching
-//             engages the devirtualized raw-array leapfrog kernel
+//             two CSR participants at the deepest level, drained
+//             through the dispatched intersection kernel
 //   path2     R(A,B) x S(B,C) — the deepest level has one participant,
-//             so batching degenerates to bulk NextBlock block copies
+//             so it drains as bulk copies out of the span
 //   xmark     the XMark closed-auction join (XJoin end to end, lazy
-//             path tries in the mix — scalar-leapfrog fallback plus
-//             batched materialization)
+//             path tries in the mix)
 //
-// Every batched run is checked byte-identical to the scalar run, with
+// Every batched run is checked byte-identical to the one-row run, with
 // identical gj.* counters, before its timing is trusted.
 //
 // A second sweep pins the SIMD dispatch override to each compiled
@@ -28,7 +26,7 @@
 //        --batch=1024      result-batch capacity for the batched runs
 //        --agm-scale=64    AGM-tight instance scale for the SIMD sweep
 //        --xmark-scale=32  XMark size multiplier
-//        --json=PATH       also write the scalar-vs-batched records there
+//        --json=PATH       also write the one-row-vs-batched records there
 //        --simd-json=PATH  also write the dispatch-sweep records there
 #include <cstdio>
 #include <functional>
@@ -47,7 +45,7 @@ namespace {
 
 struct Record {
   std::string workload;
-  double scalar_s = 0.0;
+  double row_s = 0.0;
   double batched_s = 0.0;
   int64_t rows = 0;
   int64_t seeks = 0;
@@ -64,24 +62,25 @@ Relation MakeBinary(const char* a, const char* b, int n, int num, int den) {
   return rel;
 }
 
-void CheckEquivalent(const Relation& scalar, const Relation& batched,
-                     const Metrics& scalar_m, const Metrics& batched_m,
+void CheckEquivalent(const Relation& reference, const Relation& batched,
+                     const Metrics& reference_m, const Metrics& batched_m,
                      const std::string& label) {
-  XJ_CHECK(scalar.ToTuples() == batched.ToTuples())
-      << label << ": batched result diverged from scalar";
-  for (const auto& [name, value] : scalar_m.counters()) {
+  XJ_CHECK(reference.ToTuples() == batched.ToTuples())
+      << label << ": result diverged from the reference run";
+  for (const auto& [name, value] : reference_m.counters()) {
     if (name.rfind("gj.", 0) == 0) {
       XJ_CHECK(batched_m.Get(name) == value)
-          << label << ": counter " << name << " diverged (scalar " << value
-          << ", batched " << batched_m.Get(name) << ")";
+          << label << ": counter " << name << " diverged (reference "
+          << value << ", got " << batched_m.Get(name) << ")";
     }
   }
 }
 
-// One measurement protocol for every workload: run scalar (batch 0)
-// and batched once, check byte-identical results and identical gj.*
-// counters before trusting any timing, then take best-of-`reps` for
-// both. `run` executes one configuration and returns (seconds, result).
+// One measurement protocol for every workload: run one-row blocks
+// (batch 1) and batched once, check byte-identical results and
+// identical gj.* counters before trusting any timing, then take
+// best-of-`reps` for both. `run` executes one configuration and returns
+// (seconds, result).
 using RunFn = std::function<std::pair<double, Relation>(int, Metrics*)>;
 
 Record Measure(const std::string& label, const RunFn& run, int reps,
@@ -89,19 +88,19 @@ Record Measure(const std::string& label, const RunFn& run, int reps,
   Record record;
   record.workload = label;
 
-  Metrics scalar_m;
-  auto [scalar_s, scalar_rel] = run(0, &scalar_m);
-  record.scalar_s = scalar_s;
+  Metrics row_m;
+  auto [row_s, row_rel] = run(1, &row_m);
+  record.row_s = row_s;
   Metrics batched_m;
   auto [batched_s, batched_rel] = run(batch, &batched_m);
   record.batched_s = batched_s;
-  CheckEquivalent(scalar_rel, batched_rel, scalar_m, batched_m, label);
-  record.rows = static_cast<int64_t>(scalar_rel.num_rows());
-  record.seeks = scalar_m.Get("gj.seeks");
+  CheckEquivalent(row_rel, batched_rel, row_m, batched_m, label);
+  record.rows = static_cast<int64_t>(row_rel.num_rows());
+  record.seeks = row_m.Get("gj.seeks");
 
   for (int rep = 1; rep < reps; ++rep) {
     Metrics m;
-    record.scalar_s = std::min(record.scalar_s, run(0, &m).first);
+    record.row_s = std::min(record.row_s, run(1, &m).first);
     Metrics mb;
     record.batched_s = std::min(record.batched_s, run(batch, &mb).first);
   }
@@ -208,7 +207,7 @@ void Run(int argc, char** argv) {
   const char* json_path = FlagValue(argc, argv, "json");
   const char* simd_json_path = FlagValue(argc, argv, "simd-json");
 
-  Banner("Generic join: scalar vs batched kernel (output-heavy mix)");
+  Banner("Generic join: one-row vs full blocks (output-heavy mix)");
 
   std::vector<Record> records;
   std::vector<SimdRecord> simd_records;
@@ -258,8 +257,8 @@ void Run(int argc, char** argv) {
   }
 
   {
-    // Two-hop path: the C level is covered by S alone, so the batched
-    // engine drains it with bulk block copies.
+    // Two-hop path: the C level is covered by S alone, so the engine
+    // drains it with bulk copies out of the span.
     Relation r = MakeBinary("A", "B", n, 3, 3);
     Relation s = MakeBinary("B", "C", n, 5, 3);
     auto tr = RelationTrie::Build(r, {"A", "B"});
@@ -274,17 +273,17 @@ void Run(int argc, char** argv) {
 
   records.push_back(BenchXMark(xmark_scale, reps, batch));
 
-  Table table({"workload", "scalar", "batched", "speedup", "|Q|", "seeks"});
+  Table table({"workload", "batch=1", "batched", "speedup", "|Q|", "seeks"});
   JsonArrayWriter json;
   for (const Record& r : records) {
-    double speedup = r.batched_s > 0 ? r.scalar_s / r.batched_s : 0.0;
-    table.AddRow({r.workload, FmtSeconds(r.scalar_s), FmtSeconds(r.batched_s),
+    double speedup = r.batched_s > 0 ? r.row_s / r.batched_s : 0.0;
+    table.AddRow({r.workload, FmtSeconds(r.row_s), FmtSeconds(r.batched_s),
                   FmtF(speedup, 2) + "x", FmtInt(r.rows), FmtInt(r.seeks)});
     json.BeginObject()
         .Field("bench", "bench_micro_gj")
         .Field("workload", r.workload)
         .Field("batch_size", batch)
-        .Field("scalar_s", r.scalar_s, 6)
+        .Field("batch1_s", r.row_s, 6)
         .Field("batched_s", r.batched_s, 6)
         .Field("speedup", speedup, 3)
         .Field("rows", r.rows)

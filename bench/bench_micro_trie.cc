@@ -1,15 +1,10 @@
-// Micro-1 (google-benchmark): trie construction, seek costs, and
-// leapfrog intersection vs binary hash join on the relational substrate.
+// Micro-1 (google-benchmark): CSR trie construction, seek costs over
+// a level's key span, and leapfrog intersection vs binary hash join on
+// the relational substrate:
 //
-// The CSR level-array RelationTrie is benchmarked against a copy of the
-// pre-CSR layout (sorted columns + per-row binary-search cursors, the
-// repo's original implementation — see legacy_trie.h, kept in its own
-// translation unit so inlining stays symmetric) so build-time and
-// Seek-latency speedups are measurable from one binary:
-//
-//   BM_TrieBuild            vs  BM_TrieBuildLegacy
-//   BM_TrieSeek             vs  BM_TrieSeekLegacy
-//   BM_TrieIterateSeekHeavy vs  BM_TrieIterateSeekHeavyLegacy
+//   BM_TrieBuild            — radix sort + CSR level assembly
+//   BM_TrieSeek             — one dispatched kernel seek into a level span
+//   BM_TrieIterateSeekHeavy — the generic-join access pattern over spans
 //
 // Accepts `--json=PATH` (shorthand for google-benchmark's
 // --benchmark_out=PATH --benchmark_out_format=json) so CI can archive
@@ -25,14 +20,12 @@
 #include "common/dictionary.h"
 #include "common/random.h"
 #include "core/generic_join.h"
-#include "legacy_trie.h"
+#include "relational/intersect_kernels.h"
 #include "relational/operators.h"
 #include "relational/trie.h"
 
 namespace xjoin {
 namespace {
-
-using bench::LegacySortedColumnTrie;
 
 Relation RandomBinary(Rng* rng, int64_t rows, int64_t domain) {
   auto schema = Schema::Make({"A", "B"});
@@ -46,7 +39,7 @@ Relation RandomBinary(Rng* rng, int64_t rows, int64_t domain) {
   return rel;
 }
 
-// --- Build: CSR + radix vs legacy comparator sort ----------------------
+// --- Build: CSR + radix sort --------------------------------------------
 void BM_TrieBuild(benchmark::State& state) {
   Rng rng(1);
   Relation rel = RandomBinary(&rng, state.range(0), state.range(0) / 4 + 1);
@@ -58,103 +51,52 @@ void BM_TrieBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TrieBuild)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_TrieBuildLegacy(benchmark::State& state) {
-  Rng rng(1);  // same seed: same data as BM_TrieBuild
-  Relation rel = RandomBinary(&rng, state.range(0), state.range(0) / 4 + 1);
-  for (auto _ : state) {
-    auto trie = LegacySortedColumnTrie::Build(rel, {"A", "B"});
-    benchmark::DoNotOptimize(trie);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TrieBuildLegacy)->Arg(1000)->Arg(10000)->Arg(100000);
-
 // --- Seek latency: one cold gallop+bsearch per iteration ---------------
 void BM_TrieSeek(benchmark::State& state) {
   Rng rng(2);
   Relation rel = RandomBinary(&rng, state.range(0), state.range(0));
   auto trie = RelationTrie::Build(rel, {"A", "B"});
+  const IntersectKernel& kernel = ActiveIntersectKernel();
   Rng probe_rng(3);
   for (auto _ : state) {
     auto it = trie->NewIterator();
-    it->Open();
+    KeySpan span = it->Open(0);
     int64_t target = static_cast<int64_t>(
         probe_rng.NextBounded(static_cast<uint64_t>(state.range(0))));
-    if (!it->AtEnd() && it->Key() <= target) it->Seek(target);
-    benchmark::DoNotOptimize(it);
+    size_t pos = kernel.seek(span.keys, span.lo, span.hi, target,
+                             IntersectStrategy::kGallop);
+    benchmark::DoNotOptimize(pos);
   }
 }
 BENCHMARK(BM_TrieSeek)->Arg(10000)->Arg(100000);
 
-void BM_TrieSeekLegacy(benchmark::State& state) {
-  Rng rng(2);  // same seed: same data as BM_TrieSeek
-  Relation rel = RandomBinary(&rng, state.range(0), state.range(0));
-  auto trie = LegacySortedColumnTrie::Build(rel, {"A", "B"});
-  Rng probe_rng(3);
-  for (auto _ : state) {
-    auto it = trie.NewIterator();
-    it->Open();
-    int64_t target = static_cast<int64_t>(
-        probe_rng.NextBounded(static_cast<uint64_t>(state.range(0))));
-    if (!it->AtEnd() && it->Key() <= target) it->Seek(target);
-    benchmark::DoNotOptimize(it);
-  }
-}
-BENCHMARK(BM_TrieSeekLegacy)->Arg(10000)->Arg(100000);
-
 // --- Seek-heavy iteration: the generic-join access pattern -------------
-// Walk level 0 by seeking ahead a few keys at a time; under each
-// binding, open level 1 and drain it with Next(). This is the inner
-// loop shape of a leapfrog join (many short seeks, many per-parent
-// child scans) and is where O(1) Open/Next and per-parent seek ranges
-// pay off against full-row-range binary searches.
+// Walk the level-0 span by seeking ahead a few keys at a time; under
+// each binding, open level 1 and sum its span. This is the inner loop
+// shape of a leapfrog join (many short seeks, many per-parent child
+// scans) and is where O(1) Open and per-parent spans pay off.
 void BM_TrieIterateSeekHeavy(benchmark::State& state) {
   Rng rng(5);
   Relation rel = RandomBinary(&rng, state.range(0), state.range(0) / 4 + 1);
   auto trie = RelationTrie::Build(rel, {"A", "B"});
+  const IntersectKernel& kernel = ActiveIntersectKernel();
   for (auto _ : state) {
     int64_t sum = 0;
     auto it = trie->NewIterator();
-    it->Open();
-    while (!it->AtEnd()) {
-      it->Open();
-      while (!it->AtEnd()) {
-        sum += it->Key();
-        it->Next();
-      }
+    KeySpan level0 = it->Open(0);
+    size_t pos = level0.lo;
+    while (pos < level0.hi) {
+      KeySpan level1 = it->Open(pos);
+      for (size_t p = level1.lo; p < level1.hi; ++p) sum += level1.keys[p];
       it->Up();
-      int64_t next_target = it->Key() + 3;
-      it->Seek(next_target);
+      pos = kernel.seek(level0.keys, pos, level0.hi, level0.keys[pos] + 3,
+                        IntersectStrategy::kGallop);
     }
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TrieIterateSeekHeavy)->Arg(10000)->Arg(100000);
-
-void BM_TrieIterateSeekHeavyLegacy(benchmark::State& state) {
-  Rng rng(5);  // same seed: same data as BM_TrieIterateSeekHeavy
-  Relation rel = RandomBinary(&rng, state.range(0), state.range(0) / 4 + 1);
-  auto trie = LegacySortedColumnTrie::Build(rel, {"A", "B"});
-  for (auto _ : state) {
-    int64_t sum = 0;
-    auto it = trie.NewIterator();
-    it->Open();
-    while (!it->AtEnd()) {
-      it->Open();
-      while (!it->AtEnd()) {
-        sum += it->Key();
-        it->Next();
-      }
-      it->Up();
-      int64_t next_target = it->Key() + 3;
-      it->Seek(next_target);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TrieIterateSeekHeavyLegacy)->Arg(10000)->Arg(100000);
 
 // --- Triangle query: leapfrog (GenericJoin) vs binary hash joins -------
 void BM_TriangleLeapfrog(benchmark::State& state) {

@@ -2,7 +2,7 @@
 // a shared atomic flag plus a reason string: one thread calls Cancel()
 // (Session::Cancel, PreparedQuery::Cancel, or a caller-owned token in
 // QueryOptions), and every engine loop polls cancelled() at the existing
-// budget-check cadence — scalar leapfrog bindings, batched kernel
+// budget-check cadence — expansion bindings, deepest-level kernel
 // blocks, final-validation rows, trie builds on cache miss, and tenant
 // admission waits. A cancelled query unwinds promptly (within one
 // budget-check interval per shard), discards its partial rows, and

@@ -1,6 +1,6 @@
 // The shared morsel-driven executor pool: one set of long-lived worker
-// threads serving every in-flight query, instead of each ParallelFor
-// call spawning (and joining) its own std::threads. Callers submit an
+// threads serving every in-flight query, instead of each parallel loop
+// spawning (and joining) its own std::threads. Callers submit an
 // index space [0, n) cut into contiguous morsels of `grain` indices;
 // the submitting thread always participates, and idle pool workers
 // dynamically steal morsels off the job's atomic cursor until the space
@@ -18,7 +18,7 @@
 // but every participant claims a distinct worker slot in
 // [0, ParallelWorkerCount(max_parallelism, n, grain)), so per-slot
 // scratch state (Metrics bags, shard outputs) never races and merges
-// exactly — the same contract the old thread-spawning ParallelFor gave.
+// exactly.
 #ifndef XJOIN_COMMON_EXECUTOR_H_
 #define XJOIN_COMMON_EXECUTOR_H_
 
@@ -85,10 +85,9 @@ class Executor {
   }
 
   /// The process-wide shared pool (created on first use). Everything
-  /// that does not carry an explicit Executor* — the free ParallelFor
-  /// wrappers in common/parallel.h, engines with options.executor
-  /// unset — runs here, which is what makes concurrent queries share
-  /// one set of threads by default.
+  /// that does not carry an explicit Executor* — trie builds, engines
+  /// with options.executor unset — runs here, which is what makes
+  /// concurrent queries share one set of threads by default.
   static Executor* Default();
 
  private:

@@ -1,17 +1,21 @@
 // The attribute-at-a-time worst-case-optimal join engine (Algorithm 1's
 // expansion loop). Generic Join / Leapfrog Triejoin over any mix of
-// TrieIterator implementations: materialized relational tries and lazy
-// XML path tries join through the same interface, which is what lets
+// TrieIterator implementations: materialized relational tries, delta
+// tries and lazy XML path tries all hand the engine the same thing — the
+// sorted distinct keys of an open level as a span — which is what lets
 // XJoin "expand attributes by satisfying common values and relations
 // from all databases at the same time".
 //
-// Execution model: the expansion loop runs as an iterative explicit-stack
-// walk (one LevelState per attribute, no recursion), optionally sharded —
-// the first attribute's key domain is partitioned into K contiguous
-// ranges, every input is Clone()d per shard, and shards run on a thread
-// pool with zero shared mutable state. Shard outputs are concatenated in
-// shard order, which makes the sharded result byte-identical to the
-// serial one.
+// Execution model: one iterative loop (no recursion) keeps a stack of
+// key cursors per input, one cursor per open level. Each level is a
+// leapfrog intersection of its participants' cursors through the
+// runtime-dispatched SIMD kernels (relational/intersect_kernels.h); the
+// deepest level drains whole blocks of keys into a columnar
+// ResultBatch. The loop is optionally sharded — the first attribute's
+// key domain is partitioned into K contiguous ranges, every input is
+// Clone()d per shard, and shards run on a thread pool with zero shared
+// mutable state. Shard outputs are concatenated in shard order, which
+// makes the sharded result byte-identical to the serial one.
 #ifndef XJOIN_CORE_GENERIC_JOIN_H_
 #define XJOIN_CORE_GENERIC_JOIN_H_
 
@@ -86,22 +90,13 @@ struct GenericJoinOptions {
   /// pair domain has <= 1 element). Results are byte-identical for
   /// every setting.
   int shard_depth = 0;
-  /// Result-batch capacity in rows. > 0 (the default) runs
-  /// block-at-a-time execution: when every input is a plain CSR
-  /// RelationTrie the whole expansion runs over the raw level arrays
-  /// with runtime-dispatched SIMD intersection kernels (SSE4.2/AVX2
-  /// galloping lower-bound, see relational/intersect_kernels.h);
-  /// otherwise block-at-a-time applies at the deepest level — bulk
-  /// TrieIterator::NextBlock drains when one input covers the level,
-  /// the dispatched kernel when every participant exposes a raw span,
-  /// the scalar leapfrog otherwise. Results stage in a columnar
-  /// ResultBatch of this many rows, flushed via
-  /// Relation::AppendColumnBlock. 0 opts out: the legacy scalar path,
-  /// one virtual Key/Next/Seek round per binding and one
-  /// Relation::AppendRow per result row. Results are byte-identical and
+  /// Result-batch capacity in rows; must be >= 1. Results stage in a
+  /// columnar ResultBatch of this many rows, flushed via
+  /// Relation::AppendColumnBlock, and the deepest level drains at most
+  /// this many keys per kernel call between budget polls. Results and
   /// every "gj.*" counter (bindings, seeks, total_intermediate, output)
-  /// is identical to the scalar path at any batch size and SIMD
-  /// dispatch level, serial or sharded.
+  /// are identical at any batch size and SIMD dispatch level, serial or
+  /// sharded.
   int batch_size = kDefaultResultBatchCapacity;
   /// Optional per-query admission budget shared by every shard
   /// (nullable). The engine charges each materialized output row
@@ -138,24 +133,14 @@ struct GenericJoinOptions {
 };
 
 /// Runs the join and returns all result tuples over attribute_order.
-/// Fails when an attribute is covered by no input or an input's attribute
-/// order is inconsistent with the global order. The sharded path
-/// (num_threads/num_shards > 1) produces a Relation byte-identical to the
-/// serial path: shards cover contiguous ascending ranges of the first
-/// attribute's matching keys and are concatenated in shard order.
+/// Fails with kInvalidArgument when an attribute is covered by no input,
+/// an input's attribute order is inconsistent with the global order, or
+/// batch_size < 1. The sharded path (num_threads/num_shards > 1)
+/// produces a Relation byte-identical to the serial path: shards cover
+/// contiguous ascending ranges of the first attribute's matching keys
+/// and are concatenated in shard order.
 Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
                              const GenericJoinOptions& options);
-
-/// Leapfrog intersection step over iterators positioned at the same
-/// level: advances them to their next common key. Returns false when the
-/// intersection is exhausted. On true, every iterator is positioned at
-/// the common key. `seeks` (nullable) accumulates Seek/Next calls.
-/// Exposed for testing and for the micro-benchmarks.
-bool LeapfrogAlign(const std::vector<TrieIterator*>& iters, int64_t* seeks);
-
-/// After a match, advances the intersection past the current key.
-/// Returns false when exhausted.
-bool LeapfrogAdvance(const std::vector<TrieIterator*>& iters, int64_t* seeks);
 
 }  // namespace xjoin
 

@@ -53,48 +53,36 @@ std::vector<PlannedInput> CollectInputs(const XJoinPlan& plan) {
 
 // Fills plan.levels: participants, coverage, the planned leapfrog lead
 // (smallest static key-count estimate at the input's local level), and
-// the planned intersection kernel — the same selection rule the raw
-// executor applies at run time (ChooseIntersectStrategy), fed the
-// static estimates.
+// the planned intersection kernel — the same selection rule the engine
+// applies at every open (ChooseIntersectStrategy), fed the static
+// estimates.
 void PlanLevels(XJoinPlan* plan) {
   std::vector<PlannedInput> inputs = CollectInputs(*plan);
   plan->levels.reserve(plan->order.size());
   for (const auto& attribute : plan->order) {
     PlanLevel level;
     level.attribute = attribute;
-    int64_t best = std::numeric_limits<int64_t>::max();
     int64_t min_estimate = std::numeric_limits<int64_t>::max();
     int64_t max_estimate = 0;
-    bool all_raw = true;
     for (const auto& in : inputs) {
       auto it = std::find(in.attrs->begin(), in.attrs->end(), attribute);
       if (it == in.attrs->end()) continue;
       size_t local = static_cast<size_t>(it - in.attrs->begin());
       level.participants.push_back(*in.name);
       int64_t estimate = LevelEstimate(*in.trie, in.path, local);
-      if (estimate < best) {
-        best = estimate;
+      if (estimate < min_estimate) {
         level.lead = *in.name;
         level.lead_estimate = estimate;
       }
       min_estimate = std::min(min_estimate, estimate);
       max_estimate = std::max(max_estimate, estimate);
-      // The raw executor engages only over plain delta-free CSR tries
-      // (RawTrieSpans); lazy path inputs and delta tries leapfrog
-      // through the virtual protocol.
-      if (*in.trie == nullptr || (*in.trie)->has_delta()) all_raw = false;
     }
     level.coverage = static_cast<int>(level.participants.size());
-    if (plan->batch_size <= 0) {
-      level.kernel = "scalar";
-    } else if (level.coverage <= 1) {
-      level.kernel = "drain";
-    } else if (all_raw) {
-      level.kernel = IntersectStrategyName(ChooseIntersectStrategy(
-          level.participants.size(), min_estimate, max_estimate));
-    } else {
-      level.kernel = "leapfrog";
-    }
+    level.kernel = level.coverage <= 1
+                       ? "drain"
+                       : IntersectStrategyName(ChooseIntersectStrategy(
+                             level.participants.size(), min_estimate,
+                             max_estimate));
     plan->levels.push_back(std::move(level));
   }
 }
@@ -193,7 +181,7 @@ size_t PlanFingerprint(const XJoinOptions& options) {
                            (options.structural_pruning ? 2u : 0u));
   fp = HashCombine(fp, static_cast<size_t>(std::max(1, options.num_threads)));
   fp = HashCombine(fp, static_cast<size_t>(std::max(0, options.num_shards)));
-  fp = HashCombine(fp, static_cast<size_t>(std::max(0, options.batch_size)));
+  fp = HashCombine(fp, static_cast<size_t>(options.batch_size));
   return fp;
 }
 
@@ -209,7 +197,10 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(const MultiModelQuery& query,
   plan->structural_pruning = options.structural_pruning;
   plan->num_threads = std::max(1, options.num_threads);
   plan->num_shards = options.num_shards;
-  plan->batch_size = std::max(0, options.batch_size);
+  if (options.batch_size < 1) {
+    return Status::InvalidArgument("batch_size must be >= 1");
+  }
+  plan->batch_size = options.batch_size;
 
   // 1. Expansion order (PA).
   if (options.attribute_order.empty()) {
@@ -382,17 +373,12 @@ std::string ExplainPlan(const XJoinPlan& plan) {
     out += ", composite domain ~" + std::to_string(sp.level01_keys);
   }
   out += ")\n";
-  out += "execution: ";
-  if (plan.batch_size > 0) {
-    out += "batched (columnar, block=" + std::to_string(plan.batch_size) +
-           "; CSR levels devirtualized)\n";
-    // Live property of the host running EXPLAIN, not a plan snapshot:
-    // the dispatch ladder is resolved again wherever the plan executes.
-    out += "simd dispatch: " +
-           std::string(SimdLevelName(ActiveSimdLevel())) + "\n";
-  } else {
-    out += "scalar (row-at-a-time; batch_size=0)\n";
-  }
+  out += "execution: batched (columnar, block=" +
+         std::to_string(plan.batch_size) + ")\n";
+  // Live property of the host running EXPLAIN, not a plan snapshot: the
+  // dispatch ladder is resolved again wherever the plan executes.
+  out += "simd dispatch: " + std::string(SimdLevelName(ActiveSimdLevel())) +
+         "\n";
   out += "pinned tries: " + std::to_string(plan.tries_provider) +
          " via db cache, " + std::to_string(plan.tries_built) +
          " private builds\n";

@@ -85,12 +85,10 @@ struct XJoinOptions {
   /// thread). num_shards > 1 with num_threads == 1 exercises the shard
   /// partitioning deterministically on one thread.
   int num_shards = 0;
-  /// Result-batch capacity for the expansion loop, snapshotted into the
-  /// plan and part of the cache fingerprint. > 0 (the default) =
-  /// block-at-a-time execution with columnar materialization and
-  /// runtime-dispatched SIMD intersection kernels over raw CSR inputs;
-  /// 0 = the legacy scalar opt-out (see GenericJoinOptions::batch_size).
-  /// Results and "gj.*"/"validate.*" counters are identical either way.
+  /// Result-batch capacity for the expansion loop (>= 1; PrepareXJoin
+  /// rejects smaller values), snapshotted into the plan and part of the
+  /// cache fingerprint — see GenericJoinOptions::batch_size. Results
+  /// and "gj.*"/"validate.*" counters are identical at every size.
   int batch_size = kDefaultResultBatchCapacity;
   /// Optional trie cache hook (see TrieProvider above). Empty = every
   /// prepare builds its own relation tries.
@@ -140,12 +138,10 @@ struct PlanLevel {
   int64_t lead_estimate = 0;              ///< its static key-count estimate
   int coverage = 0;                       ///< #inputs covering the attribute
   /// Planned intersection kernel for the level, shown by EXPLAIN:
-  /// "scalar" (batch_size == 0 — virtual leapfrog throughout), "drain"
-  /// (single participant: bulk block copies), "gallop"/"merge" (the
-  /// SIMD-dispatched raw-CSR kernel, strategy picked from the static
-  /// cardinality skew), or "leapfrog" (non-CSR participant, virtual
-  /// protocol). Like the lead, the executor re-decides per prefix from
-  /// live estimates; this is the a-priori choice.
+  /// "drain" (single participant: bulk block copies) or "gallop"/"merge"
+  /// (the SIMD-dispatched intersection kernel, strategy picked from the
+  /// static cardinality skew). Like the lead, the executor re-decides
+  /// per prefix from the live span sizes; this is the a-priori choice.
   std::string kernel;
 };
 

@@ -107,105 +107,70 @@ int64_t PathRelation::CountChains() const {
 }
 
 LazyPathTrieIterator::LazyPathTrieIterator(const PathRelation* relation)
-    : relation_(relation) {}
+    : relation_(relation), frames_(static_cast<size_t>(relation->arity())) {}
 
-void LazyPathTrieIterator::FixGroup() {
-  Frame& f = frames_[static_cast<size_t>(depth_)];
-  if (f.pos >= f.entries.size()) {
-    f.group_end = f.pos;
-    return;
+KeySpan LazyPathTrieIterator::Open(size_t parent_pos) {
+  XJ_DCHECK(open_ < frames_.size());
+  Frame& f = frames_[open_];
+  const uint64_t parent_stamp = open_ == 0 ? 0 : frames_[open_ - 1].stamp;
+  if (open_ == 0) parent_pos = 0;
+  if (f.stamp != 0 && f.parent_pos == parent_pos &&
+      f.parent_stamp == parent_stamp) {
+    ++open_;
+    return KeySpan{f.keys.data(), 0, f.keys.size()};
   }
-  int64_t value = f.entries[f.pos].value;
-  size_t e = f.pos + 1;
-  while (e < f.entries.size() && f.entries[e].value == value) ++e;
-  f.group_end = e;
-}
-
-void LazyPathTrieIterator::Open() {
-  XJ_DCHECK(depth_ + 1 < relation_->arity());
-  Frame next;
+  f.stamp = ++next_stamp_;
+  f.parent_pos = parent_pos;
+  f.parent_stamp = parent_stamp;
   const NodeIndex& index = relation_->index();
-  if (depth_ < 0) {
-    int32_t tag = relation_->tags()[0];
-    if (tag >= 0) next.entries = index.ValueSortedNodes(tag);
+  const int32_t tag = relation_->tags()[open_];
+  size_t n = 0;
+  if (open_ == 0) {
+    f.entries = nullptr;
+    if (tag >= 0) {
+      const std::vector<ValueNode>& roots = index.ValueSortedNodes(tag);
+      f.entries = roots.data();
+      n = roots.size();
+    }
   } else {
-    const Frame& parent = frames_[static_cast<size_t>(depth_)];
-    XJ_DCHECK(parent.pos < parent.group_end);
-    int32_t tag = relation_->tags()[static_cast<size_t>(depth_) + 1];
+    const Frame& parent = frames_[open_ - 1];
+    XJ_DCHECK(parent_pos + 1 < parent.group.size());
+    f.owned.clear();
     if (tag >= 0) {
       const XmlDocument& doc = index.doc();
-      for (size_t i = parent.pos; i < parent.group_end; ++i) {
-        NodeId parent_node = parent.entries[i].node;
-        for (NodeId c = doc.node(parent_node).first_child; c != kNullNode;
-             c = doc.node(c).next_sibling) {
+      for (size_t i = parent.group[parent_pos];
+           i < parent.group[parent_pos + 1]; ++i) {
+        for (NodeId c = doc.node(parent.entries[i].node).first_child;
+             c != kNullNode; c = doc.node(c).next_sibling) {
           if (doc.node(c).tag == tag) {
-            next.entries.push_back(ValueNode{index.ValueOf(c), c});
+            f.owned.push_back(ValueNode{index.ValueOf(c), c});
           }
         }
       }
-      std::sort(next.entries.begin(), next.entries.end(),
+      std::sort(f.owned.begin(), f.owned.end(),
                 [](const ValueNode& a, const ValueNode& b) {
                   if (a.value != b.value) return a.value < b.value;
                   return a.node < b.node;
                 });
     }
+    f.entries = f.owned.data();
+    n = f.owned.size();
   }
-  ++depth_;
-  frames_.push_back(std::move(next));
-  FixGroup();
-}
-
-void LazyPathTrieIterator::Up() {
-  XJ_DCHECK(depth_ >= 0);
-  frames_.pop_back();
-  --depth_;
-}
-
-bool LazyPathTrieIterator::AtEnd() const {
-  XJ_DCHECK(depth_ >= 0);
-  const Frame& f = frames_[static_cast<size_t>(depth_)];
-  return f.pos >= f.entries.size();
-}
-
-int64_t LazyPathTrieIterator::Key() const {
-  XJ_DCHECK(!AtEnd());
-  const Frame& f = frames_[static_cast<size_t>(depth_)];
-  return f.entries[f.pos].value;
-}
-
-void LazyPathTrieIterator::Next() {
-  XJ_DCHECK(!AtEnd());
-  Frame& f = frames_[static_cast<size_t>(depth_)];
-  f.pos = f.group_end;
-  FixGroup();
-}
-
-void LazyPathTrieIterator::Seek(int64_t key) {
-  XJ_DCHECK(!AtEnd());
-  Frame& f = frames_[static_cast<size_t>(depth_)];
-  auto cmp = [](const ValueNode& a, int64_t v) { return a.value < v; };
-  // Gallop from the cursor to bracket the target (leapfrog seeks are
-  // usually near), then binary search inside the bracket.
-  size_t base = f.pos;
-  size_t step = 1;
-  const size_t n = f.entries.size();
-  while (base + step < n && f.entries[base + step].value < key) {
-    base += step;
-    step <<= 1;
+  // One linear pass folds the sorted entries into distinct keys and the
+  // entry range each key's children are gathered from.
+  f.keys.clear();
+  f.group.clear();
+  f.keys.reserve(n);
+  f.group.reserve(n + 1);
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 0 || f.entries[i].value != f.keys.back()) {
+      f.keys.push_back(f.entries[i].value);
+      f.group.push_back(i);
+    }
   }
-  size_t search_hi = std::min(base + step, n);
-  f.pos = static_cast<size_t>(
-      std::lower_bound(f.entries.begin() + static_cast<ptrdiff_t>(base),
-                       f.entries.begin() + static_cast<ptrdiff_t>(search_hi),
-                       key, cmp) -
-      f.entries.begin());
-  FixGroup();
-}
-
-int64_t LazyPathTrieIterator::EstimateKeys() const {
-  XJ_DCHECK(depth_ >= 0);
-  const Frame& f = frames_[static_cast<size_t>(depth_)];
-  return static_cast<int64_t>(f.entries.size() - f.pos);
+  f.group.push_back(n);
+  ++open_;
+  return KeySpan{f.keys.data(), 0, f.keys.size()};
 }
 
 std::unique_ptr<TrieIterator> LazyPathTrieIterator::Clone() const {

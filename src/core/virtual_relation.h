@@ -62,36 +62,38 @@ class PathRelation {
 };
 
 /// TrieIterator over a PathRelation that walks the document lazily.
-/// Level state is a value-sorted list of (value, node) candidates for the
-/// current parent group; Open() on level i gathers the tag-matching
-/// children of the nodes in the parent's current value group.
+/// Each open level keeps the value-sorted (value, node) candidates of
+/// the parent's value group plus their distinct values and per-value
+/// group offsets; Open(parent_pos) gathers the tag-matching children of
+/// the nodes in group `parent_pos` of the parent level.
 class LazyPathTrieIterator final : public TrieIterator {
  public:
   explicit LazyPathTrieIterator(const PathRelation* relation);
 
   int arity() const override { return relation_->arity(); }
-  int depth() const override { return depth_; }
-  void Open() override;
-  void Up() override;
-  bool AtEnd() const override;
-  int64_t Key() const override;
-  void Next() override;
-  void Seek(int64_t key) override;
-  int64_t EstimateKeys() const override;
+  KeySpan Open(size_t parent_pos) override;
+  void Up() override { --open_; }
   std::unique_ptr<TrieIterator> Clone() const override;
 
  private:
   struct Frame {
-    std::vector<ValueNode> entries;  // sorted by (value, node)
-    size_t pos = 0;                  // start of current value group
-    size_t group_end = 0;            // one past the group
+    std::vector<ValueNode> owned;        // gathered children (below root)
+    const ValueNode* entries = nullptr;  // sorted by (value, node)
+    std::vector<int64_t> keys;           // distinct values of `entries`
+    std::vector<size_t> group;  // key i owns [group[i], group[i+1])
+    // Memo: the frame was gathered under key `parent_pos` of the parent
+    // frame as of the parent's `parent_stamp`. Re-opening the same
+    // children (the root under every outer binding, or an input that
+    // skips an attribute of the global order) returns the span as is.
+    uint64_t stamp = 0;  // 0 = never built
+    size_t parent_pos = 0;
+    uint64_t parent_stamp = 0;
   };
 
-  void FixGroup();
-
   const PathRelation* relation_;
-  int depth_ = -1;
-  std::vector<Frame> frames_;
+  size_t open_ = 0;            // number of open levels
+  std::vector<Frame> frames_;  // one per level, buffers reused
+  uint64_t next_stamp_ = 0;
 };
 
 }  // namespace xjoin

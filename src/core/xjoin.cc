@@ -5,7 +5,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/parallel.h"
+#include "common/executor.h"
 #include "core/generic_join.h"
 #include "relational/operators.h"
 #include "relational/trie.h"

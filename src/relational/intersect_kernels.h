@@ -1,17 +1,18 @@
 #ifndef XJOIN_RELATIONAL_INTERSECT_KERNELS_H_
 #define XJOIN_RELATIONAL_INTERSECT_KERNELS_H_
 
-// SIMD galloping-intersection kernels over raw CSR level arrays.
+// SIMD galloping-intersection kernels over sorted key spans.
 //
 // The generic-join engine's hot loop is multi-way sorted-set
-// intersection: leapfrog seeks over the `keys[d]` arrays of CSR tries.
+// intersection: leapfrog seeks over the key spans every trie level
+// opens to (relational/trie_iterator.h).
 // This module packages that loop as a table of function pointers — one
 // table per SimdLevel (scalar / SSE4.2 / AVX2), selected once per
 // engine run by ActiveIntersectKernel() — so the binary carries every
 // variant and picks at runtime, staying runnable on baseline x86-64.
 //
 // Counter-exactness contract: every variant performs the *same logical
-// leapfrog jump sequence* as the scalar engine. A "seek" lands at
+// leapfrog jump sequence* as the portable scalar table. A "seek" lands at
 // exactly the same position and is counted exactly once no matter
 // which table executes it; SIMD only accelerates the interior search
 // of each seek (vectorized lower-bound probing and linear compare
@@ -19,7 +20,7 @@
 // across dispatch levels — the invariant tests/intersect_kernel_test.cc
 // and tests/batch_test.cc enforce.
 //
-// Two seek strategies, selected per level from EstimateKeys ratios:
+// Two seek strategies, selected per level from the span-size ratio:
 //
 //   kGallop — doubling gallop to bracket the target, then a vectorized
 //     lower-bound probe inside the bracket. Wins when cardinalities
@@ -39,7 +40,7 @@
 
 namespace xjoin {
 
-/// A borrowed cursor over one sorted, duplicate-free CSR key range
+/// A borrowed cursor over one sorted, duplicate-free key range
 /// [pos, hi). The kernels advance `pos` only.
 struct KeyCursor {
   const int64_t* keys = nullptr;
@@ -89,8 +90,8 @@ struct IntersectKernel {
   size_t (*seek)(const int64_t* keys, size_t pos, size_t hi, int64_t key,
                  IntersectStrategy strategy);
 
-  /// Resumable multi-way intersection drain, the batched engine's
-  /// deepest-level loop. Mirrors the scalar engine op for op:
+  /// Resumable multi-way leapfrog drain, the engine's intersection at
+  /// every level (cap 1 above the deepest level, a batch at it):
   /// `first` starts with an align (initial intersection) instead of an
   /// advance; every aligned key < `hi` (when `has_hi`) is appended to
   /// `out`; each underlying seek increments *seeks by one. Returns the

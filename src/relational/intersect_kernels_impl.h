@@ -69,10 +69,9 @@ struct Kernels {
     return LowerBound(keys, base, bracket_hi, key);
   }
 
-  // Mirrors the scalar engine's leapfrog align: false if any cursor is
-  // exhausted; otherwise seek every lagging cursor to the running max
-  // (one counted seek per jump) until all agree on one key (cursor 0's
-  // current key).
+  // Leapfrog align: false if any cursor is exhausted; otherwise seek
+  // every lagging cursor to the running max (one counted seek per jump)
+  // until all agree on one key (cursor 0's current key).
   static bool Align(KeyCursor* cursors, size_t n, IntersectStrategy strategy,
                     int64_t* seeks) {
     for (size_t i = 0; i < n; ++i) {
@@ -101,8 +100,8 @@ struct Kernels {
     }
   }
 
-  // Mirrors the scalar engine's advance: step the lead cursor (one
-  // counted seek), then realign.
+  // Leapfrog advance: step the lead cursor (one counted seek), then
+  // realign.
   static bool Advance(KeyCursor* cursors, size_t n,
                       IntersectStrategy strategy, int64_t* seeks) {
     ++cursors[0].pos;

@@ -14,11 +14,9 @@
 namespace xjoin {
 
 /// Default result-batch capacity in rows — the batch_size that
-/// GenericJoinOptions and XJoinOptions start from. Block-at-a-time
-/// execution is on by default; callers opt back into the scalar
-/// row-at-a-time path with batch_size = 0. 1024 rows keeps a batch's
-/// working set (8 KiB per column) inside L1/L2 while amortizing the
-/// per-block dispatch overhead; the equivalence suites hold results
+/// GenericJoinOptions and XJoinOptions start from. 1024 rows keeps a
+/// batch's working set (8 KiB per column) inside L1/L2 while amortizing
+/// the per-block dispatch overhead; the equivalence suites hold results
 /// byte-identical at every size, so the constant is purely a
 /// performance knob.
 inline constexpr int kDefaultResultBatchCapacity = 1024;

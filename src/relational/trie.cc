@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <tuple>
+#include <utility>
 
+#include "common/executor.h"
 #include "common/logging.h"
-#include "common/parallel.h"
 
 namespace xjoin {
 
@@ -69,14 +71,6 @@ size_t LowerBoundRange(const std::vector<int64_t>& col, size_t lo, size_t hi,
       col.begin());
 }
 
-size_t UpperBoundRange(const std::vector<int64_t>& col, size_t lo, size_t hi,
-                       int64_t key) {
-  return static_cast<size_t>(
-      std::upper_bound(col.begin() + static_cast<ptrdiff_t>(lo),
-                       col.begin() + static_cast<ptrdiff_t>(hi), key) -
-      col.begin());
-}
-
 }  // namespace
 
 // A minimal non-owning view so file-local helpers can walk the private
@@ -99,7 +93,8 @@ void AssembleCsrLevels(const std::vector<std::vector<int64_t>>& sorted,
                        std::vector<std::vector<int64_t>>* keys,
                        std::vector<std::vector<size_t>>* child_begin) {
   std::vector<uint32_t> diff(n);
-  ParallelFor(num_threads, n, /*grain=*/4096, [&](size_t i) {
+  Executor* executor = Executor::Default();
+  executor->ParallelFor(num_threads, n, /*grain=*/4096, [&](size_t i) {
     if (i == 0) {
       diff[0] = 0;
       return;
@@ -109,7 +104,7 @@ void AssembleCsrLevels(const std::vector<std::vector<int64_t>>& sorted,
     diff[i] = level;
   });
 
-  ParallelFor(num_threads, k, /*grain=*/1, [&](size_t d) {
+  executor->ParallelFor(num_threads, k, /*grain=*/1, [&](size_t d) {
     std::vector<int64_t>& level_keys = (*keys)[d];
     const std::vector<int64_t>& col = sorted[d];
     if (d + 1 < k) {
@@ -207,7 +202,8 @@ Result<RelationTrie> RelationTrie::Build(const Relation& relation,
 
   // 3. Materialize the sorted columns (parallel per column).
   std::vector<std::vector<int64_t>> sorted(k);
-  ParallelFor(num_threads, k, /*grain=*/1, [&](size_t c) {
+  Executor* executor = Executor::Default();
+  executor->ParallelFor(num_threads, k, /*grain=*/1, [&](size_t c) {
     const std::vector<int64_t>& col = *cols[c];
     sorted[c].resize(n);
     for (size_t i = 0; i < n; ++i) sorted[c][i] = col[rows[i]];
@@ -358,6 +354,10 @@ Result<RelationTrie> RelationTrie::ApplyDelta(
     }
     delta->insert_rows = insert_rows;
     delta->tombstone_rows = tombstone_rows;
+    MergeLevel(*core_, *delta, 0,
+               PrefixRows{0, core_->keys[0].size(), 0, insert_rows, 0,
+                          tombstone_rows},
+               &delta->root_keys);
     out.delta_ = delta;
     return out;
   }
@@ -409,26 +409,23 @@ Result<RelationTrie> RelationTrie::ApplyDelta(
 
 void RelationTrie::EnumerateTuples(std::vector<Tuple>* out) const {
   out->clear();
-  const int k = arity();
+  const size_t k = static_cast<size_t>(arity());
   if (k == 0) return;
   std::unique_ptr<TrieIterator> it = NewIterator();
-  Tuple tuple(static_cast<size_t>(k));
-  it->Open();
-  for (;;) {
-    if (!it->AtEnd()) {
-      tuple[static_cast<size_t>(it->depth())] = it->Key();
-      if (it->depth() == k - 1) {
+  Tuple tuple(k);
+  auto walk = [&](auto&& self, size_t d, size_t parent_pos) -> void {
+    KeySpan span = it->Open(parent_pos);
+    for (size_t p = span.lo; p < span.hi; ++p) {
+      tuple[d] = span.keys[p];
+      if (d + 1 == k) {
         out->push_back(tuple);
-        it->Next();
       } else {
-        it->Open();
+        self(self, d + 1, p);
       }
-    } else {
-      if (it->depth() == 0) break;
-      it->Up();
-      it->Next();
     }
-  }
+    it->Up();
+  };
+  walk(walk, 0, 0);
 }
 
 size_t RelationTrie::ByteSizeEstimate() const {
@@ -448,6 +445,7 @@ size_t RelationTrie::ByteSizeEstimate() const {
     for (const auto& col : delta_->tombstones) {
       bytes += col.capacity() * sizeof(int64_t);
     }
+    bytes += delta_->root_keys.capacity() * sizeof(int64_t);
   }
   return bytes;
 }
@@ -462,116 +460,15 @@ std::unique_ptr<TrieIterator> RelationTrie::NewIterator() const {
 RelationTrieIterator::RelationTrieIterator(const RelationTrie* trie)
     : trie_(trie) {
   XJ_DCHECK(trie->delta_ == nullptr);
-  frames_.reserve(static_cast<size_t>(trie->arity()));
 }
 
-void RelationTrieIterator::Open() {
-  XJ_DCHECK(depth_ + 1 < trie_->arity());
-  size_t lo, hi;
-  if (depth_ < 0) {
-    lo = 0;
-    hi = trie_->core_->keys[0].size();
-  } else {
-    const Frame& f = frames_[static_cast<size_t>(depth_)];
-    XJ_DCHECK(f.pos < f.hi);
-    const std::vector<size_t>& cb =
-        trie_->core_->child_begin[static_cast<size_t>(depth_)];
-    lo = cb[f.pos];
-    hi = cb[f.pos + 1];
-  }
-  ++depth_;
-  frames_.push_back(Frame{lo, hi, lo});
-}
-
-void RelationTrieIterator::Up() {
-  XJ_DCHECK(depth_ >= 0);
-  frames_.pop_back();
-  --depth_;
-}
-
-bool RelationTrieIterator::AtEnd() const {
-  XJ_DCHECK(depth_ >= 0);
-  const Frame& f = frames_[static_cast<size_t>(depth_)];
-  return f.pos >= f.hi;
-}
-
-int64_t RelationTrieIterator::Key() const {
-  XJ_DCHECK(!AtEnd());
-  const Frame& f = frames_[static_cast<size_t>(depth_)];
-  return trie_->core_->keys[static_cast<size_t>(depth_)][f.pos];
-}
-
-void RelationTrieIterator::Next() {
-  XJ_DCHECK(!AtEnd());
-  ++frames_[static_cast<size_t>(depth_)].pos;
-}
-
-void RelationTrieIterator::Seek(int64_t key) {
-  XJ_DCHECK(!AtEnd());
-  Frame& f = frames_[static_cast<size_t>(depth_)];
-  const std::vector<int64_t>& col =
-      trie_->core_->keys[static_cast<size_t>(depth_)];
-  // Keys within the parent's child range are already distinct; gallop to
-  // bracket the target (leapfrog seeks are usually near the cursor),
-  // then binary search only inside the bracket.
-  size_t base = f.pos;
-  size_t step = 1;
-  while (base + step < f.hi && col[base + step] < key) {
-    base += step;
-    step <<= 1;
-  }
-  size_t search_hi = std::min(base + step, f.hi);
-  f.pos = LowerBoundRange(col, base, search_hi, key);
-}
-
-size_t RelationTrieIterator::NextBlock(int64_t hi_exclusive, KeyBlock* out) {
-  XJ_DCHECK(depth_ >= 0);
-  out->keys.clear();
-  Frame& f = frames_[static_cast<size_t>(depth_)];
-  const std::vector<int64_t>& col =
-      trie_->core_->keys[static_cast<size_t>(depth_)];
-  size_t end = std::min(f.pos + out->capacity, f.hi);
-  // Keys are sorted: if the last candidate clears hi_exclusive the whole
-  // run does; otherwise binary-search the cut inside the candidate run.
-  if (end > f.pos && col[end - 1] >= hi_exclusive) {
-    end = LowerBoundRange(col, f.pos, end, hi_exclusive);
-  }
-  out->keys.assign(col.begin() + static_cast<ptrdiff_t>(f.pos),
-                   col.begin() + static_cast<ptrdiff_t>(end));
-  f.pos = end;
-  return out->keys.size();
-}
-
-bool RelationTrieIterator::RawLevelSpan(RawKeySpan* out) const {
-  XJ_DCHECK(depth_ >= 0);
-  const Frame& f = frames_[static_cast<size_t>(depth_)];
-  out->keys = trie_->core_->keys[static_cast<size_t>(depth_)].data();
-  out->pos = f.pos;
-  out->hi = f.hi;
-  return true;
-}
-
-bool RelationTrieIterator::RawTrieSpans(RawTrieView* out) const {
-  const RelationTrie::Core* core = trie_->core_.get();
-  const size_t arity = core == nullptr ? 0 : core->keys.size();
-  out->levels.clear();
-  out->levels.reserve(arity);
-  for (size_t d = 0; d < arity; ++d) {
-    RawTrieView::Level level;
-    level.keys = core->keys[d].data();
-    level.num_keys = core->keys[d].size();
-    // The deepest level has no children to index into.
-    level.child_begin =
-        d + 1 < arity ? core->child_begin[d].data() : nullptr;
-    out->levels.push_back(level);
-  }
-  return true;
-}
-
-int64_t RelationTrieIterator::EstimateKeys() const {
-  XJ_DCHECK(depth_ >= 0);
-  const Frame& f = frames_[static_cast<size_t>(depth_)];
-  return static_cast<int64_t>(f.hi - f.pos);
+KeySpan RelationTrieIterator::Open(size_t parent_pos) {
+  XJ_DCHECK(open_ < static_cast<size_t>(trie_->arity()));
+  const RelationTrie::Core& core = *trie_->core_;
+  const size_t d = open_++;
+  if (d == 0) return KeySpan{core.keys[0].data(), 0, core.keys[0].size()};
+  const std::vector<size_t>& cb = core.child_begin[d - 1];
+  return KeySpan{core.keys[d].data(), cb[parent_pos], cb[parent_pos + 1]};
 }
 
 std::unique_ptr<TrieIterator> RelationTrieIterator::Clone() const {
@@ -579,170 +476,125 @@ std::unique_ptr<TrieIterator> RelationTrieIterator::Clone() const {
 }
 
 RelationDeltaTrieIterator::RelationDeltaTrieIterator(const RelationTrie* trie)
-    : trie_(trie), core_(trie->core_.get()), delta_(trie->delta_.get()) {
+    : trie_(trie),
+      core_(trie->core_.get()),
+      delta_(trie->delta_.get()),
+      frames_(static_cast<size_t>(trie->arity())) {
   XJ_DCHECK(delta_ != nullptr);
-  frames_.reserve(static_cast<size_t>(trie->arity()));
 }
 
-size_t RelationDeltaTrieIterator::SubtreeLeafCount(size_t d,
-                                                   size_t node) const {
-  const size_t k = core_->keys.size();
+namespace {
+
+// Base leaves under node `node` of level `d` (cascaded child ranges,
+// O(arity)): a base key dies only when its tombstone count equals this.
+size_t SubtreeLeafCount(const std::vector<std::vector<size_t>>& child_begin,
+                        size_t d, size_t node) {
   size_t lo = node;
   size_t hi = node + 1;
-  for (size_t dd = d; dd + 1 < k; ++dd) {
-    lo = core_->child_begin[dd][lo];
-    hi = core_->child_begin[dd][hi];
+  for (size_t dd = d; dd < child_begin.size(); ++dd) {
+    lo = child_begin[dd][lo];
+    hi = child_begin[dd][hi];
   }
   return hi - lo;
 }
 
-void RelationDeltaTrieIterator::Reposition(Frame* f, size_t d) const {
-  // Skip base keys whose entire subtree is tombstoned. A key is dead
-  // only when the tombstones for this prefix+key account for every base
-  // leaf under it; the common tombstone-free range short-circuits.
-  if (f->thi > f->tlo) {
-    const std::vector<int64_t>& tcol = delta_->tombstones[d];
-    while (f->bpos < f->bhi) {
-      int64_t bk = core_->keys[d][f->bpos];
-      size_t t0 = LowerBoundRange(tcol, f->tlo, f->thi, bk);
-      size_t t1 = UpperBoundRange(tcol, t0, f->thi, bk);
-      if (t1 == t0) break;
-      if (t1 - t0 < SubtreeLeafCount(d, f->bpos)) break;
-      ++f->bpos;
-    }
-  }
-  const bool has_base = f->bpos < f->bhi;
-  const bool has_insert = f->ipos < f->ihi;
-  if (!has_base && !has_insert) {
-    f->exhausted = true;
-    f->from_base = f->from_insert = false;
-    return;
-  }
-  f->exhausted = false;
-  const int64_t bk = has_base ? core_->keys[d][f->bpos] : 0;
-  const int64_t ik = has_insert ? delta_->inserts[d][f->ipos] : 0;
-  f->from_base = has_base && (!has_insert || bk <= ik);
-  f->from_insert = has_insert && (!has_base || ik <= bk);
-  f->key = f->from_base ? bk : ik;
+// [first, last) of `key` in the sorted run col[lo, hi).
+std::pair<size_t, size_t> EqualRange(const std::vector<int64_t>& col,
+                                     size_t lo, size_t hi, int64_t key) {
+  size_t first = LowerBoundRange(col, lo, hi, key);
+  size_t last = first;
+  while (last < hi && col[last] == key) ++last;
+  return {first, last};
 }
 
-void RelationDeltaTrieIterator::Open() {
-  XJ_DCHECK(depth_ + 1 < arity());
-  Frame nf;
-  if (depth_ < 0) {
-    nf.blo = 0;
-    nf.bhi = core_->keys[0].size();
-    nf.ilo = 0;
-    nf.ihi = delta_->inserts.empty() ? 0 : delta_->inserts[0].size();
-    nf.tlo = 0;
-    nf.thi = delta_->tombstones.empty() ? 0 : delta_->tombstones[0].size();
+}  // namespace
+
+void RelationTrie::MergeLevel(const Core& core, const Delta& delta, size_t d,
+                              const PrefixRows& rows,
+                              std::vector<int64_t>* keys) {
+  const std::vector<int64_t>& base = core.keys[d];
+  const std::vector<int64_t>& icol = delta.inserts[d];
+  const std::vector<int64_t>& tcol = delta.tombstones[d];
+  keys->clear();
+  size_t b = rows.blo;
+  size_t i = rows.ilo;
+  size_t t = rows.tlo;
+  while (b < rows.bhi || i < rows.ihi) {
+    const bool has_base = b < rows.bhi;
+    const bool has_insert = i < rows.ihi;
+    const bool from_base = has_base && (!has_insert || base[b] <= icol[i]);
+    const bool from_insert = has_insert && (!has_base || icol[i] <= base[b]);
+    const int64_t key = from_base ? base[b] : icol[i];
+    bool alive = from_insert;
+    if (from_base) {
+      while (t < rows.thi && tcol[t] < key) ++t;
+      size_t t_end = t;
+      while (t_end < rows.thi && tcol[t_end] == key) ++t_end;
+      alive = alive || t_end == t ||
+              t_end - t < SubtreeLeafCount(core.child_begin, d, b);
+      t = t_end;
+      ++b;
+    }
+    while (i < rows.ihi && icol[i] == key) ++i;
+    if (alive) keys->push_back(key);
+  }
+}
+
+RelationTrie::PrefixRows RelationTrie::ChildRows(const Core& core,
+                                                 const Delta& delta, size_t d,
+                                                 const PrefixRows& rows,
+                                                 int64_t key) {
+  PrefixRows child;
+  std::tie(child.ilo, child.ihi) =
+      EqualRange(delta.inserts[d], rows.ilo, rows.ihi, key);
+  const std::vector<int64_t>& base = core.keys[d];
+  const size_t b = LowerBoundRange(base, rows.blo, rows.bhi, key);
+  if (b == rows.bhi || base[b] != key) return child;  // inserts only
+  auto [tlo, thi] = EqualRange(delta.tombstones[d], rows.tlo, rows.thi, key);
+  // A fully tombstoned base subtree contributes no children.
+  if (thi - tlo == SubtreeLeafCount(core.child_begin, d, b)) return child;
+  child.blo = core.child_begin[d][b];
+  child.bhi = core.child_begin[d][b + 1];
+  child.tlo = tlo;
+  child.thi = thi;
+  return child;
+}
+
+KeySpan RelationDeltaTrieIterator::Open(size_t parent_pos) {
+  XJ_DCHECK(open_ < frames_.size());
+  const size_t d = open_++;
+  Frame& f = frames_[d];
+  if (d == 0) {
+    f.rows = RelationTrie::PrefixRows{0, core_->keys[0].size(),
+                                      0, delta_->insert_rows,
+                                      0, delta_->tombstone_rows};
+    f.span = KeySpan{delta_->root_keys.data(), 0, delta_->root_keys.size()};
+    return f.span;
+  }
+  const Frame& parent = frames_[d - 1];
+  if (f.stamp != 0 && f.parent_pos == parent_pos &&
+      f.parent_stamp == parent.stamp) {
+    return f.span;
+  }
+  f.stamp = ++next_stamp_;
+  f.parent_pos = parent_pos;
+  f.parent_stamp = parent.stamp;
+  if (!parent.rows.has_delta()) {
+    // Under a delta-free prefix the span is a plain base slice whose
+    // positions index the base array directly.
+    const std::vector<size_t>& cb = core_->child_begin[d - 1];
+    f.rows = RelationTrie::PrefixRows{cb[parent_pos], cb[parent_pos + 1]};
   } else {
-    const Frame& f = frames_[static_cast<size_t>(depth_)];
-    XJ_DCHECK(!f.exhausted);
-    const size_t d = static_cast<size_t>(depth_);
-    if (f.from_base) {
-      const std::vector<size_t>& cb = core_->child_begin[d];
-      nf.blo = cb[f.bpos];
-      nf.bhi = cb[f.bpos + 1];
-    }
-    if (f.from_insert) {
-      nf.ilo = f.ipos;
-      nf.ihi = UpperBoundRange(delta_->inserts[d], f.ipos, f.ihi, f.key);
-    }
-    // Tombstones live only under base subtrees (tombstones ⊆ base).
-    if (f.from_base && f.thi > f.tlo) {
-      nf.tlo = LowerBoundRange(delta_->tombstones[d], f.tlo, f.thi, f.key);
-      nf.thi = UpperBoundRange(delta_->tombstones[d], nf.tlo, f.thi, f.key);
-    }
+    f.rows = RelationTrie::ChildRows(*core_, *delta_, d - 1, parent.rows,
+                                     parent.span.keys[parent_pos]);
   }
-  nf.bpos = nf.blo;
-  nf.ipos = nf.ilo;
-  ++depth_;
-  frames_.push_back(nf);
-  Reposition(&frames_.back(), static_cast<size_t>(depth_));
-}
-
-void RelationDeltaTrieIterator::Up() {
-  XJ_DCHECK(depth_ >= 0);
-  frames_.pop_back();
-  --depth_;
-}
-
-bool RelationDeltaTrieIterator::AtEnd() const {
-  XJ_DCHECK(depth_ >= 0);
-  return frames_[static_cast<size_t>(depth_)].exhausted;
-}
-
-int64_t RelationDeltaTrieIterator::Key() const {
-  XJ_DCHECK(!AtEnd());
-  return frames_[static_cast<size_t>(depth_)].key;
-}
-
-void RelationDeltaTrieIterator::Next() {
-  XJ_DCHECK(!AtEnd());
-  Frame& f = frames_[static_cast<size_t>(depth_)];
-  const size_t d = static_cast<size_t>(depth_);
-  // Base keys are distinct within the parent range; insert rows can
-  // repeat the level key (one row per tuple), so skip the whole run.
-  if (f.from_base) ++f.bpos;
-  if (f.from_insert) {
-    f.ipos = UpperBoundRange(delta_->inserts[d], f.ipos, f.ihi, f.key);
+  if (f.rows.has_delta()) {
+    RelationTrie::MergeLevel(*core_, *delta_, d, f.rows, &f.keys);
+    f.span = KeySpan{f.keys.data(), 0, f.keys.size()};
+  } else {
+    f.span = KeySpan{core_->keys[d].data(), f.rows.blo, f.rows.bhi};
   }
-  Reposition(&f, d);
-}
-
-void RelationDeltaTrieIterator::Seek(int64_t key) {
-  XJ_DCHECK(!AtEnd());
-  Frame& f = frames_[static_cast<size_t>(depth_)];
-  const size_t d = static_cast<size_t>(depth_);
-  f.bpos = LowerBoundRange(core_->keys[d], f.bpos, f.bhi, key);
-  f.ipos = LowerBoundRange(delta_->inserts[d], f.ipos, f.ihi, key);
-  Reposition(&f, d);
-}
-
-int64_t RelationDeltaTrieIterator::EstimateKeys() const {
-  XJ_DCHECK(depth_ >= 0);
-  const Frame& f = frames_[static_cast<size_t>(depth_)];
-  // Upper bound (conformance contract): remaining base keys plus
-  // remaining insert rows; tombstones only shrink the true count, and
-  // both cursors are monotone, so the estimate never grows.
-  return static_cast<int64_t>((f.bhi - f.bpos) + (f.ihi - f.ipos));
-}
-
-size_t RelationDeltaTrieIterator::NextBlock(int64_t hi_exclusive,
-                                            KeyBlock* out) {
-  XJ_DCHECK(depth_ >= 0);
-  Frame& f = frames_[static_cast<size_t>(depth_)];
-  if (f.ipos >= f.ihi && f.tlo == f.thi) {
-    // Pure-base tail: same contiguous copy as the plain CSR cursor.
-    out->keys.clear();
-    const std::vector<int64_t>& col =
-        core_->keys[static_cast<size_t>(depth_)];
-    size_t end = std::min(f.bpos + out->capacity, f.bhi);
-    if (end > f.bpos && col[end - 1] >= hi_exclusive) {
-      end = LowerBoundRange(col, f.bpos, end, hi_exclusive);
-    }
-    out->keys.assign(col.begin() + static_cast<ptrdiff_t>(f.bpos),
-                     col.begin() + static_cast<ptrdiff_t>(end));
-    f.bpos = end;
-    Reposition(&f, static_cast<size_t>(depth_));
-    return out->keys.size();
-  }
-  // Delta rows in range: fall back to the scalar merge drain.
-  return TrieIterator::NextBlock(hi_exclusive, out);
-}
-
-bool RelationDeltaTrieIterator::RawLevelSpan(RawKeySpan* out) const {
-  XJ_DCHECK(depth_ >= 0);
-  const Frame& f = frames_[static_cast<size_t>(depth_)];
-  // The raw-CSR kernels may only see this level when no delta rows can
-  // surface in the remaining range; otherwise report unavailable and
-  // the engine stays on the virtual (merging) protocol.
-  if (f.ipos < f.ihi || f.tlo != f.thi) return false;
-  out->keys = core_->keys[static_cast<size_t>(depth_)].data();
-  out->pos = f.bpos;
-  out->hi = f.bhi;
-  return true;
+  return f.span;
 }
 
 std::unique_ptr<TrieIterator> RelationDeltaTrieIterator::Clone() const {

@@ -1,8 +1,8 @@
 // Materialized tries over columnar relations, stored as CSR level
 // arrays: level d keeps a dense array of distinct keys (given the bound
 // prefix) plus child offsets into level d+1 — classic compressed-
-// sparse-row nesting. Cursors are O(1) per Open/Next/Up/EstimateKeys;
-// Seek gallops inside the current parent's (small) child range.
+// sparse-row nesting. Opening a level is O(1): its key span is a slice
+// of the level array.
 //
 // Incremental maintenance: the CSR arrays are an immutable shared base
 // (`Core`, behind a shared_ptr), and a trie may additionally carry a
@@ -171,7 +171,28 @@ class RelationTrie {
     std::vector<std::vector<int64_t>> tombstones;  // k columns
     size_t insert_rows = 0;
     size_t tombstone_rows = 0;
+    /// Level 0 merged once per trie value (MergeLevel): every delta row
+    /// lives under it, and every query opens it.
+    std::vector<int64_t> root_keys;
   };
+
+  /// The rows of one bound prefix at one level: its base child range
+  /// [blo, bhi) and its insert and tombstone row runs.
+  struct PrefixRows {
+    size_t blo = 0, bhi = 0;
+    size_t ilo = 0, ihi = 0;
+    size_t tlo = 0, thi = 0;
+
+    bool has_delta() const { return ilo != ihi || tlo != thi; }
+  };
+
+  /// Merges level `d` of `rows` into its sorted distinct keys: base and
+  /// insert keys, minus base keys whose whole subtree is tombstoned.
+  static void MergeLevel(const Core& core, const Delta& delta, size_t d,
+                         const PrefixRows& rows, std::vector<int64_t>* keys);
+  /// The rows one level down under `key` of level `d` of `rows`.
+  static PrefixRows ChildRows(const Core& core, const Delta& delta, size_t d,
+                              const PrefixRows& rows, int64_t key);
 
   size_t base_rows() const {
     return core_ == nullptr || core_->keys.empty() ? 0
@@ -184,95 +205,60 @@ class RelationTrie {
   std::shared_ptr<const Delta> delta_;  // null == no pending delta
 };
 
-/// Cursor over a RelationTrie with no pending delta. The state at depth
-/// d is the half-open range [lo, hi) of keys[d] owned by the bound
-/// prefix (the parent node's child range) plus the cursor position
-/// within it, so Open, Next, Up, Key, AtEnd, and EstimateKeys are all
-/// O(1); Seek is a gallop + binary search over the per-parent range
-/// only.
+/// Cursor over a RelationTrie with no pending delta. Every span points
+/// straight into the CSR level array: the root span is all of keys[0],
+/// and the children of key p at level d are keys[d+1] over
+/// [child_begin[d][p], child_begin[d][p+1]) — Open is O(1), no copies.
 class RelationTrieIterator final : public TrieIterator {
  public:
   explicit RelationTrieIterator(const RelationTrie* trie);
 
   int arity() const override { return trie_->arity(); }
-  int depth() const override { return depth_; }
-  void Open() override;
-  void Up() override;
-  bool AtEnd() const override;
-  int64_t Key() const override;
-  void Next() override;
-  void Seek(int64_t key) override;
-  int64_t EstimateKeys() const override;
-  /// O(1)-per-key bulk drain: one bounds computation + a contiguous copy
-  /// straight out of the CSR level array.
-  size_t NextBlock(int64_t hi_exclusive, KeyBlock* out) override;
-  /// CSR levels are sorted arrays, so the raw span is always available.
-  bool RawLevelSpan(RawKeySpan* out) const override;
-  /// Delta-free CSR storage is exactly the raw layout: always true.
-  bool RawTrieSpans(RawTrieView* out) const override;
+  KeySpan Open(size_t parent_pos) override;
+  void Up() override { --open_; }
   std::unique_ptr<TrieIterator> Clone() const override;
 
  private:
-  struct Frame {
-    size_t lo, hi;  // the parent's child range within keys[depth]
-    size_t pos;     // cursor, lo <= pos <= hi
-  };
-
   const RelationTrie* trie_;
-  int depth_ = -1;
-  std::vector<Frame> frames_;
+  size_t open_ = 0;  // number of open levels
 };
 
-/// Cursor over a RelationTrie with a pending delta side-file: a
-/// three-way sorted merge of the base CSR range, the pending insert
-/// rows, and the tombstone rows for the bound prefix. Base keys whose
-/// entire subtree is tombstoned are skipped; keys present in both the
-/// base and an insert subtree (shared prefix) surface once. Upper-bound
-/// EstimateKeys, scalar NextBlock except on pure-base tails, and
-/// RawLevelSpan only when the current range has no delta rows (the
-/// batched kernels fall back to scalar leapfrog otherwise) keep the
-/// TrieIterator contract intact — see tests/trie_conformance_test.cc.
+/// Cursor over a RelationTrie with a pending delta side-file. Opening a
+/// level below the root locates the bound prefix's rows — base child
+/// range, pending insert rows, tombstone rows — by binary search under
+/// the parent's rows, then merges them into a frame-owned key array
+/// (RelationTrie::MergeLevel); the root was merged once by ApplyDelta.
+/// A prefix with no delta rows is served straight from the base array,
+/// like the plain CSR cursor.
 class RelationDeltaTrieIterator final : public TrieIterator {
  public:
   explicit RelationDeltaTrieIterator(const RelationTrie* trie);
 
   int arity() const override { return trie_->arity(); }
-  int depth() const override { return depth_; }
-  void Open() override;
-  void Up() override;
-  bool AtEnd() const override;
-  int64_t Key() const override;
-  void Next() override;
-  void Seek(int64_t key) override;
-  int64_t EstimateKeys() const override;
-  size_t NextBlock(int64_t hi_exclusive, KeyBlock* out) override;
-  bool RawLevelSpan(RawKeySpan* out) const override;
+  KeySpan Open(size_t parent_pos) override;
+  void Up() override { --open_; }
   std::unique_ptr<TrieIterator> Clone() const override;
 
  private:
   struct Frame {
-    size_t blo = 0, bhi = 0, bpos = 0;  // base child range in keys[depth]
-    size_t ilo = 0, ihi = 0, ipos = 0;  // pending-insert rows for the prefix
-    size_t tlo = 0, thi = 0;            // tombstone rows for the prefix
-    int64_t key = 0;                    // merged key when !exhausted
-    bool from_base = false;             // key present in the base range
-    bool from_insert = false;           // key present in the insert range
-    bool exhausted = true;
+    RelationTrie::PrefixRows rows;  // the bound prefix's rows
+    std::vector<int64_t> keys;      // merged keys (when rows has delta)
+    KeySpan span;
+    // Memo: the frame was merged under key `parent_pos` of the parent
+    // frame as of the parent's `parent_stamp`. Re-opening the same
+    // children (an input skipping an attribute of the global order, or
+    // the root under every outer binding) returns the span unmerged.
+    uint64_t stamp = 0;  // 0 = never built
+    size_t parent_pos = 0;
+    uint64_t parent_stamp = 0;
   };
-
-  /// Skips fully tombstoned base keys, then recomputes the merged head
-  /// (key / from_base / from_insert / exhausted) at depth `d`.
-  void Reposition(Frame* f, size_t d) const;
-  /// Base leaves under the child node `node` of level `d` (cascaded
-  /// child ranges, O(arity)); a base key dies only when its tombstone
-  /// count equals this.
-  size_t SubtreeLeafCount(size_t d, size_t node) const;
 
   const RelationTrie* trie_;
   const RelationTrie::Core* core_;
   const RelationTrie::Delta* delta_;
-  int depth_ = -1;
-  std::vector<Frame> frames_;
+  size_t open_ = 0;            // number of open levels
+  std::vector<Frame> frames_;  // one per level, buffers reused
+  uint64_t next_stamp_ = 0;
 };
 
 }  // namespace xjoin

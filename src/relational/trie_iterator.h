@@ -1,77 +1,53 @@
-// The trie-iterator interface of Veldhuizen's Leapfrog Triejoin, the
-// substrate the generic worst-case-optimal engine (core/generic_join.h)
-// drives. A trie iterator presents a relation as a sorted trie whose
-// level i enumerates the distinct values of attribute i given the bound
-// prefix. Implementations:
-//   * RelationTrie           — materialized, over a columnar Relation
-//     (delta-free tries walk the CSR arrays directly; tries carrying a
-//     pending update side-file merge base and delta on the fly — see
-//     RelationDeltaTrieIterator in relational/trie.h)
-//   * LazyPathTrie           — navigates an XML document in place
-//   * MaterializedPathTrie   — XML path relation flattened to a Relation
+// The trie interface the generic worst-case-optimal engine
+// (core/generic_join.h) consumes. A trie presents a relation as nested
+// sorted levels: level i holds the distinct values of attribute i given
+// the bound prefix. The engine sees one contract only — opening a level
+// yields its sorted distinct int64_t keys as a borrowed span — and runs
+// every intersection over those spans with the dispatched kernels of
+// relational/intersect_kernels.h. Implementations:
+//   * RelationTrieIterator      — CSR level arrays; a span points
+//     straight into the level array (relational/trie.h)
+//   * RelationDeltaTrieIterator — CSR base plus a pending update
+//     side-file, merged per open into a frame-owned key array
+//   * LazyPathTrieIterator      — navigates an XML document in place,
+//     deduplicating the tag-matching children of the parent's value
+//     group per open (core/virtual_relation.h)
+//   * a materialized path trie is a RelationTrie over the flattened path
 #ifndef XJOIN_RELATIONAL_TRIE_ITERATOR_H_
 #define XJOIN_RELATIONAL_TRIE_ITERATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
-
-#include "common/status.h"
 
 namespace xjoin {
 
-/// Fixed-capacity destination buffer for bulk key drains (NextBlock
-/// below). `keys` holds the drained keys; `capacity` bounds how many one
-/// call may produce. Reused across calls — NextBlock clears it first.
-struct KeyBlock {
-  explicit KeyBlock(size_t cap) : capacity(cap) { keys.reserve(cap); }
-
-  std::vector<int64_t> keys;
-  size_t capacity;
-};
-
-/// Borrowed view of a CSR level: the backing sorted-key array plus the
-/// cursor's remaining half-open range [pos, hi) within it. Only
-/// iterators whose level really is a contiguous sorted array expose one
-/// (see TrieIterator::RawLevelSpan) — it is the devirtualization hook
-/// the batched last-level intersection kernel builds on.
-struct RawKeySpan {
+/// The keys of one open trie level: keys[lo..hi) are sorted ascending
+/// and distinct. `keys` is borrowed from the iterator (or its backing
+/// trie) and stays valid until that level is closed by Up().
+struct KeySpan {
   const int64_t* keys = nullptr;
-  size_t pos = 0;
+  size_t lo = 0;
   size_t hi = 0;
+
+  size_t size() const { return hi - lo; }
 };
 
-/// Borrowed view of a whole delta-free CSR trie: per level, the full
-/// sorted key array plus the child_begin offsets that map a key at
-/// position p to its children's range [child_begin[p], child_begin[p+1])
-/// one level down (the deepest level has no child_begin). Iterators
-/// whose backing storage is exactly this layout expose one via
-/// TrieIterator::RawTrieSpans — the hook the full-depth batched
-/// generic-join executor devirtualizes on, navigating the arrays
-/// directly instead of driving the virtual cursor protocol.
-struct RawTrieView {
-  struct Level {
-    const int64_t* keys = nullptr;
-    size_t num_keys = 0;
-    const size_t* child_begin = nullptr;  // null at the deepest level
-  };
-  std::vector<Level> levels;
-};
-
-/// Cursor over a sorted trie of tuples.
+/// Cursor stack over a sorted trie of tuples.
 ///
-/// Protocol (all positions are per-level, keys are sorted ascending):
-///   depth() starts at -1 (virtual root). Open() descends to the first key
-///   of the next level; Up() ascends. At a level, Key() reads the current
-///   key, Next() advances to the next distinct key, Seek(k) advances to the
-///   least key >= k (never moves backward), and AtEnd() reports exhaustion
-///   of the level. Calling Key/Next/Seek while AtEnd() is invalid.
+/// Protocol: the iterator starts at the virtual root with no level
+/// open. Open(parent_pos) opens the next level and returns its span —
+/// at the root `parent_pos` is ignored; below it, the new level holds
+/// the children of the key at index `parent_pos` (lo <= parent_pos <
+/// hi) of the span the previous Open returned. Up() closes the deepest
+/// open level. A key's children may be an empty span (lazy path tries
+/// expose chain prefixes that do not extend). Open requires fewer than
+/// arity() levels open; Up requires at least one.
 ///
-/// Threading: an iterator is single-threaded, but distinct iterators over
-/// the same underlying data (see Clone()) may be driven from different
-/// threads concurrently — implementations must keep all mutable state
-/// inside the iterator and treat the backing trie/document as immutable.
+/// Threading: an iterator is single-threaded, but distinct iterators
+/// over the same backing data (see Clone()) may be driven from
+/// different threads — implementations keep all mutable state inside
+/// the iterator and treat the backing trie or document as immutable.
 class TrieIterator {
  public:
   virtual ~TrieIterator() = default;
@@ -79,87 +55,19 @@ class TrieIterator {
   /// Number of trie levels (attributes).
   virtual int arity() const = 0;
 
-  /// Current depth: -1 before the first Open, otherwise 0..arity()-1.
-  virtual int depth() const = 0;
+  /// Opens the next level under key `parent_pos` of the deepest open
+  /// span (ignored at the root) and returns the new level's keys.
+  virtual KeySpan Open(size_t parent_pos) = 0;
 
-  /// Descends one level to the first key. Precondition: depth()+1 < arity()
-  /// and (depth() == -1 or !AtEnd()).
-  virtual void Open() = 0;
-
-  /// Ascends one level. Precondition: depth() >= 0.
+  /// Closes the deepest open level.
   virtual void Up() = 0;
 
-  /// True when the current level has no more keys at or after the cursor.
-  virtual bool AtEnd() const = 0;
-
-  /// The key at the cursor. Precondition: !AtEnd() and depth() >= 0.
-  virtual int64_t Key() const = 0;
-
-  /// Moves to the next distinct key at this level.
-  /// Precondition: !AtEnd().
-  virtual void Next() = 0;
-
-  /// Moves forward to the least key >= `key`, possibly landing AtEnd().
-  /// Precondition: !AtEnd() and key >= Key().
-  virtual void Seek(int64_t key) = 0;
-
-  /// Estimated number of keys remaining at the current level (used by
-  /// planners to pick the smallest iterator to lead a leapfrog). A rough
-  /// upper bound is fine.
-  virtual int64_t EstimateKeys() const = 0;
-
-  /// Bulk drain: moves the cursor forward over up to `out->capacity`
-  /// distinct keys strictly below `hi_exclusive`, appending them to
-  /// `out->keys` (cleared first) in ascending order. Equivalent to the
-  /// scalar loop { emit Key(); Next(); } stopped at capacity,
-  /// hi_exclusive, or AtEnd() — afterwards the cursor rests on the first
-  /// key not emitted (>= hi_exclusive), or AtEnd(). Returns the number
-  /// of keys drained. Precondition: depth() >= 0 (AtEnd() is fine and
-  /// yields 0). This default is the scalar loop itself, so every
-  /// implementation conforms for free; CSR-backed tries override it with
-  /// an O(1)-per-key copy out of the level array.
-  virtual size_t NextBlock(int64_t hi_exclusive, KeyBlock* out) {
-    out->keys.clear();
-    while (out->keys.size() < out->capacity && !AtEnd()) {
-      int64_t key = Key();
-      if (key >= hi_exclusive) break;
-      out->keys.push_back(key);
-      Next();
-    }
-    return out->keys.size();
-  }
-
-  /// Exposes the current level as a raw sorted-array span when the
-  /// backing storage allows it (CSR tries do; document-navigating tries
-  /// return false). The span aliases iterator-internal state: it is
-  /// invalidated by any subsequent cursor movement, and a caller that
-  /// consumes keys through the span without moving the cursor must
-  /// ascend (Up()) out of the level before using the iterator again.
-  /// Precondition: depth() >= 0.
-  virtual bool RawLevelSpan(RawKeySpan* out) const {
-    (void)out;
-    return false;
-  }
-
-  /// Exposes the whole backing trie as raw CSR arrays (all levels at
-  /// once, position-independent) when the storage is a plain delta-free
-  /// CSR trie. Returns false otherwise — delta-merging and
-  /// document-navigating iterators decline, sending the engine down the
-  /// virtual-protocol path. The view borrows the backing arrays, which
-  /// outlive the iterator; it is unaffected by cursor movement.
-  virtual bool RawTrieSpans(RawTrieView* out) const {
-    (void)out;
-    return false;
-  }
-
-  /// Creates a fresh, independent iterator over the same underlying trie,
-  /// positioned at the virtual root (depth() == -1) regardless of this
-  /// iterator's current position. The clone shares only immutable backing
-  /// data (sorted columns, the document, the node index) and may therefore
-  /// be used from a different thread than the original — this is what the
-  /// sharded generic-join driver relies on to give every shard its own
-  /// cursor stack with zero shared mutable state. The backing data must
-  /// outlive the clone, exactly as it must outlive the original.
+  /// Creates a fresh, independent iterator over the same backing data,
+  /// at the virtual root regardless of this iterator's open levels. The
+  /// clone shares only immutable backing data (CSR arrays, the
+  /// document, the node index), so the sharded generic-join driver can
+  /// hand every shard its own cursor stack with no shared mutable
+  /// state. The backing data must outlive the clone.
   virtual std::unique_ptr<TrieIterator> Clone() const = 0;
 };
 

@@ -15,7 +15,7 @@ class Parser {
 
   Result<XmlDocument> Run() {
     XJ_RETURN_NOT_OK(ParseProlog());
-    XJ_RETURN_NOT_OK(ParseElement());
+    XJ_RETURN_NOT_OK(ParseElement(1));
     SkipMisc();
     if (!AtEnd()) return Error("trailing content after root element");
     return builder_.Finish();
@@ -194,7 +194,12 @@ class Parser {
     return value;
   }
 
-  Status ParseElement() {
+  // Parses one element nested `depth` deep (the root is depth 1).
+  Status ParseElement(int depth) {
+    if (depth > kMaxXmlDepth) {
+      return Error("elements nest deeper than " +
+                   std::to_string(kMaxXmlDepth));
+    }
     if (!Consume("<")) return Error("expected '<'");
     XJ_ASSIGN_OR_RETURN(std::string tag, ParseName());
     builder_.StartElement(tag);
@@ -243,7 +248,7 @@ class Parser {
           builder_.AddText(text);
           return builder_.EndElement();
         } else {
-          XJ_RETURN_NOT_OK(ParseElement());
+          XJ_RETURN_NOT_OK(ParseElement(depth + 1));
         }
       } else if (Peek() == '&') {
         Advance();

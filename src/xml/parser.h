@@ -14,7 +14,13 @@
 
 namespace xjoin {
 
-/// Parses `text` into a document. Errors carry 1-based line/column.
+/// The deepest element nesting ParseXml accepts (the root element is
+/// depth 1). Real documents nest far less — XMark about 10 deep — and
+/// the cap keeps the recursive descent well inside any thread's stack.
+inline constexpr int kMaxXmlDepth = 1024;
+
+/// Parses `text` into a document. Errors carry 1-based line/column;
+/// nesting deeper than kMaxXmlDepth is a kParseError.
 Result<XmlDocument> ParseXml(std::string_view text);
 
 /// Reads and parses a file.

@@ -1,9 +1,10 @@
-// Batched execution equivalence: with batch_size > 0 the engine runs
-// block-at-a-time (bulk NextBlock drains, the devirtualized CSR
-// last-level kernel, columnar ResultBatch materialization) and must be
-// indistinguishable from the scalar path — byte-identical result
+// Batch-size equivalence: the engine drains the deepest level in blocks
+// of at most batch_size keys (bulk span copies for one participant, the
+// dispatched intersection kernel otherwise) and stages rows in a
+// columnar ResultBatch of that capacity. Every batch size must be
+// indistinguishable from the one-row reference — byte-identical result
 // relations and identical "gj." / "validate." / "xjoin." counters — on
-// every workload, at every batch size, at every thread count. Also
+// every workload, at every thread count and SIMD dispatch level. Also
 // covers the ResultBatch / Relation::AppendColumnBlock substrate
 // directly.
 #include <gtest/gtest.h>
@@ -33,7 +34,7 @@ const std::vector<int> kBatchSizes = {1, 7, 1024};
 const std::vector<int> kThreadCounts = {1, 4};
 
 // The deterministic counter families that must match exactly between
-// scalar and batched runs. Timing counters (plan.prepare_micros,
+// the reference and every batch size. Timing counters (plan.prepare_micros,
 // trie.build_micros) are excluded by construction.
 std::map<std::string, int64_t> DeterministicCounters(const Metrics& m) {
   std::map<std::string, int64_t> out;
@@ -46,10 +47,10 @@ std::map<std::string, int64_t> DeterministicCounters(const Metrics& m) {
   return out;
 }
 
-void ExpectByteIdentical(const Relation& scalar, const Relation& batched) {
-  ASSERT_EQ(scalar.schema().attributes(), batched.schema().attributes());
-  ASSERT_EQ(scalar.num_rows(), batched.num_rows());
-  EXPECT_EQ(scalar.ToTuples(), batched.ToTuples());
+void ExpectByteIdentical(const Relation& reference, const Relation& batched) {
+  ASSERT_EQ(reference.schema().attributes(), batched.schema().attributes());
+  ASSERT_EQ(reference.num_rows(), batched.num_rows());
+  EXPECT_EQ(reference.ToTuples(), batched.ToTuples());
 }
 
 // --- substrate: ResultBatch and AppendColumnBlock ------------------------
@@ -105,8 +106,7 @@ TEST(RelationTest, AppendColumnBlockMatchesAppendRow) {
 // --- engine level: GenericJoin over relation tries -----------------------
 
 // Triangle join R(A,B) x S(B,C) x T(A,C): the deepest level has two CSR
-// participants, so batch_size > 0 engages the devirtualized raw-cursor
-// kernel.
+// participants, so it drains through the intersection kernel.
 struct TriangleFixture {
   std::optional<RelationTrie> tr, ts, tt;
   std::unique_ptr<TrieIterator> ir, is, it;
@@ -139,16 +139,16 @@ struct TriangleFixture {
   }
 };
 
-TEST(BatchedGenericJoinTest, TriangleMatchesScalarAtEveryBatchAndThread) {
+TEST(BatchedGenericJoinTest, TriangleMatchesReferenceAtEveryBatchAndThread) {
   TriangleFixture fx(20);
-  GenericJoinOptions scalar_opts;
-  scalar_opts.attribute_order = {"A", "B", "C"};
-  scalar_opts.batch_size = 0;  // batching defaults on; baseline opts out
-  Metrics scalar_m;
-  scalar_opts.metrics = &scalar_m;
-  auto scalar = GenericJoin(fx.Inputs(), scalar_opts);
-  ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-  ASSERT_GT(scalar->num_rows(), 0u);
+  GenericJoinOptions ref_opts;
+  ref_opts.attribute_order = {"A", "B", "C"};
+  ref_opts.batch_size = 1;  // reference: one-row blocks
+  Metrics ref_m;
+  ref_opts.metrics = &ref_m;
+  auto reference = GenericJoin(fx.Inputs(), ref_opts);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_GT(reference->num_rows(), 0u);
 
   for (int batch : kBatchSizes) {
     for (int threads : kThreadCounts) {
@@ -162,23 +162,23 @@ TEST(BatchedGenericJoinTest, TriangleMatchesScalarAtEveryBatchAndThread) {
       ASSERT_TRUE(batched.ok()) << batched.status().ToString();
       SCOPED_TRACE("batch=" + std::to_string(batch) +
                    " threads=" + std::to_string(threads));
-      ExpectByteIdentical(*scalar, *batched);
+      ExpectByteIdentical(*reference, *batched);
       if (threads == 1) {
-        // Serial: every counter matches the scalar serial run exactly
+        // Serial: every counter matches the serial reference exactly
         // (sharded runs additionally report gj.shards etc.).
-        EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(scalar_m));
+        EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(ref_m));
       } else {
-        // Sharded: compare against the scalar run at the same thread
+        // Sharded: compare against the reference at the same thread
         // count below; here the row-level counters still match.
-        EXPECT_EQ(m.Get("gj.output"), scalar_m.Get("gj.output"));
+        EXPECT_EQ(m.Get("gj.output"), ref_m.Get("gj.output"));
         EXPECT_EQ(m.Get("gj.total_intermediate"),
-                  scalar_m.Get("gj.total_intermediate"));
+                  ref_m.Get("gj.total_intermediate"));
       }
     }
   }
 }
 
-TEST(BatchedGenericJoinTest, ShardedCountersMatchScalarSharded) {
+TEST(BatchedGenericJoinTest, ShardedCountersMatchReferenceSharded) {
   TriangleFixture fx(20);
   for (int threads : kThreadCounts) {
     for (int shards : {3, 16}) {
@@ -186,11 +186,11 @@ TEST(BatchedGenericJoinTest, ShardedCountersMatchScalarSharded) {
       opts.attribute_order = {"A", "B", "C"};
       opts.num_threads = threads;
       opts.num_shards = shards;
-      opts.batch_size = 0;
-      Metrics scalar_m;
-      opts.metrics = &scalar_m;
-      auto scalar = GenericJoin(fx.Inputs(), opts);
-      ASSERT_TRUE(scalar.ok());
+      opts.batch_size = 1;
+      Metrics ref_m;
+      opts.metrics = &ref_m;
+      auto reference = GenericJoin(fx.Inputs(), opts);
+      ASSERT_TRUE(reference.ok());
       for (int batch : kBatchSizes) {
         GenericJoinOptions bopts = opts;
         bopts.batch_size = batch;
@@ -201,8 +201,8 @@ TEST(BatchedGenericJoinTest, ShardedCountersMatchScalarSharded) {
         SCOPED_TRACE("batch=" + std::to_string(batch) +
                      " threads=" + std::to_string(threads) +
                      " shards=" + std::to_string(shards));
-        ExpectByteIdentical(*scalar, *batched);
-        EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(scalar_m));
+        ExpectByteIdentical(*reference, *batched);
+        EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(ref_m));
       }
     }
   }
@@ -210,7 +210,7 @@ TEST(BatchedGenericJoinTest, ShardedCountersMatchScalarSharded) {
 
 // Composite (level-0 x level-1) sharding cuts and re-enters the deepest
 // level mid-range; the batched kernel must respect both bounds.
-TEST(BatchedGenericJoinTest, CompositeShardingMatchesScalar) {
+TEST(BatchedGenericJoinTest, CompositeShardingMatchesReference) {
   auto mk = [](std::vector<Tuple> t, std::vector<std::string> attrs) {
     auto s = Schema::Make(attrs);
     return *Relation::FromTuples(*s, std::move(t));
@@ -244,12 +244,12 @@ TEST(BatchedGenericJoinTest, CompositeShardingMatchesScalar) {
   base.num_threads = 4;
   base.num_shards = 8;
   base.shard_depth = 2;
-  base.batch_size = 0;
-  Metrics scalar_m;
-  base.metrics = &scalar_m;
-  auto scalar = GenericJoin(inputs, base);
-  ASSERT_TRUE(scalar.ok());
-  ASSERT_EQ(scalar_m.Get("gj.shard_depth"), 2);
+  base.batch_size = 1;
+  Metrics ref_m;
+  base.metrics = &ref_m;
+  auto reference = GenericJoin(inputs, base);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_EQ(ref_m.Get("gj.shard_depth"), 2);
 
   for (int batch : kBatchSizes) {
     GenericJoinOptions opts = base;
@@ -259,14 +259,14 @@ TEST(BatchedGenericJoinTest, CompositeShardingMatchesScalar) {
     auto batched = GenericJoin(inputs, opts);
     ASSERT_TRUE(batched.ok());
     SCOPED_TRACE("batch=" + std::to_string(batch));
-    ExpectByteIdentical(*scalar, *batched);
-    EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(scalar_m));
+    ExpectByteIdentical(*reference, *batched);
+    EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(ref_m));
   }
 }
 
 // Two-relation join R(A,B) x S(B,C): attribute C is covered by S alone,
-// so the deepest level takes the single-participant NextBlock drain —
-// the pure block-copy kernel.
+// so the deepest level takes the single-participant drain — bulk copies
+// straight out of the span.
 TEST(BatchedGenericJoinTest, SingleParticipantDeepestLevelDrain) {
   auto mk = [](std::vector<Tuple> t, std::vector<std::string> attrs) {
     auto s = Schema::Make(attrs);
@@ -282,18 +282,18 @@ TEST(BatchedGenericJoinTest, SingleParticipantDeepestLevelDrain) {
   auto tr = RelationTrie::Build(mk(r_rows, {"A", "B"}), {"A", "B"});
   auto ts = RelationTrie::Build(mk(s_rows, {"B", "C"}), {"B", "C"});
 
-  GenericJoinOptions scalar_opts;
-  scalar_opts.attribute_order = {"A", "B", "C"};
-  scalar_opts.batch_size = 0;
-  Metrics scalar_m;
-  scalar_opts.metrics = &scalar_m;
+  GenericJoinOptions ref_opts;
+  ref_opts.attribute_order = {"A", "B", "C"};
+  ref_opts.batch_size = 1;
+  Metrics ref_m;
+  ref_opts.metrics = &ref_m;
   auto ir = tr->NewIterator();
   auto is = ts->NewIterator();
   std::vector<JoinInput> inputs{{"R", {"A", "B"}, ir.get()},
                                 {"S", {"B", "C"}, is.get()}};
-  auto scalar = GenericJoin(inputs, scalar_opts);
-  ASSERT_TRUE(scalar.ok());
-  ASSERT_GT(scalar->num_rows(), 1000u);
+  auto reference = GenericJoin(inputs, ref_opts);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_GT(reference->num_rows(), 1000u);
 
   for (int batch : kBatchSizes) {
     for (int threads : kThreadCounts) {
@@ -307,11 +307,33 @@ TEST(BatchedGenericJoinTest, SingleParticipantDeepestLevelDrain) {
       ASSERT_TRUE(batched.ok());
       SCOPED_TRACE("batch=" + std::to_string(batch) +
                    " threads=" + std::to_string(threads));
-      ExpectByteIdentical(*scalar, *batched);
+      ExpectByteIdentical(*reference, *batched);
       if (threads == 1) {
-        EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(scalar_m));
+        EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(ref_m));
       }
     }
+  }
+}
+
+// There is no unbatched mode: a batch below one row is a caller error,
+// both for the engine and for plan preparation.
+TEST(BatchedGenericJoinTest, RejectsBatchSizeBelowOne) {
+  TriangleFixture fx(4);
+  for (int batch : {0, -1}) {
+    GenericJoinOptions opts;
+    opts.attribute_order = {"A", "B", "C"};
+    opts.batch_size = batch;
+    auto joined = GenericJoin(fx.Inputs(), opts);
+    ASSERT_FALSE(joined.ok());
+    EXPECT_EQ(joined.status().code(), StatusCode::kInvalidArgument);
+
+    PaperInstance inst = MakePaperInstance(2, PaperSchema::kExample33,
+                                           PaperDataMode::kRandom);
+    XJoinOptions xopts;
+    xopts.batch_size = batch;
+    auto prepared = PrepareXJoin(inst.Query(), xopts);
+    ASSERT_FALSE(prepared.ok());
+    EXPECT_EQ(prepared.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -328,16 +350,16 @@ class DispatchOverrideGuard {
 // deterministic counters at every compiled SIMD dispatch level — the
 // kernels only accelerate each seek's interior search, never change the
 // jump sequence — across the batch-size and thread matrices.
-TEST(BatchedGenericJoinTest, DispatchMatrixMatchesForcedScalar) {
+TEST(BatchedGenericJoinTest, DispatchMatrixMatchesReference) {
   TriangleFixture fx(20);
-  GenericJoinOptions scalar_opts;
-  scalar_opts.attribute_order = {"A", "B", "C"};
-  scalar_opts.batch_size = 0;
-  Metrics scalar_m;
-  scalar_opts.metrics = &scalar_m;
-  auto scalar = GenericJoin(fx.Inputs(), scalar_opts);
-  ASSERT_TRUE(scalar.ok());
-  ASSERT_GT(scalar->num_rows(), 0u);
+  GenericJoinOptions ref_opts;
+  ref_opts.attribute_order = {"A", "B", "C"};
+  ref_opts.batch_size = 1;
+  Metrics ref_m;
+  ref_opts.metrics = &ref_m;
+  auto reference = GenericJoin(fx.Inputs(), ref_opts);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_GT(reference->num_rows(), 0u);
 
   for (SimdLevel level :
        {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
@@ -357,13 +379,13 @@ TEST(BatchedGenericJoinTest, DispatchMatrixMatchesForcedScalar) {
         SCOPED_TRACE(std::string("level=") + SimdLevelName(level) +
                      " batch=" + std::to_string(batch) +
                      " threads=" + std::to_string(threads));
-        ExpectByteIdentical(*scalar, *batched);
+        ExpectByteIdentical(*reference, *batched);
         if (threads == 1) {
-          EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(scalar_m));
+          EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(ref_m));
         } else {
-          EXPECT_EQ(m.Get("gj.output"), scalar_m.Get("gj.output"));
+          EXPECT_EQ(m.Get("gj.output"), ref_m.Get("gj.output"));
           EXPECT_EQ(m.Get("gj.total_intermediate"),
-                    scalar_m.Get("gj.total_intermediate"));
+                    ref_m.Get("gj.total_intermediate"));
         }
       }
     }
@@ -372,20 +394,20 @@ TEST(BatchedGenericJoinTest, DispatchMatrixMatchesForcedScalar) {
 
 // --- XJoin level: paper, adversarial, and XMark workloads ----------------
 
-// Runs `query` scalar and batched across the batch/thread matrix and
-// demands byte-identical relations plus identical deterministic
-// counters (per thread count — sharded runs add gj.shards et al., so
-// scalar and batched are compared at matching thread counts).
-void ExpectBatchedXJoinMatchesScalar(const MultiModelQuery& query,
+// Runs `query` at the one-row reference and across the batch/thread
+// matrix and demands byte-identical relations plus identical
+// deterministic counters (per thread count — sharded runs add gj.shards
+// et al., so runs are compared at matching thread counts).
+void ExpectBatchedXJoinMatchesReference(const MultiModelQuery& query,
                                      XJoinOptions base) {
   for (int threads : kThreadCounts) {
-    XJoinOptions scalar_opts = base;
-    scalar_opts.num_threads = threads;
-    scalar_opts.batch_size = 0;
-    Metrics scalar_m;
-    scalar_opts.metrics = &scalar_m;
-    auto scalar = ExecuteXJoin(query, scalar_opts);
-    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+    XJoinOptions ref_opts = base;
+    ref_opts.num_threads = threads;
+    ref_opts.batch_size = 1;
+    Metrics ref_m;
+    ref_opts.metrics = &ref_m;
+    auto reference = ExecuteXJoin(query, ref_opts);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
     for (int batch : kBatchSizes) {
       XJoinOptions opts = base;
@@ -397,8 +419,8 @@ void ExpectBatchedXJoinMatchesScalar(const MultiModelQuery& query,
       ASSERT_TRUE(batched.ok()) << batched.status().ToString();
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " batch=" + std::to_string(batch));
-      ExpectByteIdentical(*scalar, *batched);
-      EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(scalar_m));
+      ExpectByteIdentical(*reference, *batched);
+      EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(ref_m));
     }
   }
 }
@@ -409,7 +431,7 @@ TEST(BatchedXJoinTest, PaperExampleWorkloads) {
     for (PaperDataMode mode :
          {PaperDataMode::kAdversarial, PaperDataMode::kRandom}) {
       PaperInstance inst = MakePaperInstance(5, schema, mode);
-      ExpectBatchedXJoinMatchesScalar(inst.Query(), XJoinOptions{});
+      ExpectBatchedXJoinMatchesReference(inst.Query(), XJoinOptions{});
     }
   }
 }
@@ -419,14 +441,13 @@ TEST(BatchedXJoinTest, PaperExampleWithPruningAndMaterializedPaths) {
                                          PaperDataMode::kRandom);
   MultiModelQuery q = inst.Query();
   // structural_pruning exercises the per-binding filter inside every
-  // batched kernel; materialize_paths turns all inputs into CSR tries,
-  // exercising the devirtualized path end to end.
+  // drain; materialize_paths turns all inputs into CSR tries.
   XJoinOptions pruning;
   pruning.structural_pruning = true;
-  ExpectBatchedXJoinMatchesScalar(q, pruning);
+  ExpectBatchedXJoinMatchesReference(q, pruning);
   XJoinOptions materialized;
   materialized.materialize_paths = true;
-  ExpectBatchedXJoinMatchesScalar(q, materialized);
+  ExpectBatchedXJoinMatchesReference(q, materialized);
 }
 
 TEST(BatchedXJoinTest, AdversarialAgmTightWorkload) {
@@ -437,7 +458,7 @@ TEST(BatchedXJoinTest, AdversarialAgmTightWorkload) {
     q.relations.push_back(
         {"R" + std::to_string(i + 1), inst->relations[i].get()});
   }
-  ExpectBatchedXJoinMatchesScalar(q, XJoinOptions{});
+  ExpectBatchedXJoinMatchesReference(q, XJoinOptions{});
 }
 
 TEST(BatchedXJoinTest, XMarkWorkloads) {
@@ -449,7 +470,7 @@ TEST(BatchedXJoinTest, XMarkWorkloads) {
   XMarkInstance inst = MakeXMark(opts);
   for (MultiModelQuery q :
        {inst.ClosedAuctionQuery(), inst.OpenAuctionQuery()}) {
-    ExpectBatchedXJoinMatchesScalar(q, XJoinOptions{});
+    ExpectBatchedXJoinMatchesReference(q, XJoinOptions{});
   }
 }
 

@@ -112,25 +112,25 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
   XJoinOptions pruning;
   pruning.structural_pruning = true;
   ASSERT_TRUE(db_.QueryXJoin(q_, pruning).ok());
-  // Batch size is on by default, so the scalar opt-out is the variant
-  // that must fingerprint separately.
-  XJoinOptions scalar;
-  scalar.batch_size = 0;
-  ASSERT_TRUE(db_.QueryXJoin(q_, scalar).ok());
+  // A non-default batch size is a variant that must fingerprint
+  // separately.
+  XJoinOptions small_batch;
+  small_batch.batch_size = 7;
+  ASSERT_TRUE(db_.QueryXJoin(q_, small_batch).ok());
   EXPECT_EQ(db_.PlanCacheSize(), 4u);
   EXPECT_EQ(db_.plan_cache_hits(), 0);
   EXPECT_EQ(db_.plan_cache_misses(), 4);
   // Re-running each variant hits its own entry.
   ASSERT_TRUE(db_.QueryXJoin(q_, threaded).ok());
-  ASSERT_TRUE(db_.QueryXJoin(q_, scalar).ok());
+  ASSERT_TRUE(db_.QueryXJoin(q_, small_batch).ok());
   EXPECT_EQ(db_.plan_cache_hits(), 2);
   EXPECT_EQ(db_.PlanCacheSize(), 4u);
 }
 
 TEST_F(PlanTest, ExplainShowsExecutionMode) {
-  // Batched execution is the default (block = kDefaultResultBatchCapacity)
-  // and renders the live SIMD dispatch level plus a per-level kernel;
-  // batch_size = 0 opts back into the legacy scalar mode.
+  // Execution renders its block size (kDefaultResultBatchCapacity by
+  // default), the live SIMD dispatch level and a per-level kernel; a
+  // batch below one row is rejected.
   auto default_text = db_.ExplainXJoin(q_);
   ASSERT_TRUE(default_text.ok());
   EXPECT_NE(default_text->find(
@@ -139,13 +139,17 @@ TEST_F(PlanTest, ExplainShowsExecutionMode) {
             std::string::npos);
   EXPECT_NE(default_text->find("simd dispatch: "), std::string::npos);
   EXPECT_NE(default_text->find("kernel "), std::string::npos);
-  XJoinOptions scalar;
-  scalar.batch_size = 0;
-  auto scalar_text = db_.ExplainXJoin(q_, scalar);
-  ASSERT_TRUE(scalar_text.ok());
-  EXPECT_NE(scalar_text->find("execution: scalar"), std::string::npos);
-  EXPECT_NE(scalar_text->find("kernel scalar"), std::string::npos);
-  EXPECT_EQ(scalar_text->find("simd dispatch: "), std::string::npos);
+  XJoinOptions unbatched;
+  unbatched.batch_size = 0;
+  auto unbatched_text = db_.ExplainXJoin(q_, unbatched);
+  ASSERT_FALSE(unbatched_text.ok());
+  EXPECT_EQ(unbatched_text.status().code(), StatusCode::kInvalidArgument);
+  // A cached plan for one-row blocks must not serve the rejected size.
+  XJoinOptions one_row;
+  one_row.batch_size = 1;
+  ASSERT_TRUE(db_.QueryXJoin(q_, one_row).ok());
+  EXPECT_EQ(db_.QueryXJoin(q_, unbatched).status().code(),
+            StatusCode::kInvalidArgument);
   XJoinOptions batched;
   batched.batch_size = 512;
   auto batched_text = db_.ExplainXJoin(q_, batched);

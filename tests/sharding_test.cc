@@ -31,27 +31,7 @@ void ExpectByteIdentical(const Relation& serial, const Relation& sharded) {
   EXPECT_EQ(serial.ToTuples(), sharded.ToTuples());
 }
 
-// Depth-first enumeration of every tuple below the iterator's current
-// position (must be at the virtual root for a full enumeration).
-std::vector<Tuple> EnumerateIterator(TrieIterator* it) {
-  std::vector<Tuple> out;
-  Tuple current(static_cast<size_t>(it->arity()));
-  auto recurse = [&](auto&& self) -> void {
-    it->Open();
-    while (!it->AtEnd()) {
-      current[static_cast<size_t>(it->depth())] = it->Key();
-      if (it->depth() + 1 == it->arity()) {
-        out.push_back(current);
-      } else {
-        self(self);
-      }
-      it->Next();
-    }
-    it->Up();
-  };
-  recurse(recurse);
-  return out;
-}
+using testing::EnumerateTrie;
 
 // Triangle join fixture R(A,B) ⋈ S(B,C) ⋈ T(A,C) over random data big
 // enough that every shard count below gets a non-trivial key slice.
@@ -320,31 +300,30 @@ TEST(ShardedXJoinTest, XMarkWorkloads) {
 // cursor untouched (and vice versa).
 void CheckCloneConformance(TrieIterator* original) {
   // A clone of a root-positioned iterator enumerates the same tuples.
-  std::vector<Tuple> reference = EnumerateIterator(original);
+  std::vector<Tuple> reference = EnumerateTrie(original);
   auto fresh = original->Clone();
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(fresh->arity(), original->arity());
-  EXPECT_EQ(fresh->depth(), -1);
-  EXPECT_EQ(EnumerateIterator(fresh.get()), reference);
+  EXPECT_EQ(EnumerateTrie(fresh.get()), reference);
 
   if (reference.empty()) return;
 
-  // A clone taken mid-walk is root-positioned and unaffected by (and does
-  // not affect) the original's ongoing iteration.
-  original->Open();
-  ASSERT_FALSE(original->AtEnd());
-  int64_t key_before = original->Key();
+  // A clone taken with a level open is root-positioned and unaffected
+  // by (and does not affect) the original's open span.
+  KeySpan root = original->Open(0);
+  ASSERT_GT(root.size(), 0u);
+  const std::vector<int64_t> keys_before(root.keys + root.lo,
+                                         root.keys + root.hi);
   auto mid = original->Clone();
-  EXPECT_EQ(mid->depth(), -1);
-  EXPECT_EQ(EnumerateIterator(mid.get()), reference);
-  EXPECT_EQ(original->depth(), 0);
-  EXPECT_EQ(original->Key(), key_before);
+  EXPECT_EQ(EnumerateTrie(mid.get()), reference);
+  EXPECT_EQ(std::vector<int64_t>(root.keys + root.lo, root.keys + root.hi),
+            keys_before);
   original->Up();
-  EXPECT_EQ(EnumerateIterator(original), reference);
+  EXPECT_EQ(EnumerateTrie(original), reference);
 
   // Clones of clones keep the contract.
   auto second = mid->Clone();
-  EXPECT_EQ(EnumerateIterator(second.get()), reference);
+  EXPECT_EQ(EnumerateTrie(second.get()), reference);
 }
 
 TEST(CloneConformanceTest, RelationTrieIterator) {

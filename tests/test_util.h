@@ -11,6 +11,7 @@
 #include "common/dictionary.h"
 #include "common/random.h"
 #include "relational/relation.h"
+#include "relational/trie_iterator.h"
 #include "xml/document.h"
 #include "xml/node_index.h"
 #include "xml/twig.h"
@@ -102,6 +103,35 @@ inline Relation RandomRelation(Rng* rng, Dictionary* dict,
 /// first-appearance order. Reference implementation for differential
 /// tests.
 Relation NaiveNaturalJoin(const std::vector<const Relation*>& inputs);
+
+/// Depth-first enumeration of every tuple of a trie through its span
+/// protocol, in lexicographic order. The iterator must be at the
+/// virtual root and is left there.
+inline std::vector<Tuple> EnumerateTrie(TrieIterator* it) {
+  std::vector<Tuple> out;
+  const size_t arity = static_cast<size_t>(it->arity());
+  if (arity == 0) return out;
+  Tuple current(arity);
+  auto walk = [&](auto&& self, size_t depth, size_t parent_pos) -> void {
+    KeySpan span = it->Open(parent_pos);
+    for (size_t p = span.lo; p < span.hi; ++p) {
+      current[depth] = span.keys[p];
+      if (depth + 1 == arity) {
+        out.push_back(current);
+      } else {
+        self(self, depth + 1, p);
+      }
+    }
+    it->Up();
+  };
+  walk(walk, 0, 0);
+  return out;
+}
+
+/// The keys of a span as a vector.
+inline std::vector<int64_t> SpanKeys(const KeySpan& span) {
+  return std::vector<int64_t>(span.keys + span.lo, span.keys + span.hi);
+}
 
 }  // namespace xjoin::testing
 

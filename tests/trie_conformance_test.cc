@@ -4,11 +4,11 @@
 // compaction), LazyPathTrie (in-place document navigation), and the
 // materialized path trie (RelationTrie over a flattened PathRelation) —
 // plus a randomized equivalence check of the CSR trie against a
-// reference sorted-vector oracle. Every implementation must satisfy
-// the exact protocol in
-// relational/trie_iterator.h: Open/Up/Next/Seek/AtEnd/Key semantics,
-// EstimateKeys as an upper bound, and root-positioned independent
-// Clones.
+// reference sorted-vector oracle. Every implementation must satisfy the
+// span contract in relational/trie_iterator.h: each opened span holds
+// exactly the oracle's distinct keys for its prefix, in ascending
+// order; spans stay valid while deeper levels open and close; clones
+// start at the root and are independent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,101 +30,23 @@
 namespace xjoin {
 namespace {
 
+using testing::EnumerateTrie;
+using testing::SpanKeys;
+
 // ---------------------------------------------------------------------
-// Reference oracle: a TrieIterator over an explicit sorted-distinct
-// tuple vector, implemented with plain linear scans — deliberately the
-// dumbest possible realization of the contract.
-class OracleTrieIterator final : public TrieIterator {
- public:
-  OracleTrieIterator(std::shared_ptr<const std::vector<Tuple>> tuples,
-                     int arity)
-      : tuples_(std::move(tuples)), arity_(arity) {}
-
-  int arity() const override { return arity_; }
-  int depth() const override { return depth_; }
-
-  void Open() override {
-    size_t lo, hi;
-    if (depth_ < 0) {
-      lo = 0;
-      hi = tuples_->size();
-    } else {
-      const Frame& f = frames_[static_cast<size_t>(depth_)];
-      lo = f.pos;
-      hi = f.group_end;
-    }
-    ++depth_;
-    frames_.push_back(Frame{lo, hi, lo, lo});
-    FixGroup();
+// Reference oracle: the distinct level-d keys under a bound prefix of
+// an explicit sorted-distinct tuple vector, by plain linear scan —
+// deliberately the dumbest possible realization of the contract.
+std::vector<int64_t> OracleKeys(const std::vector<Tuple>& tuples,
+                                const Tuple& prefix) {
+  const size_t d = prefix.size();
+  std::vector<int64_t> keys;
+  for (const Tuple& t : tuples) {
+    if (!std::equal(prefix.begin(), prefix.end(), t.begin())) continue;
+    if (keys.empty() || keys.back() != t[d]) keys.push_back(t[d]);
   }
-
-  void Up() override {
-    frames_.pop_back();
-    --depth_;
-  }
-
-  bool AtEnd() const override {
-    const Frame& f = frames_[static_cast<size_t>(depth_)];
-    return f.pos >= f.hi;
-  }
-
-  int64_t Key() const override {
-    const Frame& f = frames_[static_cast<size_t>(depth_)];
-    return (*tuples_)[f.pos][static_cast<size_t>(depth_)];
-  }
-
-  void Next() override {
-    Frame& f = frames_[static_cast<size_t>(depth_)];
-    f.pos = f.group_end;
-    FixGroup();
-  }
-
-  void Seek(int64_t key) override {
-    while (!AtEnd() && Key() < key) Next();
-  }
-
-  int64_t EstimateKeys() const override {
-    // Exact distinct count remaining at this level (linear scan).
-    const Frame& f = frames_[static_cast<size_t>(depth_)];
-    int64_t count = 0;
-    size_t i = f.pos;
-    while (i < f.hi) {
-      ++count;
-      int64_t key = (*tuples_)[i][static_cast<size_t>(depth_)];
-      while (i < f.hi && (*tuples_)[i][static_cast<size_t>(depth_)] == key) {
-        ++i;
-      }
-    }
-    return count;
-  }
-
-  std::unique_ptr<TrieIterator> Clone() const override {
-    return std::make_unique<OracleTrieIterator>(tuples_, arity_);
-  }
-
- private:
-  struct Frame {
-    size_t lo, hi;
-    size_t pos, group_end;
-  };
-
-  void FixGroup() {
-    Frame& f = frames_[static_cast<size_t>(depth_)];
-    if (f.pos >= f.hi) {
-      f.group_end = f.pos;
-      return;
-    }
-    int64_t key = (*tuples_)[f.pos][static_cast<size_t>(depth_)];
-    size_t e = f.pos + 1;
-    while (e < f.hi && (*tuples_)[e][static_cast<size_t>(depth_)] == key) ++e;
-    f.group_end = e;
-  }
-
-  std::shared_ptr<const std::vector<Tuple>> tuples_;
-  int arity_;
-  int depth_ = -1;
-  std::vector<Frame> frames_;
-};
+  return keys;
+}
 
 // ---------------------------------------------------------------------
 // Fixtures: one per implementation, each owning its backing data and
@@ -135,10 +57,6 @@ struct TrieFixture {
   virtual std::unique_ptr<TrieIterator> NewIterator() const = 0;
   virtual int arity() const = 0;
   const std::vector<Tuple>& oracle() const { return *oracle_; }
-  std::unique_ptr<TrieIterator> NewOracleIterator() const {
-    return std::make_unique<OracleTrieIterator>(oracle_, arity());
-  }
-
  protected:
   void SetOracle(std::vector<Tuple> tuples) {
     std::sort(tuples.begin(), tuples.end());
@@ -421,26 +339,34 @@ const std::vector<FixtureSpec>& Registry() {
   return *specs;
 }
 
-// Depth-first enumeration of all tuples below the virtual root.
-std::vector<Tuple> Enumerate(TrieIterator* it) {
-  std::vector<Tuple> out;
-  if (it->arity() == 0) return out;
-  Tuple current(static_cast<size_t>(it->arity()));
-  auto recurse = [&](auto&& self) -> void {
-    it->Open();
-    while (!it->AtEnd()) {
-      current[static_cast<size_t>(it->depth())] = it->Key();
-      if (it->depth() + 1 == it->arity()) {
-        out.push_back(current);
-      } else {
-        self(self);
+// Walks the whole trie depth-first and checks every opened span
+// against the oracle's distinct keys for its prefix. Returns the number
+// of spans checked.
+size_t CheckAllSpans(TrieIterator* it, const std::vector<Tuple>& oracle) {
+  size_t checked = 0;
+  const size_t arity = static_cast<size_t>(it->arity());
+  Tuple prefix;
+  auto walk = [&](auto&& self, size_t parent_pos) -> void {
+    KeySpan span = it->Open(parent_pos);
+    std::vector<int64_t> keys = SpanKeys(span);
+    EXPECT_EQ(keys, OracleKeys(oracle, prefix))
+        << "prefix length " << prefix.size();
+    ++checked;
+    // Strictly ascending == sorted and distinct.
+    for (size_t i = 1; i < keys.size(); ++i) EXPECT_LT(keys[i - 1], keys[i]);
+    if (prefix.size() + 1 < arity) {
+      for (size_t p = span.lo; p < span.hi; ++p) {
+        prefix.push_back(span.keys[p]);
+        self(self, p);
+        prefix.pop_back();
+        // The parent span survives its children's open/close.
+        EXPECT_EQ(SpanKeys(span), keys);
       }
-      it->Next();
     }
     it->Up();
   };
-  recurse(recurse);
-  return out;
+  walk(walk, 0);
+  return checked;
 }
 
 class TrieConformanceTest : public ::testing::TestWithParam<size_t> {
@@ -450,288 +376,125 @@ class TrieConformanceTest : public ::testing::TestWithParam<size_t> {
 
 TEST_P(TrieConformanceTest, EnumerationMatchesOracle) {
   auto it = fixture_->NewIterator();
-  EXPECT_EQ(it->depth(), -1);
-  EXPECT_EQ(Enumerate(it.get()), fixture_->oracle());
+  EXPECT_EQ(EnumerateTrie(it.get()), fixture_->oracle());
   // The walk must restore the root position; a second pass sees the
   // same trie.
-  EXPECT_EQ(it->depth(), -1);
-  EXPECT_EQ(Enumerate(it.get()), fixture_->oracle());
+  EXPECT_EQ(EnumerateTrie(it.get()), fixture_->oracle());
+}
+
+TEST_P(TrieConformanceTest, EverySpanEqualsOracleDistinctKeys) {
+  auto it = fixture_->NewIterator();
+  ASSERT_GT(it->arity(), 0);
+  EXPECT_GE(CheckAllSpans(it.get(), fixture_->oracle()), 1u);
 }
 
 TEST_P(TrieConformanceTest, OpenUpBookkeeping) {
   auto it = fixture_->NewIterator();
   ASSERT_GT(it->arity(), 0);
-  it->Open();
-  EXPECT_EQ(it->depth(), 0);
+  KeySpan span = it->Open(0);
   if (fixture_->oracle().empty()) {
-    EXPECT_TRUE(it->AtEnd());
-  } else {
-    ASSERT_FALSE(it->AtEnd());
-    EXPECT_EQ(it->Key(), fixture_->oracle()[0][0]);
-    for (int d = 1; d < it->arity(); ++d) {
-      it->Open();
-      EXPECT_EQ(it->depth(), d);
-      ASSERT_FALSE(it->AtEnd());
-      EXPECT_EQ(it->Key(), fixture_->oracle()[0][static_cast<size_t>(d)]);
-    }
-    for (int d = it->arity() - 1; d > 0; --d) {
-      it->Up();
-      EXPECT_EQ(it->depth(), d - 1);
-      EXPECT_FALSE(it->AtEnd());
-    }
+    EXPECT_EQ(span.size(), 0u);
+    it->Up();
+    return;
   }
-  it->Up();
-  EXPECT_EQ(it->depth(), -1);
-}
-
-TEST_P(TrieConformanceTest, NextWalksDistinctAscendingKeys) {
-  auto it = fixture_->NewIterator();
-  ASSERT_GT(it->arity(), 0);
-  it->Open();
-  std::vector<int64_t> keys;
-  while (!it->AtEnd()) {
-    keys.push_back(it->Key());
-    it->Next();
+  // Descend along the first tuple, then climb back out.
+  const Tuple& first = fixture_->oracle()[0];
+  for (int d = 0;; ++d) {
+    ASSERT_GT(span.size(), 0u);
+    EXPECT_EQ(span.keys[span.lo], first[static_cast<size_t>(d)]);
+    if (d + 1 == it->arity()) break;
+    span = it->Open(span.lo);
   }
-  std::vector<int64_t> expected;
-  for (const Tuple& t : fixture_->oracle()) {
-    if (expected.empty() || expected.back() != t[0]) expected.push_back(t[0]);
-  }
-  EXPECT_EQ(keys, expected);
-  // Strictly ascending == distinct.
-  for (size_t i = 1; i < keys.size(); ++i) EXPECT_LT(keys[i - 1], keys[i]);
-}
-
-TEST_P(TrieConformanceTest, SeekFindsLeastKeyAtLeastTarget) {
-  if (fixture_->oracle().empty()) return;
-  // Level-0 distinct keys.
-  std::vector<int64_t> keys;
-  for (const Tuple& t : fixture_->oracle()) {
-    if (keys.empty() || keys.back() != t[0]) keys.push_back(t[0]);
-  }
-  // Probe every key, every midpoint, and one past the end.
-  std::vector<int64_t> targets = keys;
-  for (int64_t k : keys) targets.push_back(k + 1);
-  targets.push_back(keys.back() + 100);
-  for (int64_t target : targets) {
-    auto it = fixture_->NewIterator();
-    it->Open();
-    if (it->Key() > target) continue;  // Seek precondition: key >= Key()
-    it->Seek(target);
-    auto expected = std::lower_bound(keys.begin(), keys.end(), target);
-    if (expected == keys.end()) {
-      EXPECT_TRUE(it->AtEnd()) << "target=" << target;
-    } else {
-      ASSERT_FALSE(it->AtEnd()) << "target=" << target;
-      EXPECT_EQ(it->Key(), *expected) << "target=" << target;
-    }
-  }
-  // Seeking the current key is a no-op.
-  auto it = fixture_->NewIterator();
-  it->Open();
-  int64_t first = it->Key();
-  it->Seek(first);
-  EXPECT_EQ(it->Key(), first);
-}
-
-TEST_P(TrieConformanceTest, EstimateKeysIsUpperBoundAndShrinks) {
-  if (fixture_->oracle().empty()) return;
-  auto it = fixture_->NewIterator();
-  auto oracle = fixture_->NewOracleIterator();
-  it->Open();
-  oracle->Open();
-  int64_t prev = it->EstimateKeys();
-  while (!it->AtEnd()) {
-    EXPECT_GE(it->EstimateKeys(), oracle->EstimateKeys());
-    EXPECT_LE(it->EstimateKeys(), prev);
-    prev = it->EstimateKeys();
-    it->Next();
-    oracle->Next();
-  }
+  for (int d = it->arity(); d > 0; --d) it->Up();
+  EXPECT_EQ(EnumerateTrie(it.get()), fixture_->oracle());
 }
 
 TEST_P(TrieConformanceTest, CloneIsRootPositionedAndIndependent) {
   auto original = fixture_->NewIterator();
-  std::vector<Tuple> reference = Enumerate(original.get());
+  std::vector<Tuple> reference = EnumerateTrie(original.get());
   auto fresh = original->Clone();
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(fresh->arity(), original->arity());
-  EXPECT_EQ(fresh->depth(), -1);
-  EXPECT_EQ(Enumerate(fresh.get()), reference);
+  EXPECT_EQ(EnumerateTrie(fresh.get()), reference);
 
   if (reference.empty()) return;
 
-  // A clone taken mid-walk does not observe or perturb the original.
-  original->Open();
-  int64_t key_before = original->Key();
+  // A clone taken with a level open does not observe or perturb it.
+  KeySpan root = original->Open(0);
+  std::vector<int64_t> keys_before = SpanKeys(root);
   auto mid = original->Clone();
-  EXPECT_EQ(mid->depth(), -1);
-  // Interleave: step the clone while the original is parked.
-  mid->Open();
-  while (!mid->AtEnd()) mid->Next();
-  EXPECT_EQ(original->depth(), 0);
-  EXPECT_EQ(original->Key(), key_before);
-  mid->Up();
-  EXPECT_EQ(Enumerate(mid.get()), reference);
+  EXPECT_EQ(EnumerateTrie(mid.get()), reference);
+  EXPECT_EQ(SpanKeys(root), keys_before);
   original->Up();
-  EXPECT_EQ(Enumerate(original.get()), reference);
+  EXPECT_EQ(EnumerateTrie(original.get()), reference);
 }
 
-// NextBlock against the scalar protocol: a drained block must equal
-// what { Key(); Next(); } produces under the same capacity and bound,
-// and the cursor must land exactly where the scalar loop leaves it.
-// The oracle iterator deliberately keeps the base-class default
-// implementation, so this also pits each override (the CSR bulk copy)
-// against the documented scalar semantics.
-TEST_P(TrieConformanceTest, NextBlockMatchesScalarDrain) {
-  std::vector<int64_t> keys;
-  for (const Tuple& t : fixture_->oracle()) {
-    if (keys.empty() || keys.back() != t[0]) keys.push_back(t[0]);
-  }
-  std::vector<int64_t> bounds = keys;
-  for (int64_t k : keys) bounds.push_back(k + 1);
-  bounds.push_back(std::numeric_limits<int64_t>::max());
-  for (size_t capacity : {size_t{1}, size_t{2}, size_t{3}, size_t{1000}}) {
-    for (int64_t bound : bounds) {
-      auto it = fixture_->NewIterator();
-      auto oracle = fixture_->NewOracleIterator();
-      it->Open();
-      oracle->Open();
-      KeyBlock impl_block(capacity);
-      KeyBlock oracle_block(capacity);
-      // Drain the whole level block by block; the oracle uses the
-      // default scalar NextBlock.
-      for (;;) {
-        size_t n = it->NextBlock(bound, &impl_block);
-        size_t m = oracle->NextBlock(bound, &oracle_block);
-        SCOPED_TRACE("capacity=" + std::to_string(capacity) +
-                     " bound=" + std::to_string(bound));
-        ASSERT_EQ(n, m);
-        ASSERT_EQ(impl_block.keys, oracle_block.keys);
-        ASSERT_EQ(it->AtEnd(), oracle->AtEnd());
-        if (!it->AtEnd()) {
-          ASSERT_EQ(it->Key(), oracle->Key());
-        }
-        if (n < capacity) break;
-      }
-      // The cursor rests on the first key not drained (>= bound), so a
-      // subsequent scalar walk continues seamlessly.
-      while (!it->AtEnd()) {
-        ASSERT_FALSE(oracle->AtEnd());
-        EXPECT_EQ(it->Key(), oracle->Key());
-        it->Next();
-        oracle->Next();
-      }
-      EXPECT_TRUE(oracle->AtEnd());
-    }
-  }
-}
-
-// A partial block drain is abandoned by Up(); re-opening the level must
-// restart it from the first key, at every level of the trie.
-TEST_P(TrieConformanceTest, NextBlockMidBlockUpAndReopen) {
+// Closing a level and re-opening it under the same parent yields the
+// same keys again, at every level of the trie.
+TEST_P(TrieConformanceTest, UpAndReopenYieldsSameSpan) {
   if (fixture_->oracle().empty()) return;
   auto it = fixture_->NewIterator();
-  const int64_t no_bound = std::numeric_limits<int64_t>::max();
+  size_t parent_pos = 0;
   for (int d = 0; d < it->arity(); ++d) {
-    it->Open();
-    // Full reference drain via the scalar protocol on a clone.
-    std::vector<int64_t> expected;
-    {
-      auto ref = fixture_->NewIterator();
-      for (int l = 0; l <= d; ++l) ref->Open();
-      while (!ref->AtEnd()) {
-        expected.push_back(ref->Key());
-        ref->Next();
-      }
-    }
-    // Drain one short block, abandon it, re-open, drain everything.
-    KeyBlock partial(1);
-    it->NextBlock(no_bound, &partial);
+    KeySpan first = it->Open(parent_pos);
+    std::vector<int64_t> expected = SpanKeys(first);
     it->Up();
-    it->Open();
-    KeyBlock all(expected.size() + 1);
-    it->NextBlock(no_bound, &all);
-    EXPECT_EQ(all.keys, expected) << "level " << d;
-    EXPECT_TRUE(it->AtEnd());
-    // Park the cursor back on the first key so the next level can open.
-    it->Up();
-    it->Open();
+    KeySpan again = it->Open(parent_pos);
+    EXPECT_EQ(SpanKeys(again), expected) << "level " << d;
+    ASSERT_GT(again.size(), 0u);
+    parent_pos = again.lo;
   }
 }
 
-// Randomized equivalence: drive the implementation and the sorted-
-// vector oracle with one random-but-legal op sequence and compare all
-// observable state after every step.
+// Drives the implementation with a random-but-legal Open/Up sequence
+// and checks every opened span against the oracle, plus every still-open
+// ancestor span after each step.
+void RandomSpanWalk(TrieIterator* it, const std::vector<Tuple>& oracle,
+                    Rng* rng, int steps) {
+  const size_t arity = static_cast<size_t>(it->arity());
+  struct Level {
+    KeySpan span;
+    std::vector<int64_t> keys;
+  };
+  std::vector<Level> stack;
+  Tuple prefix;
+  for (int step = 0; step < steps; ++step) {
+    const bool can_open =
+        stack.size() < arity &&
+        (stack.empty() || stack.back().span.size() > 0);
+    if (can_open && (stack.empty() || rng->NextBernoulli(0.6))) {
+      size_t parent_pos = 0;
+      if (!stack.empty()) {
+        const KeySpan& parent = stack.back().span;
+        parent_pos = parent.lo + rng->NextBounded(parent.size());
+        prefix.push_back(parent.keys[parent_pos]);
+      }
+      KeySpan span = it->Open(parent_pos);
+      stack.push_back(Level{span, SpanKeys(span)});
+      ASSERT_EQ(stack.back().keys, OracleKeys(oracle, prefix))
+          << "step " << step;
+    } else if (!stack.empty()) {
+      it->Up();
+      stack.pop_back();
+      if (!prefix.empty() && prefix.size() == stack.size()) prefix.pop_back();
+    }
+    for (const Level& level : stack) {
+      ASSERT_EQ(SpanKeys(level.span), level.keys) << "step " << step;
+    }
+  }
+  while (!stack.empty()) {
+    it->Up();
+    stack.pop_back();
+  }
+}
+
 TEST_P(TrieConformanceTest, RandomWalkMatchesOracle) {
+  if (fixture_->oracle().empty()) return;
   for (uint64_t seed = 0; seed < 5; ++seed) {
     Rng rng(7000 + 31 * GetParam() + seed);
     auto it = fixture_->NewIterator();
-    auto oracle = fixture_->NewOracleIterator();
-    const int arity = it->arity();
-    if (arity == 0) return;
-    for (int step = 0; step < 400; ++step) {
-      // Legal moves given the current state.
-      enum class Op { kOpen, kUp, kNext, kSeek, kBlock };
-      std::vector<Op> moves;
-      if (it->depth() == -1) {
-        moves.push_back(Op::kOpen);
-      } else {
-        moves.push_back(Op::kUp);
-        moves.push_back(Op::kBlock);  // legal even AtEnd (drains nothing)
-        if (!it->AtEnd()) {
-          moves.push_back(Op::kNext);
-          moves.push_back(Op::kSeek);
-          if (it->depth() + 1 < arity) moves.push_back(Op::kOpen);
-        }
-      }
-      Op op = moves[rng.NextBounded(moves.size())];
-      switch (op) {
-        case Op::kOpen:
-          it->Open();
-          oracle->Open();
-          break;
-        case Op::kUp:
-          it->Up();
-          oracle->Up();
-          break;
-        case Op::kNext:
-          it->Next();
-          oracle->Next();
-          break;
-        case Op::kSeek: {
-          int64_t target = it->Key();
-          target += static_cast<int64_t>(rng.NextBounded(4));
-          it->Seek(target);
-          oracle->Seek(target);
-          break;
-        }
-        case Op::kBlock: {
-          // Random capacity and a randomized hi bound (sometimes
-          // unbounded, sometimes cutting mid-level).
-          KeyBlock impl_block(1 + rng.NextBounded(4));
-          KeyBlock oracle_block(impl_block.capacity);
-          int64_t bound = std::numeric_limits<int64_t>::max();
-          if (!it->AtEnd() && rng.NextBernoulli(0.5)) {
-            bound = it->Key() + static_cast<int64_t>(rng.NextBounded(5));
-          }
-          size_t n = it->NextBlock(bound, &impl_block);
-          size_t m = oracle->NextBlock(bound, &oracle_block);
-          ASSERT_EQ(n, m) << "step " << step;
-          ASSERT_EQ(impl_block.keys, oracle_block.keys) << "step " << step;
-          break;
-        }
-      }
-      ASSERT_EQ(it->depth(), oracle->depth()) << "step " << step;
-      if (it->depth() >= 0) {
-        ASSERT_EQ(it->AtEnd(), oracle->AtEnd()) << "step " << step;
-        if (!it->AtEnd()) {
-          ASSERT_EQ(it->Key(), oracle->Key()) << "step " << step;
-          ASSERT_GE(it->EstimateKeys(), oracle->EstimateKeys())
-              << "step " << step;
-        }
-      }
-    }
+    RandomSpanWalk(it.get(), fixture_->oracle(), &rng, 400);
+    EXPECT_EQ(EnumerateTrie(it.get()), fixture_->oracle());
   }
 }
 
@@ -754,21 +517,12 @@ TEST(LazyPathTrieRelaxationTest, DanglingPrefixesExposeEmptySubtrees) {
   // Enumeration matches the materialized relation despite <a>3</a>
   // contributing no chain.
   auto it = fixture.NewIterator();
-  EXPECT_EQ(Enumerate(it.get()), fixture.oracle());
+  EXPECT_EQ(EnumerateTrie(it.get()), fixture.oracle());
 
   // Level 0 exposes a superset of the oracle's level-0 keys ...
-  std::vector<int64_t> oracle_keys;
-  for (const Tuple& t : fixture.oracle()) {
-    if (oracle_keys.empty() || oracle_keys.back() != t[0]) {
-      oracle_keys.push_back(t[0]);
-    }
-  }
-  std::vector<int64_t> lazy_keys;
-  it->Open();
-  while (!it->AtEnd()) {
-    lazy_keys.push_back(it->Key());
-    it->Next();
-  }
+  std::vector<int64_t> oracle_keys = OracleKeys(fixture.oracle(), {});
+  KeySpan root = it->Open(0);
+  std::vector<int64_t> lazy_keys = SpanKeys(root);
   EXPECT_GT(lazy_keys.size(), oracle_keys.size());
   for (int64_t k : oracle_keys) {
     EXPECT_TRUE(std::find(lazy_keys.begin(), lazy_keys.end(), k) !=
@@ -777,13 +531,9 @@ TEST(LazyPathTrieRelaxationTest, DanglingPrefixesExposeEmptySubtrees) {
 
   // ... and opening a dangling key yields an empty next level.
   bool saw_dangling = false;
-  it->Up();
-  it->Open();
-  while (!it->AtEnd()) {
-    it->Open();
-    if (it->AtEnd()) saw_dangling = true;
+  for (size_t p = root.lo; p < root.hi; ++p) {
+    if (it->Open(p).size() == 0) saw_dangling = true;
     it->Up();
-    it->Next();
   }
   EXPECT_TRUE(saw_dangling);
 }
@@ -792,7 +542,7 @@ TEST(LazyPathTrieRelaxationTest, AbsentTagYieldsNoTuples) {
   LazyPathTrieFixture fixture(kDanglingXml, "a/zz");
   EXPECT_TRUE(fixture.oracle().empty());
   auto it = fixture.NewIterator();
-  EXPECT_TRUE(Enumerate(it.get()).empty());
+  EXPECT_TRUE(EnumerateTrie(it.get()).empty());
 }
 
 // ---------------------------------------------------------------------
@@ -813,37 +563,11 @@ TEST_P(CsrTrieRandomizedTest, MatchesSortedVectorOracle) {
 
   RelationTrieFixture fixture(rel, order);
   auto it = fixture.NewIterator();
-  EXPECT_EQ(Enumerate(it.get()), fixture.oracle());
+  EXPECT_EQ(EnumerateTrie(it.get()), fixture.oracle());
 
   // Random walk against the oracle.
   auto impl = fixture.NewIterator();
-  auto oracle = fixture.NewOracleIterator();
-  for (int step = 0; step < 300; ++step) {
-    if (impl->depth() == -1) {
-      impl->Open();
-      oracle->Open();
-    } else if (impl->AtEnd() || rng.NextBernoulli(0.2)) {
-      impl->Up();
-      oracle->Up();
-    } else if (rng.NextBernoulli(0.5) && impl->depth() + 1 < impl->arity()) {
-      impl->Open();
-      oracle->Open();
-    } else if (rng.NextBernoulli(0.5)) {
-      impl->Next();
-      oracle->Next();
-    } else {
-      int64_t target = impl->Key() + static_cast<int64_t>(rng.NextBounded(3));
-      impl->Seek(target);
-      oracle->Seek(target);
-    }
-    ASSERT_EQ(impl->depth(), oracle->depth()) << "step " << step;
-    if (impl->depth() >= 0) {
-      ASSERT_EQ(impl->AtEnd(), oracle->AtEnd()) << "step " << step;
-      if (!impl->AtEnd()) {
-        ASSERT_EQ(impl->Key(), oracle->Key()) << "step " << step;
-      }
-    }
-  }
+  RandomSpanWalk(impl.get(), fixture.oracle(), &rng, 300);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, CsrTrieRandomizedTest,
@@ -870,7 +594,7 @@ TEST(CsrTrieBuildTest, RadixAndComparatorSortsAgree) {
   sorted_rel.SortAndDedup();
   RelationTrieFixture fixture(sorted_rel, {"A", "B"});
   auto it = big->NewIterator();
-  EXPECT_EQ(Enumerate(it.get()), fixture.oracle());
+  EXPECT_EQ(EnumerateTrie(it.get()), fixture.oracle());
 }
 
 // Parallel builds must be byte-identical to serial builds.

@@ -21,26 +21,8 @@ Relation SmallRelation() {
   return r;
 }
 
-// Enumerates all tuples of a trie through its iterator protocol.
-std::vector<Tuple> EnumerateTrie(TrieIterator* it) {
-  std::vector<Tuple> out;
-  Tuple current(static_cast<size_t>(it->arity()));
-  auto recurse = [&](auto&& self) -> void {
-    it->Open();
-    while (!it->AtEnd()) {
-      current[static_cast<size_t>(it->depth())] = it->Key();
-      if (it->depth() + 1 == it->arity()) {
-        out.push_back(current);
-      } else {
-        self(self);
-      }
-      it->Next();
-    }
-    it->Up();
-  };
-  recurse(recurse);
-  return out;
-}
+using testing::EnumerateTrie;
+using testing::SpanKeys;
 
 TEST(RelationTrieTest, BuildSortsAndDedups) {
   auto trie = RelationTrie::Build(SmallRelation(), {"A", "B"});
@@ -69,60 +51,28 @@ TEST(RelationTrieTest, BuildRejectsBadOrders) {
   EXPECT_FALSE(RelationTrie::Build(SmallRelation(), {"A", "A"}).ok());
 }
 
-TEST(RelationTrieIteratorTest, WalksDistinctKeysPerLevel) {
+TEST(RelationTrieIteratorTest, RootSpanHoldsDistinctKeys) {
   auto trie = RelationTrie::Build(SmallRelation(), {"A", "B"});
   auto it = trie->NewIterator();
-  EXPECT_EQ(it->depth(), -1);
-  it->Open();
-  EXPECT_EQ(it->depth(), 0);
-  EXPECT_EQ(it->Key(), 1);
-  it->Next();
-  EXPECT_EQ(it->Key(), 2);
-  it->Next();
-  EXPECT_EQ(it->Key(), 5);
-  it->Next();
-  EXPECT_TRUE(it->AtEnd());
+  KeySpan root = it->Open(0);
+  EXPECT_EQ(SpanKeys(root), (std::vector<int64_t>{1, 2, 5}));
   it->Up();
-  EXPECT_EQ(it->depth(), -1);
+  // Re-opening after Up() yields the same level.
+  EXPECT_EQ(SpanKeys(it->Open(0)), (std::vector<int64_t>{1, 2, 5}));
 }
 
 TEST(RelationTrieIteratorTest, OpenDescendsIntoGroup) {
   auto trie = RelationTrie::Build(SmallRelation(), {"A", "B"});
   auto it = trie->NewIterator();
-  it->Open();           // A level at key 1
-  it->Open();           // B level under A=1
-  EXPECT_EQ(it->Key(), 10);
-  it->Next();
-  EXPECT_EQ(it->Key(), 20);
-  it->Next();
-  EXPECT_TRUE(it->AtEnd());
+  KeySpan root = it->Open(0);                // A level
+  KeySpan under1 = it->Open(root.lo);        // B level under A=1
+  EXPECT_EQ(SpanKeys(under1), (std::vector<int64_t>{10, 20}));
   it->Up();
-  it->Next();           // A=2
-  it->Open();
-  EXPECT_EQ(it->Key(), 10);
-  it->Next();
-  EXPECT_TRUE(it->AtEnd());
-}
-
-TEST(RelationTrieIteratorTest, SeekFindsLeastGreaterOrEqual) {
-  auto trie = RelationTrie::Build(SmallRelation(), {"A", "B"});
-  auto it = trie->NewIterator();
-  it->Open();
-  it->Seek(2);
-  EXPECT_EQ(it->Key(), 2);
-  it->Seek(3);
-  EXPECT_EQ(it->Key(), 5);
-  it->Seek(6);
-  EXPECT_TRUE(it->AtEnd());
-}
-
-TEST(RelationTrieIteratorTest, EstimateKeysShrinks) {
-  auto trie = RelationTrie::Build(SmallRelation(), {"A", "B"});
-  auto it = trie->NewIterator();
-  it->Open();
-  int64_t first = it->EstimateKeys();
-  it->Next();
-  EXPECT_LE(it->EstimateKeys(), first);
+  KeySpan under2 = it->Open(root.lo + 1);    // B level under A=2
+  EXPECT_EQ(SpanKeys(under2), (std::vector<int64_t>{10}));
+  it->Up();
+  // The root span stays valid while its children are opened and closed.
+  EXPECT_EQ(SpanKeys(root), (std::vector<int64_t>{1, 2, 5}));
 }
 
 TEST(RelationTrieIteratorTest, EmptyRelation) {
@@ -130,8 +80,7 @@ TEST(RelationTrieIteratorTest, EmptyRelation) {
   Relation r(*s);
   auto trie = RelationTrie::Build(r, {"A", "B"});
   auto it = trie->NewIterator();
-  it->Open();
-  EXPECT_TRUE(it->AtEnd());
+  EXPECT_EQ(it->Open(0).size(), 0u);
 }
 
 // Property: enumerating the trie yields exactly the sorted distinct
@@ -165,38 +114,6 @@ TEST_P(TrieEnumerationProperty, MatchesSortedDistinctTuples) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, TrieEnumerationProperty,
                          ::testing::Range(0, 25));
-
-// Property: Seek on a level is equivalent to Next-ing until >= key.
-class TrieSeekProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(TrieSeekProperty, SeekEqualsLinearScan) {
-  Rng rng(1000 + static_cast<uint64_t>(GetParam()));
-  Dictionary dict;
-  Relation rel =
-      testing::RandomRelation(&rng, &dict, {"a0", "a1"}, 50, 8);
-  auto trie = RelationTrie::Build(rel, {"a0", "a1"});
-  ASSERT_TRUE(trie.ok());
-
-  for (int trial = 0; trial < 20; ++trial) {
-    int64_t target = static_cast<int64_t>(rng.NextBounded(10));
-    auto via_seek = trie->NewIterator();
-    via_seek->Open();
-    if (via_seek->AtEnd()) break;
-    if (via_seek->Key() <= target) via_seek->Seek(target);
-
-    auto via_next = trie->NewIterator();
-    via_next->Open();
-    while (!via_next->AtEnd() && via_next->Key() < target) via_next->Next();
-
-    EXPECT_EQ(via_seek->AtEnd(), via_next->AtEnd());
-    if (!via_seek->AtEnd()) {
-      EXPECT_EQ(via_seek->Key(), via_next->Key());
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomInstances, TrieSeekProperty,
-                         ::testing::Range(0, 10));
 
 }  // namespace
 }  // namespace xjoin

@@ -12,9 +12,11 @@
 //     delta-patch path that keeps cached tries and plans alive) and
 //     (b) a twin database that does a full UpdateRelation rebuild from
 //     the oracle contents. Every query in the stream must return
-//     byte-identical rows on both databases, across result batching
-//     {off, 7} x threads {1, 4}, including seeds that straddle the
-//     compaction trigger.
+//     byte-identical rows on both databases, across result batch sizes
+//     {1, 7, 1024} x threads {1, 4}, including seeds that straddle the
+//     compaction trigger. The queries mix delta tries with each other
+//     (a three-relation cycle) and with a lazy path trie over a
+//     document whose values share R's domain.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -180,12 +182,43 @@ class DbUpdateStreamTest : public ::testing::TestWithParam<DbStreamCase> {
     for (const Tuple& t : RandomTuples(rng, 30, 2, kDomain)) {
       s_oracle_.insert(t);
     }
+    for (const Tuple& t : RandomTuples(rng, 30, 2, kDomain)) {
+      t_oracle_.insert(t);
+    }
+    const std::string xml = RandomDocumentXml(rng);
     for (MultiModelDatabase* db : {&delta_db_, &rebuild_db_}) {
       ASSERT_TRUE(
           db->RegisterRelation("R", OracleRelation(r_schema_, r_oracle_)).ok());
       ASSERT_TRUE(
           db->RegisterRelation("S", OracleRelation(s_schema_, s_oracle_)).ok());
+      ASSERT_TRUE(
+          db->RegisterRelation("T", OracleRelation(t_schema_, t_oracle_)).ok());
+      // Intern "v0".."v{kDomain-1}" first so document text "v<i>"
+      // encodes to code i — the same values R's tuples hold.
+      for (int64_t v = 0; v < kDomain; ++v) {
+        ASSERT_EQ(db->mutable_dictionary()->Intern("v" + std::to_string(v)),
+                  v);
+      }
+      ASSERT_TRUE(db->RegisterDocumentXml("doc", xml).ok());
     }
+  }
+
+  // A document of <A> elements, each with <B> children, whose text
+  // values are drawn from "v0".."v{kDomain-1}": its A/B path relation
+  // joins R(A, B) on both attributes.
+  static std::string RandomDocumentXml(Rng* rng) {
+    auto value = [&] {
+      return "v" + std::to_string(rng->NextBounded(kDomain));
+    };
+    std::string xml = "<r>";
+    for (int a = 0; a < 12; ++a) {
+      xml += "<A>" + value();
+      for (size_t b = 0; b < 1 + rng->NextBounded(3); ++b) {
+        xml += "<B>" + value() + "</B>";
+      }
+      xml += "</A>";
+    }
+    return xml + "</r>";
   }
 
   static Relation OracleRelation(const Schema& schema,
@@ -240,8 +273,10 @@ class DbUpdateStreamTest : public ::testing::TestWithParam<DbStreamCase> {
   MultiModelDatabase rebuild_db_;
   Schema r_schema_{*Schema::Make({"A", "B"})};
   Schema s_schema_{*Schema::Make({"B", "C"})};
+  Schema t_schema_{*Schema::Make({"A", "C"})};
   std::set<Tuple> r_oracle_;
   std::set<Tuple> s_oracle_;
+  std::set<Tuple> t_oracle_;
 };
 
 TEST_P(DbUpdateStreamTest, InterleavedStreamIsByteIdentical) {
@@ -251,21 +286,38 @@ TEST_P(DbUpdateStreamTest, InterleavedStreamIsByteIdentical) {
   delta_db_.SetTrieDeltaCompaction(param.compact_ratio,
                                    param.compact_min_rows);
 
-  const std::string join = "Q(A, B, C) := R, S";
+  // A delta trie alone at level A and beside S at level B; a delta trie
+  // and a lazy path trie intersecting at levels A and B; and a
+  // three-relation cycle, where delta tries intersect at every level.
+  const std::vector<std::string> joins = {
+      "Q(A, B, C) := R, S", "Q(A, B, C) := R, S, doc : A/B",
+      "Q(A, B, C) := R, S, T"};
   for (int round = 0; round < 12; ++round) {
-    const std::string name = rng.NextBernoulli(0.5) ? "R" : "S";
-    if (name == "R") {
-      ApplyRound(&rng, "R", r_schema_, &r_oracle_);
-    } else {
-      ApplyRound(&rng, "S", s_schema_, &s_oracle_);
+    switch (rng.NextBounded(3)) {
+      case 0:
+        ApplyRound(&rng, "R", r_schema_, &r_oracle_);
+        break;
+      case 1:
+        ApplyRound(&rng, "S", s_schema_, &s_oracle_);
+        break;
+      default:
+        ApplyRound(&rng, "T", t_schema_, &t_oracle_);
+        break;
     }
-    std::string context = "round " + std::to_string(round);
-    for (int batch : {0, 7}) {
-      for (int threads : {1, 4}) {
-        ExpectIdentical(join, batch, threads, context.c_str());
+    for (const std::string& join : joins) {
+      std::string context = "round " + std::to_string(round) + " " + join;
+      for (int batch : {1, 7, 1024}) {
+        for (int threads : {1, 4}) {
+          ExpectIdentical(join, batch, threads, context.c_str());
+        }
       }
     }
   }
+
+  // The twig join must have had rows to compare.
+  auto twig_rows = delta_db_.Query(joins[1], QueryOptions{});
+  ASSERT_TRUE(twig_rows.ok()) << twig_rows.status().ToString();
+  EXPECT_GT(twig_rows->num_rows(), 0u);
 
   // The delta path must actually have taken the incremental route:
   // cached tries patched in place, no full-rebuild misses per round

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/database.h"
 #include "tests/test_util.h"
 #include "xml/document.h"
 #include "xml/parser.h"
@@ -124,6 +125,38 @@ TEST(XmlParserTest, ErrorsCarryPosition) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("2:"), std::string::npos)
       << r.status().ToString();
+}
+
+// <a> nested `depth` deep.
+std::string NestedXml(size_t depth) {
+  std::string xml;
+  xml.reserve(depth * 7);
+  for (size_t i = 0; i < depth; ++i) xml += "<a>";
+  for (size_t i = 0; i < depth; ++i) xml += "</a>";
+  return xml;
+}
+
+// Deep nesting is refused with a typed error at the cap instead of
+// recursing until the stack overflows.
+TEST(XmlParserTest, RejectsNestingBeyondTheCap) {
+  const std::string deep = NestedXml(1000000);
+  auto parsed = ParseXml(deep);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  // Reported where the first element past the cap starts.
+  const std::string where =
+      "XML 1:" + std::to_string(3 * kMaxXmlDepth + 1) + ":";
+  EXPECT_NE(parsed.status().message().find(where), std::string::npos)
+      << parsed.status().ToString();
+
+  MultiModelDatabase db;
+  Status registered = db.RegisterDocumentXml("deep", deep);
+  EXPECT_EQ(registered.code(), StatusCode::kParseError);
+
+  auto at_cap = ParseXml(NestedXml(static_cast<size_t>(kMaxXmlDepth)));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->num_nodes(), static_cast<size_t>(kMaxXmlDepth));
+  EXPECT_FALSE(ParseXml(NestedXml(kMaxXmlDepth + 1)).ok());
 }
 
 TEST(XmlSerializeTest, EscapesSpecials) {
