@@ -118,7 +118,7 @@ Record RunConfig(int readers, int writers, int shards, int iters, int rows,
   // the invariant before the concurrent phase starts.
   std::vector<Tuple> expected[2][2];
   auto snapshot_tuples = [&]() {
-    auto result = db.Query(query, QueryOptions{});
+    auto result = db.OpenSession().Query(query);
     XJ_CHECK(result.ok()) << result.status().ToString();
     return result->ToTuples();
   };
@@ -290,7 +290,7 @@ NetRecord RunNetConfig(int clients, int iters, int rows,
   XJ_CHECK(db.RegisterRelationCsv("S", MakeCsv("B", "C", rows, 30, 0)).ok());
 
   const auto expected = [&] {
-    auto result = db.Query(query, QueryOptions{});
+    auto result = db.OpenSession().Query(query);
     XJ_CHECK(result.ok()) << result.status().ToString();
     const Relation& rel = *result;
     const Dictionary& dict = db.dictionary();

@@ -1,9 +1,8 @@
 // Prepared-plan pipeline: cold one-shot execution (prepare + pin +
-// execute every time, the pre-plan QueryXJoin behaviour) vs warm
-// prepared re-execution (PrepareXJoin once, ExecutePlan per request) on
-// the paper and XMark workloads, plus the full database serving path
-// (text -> plan cache -> ExecutePlan) on a trie-build-heavy relational
-// join. Warm results are checked byte-identical to cold before timings
+// execute every time) vs warm prepared re-execution (PrepareXJoin
+// once, ExecutePlan per request) on the paper and XMark workloads, plus
+// the full database serving path (text -> plan cache -> ExecutePlan) on
+// a trie-build-heavy relational join. Warm results are checked byte-identical to cold before timings
 // are trusted.
 //
 // Flags: --reps=5            best-of repetitions per measurement
@@ -68,9 +67,10 @@ Record BenchQuery(const std::string& label, const MultiModelQuery& query,
   return record;
 }
 
-// The full serving path: cold flushes the plan + trie caches before
-// every QueryXJoin (text parse, order selection, shard planning, trie
-// builds); warm replays the cached plan.
+// The full serving path, one session per request: cold flushes the
+// plan + trie caches before every Session::Query (text parse, order
+// selection, shard planning, trie builds); warm replays the cached
+// plan.
 Record BenchDatabase(int reps) {
   Record record;
   record.workload = "db-text";
@@ -94,7 +94,7 @@ Record BenchDatabase(int reps) {
     db.ClearPlanCache();
     db.ClearTrieCache();
     Timer timer;
-    auto result = db.QueryXJoin(query, XJoinOptions{});
+    auto result = db.OpenSession().Query(query);
     double seconds = timer.ElapsedSeconds();
     XJ_CHECK(result.ok()) << result.status().ToString();
     if (rep == 0) {
@@ -107,18 +107,19 @@ Record BenchDatabase(int reps) {
   }
 
   Timer prepare_timer;
-  XJ_CHECK(db.PreparePlan(query).ok());
+  XJ_CHECK(db.OpenSession().Prepare(query).ok());
   record.prepare_s = prepare_timer.ElapsedSeconds();
   for (int rep = 0; rep < reps; ++rep) {
     Timer timer;
-    auto result = db.QueryXJoin(query, XJoinOptions{});
+    auto result = db.OpenSession().Query(query);
     double seconds = timer.ElapsedSeconds();
     XJ_CHECK(result.ok()) << result.status().ToString();
     XJ_CHECK(result->ToTuples() == expected)
         << "db-text: cached-plan execution diverged from cold execution";
     record.warm_s = rep == 0 ? seconds : std::min(record.warm_s, seconds);
   }
-  XJ_CHECK(db.plan_cache_hits() >= reps) << "plan cache did not serve hits";
+  XJ_CHECK(db.cache_stats().plan_hits >= reps)
+      << "plan cache did not serve hits";
   return record;
 }
 

@@ -97,8 +97,7 @@ Record RunMode(bool use_delta, const std::vector<Tuple>& r0,
   // Warm the plan + trie caches, then baseline the counters: every
   // trie-cache miss from here on is a from-scratch rebuild caused by
   // the update path.
-  XJ_CHECK(db.Query(query, options).ok());
-  const int64_t builds_warm = db.trie_cache_misses();
+  XJ_CHECK(db.OpenSession().Query(query, options).ok());
   const CacheStats warm = db.cache_stats();
 
   results->reserve(stream.size());
@@ -114,14 +113,14 @@ Record RunMode(bool use_delta, const std::vector<Tuple>& r0,
     record.update_s += update_timer.ElapsedSeconds();
 
     Timer query_timer;
-    auto result = db.Query(query, options);
+    auto result = db.OpenSession().Query(query, options);
     record.query_s += query_timer.ElapsedSeconds();
     XJ_CHECK(result.ok()) << result.status().ToString();
     results->push_back(result->ToTuples());
   }
 
   CacheStats stats = db.cache_stats();
-  record.trie_builds = db.trie_cache_misses() - builds_warm;
+  record.trie_builds = stats.trie_misses - warm.trie_misses;
   record.trie_patches = stats.trie_patches - warm.trie_patches;
   record.trie_compactions = stats.trie_compactions - warm.trie_compactions;
   record.plan_rebinds = stats.plan_rebinds - warm.plan_rebinds;

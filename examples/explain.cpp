@@ -2,7 +2,7 @@
 // with) running it.
 //
 // Registers the paper's Figure-1 bookstore data in a MultiModelDatabase,
-// prints ExplainXJoin for the multi-model query — inputs with
+// prints Session::Explain for the multi-model query — inputs with
 // trie-cache provenance, transform(Sx), the expansion order with
 // per-level lead rationale and chosen intersection kernel, the shard
 // plan, the execution mode with the host's SIMD dispatch level, and
@@ -46,7 +46,7 @@ int main() {
       "Q(userID, ISBN, price) := R, "
       "invoices : invoice[orderID]/orderLine[ISBN]/price";
 
-  auto explained = db.ExplainXJoin(query);
+  auto explained = db.OpenSession().Explain(query);
   if (!explained.ok()) {
     std::fprintf(stderr, "explain error: %s\n",
                  explained.status().ToString().c_str());
@@ -59,9 +59,9 @@ int main() {
   // just prepared, the second is a pure plan-cache hit.
   for (int run = 1; run <= 2; ++run) {
     Metrics metrics;
-    XJoinOptions options;
+    QueryOptions options;
     options.metrics = &metrics;
-    auto result = db.QueryXJoin(query, options);
+    auto result = db.OpenSession().Query(query, options);
     if (!result.ok()) {
       std::fprintf(stderr, "query error: %s\n",
                    result.status().ToString().c_str());
@@ -76,7 +76,7 @@ int main() {
         static_cast<long long>(metrics.Get("trie.builds")));
   }
 
-  auto warm = db.ExplainXJoin(query);
+  auto warm = db.OpenSession().Explain(query);
   if (!warm.ok()) {
     std::fprintf(stderr, "explain error: %s\n",
                  warm.status().ToString().c_str());

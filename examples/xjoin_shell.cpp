@@ -129,17 +129,19 @@ int RunShell() {
       std::getline(in, rest);
       std::string text(TrimWhitespace(rest));
       if (command == "explain") {
-        auto plan = db.Explain(text);
+        auto plan = db.OpenSession().Explain(text);
         std::printf("%s",
                     plan.ok()
                         ? plan->c_str()
                         : (plan.status().ToString() + "\n").c_str());
       } else {
-        Engine engine =
-            command == "query" ? Engine::kXJoin : Engine::kBaseline;
         Metrics metrics;
+        QueryOptions options;
+        options.engine =
+            command == "query" ? Engine::kXJoin : Engine::kBaseline;
+        options.metrics = &metrics;
         Timer timer;
-        auto result = db.Query(text, engine, &metrics);
+        auto result = db.OpenSession().Query(text, options);
         if (!result.ok()) {
           std::printf("%s\n", result.status().ToString().c_str());
         } else {

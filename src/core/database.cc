@@ -431,10 +431,9 @@ Result<Relation> Session::Query(const std::string& text,
 
 Result<PreparedQuery> Session::Prepare(const std::string& text,
                                        const QueryOptions& options) const {
-  XJoinOptions xopts = options.xjoin;
-  if (xopts.metrics == nullptr) xopts.metrics = options.metrics;
-  XJ_ASSIGN_OR_RETURN(std::shared_ptr<const XJoinPlan> plan,
-                      db_->PreparePlanSnapshot(text, xopts, snap_));
+  XJ_ASSIGN_OR_RETURN(
+      std::shared_ptr<const XJoinPlan> plan,
+      db_->PreparePlanSnapshot(text, options, /*cancel=*/nullptr, snap_));
   return PreparedQuery{std::move(plan)};
 }
 
@@ -449,10 +448,9 @@ Result<Relation> Session::Execute(const PreparedQuery& prepared,
 
 Result<std::string> Session::Explain(const std::string& text,
                                      const QueryOptions& options) const {
-  XJoinOptions xopts = options.xjoin;
-  if (xopts.metrics == nullptr) xopts.metrics = options.metrics;
-  XJ_ASSIGN_OR_RETURN(std::shared_ptr<const XJoinPlan> plan,
-                      db_->PreparePlanSnapshot(text, xopts, snap_));
+  XJ_ASSIGN_OR_RETURN(
+      std::shared_ptr<const XJoinPlan> plan,
+      db_->PreparePlanSnapshot(text, options, /*cancel=*/nullptr, snap_));
   std::string out = "query: " + CanonicalizeQueryText(text) + "\n";
   out += ExplainPlan(*plan);
   CacheStats stats = db_->cache_stats();
@@ -633,11 +631,6 @@ void MultiModelDatabase::SetTrieCacheBudget(size_t bytes) {
   }
 }
 
-size_t MultiModelDatabase::trie_cache_budget() const {
-  std::lock_guard<std::mutex> lock(trie_cache_mu_);
-  return trie_cache_budget_;
-}
-
 TrieProvider MultiModelDatabase::CacheTrieProvider(
     std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
     int num_threads, const CancellationToken* cancel) const {
@@ -755,6 +748,12 @@ void MultiModelDatabase::ClearPlanCache() {
 void MultiModelDatabase::SetPlanCacheCapacity(size_t max_plans) {
   std::lock_guard<std::mutex> lock(plan_cache_mu_);
   plan_cache_capacity_ = max_plans;
+  PlanCacheTrimLocked();
+}
+
+void MultiModelDatabase::PlanCacheTrimLocked() const {
+  // Evicting a plan also releases its pinned tries and storage (the
+  // trie byte budget bounds the cache, this bounds the pins).
   while (plan_cache_.size() > plan_cache_capacity_) {
     plan_cache_.erase(plan_lru_.back());
     plan_lru_.pop_back();
@@ -762,9 +761,18 @@ void MultiModelDatabase::SetPlanCacheCapacity(size_t max_plans) {
   }
 }
 
-size_t MultiModelDatabase::plan_cache_capacity() const {
-  std::lock_guard<std::mutex> lock(plan_cache_mu_);
-  return plan_cache_capacity_;
+void MultiModelDatabase::PlanCachePublishLocked(
+    std::string key, std::shared_ptr<const XJoinPlan> plan) const {
+  if (plan_cache_capacity_ == 0) return;
+  auto it = plan_cache_.find(key);
+  if (it != plan_cache_.end()) {
+    plan_lru_.erase(it->second.lru);
+    plan_cache_.erase(it);
+  }
+  plan_lru_.push_front(key);
+  plan_cache_.emplace(std::move(key),
+                      PlanCacheEntry{std::move(plan), plan_lru_.begin()});
+  PlanCacheTrimLocked();
 }
 
 void MultiModelDatabase::InvalidatePlans(const std::string& name) {
@@ -928,11 +936,33 @@ bool MultiModelDatabase::PlanMatchesRegistry(const XJoinPlan& plan) const {
   return true;
 }
 
+XJoinOptions MultiModelDatabase::EngineOptions(
+    const QueryOptions& options, const CancellationToken* cancel,
+    BudgetTracker* budget,
+    const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const {
+  XJoinOptions engine = options.xjoin;  // plan settings
+  engine.metrics = options.metrics;
+  engine.cancel = cancel;
+  engine.budget = budget;
+  engine.executor = nullptr;  // Executor::Default()
+  engine.trie_provider = nullptr;
+  engine.path_trie_provider = nullptr;
+  if (snap != nullptr) {
+    int num_threads = std::max(1, options.xjoin.num_threads);
+    engine.trie_provider =
+        CacheTrieProvider(snap, options.metrics, num_threads, cancel);
+    engine.path_trie_provider =
+        CachePathTrieProvider(snap, options.metrics, num_threads, cancel);
+  }
+  return engine;
+}
+
 Result<std::shared_ptr<const XJoinPlan>>
 MultiModelDatabase::PreparePlanSnapshot(
-    const std::string& text, const XJoinOptions& options,
+    const std::string& text, const QueryOptions& options,
+    const CancellationToken* cancel,
     const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const {
-  std::string key = PlanCacheKey(text, options);
+  std::string key = PlanCacheKey(text, options.xjoin);
 
   // Cache lookup, validated against the *snapshot's* versions. A
   // version mismatch keeps the entry as a rebind candidate.
@@ -996,20 +1026,10 @@ MultiModelDatabase::PreparePlanSnapshot(
       for (auto& nr : query.relations) {
         nr.relation = snap->relations.find(nr.name)->second.relation.get();
       }
-      XJoinOptions rebind_options = options;
-      int num_threads = std::max(1, options.num_threads);
-      if (!rebind_options.trie_provider) {
-        rebind_options.trie_provider =
-            CacheTrieProvider(snap, options.metrics, num_threads,
-                              options.cancel);
-      }
-      if (!rebind_options.path_trie_provider) {
-        rebind_options.path_trie_provider =
-            CachePathTrieProvider(snap, options.metrics, num_threads,
-                                  options.cancel);
-      }
-      XJ_ASSIGN_OR_RETURN(std::shared_ptr<XJoinPlan> plan,
-                          RebindXJoin(*stale, query, rebind_options));
+      XJ_ASSIGN_OR_RETURN(
+          std::shared_ptr<XJoinPlan> plan,
+          RebindXJoin(*stale, query,
+                      EngineOptions(options, cancel, nullptr, snap)));
       AttachSnapshotSources(plan.get(), *snap, key);
       std::shared_ptr<const XJoinPlan> shared = std::move(plan);
       // Same publish gate as a miss: a rebind for an *old* snapshot
@@ -1019,16 +1039,7 @@ MultiModelDatabase::PreparePlanSnapshot(
       std::lock_guard<std::mutex> lock(plan_cache_mu_);
       ++plan_cache_rebinds_;
       MetricsAdd(options.metrics, "db.plan_cache.rebinds", 1);
-      if (current_valid && plan_cache_capacity_ > 0) {
-        auto it = plan_cache_.find(key);
-        if (it != plan_cache_.end()) {
-          plan_lru_.erase(it->second.lru);
-          plan_cache_.erase(it);
-        }
-        plan_lru_.push_front(key);
-        plan_cache_.emplace(std::move(key),
-                            PlanCacheEntry{shared, plan_lru_.begin()});
-      }
+      if (current_valid) PlanCachePublishLocked(std::move(key), shared);
       return shared;
     }
     // Not rebindable. Drop the entry only when it is also stale for the
@@ -1046,23 +1057,12 @@ MultiModelDatabase::PreparePlanSnapshot(
     }
   }
 
-  // Miss: parse against the snapshot, wire the database caches in
-  // (unless the caller brought providers), prepare, record sources and
-  // pins, publish.
+  // Miss: parse against the snapshot, prepare through the database
+  // caches, record sources and pins, publish.
   XJ_ASSIGN_OR_RETURN(MultiModelQuery query, ParseQuery(text, *snap));
-  XJoinOptions prepare_options = options;
-  int num_threads = std::max(1, options.num_threads);
-  if (!prepare_options.trie_provider) {
-    prepare_options.trie_provider =
-        CacheTrieProvider(snap, options.metrics, num_threads, options.cancel);
-  }
-  if (!prepare_options.path_trie_provider) {
-    prepare_options.path_trie_provider =
-        CachePathTrieProvider(snap, options.metrics, num_threads,
-                              options.cancel);
-  }
-  XJ_ASSIGN_OR_RETURN(std::shared_ptr<XJoinPlan> plan,
-                      PrepareXJoin(query, prepare_options));
+  XJ_ASSIGN_OR_RETURN(
+      std::shared_ptr<XJoinPlan> plan,
+      PrepareXJoin(query, EngineOptions(options, cancel, nullptr, snap)));
   AttachSnapshotSources(plan.get(), *snap, key);
   std::shared_ptr<const XJoinPlan> shared = std::move(plan);
 
@@ -1074,20 +1074,7 @@ MultiModelDatabase::PreparePlanSnapshot(
   std::lock_guard<std::mutex> lock(plan_cache_mu_);
   ++plan_cache_misses_;
   MetricsAdd(options.metrics, "db.plan_cache.misses", 1);
-  if (current_valid && plan_cache_.count(key) == 0 &&
-      plan_cache_capacity_ > 0) {
-    plan_lru_.push_front(key);
-    plan_cache_.emplace(std::move(key),
-                        PlanCacheEntry{shared, plan_lru_.begin()});
-    // LRU capacity bound: evicting a plan also releases its pinned
-    // tries and storage (the trie byte budget bounds the cache, this
-    // bounds the pins).
-    while (plan_cache_.size() > plan_cache_capacity_) {
-      plan_cache_.erase(plan_lru_.back());
-      plan_lru_.pop_back();
-      ++plan_cache_evictions_;
-    }
-  }
+  if (current_valid) PlanCachePublishLocked(std::move(key), shared);
   return shared;
 }
 
@@ -1208,12 +1195,11 @@ Result<Relation> MultiModelDatabase::RunPlan(
       }
       return baseline_result;
     }
-    XJoinOptions exec_options = options.xjoin;
-    if (exec_options.metrics == nullptr) {
-      exec_options.metrics = options.metrics;
-    }
-    if (budget.limited()) exec_options.budget = &budget;
-    return ExecutePlan(plan, exec_options);
+    // Every cancel scope already rides the budget as a cancel source.
+    return ExecutePlan(
+        plan, EngineOptions(options, /*cancel=*/nullptr,
+                            budget.limited() ? &budget : nullptr,
+                            /*snap=*/nullptr));
   }();
 
   if (!result.ok() && result.status().code() == StatusCode::kCancelled) {
@@ -1237,16 +1223,13 @@ Result<Relation> MultiModelDatabase::RunQuery(
     shell.query = std::move(query);
     return RunPlan(shell, options, session_cancel, nullptr);
   }
-  XJoinOptions xopts = options.xjoin;
-  if (xopts.metrics == nullptr) xopts.metrics = options.metrics;
   // Prepare-time cancellation: the cold path builds tries, which a
   // cancelled caller should never pay for. (Execution attaches every
   // scope to the budget tracker; prepare polls one token directly.)
-  if (xopts.cancel == nullptr) {
-    xopts.cancel = options.cancel != nullptr ? options.cancel : session_cancel;
-  }
+  const CancellationToken* prepare_cancel =
+      options.cancel != nullptr ? options.cancel : session_cancel;
   Result<std::shared_ptr<const XJoinPlan>> plan =
-      PreparePlanSnapshot(text, xopts, snap);
+      PreparePlanSnapshot(text, options, prepare_cancel, snap);
   if (!plan.ok()) {
     // A query cancelled while its plan was still being prepared never
     // reached admission, but it still finished kCancelled — count it so
@@ -1258,56 +1241,6 @@ Result<Relation> MultiModelDatabase::RunQuery(
     return plan.status();
   }
   return RunPlan(**plan, options, session_cancel, nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated one-shot entry points (thin wrappers over a throwaway
-// snapshot; see the README migration table)
-// ---------------------------------------------------------------------------
-
-Result<Relation> MultiModelDatabase::Query(const std::string& text,
-                                           const QueryOptions& options) const {
-  return RunQuery(text, options, TakeSnapshot(), nullptr);
-}
-
-Result<Relation> MultiModelDatabase::Query(const std::string& text,
-                                           Engine engine,
-                                           Metrics* metrics) const {
-  QueryOptions options;
-  options.engine = engine;
-  options.metrics = metrics;
-  return RunQuery(text, options, TakeSnapshot(), nullptr);
-}
-
-Result<Relation> MultiModelDatabase::QueryXJoin(const std::string& text,
-                                                XJoinOptions options) const {
-  QueryOptions query_options;
-  query_options.xjoin = std::move(options);
-  return RunQuery(text, query_options, TakeSnapshot(), nullptr);
-}
-
-Result<PreparedQuery> MultiModelDatabase::Prepare(
-    const std::string& text) const {
-  XJ_ASSIGN_OR_RETURN(std::shared_ptr<const XJoinPlan> plan,
-                      PreparePlanSnapshot(text, XJoinOptions{},
-                                          TakeSnapshot()));
-  return PreparedQuery{std::move(plan)};
-}
-
-Result<std::shared_ptr<const XJoinPlan>> MultiModelDatabase::PreparePlan(
-    const std::string& text, const XJoinOptions& options) const {
-  return PreparePlanSnapshot(text, options, TakeSnapshot());
-}
-
-Result<std::string> MultiModelDatabase::ExplainXJoin(
-    const std::string& text, const XJoinOptions& options) const {
-  QueryOptions query_options;
-  query_options.xjoin = options;
-  return OpenSession().Explain(text, query_options);
-}
-
-Result<std::string> MultiModelDatabase::Explain(const std::string& text) const {
-  return ExplainXJoin(text, XJoinOptions{});
 }
 
 }  // namespace xjoin

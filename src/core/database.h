@@ -1,7 +1,7 @@
 // MultiModelDatabase: the serving core a downstream application talks
 // to — it owns the shared dictionary, registered relations (from CSV
 // or tuples) and XML documents (parsed and indexed at registration),
-// and evaluates textual multi-model queries:
+// and evaluates textual multi-model queries through a Session:
 //
 //     Q(userID, ISBN, price) :=
 //         R, invoices : invoice[orderID]/orderLine[ISBN]/price
@@ -13,7 +13,9 @@
 // Commas inside twig branch brackets do not split inputs. Without a
 // head, the result contains every attribute.
 //
-// Serving model (many concurrent callers):
+// Session is the only query surface. A one-shot query is
+// db.OpenSession().Query(text, options) (likewise Prepare and Explain);
+// the serving model (many concurrent callers) keeps the session:
 //
 //   Session session = db.OpenSession();
 //   QueryOptions opts;
@@ -99,19 +101,22 @@ enum class Engine {
   kBaseline,  ///< per-model evaluation + combine (Figure 3 baseline)
 };
 
-/// The one options struct for every query entry point (replaces the old
-/// Query(text, engine, metrics) vs QueryXJoin(text, XJoinOptions)
-/// duality): engine choice, the full XJoin knob set, and per-query
-/// admission budgets.
+/// The one options struct for every Session entry point: engine choice,
+/// the XJoin plan settings, per-query admission budgets, and the
+/// caller's cancel token, tenant and counters.
 struct QueryOptions {
   /// Which engine evaluates the query. The budgets below apply to both;
   /// the XJoin engine enforces them mid-flight (it aborts expansion the
   /// moment a ceiling is crossed), the baseline engine post-hoc (each
   /// per-model stage completes, then the combined result is checked).
   Engine engine = Engine::kXJoin;
-  /// XJoin execution knobs (order, sharding, batching, providers...).
-  /// Ignored by the baseline engine. xjoin.metrics / xjoin.budget are
-  /// overridden by the fields below when those are set.
+  /// XJoin plan settings: attribute_order, order_heuristic,
+  /// materialize_paths, structural_pruning, num_threads, num_shards and
+  /// batch_size (the plan-cache fingerprint). Ignored by the baseline
+  /// engine. The per-call service fields (metrics, cancel, budget,
+  /// executor, trie_provider, path_trie_provider) are the database's:
+  /// whatever a caller puts there is ignored and replaced by the fields
+  /// below, the database caches and the shared executor.
   XJoinOptions xjoin;
   /// Admission budgets; 0 = unlimited. max_rows / max_bytes meter rows
   /// materialized at ANY stage — XJoin's expansion output counts even
@@ -139,18 +144,18 @@ struct QueryOptions {
   /// rejects it with a typed kResourceExhausted carrying queue-depth /
   /// retry context. Never part of the plan-cache fingerprint.
   std::string tenant;
-  /// Nullable counters (same counter names as before: "gj.*",
-  /// "xjoin.*", "db.*"). Wired into xjoin.metrics when that is null.
+  /// Nullable counters: the engine's "gj.*", "xjoin.*", "validate.*"
+  /// and "plan.*" plus the database's "db.*". The only counters a query
+  /// records into.
   Metrics* metrics = nullptr;
 };
 
 /// A prepared statement: a pinned, immutable execution plan plus the
-/// parsed query embedded in it. Obtained from Session::Prepare (or the
-/// deprecated MultiModelDatabase::Prepare) and replayed with
-/// Session::Execute. The plan pins its snapshot storage and tries via
-/// shared_ptr, so it stays executable — against the data it was
-/// prepared on — even after updates replace the registry entries or the
-/// caches evict.
+/// parsed query embedded in it. Obtained from Session::Prepare and
+/// replayed with Session::Execute. The plan pins its snapshot storage
+/// and tries via shared_ptr, so it stays executable — against the data
+/// it was prepared on — even after updates replace the registry entries
+/// or the caches evict.
 struct PreparedQuery {
   std::shared_ptr<const XJoinPlan> plan;
 
@@ -229,10 +234,10 @@ class Session {
   std::shared_ptr<CancellationToken> cancel_;
 };
 
-/// One atomically consistent reading of every cache counter — a single
-/// call where the nine legacy per-counter getters each took (and
-/// released) a lock, so two counters could straddle an intervening
-/// query. Trie and plan sections are each internally consistent.
+/// One atomically consistent reading of every cache counter, taken
+/// under the cache locks in one call, so two counters never straddle
+/// an intervening query. Trie and plan sections are each internally
+/// consistent.
 struct CacheStats {
   // Trie cache (relation + materialized path tries, shared LRU).
   size_t trie_entries = 0;
@@ -277,9 +282,8 @@ struct RelationDelta {
 };
 
 /// The serving core. Registration/update calls are serialized against
-/// each other by an internal writer lock; queries (through sessions or
-/// the deprecated direct entry points) run concurrently with each other
-/// and with writers.
+/// each other by an internal writer lock; queries run through sessions
+/// (OpenSession), concurrently with each other and with writers.
 class MultiModelDatabase {
  public:
   MultiModelDatabase() = default;
@@ -376,37 +380,6 @@ class MultiModelDatabase {
   /// Registered pool names, sorted.
   std::vector<std::string> TenantPoolNames() const;
 
-  /// Unified one-shot entry point: OpenSession() + Session::Query.
-  /// (No-options calls resolve to the deprecated overload below.)
-  Result<Relation> Query(const std::string& text,
-                         const QueryOptions& options) const;
-
-  // --- deprecated one-shot API (thin wrappers over a throwaway
-  //     session; see the README migration table). Kept so existing
-  //     callers compile; new code should use OpenSession(). ---
-
-  /// Deprecated: use Query(text, QueryOptions) or Session::Query.
-  Result<Relation> Query(const std::string& text,
-                         Engine engine = Engine::kXJoin,
-                         Metrics* metrics = nullptr) const;
-
-  /// Deprecated: use Query(text, QueryOptions) with options.xjoin.
-  Result<Relation> QueryXJoin(const std::string& text,
-                              XJoinOptions options) const;
-
-  /// Deprecated: use Session::Prepare (the returned PreparedQuery is
-  /// the same pinned-plan type).
-  Result<PreparedQuery> Prepare(const std::string& text) const;
-
-  /// Deprecated: use Session::Prepare and PreparedQuery::plan.
-  Result<std::shared_ptr<const XJoinPlan>> PreparePlan(
-      const std::string& text, const XJoinOptions& options = {}) const;
-
-  /// Deprecated: use Session::Explain.
-  Result<std::string> ExplainXJoin(const std::string& text,
-                                   const XJoinOptions& options = {}) const;
-  Result<std::string> Explain(const std::string& text) const;
-
   /// Explicit trie-cache invalidation hook: drops cached relation tries
   /// for relation `name` (every attribute order) or cached path tries
   /// for document `name`. UpdateRelation / UpdateDocument call this
@@ -424,7 +397,6 @@ class MultiModelDatabase {
   /// budget is served uncached. Default 256 MiB. Setting a smaller
   /// budget evicts immediately.
   void SetTrieCacheBudget(size_t bytes);
-  size_t trie_cache_budget() const;
 
   /// Caps the number of cached plans, LRU-evicted on insert (default
   /// 256). This bounds total pinned-trie memory too: every cached plan
@@ -433,34 +405,12 @@ class MultiModelDatabase {
   /// *pins*. Setting a smaller capacity evicts immediately; 0 disables
   /// plan caching.
   void SetPlanCacheCapacity(size_t max_plans);
-  size_t plan_cache_capacity() const;
 
   /// Plan-cache maintenance.
   void ClearPlanCache();
 
   /// One atomically consistent snapshot of every cache counter.
   CacheStats cache_stats() const;
-
-  // --- deprecated per-counter getters: thin wrappers over
-  //     cache_stats(), one lock round-trip each. Kept so existing
-  //     callers compile; new code should take one cache_stats() and
-  //     read fields off it. ---
-  size_t TrieCacheSize() const { return cache_stats().trie_entries; }
-  size_t trie_cache_bytes() const { return cache_stats().trie_bytes; }
-  int64_t trie_cache_hits() const { return cache_stats().trie_hits; }
-  int64_t trie_cache_misses() const { return cache_stats().trie_misses; }
-  int64_t trie_cache_evictions() const {
-    return cache_stats().trie_evictions;
-  }
-  size_t PlanCacheSize() const { return cache_stats().plan_entries; }
-  int64_t plan_cache_hits() const { return cache_stats().plan_hits; }
-  int64_t plan_cache_misses() const { return cache_stats().plan_misses; }
-  int64_t plan_cache_invalidations() const {
-    return cache_stats().plan_invalidations;
-  }
-  int64_t plan_cache_evictions() const {
-    return cache_stats().plan_evictions;
-  }
 
   /// Monotonic per-relation / per-document versions, bumped by
   /// UpdateRelation / UpdateDocument; part of the trie- and plan-cache
@@ -502,14 +452,26 @@ class MultiModelDatabase {
   Result<MultiModelQuery> ParseQuery(
       const std::string& text, const internal::DatabaseSnapshot& snap) const;
 
+  /// The engine's XJoinOptions for one call: the plan settings of
+  /// options.xjoin, and the per-call services owned here — counters
+  /// from options.metrics, the given cancel token and budget (both
+  /// nullable), the shared executor, and, when `snap` is set, the
+  /// trie-cache providers over that snapshot.
+  XJoinOptions EngineOptions(
+      const QueryOptions& options, const CancellationToken* cancel,
+      BudgetTracker* budget,
+      const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const;
+
   /// The snapshot-aware planning path behind every entry point: plan
   /// cache lookup validated against the snapshot's versions, private
   /// prepare on miss, insert only when the snapshot is still current
   /// (an old session builds privately rather than poisoning the cache
   /// for new sessions, and never drops an entry that is valid for the
-  /// current registry).
+  /// current registry). `cancel` (nullable) aborts before a cold trie
+  /// build.
   Result<std::shared_ptr<const XJoinPlan>> PreparePlanSnapshot(
-      const std::string& text, const XJoinOptions& options,
+      const std::string& text, const QueryOptions& options,
+      const CancellationToken* cancel,
       const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const;
 
   /// The unified execution path behind Session::Query / Execute:
@@ -551,6 +513,15 @@ class MultiModelDatabase {
       const std::string& key) const;
   void TrieCacheInsertLocked(std::string key, std::string owner,
                              std::shared_ptr<const RelationTrie> trie) const;
+
+  /// Publishes `plan` under `key` (replacing any entry there) as the
+  /// most recently used plan, then evicts from the LRU tail down to
+  /// plan_cache_capacity_. Callers hold plan_cache_mu_.
+  void PlanCachePublishLocked(std::string key,
+                              std::shared_ptr<const XJoinPlan> plan) const;
+  /// Evicts least-recently-used plans down to plan_cache_capacity_.
+  /// Callers hold plan_cache_mu_.
+  void PlanCacheTrimLocked() const;
 
   /// Drops cached plans whose sources include `name`.
   void InvalidatePlans(const std::string& name);

@@ -46,7 +46,7 @@ TEST_F(DatabaseTest, DuplicateNamesRejected) {
 }
 
 TEST_F(DatabaseTest, Figure1QueryThroughTextInterface) {
-  auto result = db_.Query(
+  auto result = db_.OpenSession().Query(
       "Q(userID, ISBN, price) := R, "
       "invoices : invoice[orderID]/orderLine[ISBN]/price");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -59,8 +59,10 @@ TEST_F(DatabaseTest, Figure1QueryThroughTextInterface) {
 TEST_F(DatabaseTest, EnginesAgree) {
   const char* q =
       "Q(userID, ISBN) := R, invoices:invoice[orderID]/orderLine/ISBN";
-  auto a = db_.Query(q, Engine::kXJoin);
-  auto b = db_.Query(q, Engine::kBaseline);
+  QueryOptions baseline;
+  baseline.engine = Engine::kBaseline;
+  auto a = db_.OpenSession().Query(q);
+  auto b = db_.OpenSession().Query(q, baseline);
   ASSERT_TRUE(a.ok() && b.ok());
   auto bp = Project(*b, a->schema().attributes());
   ASSERT_TRUE(bp.ok());
@@ -68,41 +70,44 @@ TEST_F(DatabaseTest, EnginesAgree) {
 }
 
 TEST_F(DatabaseTest, StarHeadAndHeadlessQueries) {
-  auto star = db_.Query("Q(*) := R");
+  auto star = db_.OpenSession().Query("Q(*) := R");
   ASSERT_TRUE(star.ok()) << star.status().ToString();
   EXPECT_EQ(star->schema().size(), 2u);
-  auto headless = db_.Query("R");
+  auto headless = db_.OpenSession().Query("R");
   ASSERT_TRUE(headless.ok());
   EXPECT_EQ(headless->num_rows(), 3u);
 }
 
 TEST_F(DatabaseTest, TwigBranchCommasDoNotSplitInputs) {
-  auto result = db_.Query(
+  auto result = db_.OpenSession().Query(
       "Q(ISBN, price) := invoices:invoice/orderLine[ISBN,price]");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->num_rows(), 2u);
 }
 
 TEST_F(DatabaseTest, ParseErrors) {
-  EXPECT_FALSE(db_.Query("Q(userID := R").ok());          // bad head
-  EXPECT_FALSE(db_.Query("Q(a) := ").ok());               // no inputs
-  EXPECT_FALSE(db_.Query("missing").ok());                // unknown relation
-  EXPECT_FALSE(db_.Query("nope:a/b").ok());               // unknown document
-  EXPECT_FALSE(db_.Query("invoices:a[").ok());            // bad twig
-  EXPECT_FALSE(db_.Query("Q(zzz) := R").ok());            // unknown output attr
-  EXPECT_FALSE(db_.Query("R,,R").ok());                   // empty input
+  Session session = db_.OpenSession();
+  EXPECT_FALSE(session.Query("Q(userID := R").ok());  // bad head
+  EXPECT_FALSE(session.Query("Q(a) := ").ok());       // no inputs
+  EXPECT_FALSE(session.Query("missing").ok());        // unknown relation
+  EXPECT_FALSE(session.Query("nope:a/b").ok());       // unknown document
+  EXPECT_FALSE(session.Query("invoices:a[").ok());    // bad twig
+  EXPECT_FALSE(session.Query("Q(zzz) := R").ok());    // unknown output attr
+  EXPECT_FALSE(session.Query("R,,R").ok());           // empty input
 }
 
 TEST_F(DatabaseTest, MetricsPlumbing) {
   Metrics m;
-  auto result = db_.Query("Q(userID) := R, invoices:invoice/orderID",
-                          Engine::kXJoin, &m);
+  QueryOptions options;
+  options.metrics = &m;
+  auto result = db_.OpenSession().Query(
+      "Q(userID) := R, invoices:invoice/orderID", options);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(m.Get("gj.total_intermediate"), 0);
 }
 
 TEST_F(DatabaseTest, ExplainShowsPlan) {
-  auto plan = db_.Explain(
+  auto plan = db_.OpenSession().Explain(
       "Q(userID, ISBN, price) := R, "
       "invoices:invoice[orderID]/orderLine[ISBN]/price");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -121,7 +126,7 @@ TEST_F(DatabaseTest, TwoDocumentsJoinThroughRelation) {
                   .ok());
   // Two twigs over two documents; ISBN joins them (aliased on the books
   // side so attribute names collide correctly).
-  auto result = db_.Query(
+  auto result = db_.OpenSession().Query(
       "Q(userID, genre) := R, "
       "invoices:invoice[orderID]/orderLine/ISBN, "
       "books:book[isbn=ISBN]/genre");
@@ -138,7 +143,7 @@ TEST_F(DatabaseTest, NodeIdAlwaysPolicy) {
   ASSERT_TRUE(db_.RegisterDocumentXml("structural", "<a><b>x</b><b>x</b></a>",
                                       ValuePolicy::kNodeIdAlways)
                   .ok());
-  auto result = db_.Query("structural:a/b");
+  auto result = db_.OpenSession().Query("structural:a/b");
   ASSERT_TRUE(result.ok());
   // Two b's with identical text still yield two rows (node identity).
   EXPECT_EQ(result->num_rows(), 2u);

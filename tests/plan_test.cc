@@ -55,20 +55,20 @@ TEST(CanonicalizeQueryTextTest, NormalizesSpellingSafely) {
 
 TEST_F(PlanTest, CachedPlanReuseIsByteIdenticalToColdExecution) {
   Metrics cold_metrics;
-  XJoinOptions cold;
+  QueryOptions cold;
   cold.metrics = &cold_metrics;
-  auto first = db_.QueryXJoin(q_, cold);
+  auto first = db_.OpenSession().Query(q_, cold);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(cold_metrics.Get("db.plan_cache.misses"), 1);
   EXPECT_EQ(cold_metrics.Get("plan.prepared"), 1);
 
-  auto second = db_.QueryXJoin(q_, XJoinOptions{});
+  auto second = db_.OpenSession().Query(q_);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->ToTuples(), second->ToTuples());
 
   // A plan-free execution over the same parsed query agrees byte for
   // byte (no database caches involved at all).
-  auto prepared = db_.Prepare(q_);
+  auto prepared = db_.OpenSession().Prepare(q_);
   ASSERT_TRUE(prepared.ok());
   auto bare = ExecuteXJoin(prepared->query(), XJoinOptions{});
   ASSERT_TRUE(bare.ok());
@@ -76,13 +76,13 @@ TEST_F(PlanTest, CachedPlanReuseIsByteIdenticalToColdExecution) {
 }
 
 TEST_F(PlanTest, PlanCacheHitSkipsPlanningAndTrieWork) {
-  ASSERT_TRUE(db_.QueryXJoin(q_, XJoinOptions{}).ok());
-  ASSERT_EQ(db_.PlanCacheSize(), 1u);
+  ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
+  ASSERT_EQ(db_.cache_stats().plan_entries, 1u);
 
   Metrics warm;
-  XJoinOptions options;
+  QueryOptions options;
   options.metrics = &warm;
-  ASSERT_TRUE(db_.QueryXJoin(q_, options).ok());
+  ASSERT_TRUE(db_.OpenSession().Query(q_, options).ok());
   // The hit skips order selection + shard planning (no prepare ran),
   // every trie build, and does not even consult the trie cache — the
   // plan replays its pinned handles.
@@ -97,41 +97,44 @@ TEST_F(PlanTest, PlanCacheHitSkipsPlanningAndTrieWork) {
 }
 
 TEST_F(PlanTest, SpellingVariantsShareOnePlan) {
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", XJoinOptions{}).ok());
-  ASSERT_TRUE(db_.QueryXJoin("Q(*):=R,  S", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.PlanCacheSize(), 1u);
-  EXPECT_EQ(db_.plan_cache_hits(), 1);
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S").ok());
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*):=R,  S").ok());
+  CacheStats stats = db_.cache_stats();
+  EXPECT_EQ(stats.plan_entries, 1u);
+  EXPECT_EQ(stats.plan_hits, 1);
 }
 
 TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
-  XJoinOptions serial;
-  ASSERT_TRUE(db_.QueryXJoin(q_, serial).ok());
-  XJoinOptions threaded;
-  threaded.num_threads = 2;
-  ASSERT_TRUE(db_.QueryXJoin(q_, threaded).ok());
-  XJoinOptions pruning;
-  pruning.structural_pruning = true;
-  ASSERT_TRUE(db_.QueryXJoin(q_, pruning).ok());
+  QueryOptions serial;
+  ASSERT_TRUE(db_.OpenSession().Query(q_, serial).ok());
+  QueryOptions threaded;
+  threaded.xjoin.num_threads = 2;
+  ASSERT_TRUE(db_.OpenSession().Query(q_, threaded).ok());
+  QueryOptions pruning;
+  pruning.xjoin.structural_pruning = true;
+  ASSERT_TRUE(db_.OpenSession().Query(q_, pruning).ok());
   // A non-default batch size is a variant that must fingerprint
   // separately.
-  XJoinOptions small_batch;
-  small_batch.batch_size = 7;
-  ASSERT_TRUE(db_.QueryXJoin(q_, small_batch).ok());
-  EXPECT_EQ(db_.PlanCacheSize(), 4u);
-  EXPECT_EQ(db_.plan_cache_hits(), 0);
-  EXPECT_EQ(db_.plan_cache_misses(), 4);
+  QueryOptions small_batch;
+  small_batch.xjoin.batch_size = 7;
+  ASSERT_TRUE(db_.OpenSession().Query(q_, small_batch).ok());
+  CacheStats stats = db_.cache_stats();
+  EXPECT_EQ(stats.plan_entries, 4u);
+  EXPECT_EQ(stats.plan_hits, 0);
+  EXPECT_EQ(stats.plan_misses, 4);
   // Re-running each variant hits its own entry.
-  ASSERT_TRUE(db_.QueryXJoin(q_, threaded).ok());
-  ASSERT_TRUE(db_.QueryXJoin(q_, small_batch).ok());
-  EXPECT_EQ(db_.plan_cache_hits(), 2);
-  EXPECT_EQ(db_.PlanCacheSize(), 4u);
+  ASSERT_TRUE(db_.OpenSession().Query(q_, threaded).ok());
+  ASSERT_TRUE(db_.OpenSession().Query(q_, small_batch).ok());
+  stats = db_.cache_stats();
+  EXPECT_EQ(stats.plan_hits, 2);
+  EXPECT_EQ(stats.plan_entries, 4u);
 }
 
 TEST_F(PlanTest, ExplainShowsExecutionMode) {
   // Execution renders its block size (kDefaultResultBatchCapacity by
   // default), the live SIMD dispatch level and a per-level kernel; a
   // batch below one row is rejected.
-  auto default_text = db_.ExplainXJoin(q_);
+  auto default_text = db_.OpenSession().Explain(q_);
   ASSERT_TRUE(default_text.ok());
   EXPECT_NE(default_text->find(
                 "execution: batched (columnar, block=" +
@@ -139,29 +142,29 @@ TEST_F(PlanTest, ExplainShowsExecutionMode) {
             std::string::npos);
   EXPECT_NE(default_text->find("simd dispatch: "), std::string::npos);
   EXPECT_NE(default_text->find("kernel "), std::string::npos);
-  XJoinOptions unbatched;
-  unbatched.batch_size = 0;
-  auto unbatched_text = db_.ExplainXJoin(q_, unbatched);
+  QueryOptions unbatched;
+  unbatched.xjoin.batch_size = 0;
+  auto unbatched_text = db_.OpenSession().Explain(q_, unbatched);
   ASSERT_FALSE(unbatched_text.ok());
   EXPECT_EQ(unbatched_text.status().code(), StatusCode::kInvalidArgument);
   // A cached plan for one-row blocks must not serve the rejected size.
-  XJoinOptions one_row;
-  one_row.batch_size = 1;
-  ASSERT_TRUE(db_.QueryXJoin(q_, one_row).ok());
-  EXPECT_EQ(db_.QueryXJoin(q_, unbatched).status().code(),
+  QueryOptions one_row;
+  one_row.xjoin.batch_size = 1;
+  ASSERT_TRUE(db_.OpenSession().Query(q_, one_row).ok());
+  EXPECT_EQ(db_.OpenSession().Query(q_, unbatched).status().code(),
             StatusCode::kInvalidArgument);
-  XJoinOptions batched;
-  batched.batch_size = 512;
-  auto batched_text = db_.ExplainXJoin(q_, batched);
+  QueryOptions batched;
+  batched.xjoin.batch_size = 512;
+  auto batched_text = db_.OpenSession().Explain(q_, batched);
   ASSERT_TRUE(batched_text.ok());
   EXPECT_NE(batched_text->find("execution: batched (columnar, block=512"),
             std::string::npos);
 }
 
 TEST_F(PlanTest, UpdateRelationInvalidatesDependentPlans) {
-  ASSERT_TRUE(db_.QueryXJoin(q_, XJoinOptions{}).ok());
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := S", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.PlanCacheSize(), 2u);
+  ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := S").ok());
+  EXPECT_EQ(db_.cache_stats().plan_entries, 2u);
   EXPECT_EQ(*db_.relation_version("R"), 0u);
 
   Relation replacement = **db_.relation("R");
@@ -172,11 +175,12 @@ TEST_F(PlanTest, UpdateRelationInvalidatesDependentPlans) {
 
   // Version bump observed; only the plan reading R was dropped.
   EXPECT_EQ(*db_.relation_version("R"), 1u);
-  EXPECT_EQ(db_.PlanCacheSize(), 1u);
-  EXPECT_EQ(db_.plan_cache_invalidations(), 1);
+  CacheStats stats = db_.cache_stats();
+  EXPECT_EQ(stats.plan_entries, 1u);
+  EXPECT_EQ(stats.plan_invalidations, 1);
 
   // The re-prepared plan sees the new contents.
-  auto result = db_.QueryXJoin("Q(A, B, C) := R, S", XJoinOptions{});
+  auto result = db_.OpenSession().Query("Q(A, B, C) := R, S");
   ASSERT_TRUE(result.ok());
   const Dictionary& dict = db_.dictionary();
   EXPECT_TRUE(result->ContainsRow(
@@ -184,13 +188,13 @@ TEST_F(PlanTest, UpdateRelationInvalidatesDependentPlans) {
 }
 
 TEST_F(PlanTest, DocumentMutationInvalidatesPlansAndPathTries) {
-  XJoinOptions mat;
-  mat.materialize_paths = true;
-  ASSERT_TRUE(db_.QueryXJoin(q_, mat).ok());
+  QueryOptions mat;
+  mat.xjoin.materialize_paths = true;
+  ASSERT_TRUE(db_.OpenSession().Query(q_, mat).ok());
   // 2 relation tries + 2 materialized path tries (item/B, item/D).
-  EXPECT_EQ(db_.TrieCacheSize(), 4u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 4u);
   EXPECT_EQ(*db_.document_version("doc"), 0u);
-  EXPECT_EQ(db_.PlanCacheSize(), 1u);
+  EXPECT_EQ(db_.cache_stats().plan_entries, 1u);
 
   ASSERT_TRUE(db_.UpdateDocumentXml("doc", R"(
       <items><item><B>x</B><D>5</D></item>
@@ -200,81 +204,86 @@ TEST_F(PlanTest, DocumentMutationInvalidatesPlansAndPathTries) {
   // Version bump observed; the document's path tries and the dependent
   // plan are gone, the relation tries stay.
   EXPECT_EQ(*db_.document_version("doc"), 1u);
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
-  EXPECT_EQ(db_.PlanCacheSize(), 0u);
-  EXPECT_GE(db_.plan_cache_invalidations(), 1);
+  CacheStats stats = db_.cache_stats();
+  EXPECT_EQ(stats.trie_entries, 2u);
+  EXPECT_EQ(stats.plan_entries, 0u);
+  EXPECT_GE(stats.plan_invalidations, 1);
 
-  auto result = db_.QueryXJoin("Q(D) := R, S, doc : item[B]/D", mat);
+  auto result = db_.OpenSession().Query("Q(D) := R, S, doc : item[B]/D", mat);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->ContainsRow({db_.dictionary().Lookup("7")}));
   // The new document's path tries were cached under the new version.
-  EXPECT_EQ(db_.TrieCacheSize(), 4u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 4u);
 
   // Updating an unregistered document fails.
   EXPECT_FALSE(db_.UpdateDocumentXml("nope", "<a/>").ok());
 }
 
 TEST_F(PlanTest, RepeatedMaterializedPathQueriesHitThePathTrieCache) {
-  XJoinOptions mat;
-  mat.materialize_paths = true;
-  ASSERT_TRUE(db_.QueryXJoin(q_, mat).ok());
-  int64_t misses = db_.trie_cache_misses();
+  QueryOptions mat;
+  mat.xjoin.materialize_paths = true;
+  ASSERT_TRUE(db_.OpenSession().Query(q_, mat).ok());
+  int64_t misses = db_.cache_stats().trie_misses;
   EXPECT_EQ(misses, 4);  // 2 relations + 2 paths
 
   // Re-planning the same text pins all four tries from the cache.
   db_.ClearPlanCache();
   Metrics metrics;
   mat.metrics = &metrics;
-  ASSERT_TRUE(db_.QueryXJoin(q_, mat).ok());
-  EXPECT_EQ(db_.trie_cache_misses(), misses);
+  ASSERT_TRUE(db_.OpenSession().Query(q_, mat).ok());
+  EXPECT_EQ(db_.cache_stats().trie_misses, misses);
   EXPECT_EQ(metrics.Get("db.trie_cache.hits"), 4);
 }
 
 TEST_F(PlanTest, ByteBudgetLruEvictsLeastRecentlyUsed) {
-  EXPECT_EQ(db_.trie_cache_budget(), size_t{256} << 20);  // default 256 MiB
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
-  EXPECT_GT(db_.trie_cache_bytes(), 0u);
+  // Default budget 256 MiB.
+  EXPECT_EQ(db_.cache_stats().trie_budget, size_t{256} << 20);
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S").ok());
+  CacheStats stats = db_.cache_stats();
+  EXPECT_EQ(stats.trie_entries, 2u);
+  EXPECT_GT(stats.trie_bytes, 0u);
 
   // Shrinking the budget below the current footprint evicts from the
   // LRU tail immediately.
   db_.SetTrieCacheBudget(1);
-  EXPECT_EQ(db_.TrieCacheSize(), 0u);
-  EXPECT_EQ(db_.trie_cache_bytes(), 0u);
-  EXPECT_EQ(db_.trie_cache_evictions(), 2);
+  stats = db_.cache_stats();
+  EXPECT_EQ(stats.trie_entries, 0u);
+  EXPECT_EQ(stats.trie_bytes, 0u);
+  EXPECT_EQ(stats.trie_evictions, 2);
 
   // Oversize tries are served uncached; queries still work.
   db_.ClearPlanCache();
   Metrics metrics;
-  XJoinOptions options;
+  QueryOptions options;
   options.metrics = &metrics;
-  auto result = db_.QueryXJoin("Q(*) := R, S", options);
+  auto result = db_.OpenSession().Query("Q(*) := R, S", options);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(db_.TrieCacheSize(), 0u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 0u);
   EXPECT_EQ(metrics.Get("db.trie_cache.misses"), 2);
 }
 
 TEST_F(PlanTest, PlanCacheCapacityBoundsThePins) {
   // Each cached plan pins its tries past trie-cache eviction, so the
   // plan cache itself is LRU-capped.
-  EXPECT_EQ(db_.plan_cache_capacity(), 256u);
+  EXPECT_EQ(db_.cache_stats().plan_capacity, 256u);
   db_.SetPlanCacheCapacity(1);
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", XJoinOptions{}).ok());
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.PlanCacheSize(), 1u);
-  EXPECT_EQ(db_.plan_cache_evictions(), 1);
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S").ok());
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R").ok());
+  CacheStats stats = db_.cache_stats();
+  EXPECT_EQ(stats.plan_entries, 1u);
+  EXPECT_EQ(stats.plan_evictions, 1);
 
   // The resident plan hits; the evicted text re-prepares.
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.plan_cache_hits(), 1);
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.plan_cache_misses(), 3);
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R").ok());
+  EXPECT_EQ(db_.cache_stats().plan_hits, 1);
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S").ok());
+  EXPECT_EQ(db_.cache_stats().plan_misses, 3);
 
   // Capacity 0 disables plan caching entirely.
   db_.SetPlanCacheCapacity(0);
-  EXPECT_EQ(db_.PlanCacheSize(), 0u);
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.PlanCacheSize(), 0u);
+  EXPECT_EQ(db_.cache_stats().plan_entries, 0u);
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R").ok());
+  EXPECT_EQ(db_.cache_stats().plan_entries, 0u);
 }
 
 TEST_F(PlanTest, ParallelValidationCountersAreExact) {
@@ -293,18 +302,18 @@ TEST_F(PlanTest, ParallelValidationCountersAreExact) {
   const std::string query = "Q(*) := T, wide : item[B]/D";
 
   Metrics serial;
-  XJoinOptions serial_options;
-  serial_options.structural_pruning = true;
+  QueryOptions serial_options;
+  serial_options.xjoin.structural_pruning = true;
   serial_options.metrics = &serial;
-  auto serial_result = db_.QueryXJoin(query, serial_options);
+  auto serial_result = db_.OpenSession().Query(query, serial_options);
   ASSERT_TRUE(serial_result.ok());
 
   Metrics parallel;
-  XJoinOptions parallel_options;
-  parallel_options.structural_pruning = true;
-  parallel_options.num_threads = 4;
+  QueryOptions parallel_options;
+  parallel_options.xjoin.structural_pruning = true;
+  parallel_options.xjoin.num_threads = 4;
   parallel_options.metrics = &parallel;
-  auto parallel_result = db_.QueryXJoin(query, parallel_options);
+  auto parallel_result = db_.OpenSession().Query(query, parallel_options);
   ASSERT_TRUE(parallel_result.ok());
 
   EXPECT_EQ(serial_result->ToTuples(), parallel_result->ToTuples());
@@ -323,24 +332,24 @@ TEST_F(PlanTest, AdaptiveShardPlanGoesCompositeOnSmallLevel0Domains) {
   // must shard on the composite prefix (depth 2), decided at prepare
   // time from the domain estimates.
   Metrics metrics;
-  XJoinOptions sharded;
-  sharded.num_shards = 4;
+  QueryOptions sharded;
+  sharded.xjoin.num_shards = 4;
   sharded.metrics = &metrics;
-  sharded.attribute_order = {"A", "B", "C"};
-  auto sharded_result = db_.QueryXJoin("Q(*) := R, S", sharded);
+  sharded.xjoin.attribute_order = {"A", "B", "C"};
+  auto sharded_result = db_.OpenSession().Query("Q(*) := R, S", sharded);
   ASSERT_TRUE(sharded_result.ok());
   EXPECT_EQ(metrics.Get("gj.shard_depth"), 2);
   EXPECT_GE(metrics.Get("gj.shards"), 2);
 
-  XJoinOptions serial;
-  serial.attribute_order = {"A", "B", "C"};
-  auto serial_result = db_.QueryXJoin("Q(*) := R, S", serial);
+  QueryOptions serial;
+  serial.xjoin.attribute_order = {"A", "B", "C"};
+  auto serial_result = db_.OpenSession().Query("Q(*) := R, S", serial);
   ASSERT_TRUE(serial_result.ok());
   EXPECT_EQ(serial_result->ToTuples(), sharded_result->ToTuples());
 }
 
-TEST_F(PlanTest, ExplainXJoinRendersThePlanAndCacheCounters) {
-  auto text = db_.ExplainXJoin(q_);
+TEST_F(PlanTest, ExplainRendersThePlanAndCacheCounters) {
+  auto text = db_.OpenSession().Explain(q_);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_NE(text->find("query:"), std::string::npos);
   EXPECT_NE(text->find("relation R(A, B)"), std::string::npos);

@@ -59,8 +59,7 @@ TEST_F(ServingTest, SessionSeesRepeatableSnapshot) {
   ASSERT_TRUE(before.ok()) << before.status().ToString();
 
   // Writer lands after the session opened: the session keeps reading
-  // the old contents, a fresh session (and the one-shot API) sees the
-  // new ones.
+  // the old contents, a fresh session sees the new ones.
   Relation replacement = **db_.relation("S");
   Relation bigger(replacement.schema());
   for (const auto& row : replacement.ToTuples()) bigger.AppendRow(row);
@@ -104,13 +103,13 @@ TEST_F(ServingTest, ConcurrentReadersSeeConsistentSnapshots) {
   // maintain. expected[R parity][S parity] is the byte-exact answer.
   const std::string q = "Q(*) := R, S";
   std::vector<Tuple> expected[2][2];
-  expected[0][0] = db.Query(q)->ToTuples();
+  expected[0][0] = db.OpenSession().Query(q)->ToTuples();
   ASSERT_TRUE(db.UpdateRelation("S", Relation(s1)).ok());  // S v1
-  expected[0][1] = db.Query(q)->ToTuples();
+  expected[0][1] = db.OpenSession().Query(q)->ToTuples();
   ASSERT_TRUE(db.UpdateRelation("R", Relation(r1)).ok());  // R v1
-  expected[1][1] = db.Query(q)->ToTuples();
+  expected[1][1] = db.OpenSession().Query(q)->ToTuples();
   ASSERT_TRUE(db.UpdateRelation("S", Relation(s0)).ok());  // S v2
-  expected[1][0] = db.Query(q)->ToTuples();
+  expected[1][0] = db.OpenSession().Query(q)->ToTuples();
   ASSERT_TRUE(db.UpdateRelation("R", Relation(r0)).ok());  // R v2
   ASSERT_NE(expected[0][0], expected[1][1]);
 
@@ -179,13 +178,15 @@ RelationDelta DiffDelta(const Relation& from, const Relation& to) {
   return delta;
 }
 
-TEST_F(ServingTest, ConcurrentDeltaWritersSeeConsistentSnapshots) {
-  // The delta-path twin of ConcurrentReadersSeeConsistentSnapshots:
-  // writers morph R and S between two contents via ApplyRelationDelta
-  // (patching cached tries in place, compacting when the side-file
-  // crosses the threshold) while readers demand results byte-identical
-  // to some consistent snapshot. Exercised under TSan in CI.
+// The delta-path twin of ConcurrentReadersSeeConsistentSnapshots:
+// writers morph R and S between two contents via ApplyRelationDelta
+// (patching cached tries in place, compacting when the side-file
+// crosses the threshold) while readers demand results byte-identical
+// to some consistent snapshot, on a database caching at most
+// `plan_capacity` plans.
+void CheckConcurrentDeltaWriters(size_t plan_capacity) {
   MultiModelDatabase db;
+  db.SetPlanCacheCapacity(plan_capacity);
   ASSERT_TRUE(db.RegisterRelationCsv("R", MakeCsv("A", "B", 40, 5, 0)).ok());
   ASSERT_TRUE(db.RegisterRelationCsv("S", MakeCsv("B", "C", 40, 5, 0)).ok());
   // Small thresholds so the stream keeps crossing the compaction
@@ -209,13 +210,13 @@ TEST_F(ServingTest, ConcurrentDeltaWritersSeeConsistentSnapshots) {
   QueryOptions pinned;
   pinned.xjoin.attribute_order = {"A", "B", "C"};
   std::vector<Tuple> expected[2][2];
-  expected[0][0] = db.Query(q, pinned)->ToTuples();
+  expected[0][0] = db.OpenSession().Query(q, pinned)->ToTuples();
   ASSERT_TRUE(db.ApplyRelationDelta("S", DiffDelta(s0, s1)).ok());  // S v1
-  expected[0][1] = db.Query(q, pinned)->ToTuples();
+  expected[0][1] = db.OpenSession().Query(q, pinned)->ToTuples();
   ASSERT_TRUE(db.ApplyRelationDelta("R", DiffDelta(r0, r1)).ok());  // R v1
-  expected[1][1] = db.Query(q, pinned)->ToTuples();
+  expected[1][1] = db.OpenSession().Query(q, pinned)->ToTuples();
   ASSERT_TRUE(db.ApplyRelationDelta("S", DiffDelta(s1, s0)).ok());  // S v2
-  expected[1][0] = db.Query(q, pinned)->ToTuples();
+  expected[1][0] = db.OpenSession().Query(q, pinned)->ToTuples();
   ASSERT_TRUE(db.ApplyRelationDelta("R", DiffDelta(r1, r0)).ok());  // R v2
   ASSERT_NE(expected[0][0], expected[1][1]);
 
@@ -265,7 +266,19 @@ TEST_F(ServingTest, ConcurrentDeltaWritersSeeConsistentSnapshots) {
   threads[0].join();
   threads[1].join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(db.cache_stats().trie_patches, 0);
+  CacheStats stats = db.cache_stats();
+  EXPECT_GT(stats.trie_patches, 0);
+  // Rebinds and misses racing on the readers' two fingerprints
+  // (num_threads 1 and 2) never grow the plan cache past capacity.
+  EXPECT_LE(stats.plan_entries, stats.plan_capacity);
+}
+
+TEST_F(ServingTest, ConcurrentDeltaWritersSeeConsistentSnapshots) {
+  // Exercised under TSan in CI.
+  for (size_t plan_capacity : {size_t{256}, size_t{1}}) {
+    SCOPED_TRACE("plan capacity " + std::to_string(plan_capacity));
+    CheckConcurrentDeltaWriters(plan_capacity);
+  }
 }
 
 TEST_F(ServingTest, SnapshotPinsSurviveCompactionUnderLivePin) {
@@ -314,18 +327,18 @@ TEST_F(ServingTest, PlanRebindKeepsPlansAcrossDeltaVersionBumps) {
   // Warm the plan cache, apply a delta, query again: the plan must be
   // re-pinned to the new trie versions (a rebind), not re-planned from
   // scratch, and the rebound entry must serve subsequent hits.
-  ASSERT_TRUE(db_.Query(q_).ok());
+  ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
   CacheStats warm = db_.cache_stats();
   RelationDelta delta;
   delta.inserts = {{db_.mutable_dictionary()->Intern("888"),
                     db_.mutable_dictionary()->Intern("888")}};
   ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
-  ASSERT_TRUE(db_.Query(q_).ok());
+  ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
   CacheStats after = db_.cache_stats();
   EXPECT_EQ(after.plan_rebinds, warm.plan_rebinds + 1);
   EXPECT_EQ(after.plan_misses, warm.plan_misses);  // no full re-plan
   EXPECT_EQ(after.plan_entries, warm.plan_entries);
-  ASSERT_TRUE(db_.Query(q_).ok());
+  ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
   EXPECT_EQ(db_.cache_stats().plan_hits, after.plan_hits + 1);
 }
 
@@ -353,15 +366,6 @@ TEST_F(ServingTest, BudgetDeadlineReturnsDeadlineExceeded) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
       << result.status().ToString();
-}
-
-TEST_F(ServingTest, UnlimitedBudgetMatchesLegacyApi) {
-  QueryOptions unlimited;  // all budgets 0
-  auto via_session = db_.OpenSession().Query(q_, unlimited);
-  auto via_legacy = db_.Query(q_);
-  ASSERT_TRUE(via_session.ok());
-  ASSERT_TRUE(via_legacy.ok());
-  EXPECT_EQ(via_session->ToTuples(), via_legacy->ToTuples());
 }
 
 TEST_F(ServingTest, BaselineEngineThroughUnifiedOptions) {
@@ -444,24 +448,6 @@ TEST_F(ServingTest, OldSessionPlansDoNotPoisonTheCacheForNewSessions) {
   EXPECT_EQ(final_stats.plan_entries, after_new.plan_entries);
 }
 
-TEST_F(ServingTest, CacheStatsMatchesLegacyGetters) {
-  ASSERT_TRUE(db_.Query(q_).ok());
-  ASSERT_TRUE(db_.Query(q_).ok());
-  CacheStats stats = db_.cache_stats();
-  EXPECT_EQ(stats.trie_entries, db_.TrieCacheSize());
-  EXPECT_EQ(stats.trie_bytes, db_.trie_cache_bytes());
-  EXPECT_EQ(stats.trie_hits, db_.trie_cache_hits());
-  EXPECT_EQ(stats.trie_misses, db_.trie_cache_misses());
-  EXPECT_EQ(stats.trie_evictions, db_.trie_cache_evictions());
-  EXPECT_EQ(stats.plan_entries, db_.PlanCacheSize());
-  EXPECT_EQ(stats.plan_hits, db_.plan_cache_hits());
-  EXPECT_EQ(stats.plan_misses, db_.plan_cache_misses());
-  EXPECT_EQ(stats.plan_invalidations, db_.plan_cache_invalidations());
-  EXPECT_EQ(stats.plan_evictions, db_.plan_cache_evictions());
-  EXPECT_GT(stats.plan_hits, 0);
-  EXPECT_GT(stats.trie_misses, 0);
-}
-
 // ---------------------------------------------------------------------------
 // Cooperative cancellation.
 
@@ -475,9 +461,8 @@ TEST_F(ServingTest, SessionCancelFailsItsQueriesOnly) {
   EXPECT_NE(result.status().ToString().find("tearing the session down"),
             std::string::npos)
       << result.status().ToString();
-  // Other sessions and the one-shot API are unaffected.
+  // Other sessions are unaffected.
   EXPECT_TRUE(db_.OpenSession().Query(q_).ok());
-  EXPECT_TRUE(db_.Query(q_).ok());
 }
 
 TEST_F(ServingTest, PreparedCancelIsStatementScoped) {
@@ -518,7 +503,7 @@ TEST_F(ServingTest, OptionsTokenCancelsMidQueryFromAnotherThread) {
 }
 
 TEST_F(ServingTest, CancelledQueriesDoNotPoisonCaches) {
-  const auto expected = db_.Query(q_)->ToTuples();
+  const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   CacheStats warm = db_.cache_stats();
   CancellationToken token;
   token.Cancel("cancelled before it started");
@@ -544,7 +529,7 @@ TEST_F(ServingTest, CancellationTortureNeverYieldsPartialResults) {
   // Racing cancellers against live queries (the TSan CI target): every
   // outcome must be either the complete, correct result or a clean
   // typed kCancelled — never a partial OK and never a data race.
-  const auto expected = db_.Query(q_)->ToTuples();
+  const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   std::atomic<int> failures{0};
   std::vector<std::thread> workers;
   workers.reserve(4);
@@ -844,6 +829,19 @@ TEST_F(ServingTest, AdmissionCountersSurfaceEverywhere) {
   with_metrics.metrics = &metrics;
   ASSERT_TRUE(session.Query(q_, with_metrics).ok());
   EXPECT_EQ(metrics.Get("db.admission.admitted"), 1);
+
+  // The engine's counters are the database's to wire: a Metrics set on
+  // options.xjoin stays empty, and options.metrics gets every counter.
+  Metrics engine_metrics;
+  Metrics query_metrics;
+  QueryOptions both;
+  both.metrics = &query_metrics;
+  both.xjoin.metrics = &engine_metrics;
+  ASSERT_TRUE(session.Query(q_, both).ok());
+  EXPECT_TRUE(engine_metrics.counters().empty()) << engine_metrics.ToString();
+  EXPECT_EQ(query_metrics.Get("db.plan_cache.hits"), 1);
+  EXPECT_EQ(query_metrics.Get("db.admission.admitted"), 1);
+  EXPECT_GT(query_metrics.Get("gj.total_intermediate"), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -1047,7 +1045,7 @@ TEST_F(NetDrainTest, DisconnectTortureLeavesServerConsistent) {
   // server still serves a correct answer afterwards.
   EXPECT_TRUE(WaitFor([&] { return server_->stats().inflight == 0; },
                       30'000'000));
-  const auto expected = db_.Query(q_)->ToTuples();
+  const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   const int fd = SendRawQuery(*server_, q_);
   ASSERT_GE(fd, 0);
   auto reply = net::ReadFrame(fd, net::SteadyNowMicros() + 10'000'000);
@@ -1082,7 +1080,7 @@ TEST_F(ServingTest, FaultTrieBuildFailsQueryWithoutPoisoningCache) {
 
 TEST_F(ServingTest, FaultCompactionFailureLeavesOldVersionIntact) {
   ScopedFaultInjection scoped;
-  const auto before = db_.Query(q_)->ToTuples();
+  const auto before = db_.OpenSession().Query(q_)->ToTuples();
   const uint64_t version = *db_.relation_version("R");
   FaultInjector::Global().FailAt("trie.compact", 1);
   RelationDelta delta;
@@ -1094,7 +1092,7 @@ TEST_F(ServingTest, FaultCompactionFailureLeavesOldVersionIntact) {
   // The failed update never published: same version, same answers.
   FaultInjector::Global().Disarm();
   EXPECT_EQ(*db_.relation_version("R"), version);
-  EXPECT_EQ(db_.Query(q_)->ToTuples(), before);
+  EXPECT_EQ(db_.OpenSession().Query(q_)->ToTuples(), before);
   // And the stream recovers once the fault clears.
   ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
   EXPECT_EQ(*db_.relation_version("R"), version + 1);
@@ -1121,7 +1119,7 @@ TEST_F(ServingTest, FaultMorselHandoffFailsQueryWithTypedInternal) {
   // result: the barrier notices the missing shard and the whole query
   // fails kInternal.
   ScopedFaultInjection scoped;
-  const auto expected = db_.Query(q_)->ToTuples();
+  const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   QueryOptions options;
   options.xjoin.num_threads = 4;  // the site lives in the sharded driver
   FaultInjector::Global().FailAt("gj.morsel", 1);
@@ -1138,7 +1136,7 @@ TEST_F(ServingTest, FaultMorselHandoffFailsQueryWithTypedInternal) {
 
 TEST_F(ServingTest, FaultResultMergeFailureIsTypedAndRecoverable) {
   ScopedFaultInjection scoped;
-  const auto expected = db_.Query(q_)->ToTuples();
+  const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   QueryOptions options;
   options.xjoin.num_threads = 4;
   FaultInjector::Global().FailAt("gj.result_merge", 1);
@@ -1180,7 +1178,7 @@ TEST_F(ServingTest, FaultSeededChaosAlwaysReturnsTypedStatuses) {
   // correct result or a clean typed error — never a crash, a partial
   // result, or a poisoned cache.
   ScopedFaultInjection scoped;
-  const auto expected = db_.Query(q_)->ToTuples();
+  const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   // Hardened parse: a garbled XJOIN_FAULT_SEED warns and falls back
   // deterministically instead of silently wrapping.
   const uint64_t seed = EnvUint64OrDefault("XJOIN_FAULT_SEED", 42);

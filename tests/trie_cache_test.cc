@@ -1,7 +1,7 @@
 // Database-level trie cache: hits on re-planned queries, keying by
 // (relation, attribute order, relation version), invalidation on
-// UpdateRelation and via the explicit hook, and byte-identical results
-// with the cache on or off. A repeated *identical* query is served by
+// UpdateRelation and via the explicit hook, and identical results with
+// the caches on or off. A repeated *identical* query is served by
 // the plan cache without consulting the trie cache at all (its tries
 // are pinned in the plan — see plan_test.cc), so the tests below clear
 // the plan cache wherever they mean to exercise trie-cache hits.
@@ -16,43 +16,65 @@
 namespace xjoin {
 namespace {
 
+// Registers the fixture relations R(A, B) and S(B, C).
+void RegisterRelations(MultiModelDatabase* db) {
+  ASSERT_TRUE(db->RegisterRelationCsv("R",
+                                      "A,B\n"
+                                      "1,x\n"
+                                      "1,y\n"
+                                      "2,x\n")
+                  .ok());
+  ASSERT_TRUE(db->RegisterRelationCsv("S",
+                                      "B,C\n"
+                                      "x,7\n"
+                                      "y,8\n")
+                  .ok());
+}
+
+// The rows of `rel` with every code decoded through `db`'s dictionary,
+// so results from two databases compare by value.
+std::vector<std::vector<std::string>> Decoded(const MultiModelDatabase& db,
+                                              const Relation& rel) {
+  std::vector<std::vector<std::string>> rows;
+  for (const Tuple& tuple : rel.ToTuples()) {
+    std::vector<std::string> row;
+    for (int64_t code : tuple) row.push_back(db.dictionary().Decode(code));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
 class TrieCacheTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ASSERT_TRUE(db_.RegisterRelationCsv("R",
-                                        "A,B\n"
-                                        "1,x\n"
-                                        "1,y\n"
-                                        "2,x\n")
-                    .ok());
-    ASSERT_TRUE(db_.RegisterRelationCsv("S",
-                                        "B,C\n"
-                                        "x,7\n"
-                                        "y,8\n")
-                    .ok());
-  }
+  void SetUp() override { RegisterRelations(&db_); }
 
   MultiModelDatabase db_;
 };
 
 TEST_F(TrieCacheTest, RepeatedQueriesHitTheCache) {
   Metrics first_metrics;
-  auto first = db_.Query("Q(*) := R, S", Engine::kXJoin, &first_metrics);
+  QueryOptions first_options;
+  first_options.metrics = &first_metrics;
+  auto first = db_.OpenSession().Query("Q(*) := R, S", first_options);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(db_.trie_cache_misses(), 2);  // one trie per relation
-  EXPECT_EQ(db_.trie_cache_hits(), 0);
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
+  CacheStats stats = db_.cache_stats();
+  EXPECT_EQ(stats.trie_misses, 2);  // one trie per relation
+  EXPECT_EQ(stats.trie_hits, 0);
+  EXPECT_EQ(stats.trie_entries, 2u);
   EXPECT_EQ(first_metrics.Get("db.trie_cache.misses"), 2);
 
   // Re-plan the same text: the fresh plan pins its tries through the
   // cache and hits both entries.
   db_.ClearPlanCache();
   Metrics second_metrics;
-  auto second = db_.Query("Q(*) := R, S", Engine::kXJoin, &second_metrics);
+  QueryOptions second_options;
+  second_options.metrics = &second_metrics;
+  auto second = db_.OpenSession().Query("Q(*) := R, S", second_options);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(db_.trie_cache_misses(), 2);
-  EXPECT_EQ(db_.trie_cache_hits(), 2);
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
+  stats = db_.cache_stats();
+  EXPECT_EQ(stats.trie_misses, 2);
+  EXPECT_EQ(stats.trie_hits, 2);
+  EXPECT_EQ(stats.trie_entries, 2u);
   EXPECT_EQ(second_metrics.Get("db.trie_cache.hits"), 2);
   EXPECT_EQ(second_metrics.Get("db.trie_cache.misses"), 0);
 
@@ -61,25 +83,26 @@ TEST_F(TrieCacheTest, RepeatedQueriesHitTheCache) {
 }
 
 TEST_F(TrieCacheTest, DistinctAttributeOrdersGetDistinctEntries) {
-  XJoinOptions forward;
-  forward.attribute_order = {"A", "B", "C"};
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", forward).ok());
-  size_t after_first = db_.TrieCacheSize();
+  QueryOptions forward;
+  forward.xjoin.attribute_order = {"A", "B", "C"};
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S", forward).ok());
+  size_t after_first = db_.cache_stats().trie_entries;
   EXPECT_EQ(after_first, 2u);
 
   // A different global order induces a different trie order for R
   // ((B,A) instead of (A,B)) — a new cache entry, not a bogus hit — but
   // S's induced order (B,C) is unchanged and hits.
-  XJoinOptions reversed;
-  reversed.attribute_order = {"B", "A", "C"};
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", reversed).ok());
-  EXPECT_EQ(db_.TrieCacheSize(), 3u);
-  EXPECT_EQ(db_.trie_cache_hits(), 1);
+  QueryOptions reversed;
+  reversed.xjoin.attribute_order = {"B", "A", "C"};
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S", reversed).ok());
+  CacheStats stats = db_.cache_stats();
+  EXPECT_EQ(stats.trie_entries, 3u);
+  EXPECT_EQ(stats.trie_hits, 1);
 }
 
 TEST_F(TrieCacheTest, UpdateRelationInvalidatesAndRebuilds) {
-  ASSERT_TRUE(db_.Query("Q(*) := R, S").ok());
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S").ok());
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
   EXPECT_EQ(*db_.relation_version("R"), 0u);
 
   // Replace R: its cached trie must go; S's must stay.
@@ -89,15 +112,15 @@ TEST_F(TrieCacheTest, UpdateRelationInvalidatesAndRebuilds) {
   replacement.AppendRow(extra);
   ASSERT_TRUE(db_.UpdateRelation("R", std::move(replacement)).ok());
   EXPECT_EQ(*db_.relation_version("R"), 1u);
-  EXPECT_EQ(db_.TrieCacheSize(), 1u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 1u);
 
   // The next query sees the new contents (no stale trie).
-  auto result = db_.Query("Q(A, B, C) := R, S");
+  auto result = db_.OpenSession().Query("Q(A, B, C) := R, S");
   ASSERT_TRUE(result.ok());
   const Dictionary& dict = db_.dictionary();
   EXPECT_TRUE(result->ContainsRow(
       {dict.Lookup("2"), dict.Lookup("y"), dict.Lookup("8")}));
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
 
   // Updating a relation that does not exist fails.
   auto s = Schema::Make({"Z"});
@@ -105,9 +128,9 @@ TEST_F(TrieCacheTest, UpdateRelationInvalidatesAndRebuilds) {
 }
 
 TEST_F(TrieCacheTest, ApplyRelationDeltaPatchesInsteadOfInvalidating) {
-  ASSERT_TRUE(db_.Query("Q(*) := R, S").ok());
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
-  const int64_t misses_before = db_.trie_cache_misses();
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S").ok());
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
+  const int64_t misses_before = db_.cache_stats().trie_misses;
 
   // A delta to R re-keys its cached trie at the new version by
   // patching it in place — no entry is dropped, nothing is rebuilt.
@@ -116,87 +139,103 @@ TEST_F(TrieCacheTest, ApplyRelationDeltaPatchesInsteadOfInvalidating) {
                     db_.mutable_dictionary()->Intern("y")}};
   ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
   EXPECT_EQ(*db_.relation_version("R"), 1u);
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
   CacheStats stats = db_.cache_stats();
   EXPECT_EQ(stats.trie_patches, 1);
 
   // The next query is served by the patched trie: new contents, and no
   // trie-cache miss (i.e. no from-scratch build).
-  auto result = db_.Query("Q(A, B, C) := R, S");
+  auto result = db_.OpenSession().Query("Q(A, B, C) := R, S");
   ASSERT_TRUE(result.ok());
   const Dictionary& dict = db_.dictionary();
   EXPECT_TRUE(result->ContainsRow(
       {dict.Lookup("2"), dict.Lookup("y"), dict.Lookup("8")}));
-  EXPECT_EQ(db_.trie_cache_misses(), misses_before);
+  EXPECT_EQ(db_.cache_stats().trie_misses, misses_before);
 
   // Deleting the same row again via the delta path restores the
   // original contents (second patch on the already-patched trie).
   RelationDelta undo;
   undo.deletes = delta.inserts;
   ASSERT_TRUE(db_.ApplyRelationDelta("R", undo).ok());
-  auto restored = db_.Query("Q(A, B, C) := R, S");
+  auto restored = db_.OpenSession().Query("Q(A, B, C) := R, S");
   ASSERT_TRUE(restored.ok());
   EXPECT_FALSE(restored->ContainsRow(
       {dict.Lookup("2"), dict.Lookup("y"), dict.Lookup("8")}));
-  EXPECT_EQ(db_.cache_stats().trie_patches, 2);
-  EXPECT_EQ(db_.trie_cache_misses(), misses_before);
+  stats = db_.cache_stats();
+  EXPECT_EQ(stats.trie_patches, 2);
+  EXPECT_EQ(stats.trie_misses, misses_before);
 }
 
 TEST_F(TrieCacheTest, ExplicitInvalidationHooks) {
-  ASSERT_TRUE(db_.Query("Q(*) := R, S").ok());
-  ASSERT_EQ(db_.TrieCacheSize(), 2u);
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S").ok());
+  ASSERT_EQ(db_.cache_stats().trie_entries, 2u);
 
   db_.InvalidateTrieCache("R");
-  EXPECT_EQ(db_.TrieCacheSize(), 1u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 1u);
   db_.InvalidateTrieCache("R");  // idempotent
-  EXPECT_EQ(db_.TrieCacheSize(), 1u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 1u);
 
   db_.ClearTrieCache();
-  EXPECT_EQ(db_.TrieCacheSize(), 0u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 0u);
 
   // Re-planned queries after a flush rebuild and re-populate. (Without
   // the plan flush the cached plan would just replay its pinned tries.)
   db_.ClearPlanCache();
-  ASSERT_TRUE(db_.Query("Q(*) := R, S").ok());
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S").ok());
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
 }
 
 TEST_F(TrieCacheTest, CachedRunsMatchProviderFreeRuns) {
-  // Run once with the database cache (warm it), once explicitly
-  // provider-free; relations and twigs must agree byte for byte.
-  ASSERT_TRUE(db_.RegisterDocumentXml("doc", R"(
+  // Run twice with the database caches (cold, then a plan-cache hit),
+  // and twice on a second database that caches neither plans nor
+  // tries; relations and twigs must agree value for value.
+  const char* doc = R"(
       <items><item><B>x</B><D>5</D></item>
-             <item><B>y</B><D>6</D></item></items>)")
-                  .ok());
+             <item><B>y</B><D>6</D></item></items>)";
+  ASSERT_TRUE(db_.RegisterDocumentXml("doc", doc).ok());
   const std::string q = "Q(*) := R, S, doc : item[B]/D";
-  auto cached_cold = db_.Query(q);
+  auto cached_cold = db_.OpenSession().Query(q);
   ASSERT_TRUE(cached_cold.ok()) << cached_cold.status().ToString();
-  auto cached_warm = db_.Query(q);
+  auto cached_warm = db_.OpenSession().Query(q);
   ASSERT_TRUE(cached_warm.ok());
+  EXPECT_EQ(db_.cache_stats().plan_hits, 1);
 
-  XJoinOptions no_cache;
-  no_cache.trie_provider = [](const std::string&, const Relation&,
-                              const std::vector<std::string>&)
-      -> Result<std::shared_ptr<const RelationTrie>> {
-    return std::shared_ptr<const RelationTrie>();  // always build locally
-  };
-  auto uncached = db_.QueryXJoin(q, no_cache);
-  ASSERT_TRUE(uncached.ok());
+  // The same data on a database that caches nothing: every query plans
+  // and builds its tries from scratch.
+  MultiModelDatabase uncached_db;
+  RegisterRelations(&uncached_db);
+  ASSERT_TRUE(uncached_db.RegisterDocumentXml("doc", doc).ok());
+  uncached_db.SetPlanCacheCapacity(0);
+  uncached_db.SetTrieCacheBudget(0);
+  auto uncached_cold = uncached_db.OpenSession().Query(q);
+  ASSERT_TRUE(uncached_cold.ok()) << uncached_cold.status().ToString();
+  auto uncached_warm = uncached_db.OpenSession().Query(q);
+  ASSERT_TRUE(uncached_warm.ok());
+  CacheStats uncached_stats = uncached_db.cache_stats();
+  EXPECT_EQ(uncached_stats.plan_entries, 0u);
+  EXPECT_EQ(uncached_stats.trie_entries, 0u);
+  EXPECT_GT(uncached_stats.trie_misses, 0);
 
-  EXPECT_EQ(cached_cold->ToTuples(), cached_warm->ToTuples());
-  EXPECT_EQ(cached_cold->ToTuples(), uncached->ToTuples());
+  // Results compare as decoded strings: the two databases intern values
+  // into separate dictionaries.
+  const std::vector<std::vector<std::string>> expected =
+      Decoded(db_, *cached_cold);
+  EXPECT_EQ(expected, Decoded(db_, *cached_warm));
+  EXPECT_EQ(expected, Decoded(uncached_db, *uncached_cold));
+  EXPECT_EQ(expected, Decoded(uncached_db, *uncached_warm));
 }
 
 TEST_F(TrieCacheTest, ShardedQueriesShareTheCache) {
-  XJoinOptions sharded;
-  sharded.num_threads = 4;
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", sharded).ok());
-  int64_t misses = db_.trie_cache_misses();
+  QueryOptions sharded;
+  sharded.xjoin.num_threads = 4;
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S", sharded).ok());
+  int64_t misses = db_.cache_stats().trie_misses;
   EXPECT_EQ(misses, 2);
   db_.ClearPlanCache();
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", sharded).ok());
-  EXPECT_EQ(db_.trie_cache_misses(), misses);
-  EXPECT_GE(db_.trie_cache_hits(), 2);
+  ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S", sharded).ok());
+  CacheStats stats = db_.cache_stats();
+  EXPECT_EQ(stats.trie_misses, misses);
+  EXPECT_GE(stats.trie_hits, 2);
 }
 
 }  // namespace

@@ -261,8 +261,8 @@ class DbUpdateStreamTest : public ::testing::TestWithParam<DbStreamCase> {
     // the differential claim is about *maintenance*, not the order
     // heuristic's response to estimate drift.
     options.xjoin.attribute_order = {"A", "B", "C"};
-    auto a = delta_db_.Query(text, options);
-    auto b = rebuild_db_.Query(text, options);
+    auto a = delta_db_.OpenSession().Query(text, options);
+    auto b = rebuild_db_.OpenSession().Query(text, options);
     ASSERT_TRUE(a.ok()) << context << ": " << a.status().ToString();
     ASSERT_TRUE(b.ok()) << context << ": " << b.status().ToString();
     ASSERT_EQ(a->ToTuples(), b->ToTuples())
@@ -315,7 +315,7 @@ TEST_P(DbUpdateStreamTest, InterleavedStreamIsByteIdentical) {
   }
 
   // The twig join must have had rows to compare.
-  auto twig_rows = delta_db_.Query(joins[1], QueryOptions{});
+  auto twig_rows = delta_db_.OpenSession().Query(joins[1]);
   ASSERT_TRUE(twig_rows.ok()) << twig_rows.status().ToString();
   EXPECT_GT(twig_rows->num_rows(), 0u);
 
