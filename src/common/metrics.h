@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace xjoin {
 
@@ -50,9 +51,11 @@ class Metrics {
   std::map<std::string, int64_t> counters_;
 };
 
-/// Helper: bump a possibly-null Metrics.
-inline void MetricsAdd(Metrics* m, const std::string& name, int64_t delta) {
-  if (m != nullptr) m->Add(name, delta);
+/// Helper: bump a possibly-null Metrics. The counter name is only
+/// materialized as a std::string when there is a bag to record into, so
+/// a metrics-free hot loop pays nothing for long literal names.
+inline void MetricsAdd(Metrics* m, std::string_view name, int64_t delta) {
+  if (m != nullptr) m->Add(std::string(name), delta);
 }
 
 /// Wall-clock stopwatch with microsecond resolution.

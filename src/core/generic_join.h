@@ -139,6 +139,12 @@ struct GenericJoinOptions {
 /// produces a Relation byte-identical to the serial path: shards cover
 /// contiguous ascending ranges of the first attribute's matching keys
 /// and are concatenated in shard order.
+///
+/// Output contract: the rows are sorted lexicographically by
+/// attribute_order and contain no duplicates (every level enumerates
+/// the sorted distinct keys of its intersection), at any thread count,
+/// shard count, shard depth and batch size. XJoin's projection relies
+/// on it to skip its sort.
 Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
                              const GenericJoinOptions& options);
 

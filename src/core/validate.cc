@@ -17,16 +17,24 @@ TwigStructureValidator::TwigStructureValidator(const Twig* twig,
 }
 
 bool TwigStructureValidator::ExistsEmbedding(
-    const std::vector<std::optional<int64_t>>& values, Metrics* metrics) const {
+    const std::vector<std::optional<int64_t>>& values,
+    ValidationScratch* scratch, Metrics* metrics) const {
   XJ_DCHECK(values.size() == twig_->num_nodes());
+  XJ_DCHECK(scratch != nullptr);
+  using SkeletonEdge = ValidationScratch::SkeletonEdge;
   const size_t n = twig_->num_nodes();
   const XmlDocument& doc = index_->doc();
 
   // Contract the twig onto its bound nodes: for each bound node, find the
   // nearest bound proper ancestor and the properties of the contracted
   // edge (distance, all-P-C?, direct edge?).
-  std::vector<std::vector<SkeletonEdge>> children(n);
-  std::vector<TwigNodeId> bound_nodes;
+  std::vector<std::vector<SkeletonEdge>>& children = scratch->children_;
+  std::vector<TwigNodeId>& bound_nodes = scratch->bound_nodes_;
+  std::vector<std::vector<NodeId>>& feasible = scratch->feasible_;
+  if (children.size() < n) children.resize(n);
+  if (feasible.size() < n) feasible.resize(n);
+  for (size_t i = 0; i < n; ++i) children[i].clear();
+  bound_nodes.clear();
   for (size_t i = 0; i < n; ++i) {
     if (!values[i].has_value()) continue;
     TwigNodeId q = static_cast<TwigNodeId>(i);
@@ -51,21 +59,34 @@ bool TwigStructureValidator::ExistsEmbedding(
     }
   }
 
+  // Candidates are counted per bound node examined and recorded once on
+  // the way out — but only if some node got as far as its candidate
+  // lookup, exactly as if each lookup had recorded its own count.
+  int64_t candidates_seen = 0;
+  bool looked_up = false;
+  auto finish = [&](bool result) {
+    if (looked_up) {
+      MetricsAdd(metrics, "validate.candidates", candidates_seen);
+    }
+    return result;
+  };
+
   // Bottom-up feasibility: bound nodes are in preorder, so reverse order
-  // processes children before parents. F[q] holds feasible candidate
-  // nodes sorted by NodeId.
-  std::vector<std::vector<NodeId>> feasible(n);
+  // processes children before parents. feasible[q] holds feasible
+  // candidate nodes sorted by NodeId.
   for (auto it = bound_nodes.rbegin(); it != bound_nodes.rend(); ++it) {
     TwigNodeId q = *it;
     size_t qi = static_cast<size_t>(q);
-    if (tag_codes_[qi] < 0) return false;  // tag absent from document
-    std::vector<NodeId> candidates =
+    if (tag_codes_[qi] < 0) return finish(false);  // tag absent from doc
+    ValueNodeSpan candidates =
         index_->NodesByTagValue(tag_codes_[qi], *values[qi]);
-    MetricsAdd(metrics, "validate.candidates",
-               static_cast<int64_t>(candidates.size()));
-    if (candidates.empty()) return false;
-    std::vector<NodeId> kept;
-    for (NodeId x : candidates) {
+    looked_up = true;
+    candidates_seen += static_cast<int64_t>(candidates.size());
+    if (candidates.empty()) return finish(false);
+    std::vector<NodeId>& kept = feasible[qi];
+    kept.clear();
+    for (const ValueNode& candidate : candidates) {
+      const NodeId x = candidate.node;
       bool ok = true;
       for (const SkeletonEdge& e : children[qi]) {
         const std::vector<NodeId>& fc = feasible[static_cast<size_t>(e.child)];
@@ -99,10 +120,9 @@ bool TwigStructureValidator::ExistsEmbedding(
       }
       if (ok) kept.push_back(x);
     }
-    if (kept.empty()) return false;
-    feasible[qi] = std::move(kept);
+    if (kept.empty()) return finish(false);
   }
-  return true;
+  return finish(true);
 }
 
 }  // namespace xjoin

@@ -22,6 +22,28 @@
 
 namespace xjoin {
 
+/// Caller-owned working buffers for TwigStructureValidator::
+/// ExistsEmbedding. A call clear()s and refills them, so reusing one
+/// scratch across calls (any twig, any document) stops the validation
+/// loop from allocating once the buffers have grown. No state carries
+/// from one call to the next; a scratch must not be shared by two
+/// concurrent calls.
+class ValidationScratch {
+ private:
+  friend class TwigStructureValidator;
+
+  struct SkeletonEdge {
+    TwigNodeId child;      // bound twig node
+    bool exact_parent;     // direct P-C edge: require parent(y) == x
+    bool exact_level;      // all-P-C contracted path: level diff == dist
+    int32_t distance;      // number of twig edges contracted
+  };
+
+  std::vector<std::vector<SkeletonEdge>> children_;  // per twig node
+  std::vector<TwigNodeId> bound_nodes_;              // preorder
+  std::vector<std::vector<NodeId>> feasible_;        // per twig node
+};
+
 /// Validator for one (twig, document) pair. Stateless between calls;
 /// cheap to copy.
 class TwigStructureValidator {
@@ -31,17 +53,14 @@ class TwigStructureValidator {
   /// `values[q]` is the value bound to twig node q, or nullopt when the
   /// node is not (yet) bound. Returns true when some embedding is
   /// consistent with every bound value (exact if all nodes are bound).
+  /// `scratch` (not null) supplies the working buffers. Records
+  /// "validate.candidates", the number of document nodes whose tag and
+  /// value match a bound node, summed over the bound nodes examined.
   bool ExistsEmbedding(const std::vector<std::optional<int64_t>>& values,
+                       ValidationScratch* scratch,
                        Metrics* metrics = nullptr) const;
 
  private:
-  struct SkeletonEdge {
-    TwigNodeId child;      // bound twig node
-    bool exact_parent;     // direct P-C edge: require parent(y) == x
-    bool exact_level;      // all-P-C contracted path: level diff == dist
-    int32_t distance;      // number of twig edges contracted
-  };
-
   const Twig* twig_;
   const NodeIndex* index_;
   std::vector<int32_t> tag_codes_;  // per twig node; -1 if absent in doc

@@ -6,11 +6,68 @@
 #include <vector>
 
 #include "common/executor.h"
+#include "common/logging.h"
 #include "core/generic_join.h"
-#include "relational/operators.h"
+#include "core/validate.h"
 #include "relational/trie.h"
 
 namespace xjoin {
+
+namespace {
+
+// True when the rows of `rel` ascend strictly in lexicographic (schema)
+// order: GenericJoin's output contract, which the projection relies on.
+bool StrictlyAscending(const Relation& rel) {
+  const size_t k = rel.num_columns();
+  for (size_t r = 1; r < rel.num_rows(); ++r) {
+    size_t c = 0;
+    while (c < k && rel.at(r - 1, c) == rel.at(r, c)) ++c;
+    if (c == k || rel.at(r - 1, c) > rel.at(r, c)) return false;
+  }
+  return true;
+}
+
+// Appends columns `cols` of the rows of `in` that `keep` marks (every
+// row when `keep` is empty) to `out`, in row order, with one
+// AppendColumnBlock per run of consecutive copied rows. With
+// `drop_repeats`, a row whose `cols` equal those of the previous marked
+// row is skipped — on rows sorted by a column sequence that `cols` is a
+// prefix of, that removes every duplicate.
+void GatherRows(const Relation& in, const std::vector<size_t>& cols,
+                const std::vector<uint8_t>& keep, bool drop_repeats,
+                Relation* out) {
+  std::vector<const int64_t*> src(cols.size());
+  auto flush = [&](size_t begin, size_t end) {
+    if (begin == end) return;
+    for (size_t c = 0; c < cols.size(); ++c) {
+      src[c] = in.column(cols[c]).data() + begin;
+    }
+    out->AppendColumnBlock(src.data(), end - begin);
+  };
+  const size_t n = in.num_rows();
+  size_t run_begin = 0;  // the pending run is [run_begin, r)
+  bool have_prev = false;
+  size_t prev = 0;
+  for (size_t r = 0; r < n; ++r) {
+    bool copy = keep.empty() || keep[r] != 0;
+    if (copy && drop_repeats) {
+      bool repeat = have_prev;
+      for (size_t c = 0; repeat && c < cols.size(); ++c) {
+        repeat = in.at(prev, cols[c]) == in.at(r, cols[c]);
+      }
+      have_prev = true;
+      prev = r;
+      copy = !repeat;
+    }
+    if (!copy) {
+      flush(run_begin, r);
+      run_begin = r + 1;
+    }
+  }
+  flush(run_begin, n);
+}
+
+}  // namespace
 
 Result<Relation> ExecutePlan(const XJoinPlan& plan,
                              const XJoinOptions& options) {
@@ -66,20 +123,22 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
     gj_options.prefix_filter = [&plan](size_t depth,
                                        const std::vector<int64_t>& prefix,
                                        Metrics* metrics) {
+      ValidationScratch scratch;
+      std::vector<std::optional<int64_t>> values;
       for (size_t t = 0; t < plan.twigs.size(); ++t) {
         const XJoinPlan::TwigExec& exec = plan.twigs[t];
         const Twig& twig = plan.query.twigs[t].twig;
         // Only re-check when the newly bound attribute belongs to this
         // twig.
         bool relevant = false;
-        std::vector<std::optional<int64_t>> values(twig.num_nodes());
+        values.assign(twig.num_nodes(), std::nullopt);
         for (size_t q = 0; q < twig.num_nodes(); ++q) {
           size_t pos = exec.order_pos_of_node[q];
           if (pos <= depth) values[q] = prefix[pos];
           if (pos == depth) relevant = true;
         }
         if (!relevant) continue;
-        if (!exec.validator.ExistsEmbedding(values, metrics)) {
+        if (!exec.validator.ExistsEmbedding(values, &scratch, metrics)) {
           MetricsAdd(metrics, "xjoin.pruned", 1);
           return false;
         }
@@ -94,26 +153,30 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   // counts toward max_rows/max_bytes even though validation may later
   // discard most of it (the budget meters work, not final result size).
   XJ_ASSIGN_OR_RETURN(Relation expanded, GenericJoin(inputs, gj_options));
+  XJ_DCHECK(StrictlyAscending(expanded))
+      << "GenericJoin output is not strictly ascending by plan.order";
   MetricsAdd(options.metrics, "xjoin.expanded",
              static_cast<int64_t>(expanded.num_rows()));
 
   // 4. Final structural validation. Row checks are independent, so they
-  // run chunked across the thread pool with one scratch Metrics per
-  // worker (merged after the barrier — sub-counters stay exact); the
-  // keep-mask is filled at disjoint indices and the surviving rows are
-  // appended serially in row order, keeping the output deterministic.
-  Relation validated(expanded.schema());
-  if (plan.twigs.empty()) {
-    validated = std::move(expanded);
-  } else {
-    const size_t num_rows = expanded.num_rows();
+  // run chunked across the thread pool. Each worker owns a validation
+  // scratch, a values buffer and a Metrics bag (merged after the barrier
+  // — sub-counters stay exact), so checking a row allocates nothing
+  // once the buffers have grown; the keep-mask is filled at disjoint
+  // indices.
+  const size_t num_rows = expanded.num_rows();
+  std::vector<uint8_t> keep;  // empty: every row is kept
+  size_t num_kept = num_rows;
+  if (!plan.twigs.empty()) {
     constexpr size_t kGrain = 64;
-    std::vector<uint8_t> keep(num_rows, 0);
-    std::vector<Metrics> worker_metrics(
-        options.metrics != nullptr
-            ? static_cast<size_t>(
-                  ParallelWorkerCount(num_threads, num_rows, kGrain))
-            : 0);
+    struct ValidationWorker {
+      ValidationScratch scratch;
+      std::vector<std::optional<int64_t>> values;
+      Metrics metrics;
+    };
+    keep.assign(num_rows, 0);
+    std::vector<ValidationWorker> workers(static_cast<size_t>(
+        ParallelWorkerCount(num_threads, num_rows, kGrain)));
     Executor* executor =
         options.executor != nullptr ? options.executor : Executor::Default();
     executor->ParallelForWorker(
@@ -122,28 +185,28 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
           // remaining rows (the whole result is discarded below, so a
           // zero keep-bit is fine).
           if (budget != nullptr && budget->violated()) return;
-          Metrics* metrics = worker_metrics.empty()
-                                 ? nullptr
-                                 : &worker_metrics[static_cast<size_t>(worker)];
-          bool ok = true;
+          ValidationWorker& w = workers[static_cast<size_t>(worker)];
+          Metrics* metrics = options.metrics != nullptr ? &w.metrics : nullptr;
           for (size_t t = 0; t < plan.twigs.size(); ++t) {
             const XJoinPlan::TwigExec& exec = plan.twigs[t];
-            const Twig& twig = plan.query.twigs[t].twig;
-            std::vector<std::optional<int64_t>> values(twig.num_nodes());
-            for (size_t q = 0; q < twig.num_nodes(); ++q) {
-              values[q] = expanded.at(r, exec.order_pos_of_node[q]);
+            const size_t num_nodes = plan.query.twigs[t].twig.num_nodes();
+            w.values.resize(num_nodes);
+            for (size_t q = 0; q < num_nodes; ++q) {
+              w.values[q] = expanded.at(r, exec.order_pos_of_node[q]);
             }
-            if (!exec.validator.ExistsEmbedding(values, metrics)) {
-              ok = false;
-              break;
+            if (!exec.validator.ExistsEmbedding(w.values, &w.scratch,
+                                                metrics)) {
+              return;
             }
           }
-          keep[r] = ok ? 1 : 0;
+          keep[r] = 1;
         });
-    for (const Metrics& m : worker_metrics) options.metrics->MergeFrom(m);
-    for (size_t r = 0; r < num_rows; ++r) {
-      if (keep[r] != 0) validated.AppendRow(expanded.GetRow(r));
+    if (options.metrics != nullptr) {
+      for (const ValidationWorker& w : workers) {
+        options.metrics->MergeFrom(w.metrics);
+      }
     }
+    num_kept = static_cast<size_t>(std::count(keep.begin(), keep.end(), 1));
   }
   // Deadline/cancel check after the validation stage (its cost scales
   // with the expansion size, which the deadline is meant to bound).
@@ -154,15 +217,40 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
     if (budget->violated()) return budget->status();
   }
   MetricsAdd(options.metrics, "xjoin.validated",
-             static_cast<int64_t>(validated.num_rows()));
+             static_cast<int64_t>(num_kept));
   if (options.metrics != nullptr) {
     options.metrics->RecordMax("xjoin.max_intermediate",
                                options.metrics->Get("gj.max_intermediate"));
   }
 
-  // 5. Projection.
-  if (plan.query.output_attributes.empty()) return validated;
-  return Project(validated, plan.query.output_attributes);
+  // 5. Projection, fused with the gather of the kept rows: only output
+  // columns are copied. The expanded rows ascend strictly by plan.order
+  // and validation keeps a subset in order, so an output that is all of
+  // plan.order is final as gathered, one that is a prefix of it only
+  // drops adjacent repeats, and any other column list is sorted.
+  const std::vector<std::string>& out_attrs =
+      plan.query.output_attributes.empty() ? plan.order
+                                           : plan.query.output_attributes;
+  std::vector<size_t> cols;
+  cols.reserve(out_attrs.size());
+  bool prefix = true;
+  for (const std::string& a : out_attrs) {
+    int idx = expanded.schema().IndexOf(a);
+    if (idx < 0) {
+      return Status::InvalidArgument("project: unknown attribute " + a);
+    }
+    prefix = prefix && static_cast<size_t>(idx) == cols.size();
+    cols.push_back(static_cast<size_t>(idx));
+  }
+  const bool whole = prefix && cols.size() == expanded.num_columns();
+  if (whole && keep.empty()) return expanded;
+  XJ_ASSIGN_OR_RETURN(Schema out_schema, Schema::Make(out_attrs));
+  Relation result(std::move(out_schema));
+  result.Reserve(num_kept);
+  GatherRows(expanded, cols, keep, /*drop_repeats=*/prefix && !whole,
+             &result);
+  if (!prefix) result.SortAndDedup();
+  return result;
 }
 
 Result<Relation> ExecuteXJoin(const MultiModelQuery& query,

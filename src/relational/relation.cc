@@ -8,6 +8,88 @@
 
 namespace xjoin {
 
+namespace {
+
+// Below this row count the comparator std::sort beats the radix passes'
+// setup cost.
+constexpr size_t kRadixMinRows = 256;
+
+// Order-preserving map from int64 to uint64 (flips the sign bit so
+// unsigned digit comparison matches signed order).
+inline uint64_t OrderedBits(int64_t v) {
+  return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
+}
+
+// One stable LSD counting pass over 8-bit digits at `shift`, permuting
+// `src` into `dst` by biased[row]'s digit. Returns false (dst untouched)
+// when every key shares the digit, so callers skip the permute.
+bool RadixPass(const std::vector<uint64_t>& biased, int shift,
+               const std::vector<size_t>& src, std::vector<size_t>* dst) {
+  size_t count[256] = {0};
+  for (size_t r : src) ++count[(biased[r] >> shift) & 0xFF];
+  size_t offsets[256];
+  size_t running = 0;
+  for (int digit = 0; digit < 256; ++digit) {
+    if (count[digit] == src.size()) return false;
+    offsets[digit] = running;
+    running += count[digit];
+  }
+  for (size_t r : src) {
+    (*dst)[offsets[(biased[r] >> shift) & 0xFF]++] = r;
+  }
+  return true;
+}
+
+// Stable-sorts `rows` by `col` (ascending) with an LSD radix over the
+// bytes that actually vary; constant bytes cost one pass over the column
+// (the variation mask), nothing more.
+void StableRadixSortByColumn(const std::vector<int64_t>& col,
+                             std::vector<size_t>* rows,
+                             std::vector<size_t>* scratch,
+                             std::vector<uint64_t>* biased) {
+  const size_t n = col.size();
+  uint64_t first = OrderedBits(col[0]);
+  uint64_t varying = 0;
+  for (size_t i = 0; i < n; ++i) {
+    (*biased)[i] = OrderedBits(col[i]);
+    varying |= (*biased)[i] ^ first;
+  }
+  for (int byte = 0; byte < 8; ++byte) {
+    if (((varying >> (8 * byte)) & 0xFF) == 0) continue;
+    if (RadixPass(*biased, 8 * byte, *rows, scratch)) rows->swap(*scratch);
+  }
+}
+
+}  // namespace
+
+bool SortRowsLexicographically(
+    const std::vector<const std::vector<int64_t>*>& columns,
+    std::vector<size_t>* rows) {
+  const size_t n = columns.empty() ? 0 : columns[0]->size();
+  const size_t k = columns.size();
+  rows->resize(n);
+  std::iota(rows->begin(), rows->end(), size_t{0});
+  if (n >= kRadixMinRows) {
+    // LSD: least-significant column first; each pass is stable, so the
+    // more significant columns' passes keep earlier orderings as ties.
+    std::vector<size_t> scratch(n);
+    std::vector<uint64_t> biased(n);
+    for (size_t c = k; c-- > 0;) {
+      StableRadixSortByColumn(*columns[c], rows, &scratch, &biased);
+    }
+    return true;
+  }
+  std::sort(rows->begin(), rows->end(), [&](size_t a, size_t b) {
+    for (size_t c = 0; c < k; ++c) {
+      if ((*columns[c])[a] != (*columns[c])[b]) {
+        return (*columns[c])[a] < (*columns[c])[b];
+      }
+    }
+    return false;
+  });
+  return false;
+}
+
 Relation::Relation(Schema schema) : schema_(std::move(schema)) {
   columns_.resize(schema_.size());
 }
@@ -60,15 +142,11 @@ Result<const std::vector<int64_t>*> Relation::ColumnByName(
 void Relation::SortAndDedup() {
   const size_t n = num_rows();
   const size_t k = num_columns();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    for (size_t c = 0; c < k; ++c) {
-      if (columns_[c][a] != columns_[c][b])
-        return columns_[c][a] < columns_[c][b];
-    }
-    return false;
-  });
+  if (n == 0 || k == 0) return;
+  std::vector<const std::vector<int64_t>*> cols(k);
+  for (size_t c = 0; c < k; ++c) cols[c] = &columns_[c];
+  std::vector<size_t> order;
+  SortRowsLexicographically(cols, &order);
   std::vector<std::vector<int64_t>> out(k);
   for (auto& col : out) col.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -87,7 +165,6 @@ void Relation::SortAndDedup() {
     for (size_t c = 0; c < k; ++c) out[c].push_back(columns_[c][r]);
   }
   columns_ = std::move(out);
-  if (k == 0) columns_.resize(0);
 }
 
 std::vector<Tuple> Relation::ToTuples() const {

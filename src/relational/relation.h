@@ -59,9 +59,9 @@ class Relation {
   Result<const std::vector<int64_t>*> ColumnByName(
       const std::string& name) const;
 
-  /// Sorts rows lexicographically by the given column positions (all
-  /// columns if empty) and removes duplicate rows. Used to turn bags
-  /// into sets before trie construction and result comparison.
+  /// Sorts rows lexicographically over all columns, in schema order, and
+  /// removes duplicate rows (SortRowsLexicographically, then one pass).
+  /// Turns bags into sets for projection and result comparison.
   void SortAndDedup();
 
   /// Returns all rows as tuples, in storage order.
@@ -81,6 +81,18 @@ class Relation {
   Schema schema_;
   std::vector<std::vector<int64_t>> columns_;
 };
+
+/// Sets `*rows` to the permutation of [0, n) that orders the rows of
+/// `columns` (each of length n) lexicographically, columns[0] most
+/// significant. Inputs of at least 256 rows take a stable LSD radix
+/// sort — one counting pass per column byte that actually varies, so
+/// small dictionary codes cost 1-2 passes per column; smaller inputs
+/// take a comparator std::sort. Returns true when the radix sort ran.
+/// The one row sort of the codebase: trie builds and SortAndDedup both
+/// use it.
+bool SortRowsLexicographically(
+    const std::vector<const std::vector<int64_t>*>& columns,
+    std::vector<size_t>* rows);
 
 }  // namespace xjoin
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 #include <tuple>
 #include <utility>
 
@@ -12,56 +11,6 @@
 namespace xjoin {
 
 namespace {
-
-// Below this row count the comparator std::sort beats the radix passes'
-// setup cost.
-constexpr size_t kRadixMinRows = 256;
-
-// Order-preserving map from int64 to uint64 (flips the sign bit so
-// unsigned digit comparison matches signed order).
-inline uint64_t OrderedBits(int64_t v) {
-  return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
-}
-
-// One stable LSD counting pass over 8-bit digits at `shift`, permuting
-// `src` into `dst` by biased[row]'s digit. Returns false (dst untouched)
-// when every key shares the digit, so callers skip the permute.
-bool RadixPass(const std::vector<uint64_t>& biased, int shift,
-               const std::vector<size_t>& src, std::vector<size_t>* dst) {
-  size_t count[256] = {0};
-  for (size_t r : src) ++count[(biased[r] >> shift) & 0xFF];
-  size_t offsets[256];
-  size_t running = 0;
-  for (int digit = 0; digit < 256; ++digit) {
-    if (count[digit] == src.size()) return false;
-    offsets[digit] = running;
-    running += count[digit];
-  }
-  for (size_t r : src) {
-    (*dst)[offsets[(biased[r] >> shift) & 0xFF]++] = r;
-  }
-  return true;
-}
-
-// Stable-sorts `rows` by `col` (ascending) with an LSD radix over the
-// bytes that actually vary; constant bytes cost one pass over the column
-// (the variation mask), nothing more.
-void StableRadixSortByColumn(const std::vector<int64_t>& col,
-                             std::vector<size_t>* rows,
-                             std::vector<size_t>* scratch,
-                             std::vector<uint64_t>* biased) {
-  const size_t n = col.size();
-  uint64_t first = OrderedBits(col[0]);
-  uint64_t varying = 0;
-  for (size_t i = 0; i < n; ++i) {
-    (*biased)[i] = OrderedBits(col[i]);
-    varying |= (*biased)[i] ^ first;
-  }
-  for (int byte = 0; byte < 8; ++byte) {
-    if (((varying >> (8 * byte)) & 0xFF) == 0) continue;
-    if (RadixPass(*biased, 8 * byte, *rows, scratch)) rows->swap(*scratch);
-  }
-}
 
 size_t LowerBoundRange(const std::vector<int64_t>& col, size_t lo, size_t hi,
                        int64_t key) {
@@ -175,28 +124,12 @@ Result<RelationTrie> RelationTrie::Build(const Relation& relation,
   std::vector<const std::vector<int64_t>*> cols(k);
   for (size_t c = 0; c < k; ++c) cols[c] = &relation.column(perm[c]);
 
-  // 2. Sort the row permutation lexicographically. Fast path: LSD radix
-  // over the columns, least-significant first — each column costs only
-  // one counting pass per byte that actually varies (dictionary codes
-  // are small, so typically 1-2 passes). Tiny inputs use std::sort.
-  std::vector<size_t> rows(n);
-  std::iota(rows.begin(), rows.end(), size_t{0});
-  if (n >= kRadixMinRows) {
-    std::vector<size_t> scratch(n);
-    std::vector<uint64_t> biased(n);
-    for (size_t c = k; c-- > 0;) {
-      StableRadixSortByColumn(*cols[c], &rows, &scratch, &biased);
-    }
+  // 2. Sort the row permutation lexicographically (radix over the
+  // columns for all but tiny inputs; see SortRowsLexicographically).
+  std::vector<size_t> rows;
+  if (SortRowsLexicographically(cols, &rows)) {
     MetricsAdd(options.metrics, "trie.radix_sorts", 1);
   } else {
-    std::sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
-      for (size_t c = 0; c < k; ++c) {
-        if ((*cols[c])[a] != (*cols[c])[b]) {
-          return (*cols[c])[a] < (*cols[c])[b];
-        }
-      }
-      return false;
-    });
     MetricsAdd(options.metrics, "trie.std_sorts", 1);
   }
 

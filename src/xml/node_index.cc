@@ -89,14 +89,15 @@ std::vector<ValueNode> NodeIndex::DescendantValues(NodeId ancestor,
   return out;
 }
 
-std::vector<NodeId> NodeIndex::NodesByTagValue(int32_t tag,
-                                               int64_t value) const {
-  const auto& list = ValueSortedNodes(tag);
-  std::vector<NodeId> out;
-  auto cmp = [](const ValueNode& a, int64_t v) { return a.value < v; };
-  auto it = std::lower_bound(list.begin(), list.end(), value, cmp);
-  for (; it != list.end() && it->value == value; ++it) out.push_back(it->node);
-  return out;
+ValueNodeSpan NodeIndex::NodesByTagValue(int32_t tag, int64_t value) const {
+  const std::vector<ValueNode>& list = ValueSortedNodes(tag);
+  struct ByValue {
+    bool operator()(const ValueNode& a, int64_t v) const { return a.value < v; }
+    bool operator()(int64_t v, const ValueNode& a) const { return v < a.value; }
+  };
+  auto [lo, hi] =
+      std::equal_range(list.data(), list.data() + list.size(), value, ByValue{});
+  return ValueNodeSpan{lo, hi};
 }
 
 }  // namespace xjoin

@@ -6,6 +6,7 @@
 #ifndef XJOIN_XML_NODE_INDEX_H_
 #define XJOIN_XML_NODE_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,6 +34,18 @@ struct ValueNode {
   bool operator==(const ValueNode& o) const {
     return value == o.value && node == o.node;
   }
+};
+
+/// A borrowed run of (value, node) pairs inside one of the index's
+/// lists; valid as long as the index.
+struct ValueNodeSpan {
+  const ValueNode* first = nullptr;
+  const ValueNode* last = nullptr;
+
+  const ValueNode* begin() const { return first; }
+  const ValueNode* end() const { return last; }
+  size_t size() const { return static_cast<size_t>(last - first); }
+  bool empty() const { return first == last; }
 };
 
 /// Immutable index over one document. The dictionary is shared with the
@@ -64,8 +77,10 @@ class NodeIndex {
   /// Uses the region encoding over the per-tag document-order stream.
   std::vector<ValueNode> DescendantValues(NodeId ancestor, int32_t tag) const;
 
-  /// All nodes whose join value is `value` and tag is `tag`.
-  std::vector<NodeId> NodesByTagValue(int32_t tag, int64_t value) const;
+  /// All nodes whose join value is `value` and tag is `tag`: the
+  /// equal-value slice of ValueSortedNodes(tag), so its nodes ascend by
+  /// NodeId. Borrowed from the index; nothing is copied.
+  ValueNodeSpan NodesByTagValue(int32_t tag, int64_t value) const;
 
  private:
   NodeIndex() = default;

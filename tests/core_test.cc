@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <optional>
 #include <set>
 
@@ -403,11 +404,12 @@ TEST(ValidateTest, FullAssignmentExactness) {
   NodeIndex index = NodeIndex::Build(&*doc, &dict);
   auto twig = Twig::Parse("a/b");
   TwigStructureValidator v(&*twig, &index);
+  ValidationScratch scratch;
   auto val = [&](const char* s) { return dict.Lookup(s); };
   // (1,x) and (2,y) embed; (1,y) does not.
-  EXPECT_TRUE(v.ExistsEmbedding({val("1"), val("x")}));
-  EXPECT_TRUE(v.ExistsEmbedding({val("2"), val("y")}));
-  EXPECT_FALSE(v.ExistsEmbedding({val("1"), val("y")}));
+  EXPECT_TRUE(v.ExistsEmbedding({val("1"), val("x")}, &scratch));
+  EXPECT_TRUE(v.ExistsEmbedding({val("2"), val("y")}, &scratch));
+  EXPECT_FALSE(v.ExistsEmbedding({val("1"), val("y")}, &scratch));
 }
 
 TEST(ValidateTest, PartialAssignmentsAreSound) {
@@ -416,12 +418,13 @@ TEST(ValidateTest, PartialAssignmentsAreSound) {
   NodeIndex index = NodeIndex::Build(&*doc, &dict);
   auto twig = Twig::Parse("a/b");
   TwigStructureValidator v(&*twig, &index);
+  ValidationScratch scratch;
   auto val = [&](const char* s) { return dict.Lookup(s); };
-  EXPECT_TRUE(v.ExistsEmbedding({val("1"), std::nullopt}));
-  EXPECT_TRUE(v.ExistsEmbedding({std::nullopt, val("x")}));
-  EXPECT_TRUE(v.ExistsEmbedding({std::nullopt, std::nullopt}));
+  EXPECT_TRUE(v.ExistsEmbedding({val("1"), std::nullopt}, &scratch));
+  EXPECT_TRUE(v.ExistsEmbedding({std::nullopt, val("x")}, &scratch));
+  EXPECT_TRUE(v.ExistsEmbedding({std::nullopt, std::nullopt}, &scratch));
   // No a-node with text x.
-  EXPECT_FALSE(v.ExistsEmbedding({val("x"), std::nullopt}));
+  EXPECT_FALSE(v.ExistsEmbedding({val("x"), std::nullopt}, &scratch));
 }
 
 TEST(ValidateTest, DescendantEdgesChecked) {
@@ -430,10 +433,97 @@ TEST(ValidateTest, DescendantEdgesChecked) {
   NodeIndex index = NodeIndex::Build(&*doc, &dict);
   auto twig = Twig::Parse("a//b");
   TwigStructureValidator v(&*twig, &index);
+  ValidationScratch scratch;
   auto val = [&](const char* s) { return dict.Lookup(s); };
-  EXPECT_TRUE(v.ExistsEmbedding({val("1"), val("x")}));
-  EXPECT_FALSE(v.ExistsEmbedding({val("2"), val("x")}));  // b not under a2
-  EXPECT_FALSE(v.ExistsEmbedding({val("1"), val("y")}));  // y outside a1
+  EXPECT_TRUE(v.ExistsEmbedding({val("1"), val("x")}, &scratch));
+  EXPECT_FALSE(v.ExistsEmbedding({val("2"), val("x")}, &scratch));  // b not under a2
+  EXPECT_FALSE(v.ExistsEmbedding({val("1"), val("y")}, &scratch));  // y outside a1
+}
+
+TEST(ValidateTest, ReusedScratchMatchesFreshScratch) {
+  auto doc = ParseXml(
+      "<r><a>1<b>x</b><c>p</c></a><a>2<b>y</b><c>q</c></a>"
+      "<a>1<m><b>y</b></m></a></r>");
+  ASSERT_TRUE(doc.ok());
+  Dictionary dict;
+  NodeIndex index = NodeIndex::Build(&*doc, &dict);
+  auto with_c = Twig::Parse("a[c]/b");
+  auto desc = Twig::Parse("a//b");
+  auto missing = Twig::Parse("z/a");  // no z in the document
+  ASSERT_TRUE(with_c.ok() && desc.ok() && missing.ok());
+  TwigStructureValidator v_with_c(&*with_c, &index);
+  TwigStructureValidator v_desc(&*desc, &index);
+  TwigStructureValidator v_missing(&*missing, &index);
+
+  // Binds the twig nodes whose tag is a key of `bound`; the rest stay
+  // unbound.
+  auto assign = [&](const Twig& twig,
+                    const std::map<std::string, std::string>& bound) {
+    std::vector<std::optional<int64_t>> values(twig.num_nodes());
+    for (size_t q = 0; q < twig.num_nodes(); ++q) {
+      auto it = bound.find(twig.node(static_cast<TwigNodeId>(q)).tag);
+      if (it != bound.end()) values[q] = dict.Lookup(it->second);
+    }
+    return values;
+  };
+  struct Call {
+    const TwigStructureValidator* validator;
+    std::vector<std::optional<int64_t>> values;
+    bool expected;
+  };
+  std::vector<Call> calls = {
+      // Full assignments.
+      {&v_with_c, assign(*with_c, {{"a", "1"}, {"c", "p"}, {"b", "x"}}), true},
+      {&v_with_c, assign(*with_c, {{"a", "2"}, {"c", "p"}, {"b", "y"}}),
+       false},
+      // Partial assignments, different bound masks.
+      {&v_with_c, assign(*with_c, {{"a", "1"}, {"b", "y"}}), false},
+      {&v_with_c, assign(*with_c, {{"c", "q"}}), true},
+      {&v_with_c, assign(*with_c, {{"b", "y"}}), true},
+      {&v_with_c, assign(*with_c, {}), true},
+      // Early failures: no candidates; a tag absent from the document,
+      // first before and then after a node with candidates.
+      {&v_with_c, assign(*with_c, {{"a", "x"}, {"b", "x"}}), false},
+      {&v_missing, assign(*missing, {{"z", "1"}}), false},
+      {&v_missing, assign(*missing, {{"z", "1"}, {"a", "1"}}), false},
+      {&v_missing, assign(*missing, {{"a", "2"}}), true},
+      // A second twig of a different shape, then back to the first.
+      {&v_desc, assign(*desc, {{"a", "1"}, {"b", "y"}}), true},
+      {&v_desc, assign(*desc, {{"a", "2"}, {"b", "x"}}), false},
+      {&v_with_c, assign(*with_c, {{"a", "2"}, {"c", "q"}, {"b", "y"}}), true},
+  };
+
+  ValidationScratch reused;
+  for (size_t i = 0; i < calls.size(); ++i) {
+    SCOPED_TRACE("call " + std::to_string(i));
+    const Call& call = calls[i];
+    Metrics reused_metrics;
+    bool got = call.validator->ExistsEmbedding(call.values, &reused,
+                                               &reused_metrics);
+    ValidationScratch fresh;
+    Metrics fresh_metrics;
+    bool want = call.validator->ExistsEmbedding(call.values, &fresh,
+                                                &fresh_metrics);
+    EXPECT_EQ(got, call.expected);
+    EXPECT_EQ(got, want);
+    // Same total and same presence of the counter.
+    EXPECT_EQ(reused_metrics.counters(), fresh_metrics.counters());
+  }
+
+  // Exact counter semantics on the early exits: a call that stops at an
+  // absent tag before any lookup records nothing; a lookup with no
+  // candidates records 0; otherwise the sum over the nodes examined.
+  Metrics m;
+  EXPECT_FALSE(v_missing.ExistsEmbedding(calls[7].values, &reused, &m));
+  EXPECT_EQ(m.counters().count("validate.candidates"), 0u);
+  EXPECT_FALSE(v_missing.ExistsEmbedding(calls[8].values, &reused, &m));
+  EXPECT_EQ(m.Get("validate.candidates"), 2);  // two a-nodes with "1"
+  m.Clear();
+  EXPECT_FALSE(v_with_c.ExistsEmbedding(calls[6].values, &reused, &m));
+  ASSERT_EQ(m.counters().count("validate.candidates"), 1u);
+  m.Clear();
+  EXPECT_TRUE(v_with_c.ExistsEmbedding(calls[0].values, &reused, &m));
+  EXPECT_EQ(m.Get("validate.candidates"), 4);  // two a, one c, one b
 }
 
 // Property: on full assignments the validator agrees with the naive
@@ -448,6 +538,7 @@ TEST_P(ValidateProperty, AgreesWithNaiveMatcherOnFullAssignments) {
   NodeIndex index = NodeIndex::Build(doc.get(), &dict);
   Twig twig = testing::RandomTwig(&rng, 1 + rng.NextBounded(4), tags);
   TwigStructureValidator validator(&twig, &index);
+  ValidationScratch scratch;
 
   // Value tuples with >= 1 embedding, from the oracle.
   auto matches = MatchTwigNaive(*doc, twig);
@@ -460,7 +551,7 @@ TEST_P(ValidateProperty, AgreesWithNaiveMatcherOnFullAssignments) {
   // Every oracle tuple must validate.
   for (const auto& vals : valid_tuples) {
     std::vector<std::optional<int64_t>> opt(vals.begin(), vals.end());
-    EXPECT_TRUE(validator.ExistsEmbedding(opt));
+    EXPECT_TRUE(validator.ExistsEmbedding(opt, &scratch));
   }
   // Perturbed tuples must validate iff they are themselves oracle tuples.
   Rng rng2(777 + static_cast<uint64_t>(GetParam()));
@@ -469,7 +560,7 @@ TEST_P(ValidateProperty, AgreesWithNaiveMatcherOnFullAssignments) {
     size_t pos = rng2.NextBounded(mutated.size());
     mutated[pos] = dict.Intern("v" + std::to_string(rng2.NextBounded(3)));
     std::vector<std::optional<int64_t>> opt(mutated.begin(), mutated.end());
-    EXPECT_EQ(validator.ExistsEmbedding(opt),
+    EXPECT_EQ(validator.ExistsEmbedding(opt, &scratch),
               valid_tuples.count(mutated) > 0);
     if (valid_tuples.size() > 400) break;  // cap runtime
   }

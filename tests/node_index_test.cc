@@ -65,8 +65,15 @@ TEST(NodeIndexTest, NodesByTagValue) {
   Dictionary dict;
   NodeIndex index = NodeIndex::Build(&*doc, &dict);
   int64_t x = dict.Lookup("x");
-  auto nodes = index.NodesByTagValue(doc->LookupTag("a"), x);
-  EXPECT_EQ(nodes.size(), 2u);
+  ValueNodeSpan nodes = index.NodesByTagValue(doc->LookupTag("a"), x);
+  ASSERT_EQ(nodes.size(), 2u);
+  // The slice is borrowed from the value-sorted list, ascending by node.
+  const auto& list = index.ValueSortedNodes(doc->LookupTag("a"));
+  EXPECT_GE(nodes.begin(), list.data());
+  EXPECT_LE(nodes.end(), list.data() + list.size());
+  EXPECT_EQ(nodes.begin()[0].value, x);
+  EXPECT_EQ(nodes.begin()[1].value, x);
+  EXPECT_LT(nodes.begin()[0].node, nodes.begin()[1].node);
   EXPECT_TRUE(index.NodesByTagValue(doc->LookupTag("a"), 999999).empty());
   EXPECT_TRUE(index.NodesByTagValue(-1, x).empty());
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/random.h"
 #include "core/decompose.h"
 #include "core/generic_join.h"
 #include "core/virtual_relation.h"
@@ -188,6 +189,54 @@ TEST(ShardedGenericJoinTest, CompositePrefixShardingMatchesSerial) {
       // sharding (level 0 may recount boundary keys).
       EXPECT_EQ(m.Get("gj.output"),
                 static_cast<int64_t>(serial->num_rows()));
+    }
+  }
+}
+
+// GenericJoin's output contract (generic_join.h): rows ascend strictly
+// in lexicographic attribute_order order, i.e. sorted and distinct —
+// what lets ExecutePlan's projection skip its sort. Checked on random
+// inputs at every shard count, shard depth and batch size.
+TEST(GenericJoinContractTest, OutputStrictlyAscendingOnGeneratedInputs) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    Dictionary dict;
+    // R(A,B,C) x S(B,D) x T(A,D): cyclic, four output levels, and bag
+    // inputs (random rows repeat) that the tries fold to sets.
+    Relation r = testing::RandomRelation(&rng, &dict, {"A", "B", "C"}, 400, 10);
+    Relation s = testing::RandomRelation(&rng, &dict, {"B", "D"}, 60, 10);
+    Relation t = testing::RandomRelation(&rng, &dict, {"A", "D"}, 60, 10);
+    auto tr = RelationTrie::Build(r, {"A", "B", "C"});
+    auto ts = RelationTrie::Build(s, {"B", "D"});
+    auto tt = RelationTrie::Build(t, {"A", "D"});
+    ASSERT_TRUE(tr.ok() && ts.ok() && tt.ok());
+    auto ir = tr->NewIterator();
+    auto is = ts->NewIterator();
+    auto it = tt->NewIterator();
+    std::vector<JoinInput> inputs{{"R", {"A", "B", "C"}, ir.get()},
+                                  {"S", {"B", "D"}, is.get()},
+                                  {"T", {"A", "D"}, it.get()}};
+    for (int shards : {1, 2, 4, 7}) {
+      for (int depth : {1, 2}) {
+        for (int batch : {1, 7, 1024}) {
+          SCOPED_TRACE("shards=" + std::to_string(shards) +
+                       " depth=" + std::to_string(depth) +
+                       " batch=" + std::to_string(batch));
+          GenericJoinOptions opts;
+          opts.attribute_order = {"A", "B", "C", "D"};
+          opts.num_shards = shards;
+          opts.shard_depth = depth;
+          opts.batch_size = batch;
+          auto out = GenericJoin(inputs, opts);
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          ASSERT_GT(out->num_rows(), 1u);
+          std::vector<Tuple> rows = out->ToTuples();
+          for (size_t i = 1; i < rows.size(); ++i) {
+            ASSERT_LT(rows[i - 1], rows[i]) << "rows " << i - 1 << ", " << i;
+          }
+        }
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 // (per-stage intermediates within the LP bound).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -321,6 +322,93 @@ TEST(WorkloadTest, BookstoreQueriesAnswerAndAgree) {
     auto bp = Project(*b, a->schema().attributes());
     EXPECT_TRUE(RelationsEqualAsSets(*a, *bp));
   }
+}
+
+// ExecutePlan's projection takes one of three paths: an output that is
+// all of the plan order keeps the gathered rows as they are, a strict
+// prefix of it drops adjacent repeats, and any other column list is
+// sorted. Each path must return the reference answer row for row —
+// sorted, distinct, same rows — serial and on four threads. The order
+// is pinned to the planner's own choice so each case takes its path.
+// `prefix_repeats`: the two-attribute prefix projection must have
+// repeats to drop (false where the order leads with a node identity).
+void ExpectProjectionPathsMatchReference(
+    const MultiModelQuery& query, const std::vector<std::string>& non_prefix,
+    bool prefix_repeats) {
+  auto plan = PrepareXJoin(query, XJoinOptions{});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::vector<std::string> order = (*plan)->order;
+  ASSERT_GE(order.size(), 3u);
+  const std::vector<std::string> prefix(order.begin(), order.begin() + 2);
+  ASSERT_FALSE(non_prefix.size() <= order.size() &&
+               std::equal(non_prefix.begin(), non_prefix.end(),
+                          order.begin()));
+
+  struct Case {
+    const char* path;
+    std::vector<std::string> output;
+  };
+  std::vector<size_t> rows_per_case;
+  for (const Case& c : {Case{"whole order", order},
+                        Case{"strict prefix", prefix},
+                        Case{"not a prefix", non_prefix}}) {
+    SCOPED_TRACE(c.path);
+    MultiModelQuery q = query;
+    q.output_attributes = c.output;
+    Relation expected = ReferenceAnswer(q);
+    ASSERT_GT(expected.num_rows(), 0u);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      XJoinOptions opts;
+      opts.attribute_order = order;
+      opts.num_threads = threads;
+      auto got = ExecuteXJoin(q, opts);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->schema().attributes(), c.output);
+      EXPECT_EQ(got->ToTuples(), expected.ToTuples());
+    }
+    rows_per_case.push_back(expected.num_rows());
+  }
+  if (prefix_repeats) {
+    EXPECT_LT(rows_per_case[1], rows_per_case[0]);
+  }
+}
+
+TEST(XJoinTest, ProjectionPathsOnAgmTightCycle) {
+  auto inst = MakeAgmTightInstance({{"A", "B"}, {"B", "C"}, {"C", "A"}}, 64);
+  ASSERT_TRUE(inst.ok());
+  MultiModelQuery q;
+  for (size_t i = 0; i < inst->relations.size(); ++i) {
+    q.relations.push_back(
+        {"R" + std::to_string(i + 1), inst->relations[i].get()});
+  }
+  ExpectProjectionPathsMatchReference(q, {"C", "A"}, /*prefix_repeats=*/true);
+}
+
+TEST(XJoinTest, ProjectionPathsOnBookstoreFigure1) {
+  BookstoreOptions opts;
+  opts.num_orders = 80;
+  opts.num_invoices = 60;
+  opts.num_users = 20;
+  opts.num_books = 30;
+  BookstoreInstance inst = MakeBookstore(opts);
+  MultiModelQuery q = inst.Figure1Query();
+  ExpectProjectionPathsMatchReference(q, q.output_attributes,
+                                      /*prefix_repeats=*/true);
+}
+
+TEST(XJoinTest, ProjectionPathsOnXMarkClosedAuctions) {
+  XMarkOptions opts;
+  opts.num_items = 40;
+  opts.num_persons = 25;
+  opts.num_open_auctions = 5;
+  opts.num_closed_auctions = 60;
+  XMarkInstance inst = MakeXMark(opts);
+  MultiModelQuery q = inst.ClosedAuctionQuery();
+  // The order leads with closed_auction, and each auction node yields
+  // one row, so its prefixes have no repeats.
+  ExpectProjectionPathsMatchReference(q, q.output_attributes,
+                                      /*prefix_repeats=*/false);
 }
 
 // The heavyweight differential property: random document + random P-C/A-D
