@@ -13,11 +13,12 @@ namespace {
 void Row(Table* table, const MultiModelQuery& query, const char* name,
          const std::vector<std::string>& order) {
   Metrics metrics;
-  XJoinOptions opts;
-  opts.attribute_order = order;
-  opts.metrics = &metrics;
+  PlanSettings settings;
+  settings.attribute_order = order;
+  EngineServices services;
+  services.metrics = &metrics;
   Timer timer;
-  auto result = ExecuteXJoin(query, opts);
+  auto result = ExecuteXJoin(query, settings, services);
   XJ_CHECK(result.ok()) << result.status().ToString();
   std::string order_str;
   for (const auto& a : order) order_str += a;

@@ -18,11 +18,12 @@ struct PruneStats {
 
 PruneStats RunWith(const MultiModelQuery& query, bool pruning) {
   Metrics metrics;
-  XJoinOptions opts;
-  opts.structural_pruning = pruning;
-  opts.metrics = &metrics;
+  PlanSettings settings;
+  settings.structural_pruning = pruning;
+  EngineServices services;
+  services.metrics = &metrics;
   Timer timer;
-  auto result = ExecuteXJoin(query, opts);
+  auto result = ExecuteXJoin(query, settings, services);
   PruneStats stats;
   stats.run.seconds = timer.ElapsedSeconds();
   XJ_CHECK(result.ok()) << result.status().ToString();

@@ -12,9 +12,9 @@ namespace xjoin::bench {
 namespace {
 
 void Row(Table* table, const char* name, const MultiModelQuery& query) {
-  XJoinOptions lazy;
+  PlanSettings lazy;
   RunStats a = RunXJoin(query, lazy);
-  XJoinOptions mat;
+  PlanSettings mat;
   mat.materialize_paths = true;
   RunStats b = RunXJoin(query, mat);
   XJ_CHECK(a.output_rows == b.output_rows);

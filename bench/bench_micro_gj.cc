@@ -186,11 +186,12 @@ Record BenchXMark(int64_t scale, int reps, int batch) {
   return Measure(
       "xmark.closed_auction",
       [&](int batch_size, Metrics* metrics) {
-        XJoinOptions options;
-        options.batch_size = batch_size;
-        options.metrics = metrics;
+        PlanSettings settings;
+        settings.batch_size = batch_size;
+        EngineServices services;
+        services.metrics = metrics;
         Timer timer;
-        auto result = ExecuteXJoin(query, options);
+        auto result = ExecuteXJoin(query, settings, services);
         double seconds = timer.ElapsedSeconds();
         XJ_CHECK(result.ok()) << result.status().ToString();
         return std::make_pair(seconds, *std::move(result));
@@ -244,11 +245,12 @@ void Run(int argc, char** argv) {
           {"R" + std::to_string(i + 1), inst->relations[i].get()});
     }
     RunFn run = [&query](int batch_size, Metrics* metrics) {
-      XJoinOptions options;
-      options.batch_size = batch_size;
-      options.metrics = metrics;
+      PlanSettings settings;
+      settings.batch_size = batch_size;
+      EngineServices services;
+      services.metrics = metrics;
       Timer timer;
-      auto result = ExecuteXJoin(query, options);
+      auto result = ExecuteXJoin(query, settings, services);
       double seconds = timer.ElapsedSeconds();
       XJ_CHECK(result.ok()) << result.status().ToString();
       return std::make_pair(seconds, *std::move(result));

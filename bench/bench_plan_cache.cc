@@ -39,7 +39,7 @@ Record BenchQuery(const std::string& label, const MultiModelQuery& query,
   std::vector<Tuple> expected;
   for (int rep = 0; rep < reps; ++rep) {
     Timer timer;
-    auto result = ExecuteXJoin(query, XJoinOptions{});
+    auto result = ExecuteXJoin(query);
     double seconds = timer.ElapsedSeconds();
     XJ_CHECK(result.ok()) << result.status().ToString();
     if (rep == 0) {
@@ -52,12 +52,12 @@ Record BenchQuery(const std::string& label, const MultiModelQuery& query,
   }
 
   Timer prepare_timer;
-  auto plan = PrepareXJoin(query, XJoinOptions{});
+  auto plan = PrepareXJoin(query);
   record.prepare_s = prepare_timer.ElapsedSeconds();
   XJ_CHECK(plan.ok()) << plan.status().ToString();
   for (int rep = 0; rep < reps; ++rep) {
     Timer timer;
-    auto result = ExecutePlan(**plan, XJoinOptions{});
+    auto result = ExecutePlan(**plan);
     double seconds = timer.ElapsedSeconds();
     XJ_CHECK(result.ok()) << result.status().ToString();
     XJ_CHECK(result->ToTuples() == expected)

@@ -56,11 +56,12 @@ void ThreadSweep(const std::vector<int>& threads_list, int64_t xmark_scale,
   constexpr int kReps = 3;
 
   auto run_once = [&](int threads, Metrics* metrics) {
-    XJoinOptions xo;
-    xo.num_threads = threads;
-    xo.metrics = metrics;
+    PlanSettings settings;
+    settings.num_threads = threads;
+    EngineServices services;
+    services.metrics = metrics;
     Timer timer;
-    auto result = ExecuteXJoin(query, xo);
+    auto result = ExecuteXJoin(query, settings, services);
     double seconds = timer.ElapsedSeconds();
     XJ_CHECK(result.ok()) << result.status().ToString();
     return std::make_pair(seconds, *std::move(result));

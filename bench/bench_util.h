@@ -32,11 +32,12 @@ struct RunStats {
 
 /// Runs XJoin once and extracts the Figure-3 quantities.
 inline RunStats RunXJoin(const MultiModelQuery& query,
-                         XJoinOptions options = {}) {
+                         const PlanSettings& settings = {}) {
   Metrics metrics;
-  options.metrics = &metrics;
+  EngineServices services;
+  services.metrics = &metrics;
   Timer timer;
-  auto result = ExecuteXJoin(query, options);
+  auto result = ExecuteXJoin(query, settings, services);
   RunStats stats;
   stats.seconds = timer.ElapsedSeconds();
   XJ_CHECK(result.ok()) << result.status().ToString();

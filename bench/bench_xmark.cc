@@ -34,7 +34,7 @@ void Run(int threads) {
     };
     for (auto& nq : queries) {
       RunStats base = RunBaseline(nq.query);
-      XJoinOptions xj_opts;
+      PlanSettings xj_opts;
       xj_opts.num_threads = threads;
       RunStats xj = RunXJoin(nq.query, xj_opts);
       XJ_CHECK(base.output_rows == xj.output_rows);

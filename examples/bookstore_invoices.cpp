@@ -43,10 +43,10 @@ int main(int argc, char** argv) {
 
   // XJoin.
   Metrics xj_metrics;
-  XJoinOptions xj_options;
-  xj_options.metrics = &xj_metrics;
+  EngineServices xj_services;
+  xj_services.metrics = &xj_metrics;
   Timer timer;
-  auto xj = ExecuteXJoin(query, xj_options);
+  auto xj = ExecuteXJoin(query, PlanSettings{}, xj_services);
   double xj_seconds = timer.ElapsedSeconds();
   if (!xj.ok()) {
     std::fprintf(stderr, "XJoin failed: %s\n", xj.status().ToString().c_str());

@@ -64,9 +64,9 @@ int main() {
 
   // --- Evaluate with XJoin and print. ----------------------------------
   Metrics metrics;
-  XJoinOptions options;
-  options.metrics = &metrics;
-  auto result = ExecuteXJoin(query, options);
+  EngineServices services;
+  services.metrics = &metrics;
+  auto result = ExecuteXJoin(query, PlanSettings{}, services);
   if (!result.ok()) {
     std::fprintf(stderr, "XJoin error: %s\n",
                  result.status().ToString().c_str());

@@ -84,10 +84,9 @@ class Executor {
     return morsels_stolen_.load(std::memory_order_relaxed);
   }
 
-  /// The process-wide shared pool (created on first use). Everything
-  /// that does not carry an explicit Executor* — trie builds, engines
-  /// with options.executor unset — runs here, which is what makes
-  /// concurrent queries share one set of threads by default.
+  /// The process-wide shared pool (created on first use). Trie builds,
+  /// the sharded join and XJoin's validation all run here, which is
+  /// what makes concurrent queries share one set of threads.
   static Executor* Default();
 
  private:

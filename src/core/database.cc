@@ -29,13 +29,13 @@ std::string PathTrieKey(const std::string& doc_name, uint64_t version,
          signature;
 }
 
-// Plan-cache key: canonical query spelling + options fingerprint, so
+// Plan-cache key: canonical query spelling + settings fingerprint, so
 // "Q(*) := R,S" and "Q(*):=R, S" share a plan while num_threads or
-// structural_pruning variants get distinct ones. Per-call services
-// (metrics, providers, budget, executor) are not in the fingerprint.
-std::string PlanCacheKey(const std::string& text, const XJoinOptions& options) {
+// structural_pruning variants get distinct ones.
+std::string PlanCacheKey(const std::string& text,
+                         const PlanSettings& settings) {
   return CanonicalizeQueryText(text) + "\x1F" +
-         HashToHex(PlanFingerprint(options));
+         HashToHex(PlanFingerprint(settings));
 }
 
 // Whether every source the plan read exists in the snapshot at the
@@ -433,7 +433,7 @@ Result<PreparedQuery> Session::Prepare(const std::string& text,
                                        const QueryOptions& options) const {
   XJ_ASSIGN_OR_RETURN(
       std::shared_ptr<const XJoinPlan> plan,
-      db_->PreparePlanSnapshot(text, options, /*cancel=*/nullptr, snap_));
+      db_->PreparePlanSnapshot(text, options, /*budget=*/nullptr, snap_));
   return PreparedQuery{std::move(plan)};
 }
 
@@ -450,7 +450,7 @@ Result<std::string> Session::Explain(const std::string& text,
                                      const QueryOptions& options) const {
   XJ_ASSIGN_OR_RETURN(
       std::shared_ptr<const XJoinPlan> plan,
-      db_->PreparePlanSnapshot(text, options, /*cancel=*/nullptr, snap_));
+      db_->PreparePlanSnapshot(text, options, /*budget=*/nullptr, snap_));
   std::string out = "query: " + CanonicalizeQueryText(text) + "\n";
   out += ExplainPlan(*plan);
   CacheStats stats = db_->cache_stats();
@@ -631,11 +631,46 @@ void MultiModelDatabase::SetTrieCacheBudget(size_t bytes) {
   }
 }
 
+Result<std::shared_ptr<const RelationTrie>> MultiModelDatabase::CachedTrie(
+    std::string key, const std::string& owner, const char* kind,
+    Metrics* metrics, BudgetTracker* budget,
+    const std::function<Result<RelationTrie>()>& build) const {
+  {
+    std::lock_guard<std::mutex> lock(trie_cache_mu_);
+    auto hit = TrieCacheLookupLocked(key);
+    if (hit != nullptr) {
+      ++trie_cache_hits_;
+      MetricsAdd(metrics, "db.trie_cache.hits", 1);
+      return hit;
+    }
+  }
+  // Cache miss: a cancelled query must not pay for (or fault tests
+  // silently survive) a cold build.
+  if (budget != nullptr && budget->violated()) return budget->status();
+  if (XJOIN_FAULT("trie.build")) {
+    return Status::Internal("fault injection: " + std::string(kind) +
+                            " build for " + owner +
+                            " failed (site trie.build)");
+  }
+  // Build outside the lock (concurrent queries may race to build the
+  // same trie; the insert below keeps the first and the extra build is
+  // discarded — correctness over double-build avoidance).
+  XJ_ASSIGN_OR_RETURN(RelationTrie trie, build());
+  auto shared = std::make_shared<const RelationTrie>(std::move(trie));
+  std::lock_guard<std::mutex> lock(trie_cache_mu_);
+  ++trie_cache_misses_;
+  MetricsAdd(metrics, "db.trie_cache.misses", 1);
+  int64_t before = trie_cache_evictions_;
+  TrieCacheInsertLocked(std::move(key), owner, shared);
+  MetricsAdd(metrics, "db.trie_cache.evictions",
+             trie_cache_evictions_ - before);
+  return shared;
+}
+
 TrieProvider MultiModelDatabase::CacheTrieProvider(
     std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
-    int num_threads, const CancellationToken* cancel) const {
-  const MultiModelDatabase* self = this;
-  return [self, snap = std::move(snap), metrics, num_threads, cancel](
+    int num_threads, BudgetTracker* budget) const {
+  return [this, snap = std::move(snap), metrics, num_threads, budget](
              const std::string& name, const Relation& relation,
              const std::vector<std::string>& order)
              -> Result<std::shared_ptr<const RelationTrie>> {
@@ -651,48 +686,21 @@ TrieProvider MultiModelDatabase::CacheTrieProvider(
     // old-version trie after an update is harmless: it can only be hit
     // by sessions on the same version, and the update's owner-wide
     // invalidation / LRU pressure reclaims it.
-    std::string key = RelationTrieKey(name, entry->second.version, order);
-    {
-      std::lock_guard<std::mutex> lock(self->trie_cache_mu_);
-      auto hit = self->TrieCacheLookupLocked(key);
-      if (hit != nullptr) {
-        ++self->trie_cache_hits_;
-        MetricsAdd(metrics, "db.trie_cache.hits", 1);
-        return hit;
-      }
-    }
-    // Cache miss: a cancelled query must not pay for (or fault tests
-    // silently survive) a cold build.
-    if (cancel != nullptr && cancel->cancelled()) return cancel->status();
-    if (XJOIN_FAULT("trie.build")) {
-      return Status::Internal("fault injection: trie build for " + name +
-                              " failed (site trie.build)");
-    }
-    // Build outside the lock (concurrent queries may race to build the
-    // same trie; the insert below keeps the first and the extra build
-    // is discarded — correctness over double-build avoidance).
-    TrieBuildOptions build_options;
-    build_options.num_threads = num_threads;
-    build_options.metrics = metrics;
-    XJ_ASSIGN_OR_RETURN(RelationTrie trie,
-                        RelationTrie::Build(relation, order, build_options));
-    auto shared = std::make_shared<const RelationTrie>(std::move(trie));
-    std::lock_guard<std::mutex> lock(self->trie_cache_mu_);
-    ++self->trie_cache_misses_;
-    MetricsAdd(metrics, "db.trie_cache.misses", 1);
-    int64_t before = self->trie_cache_evictions_;
-    self->TrieCacheInsertLocked(std::move(key), name, shared);
-    MetricsAdd(metrics, "db.trie_cache.evictions",
-               self->trie_cache_evictions_ - before);
-    return shared;
+    return CachedTrie(
+        RelationTrieKey(name, entry->second.version, order), name, "trie",
+        metrics, budget, [&]() -> Result<RelationTrie> {
+          TrieBuildOptions build_options;
+          build_options.num_threads = num_threads;
+          build_options.metrics = metrics;
+          return RelationTrie::Build(relation, order, build_options);
+        });
   };
 }
 
 PathTrieProvider MultiModelDatabase::CachePathTrieProvider(
     std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
-    int num_threads, const CancellationToken* cancel) const {
-  const MultiModelDatabase* self = this;
-  return [self, snap = std::move(snap), metrics, num_threads, cancel](
+    int num_threads, BudgetTracker* budget) const {
+  return [this, snap = std::move(snap), metrics, num_threads, budget](
              const PathRelation& relation, const std::string& signature)
              -> Result<std::shared_ptr<const RelationTrie>> {
     std::string doc_name = SnapshotDocumentNameOf(*snap, &relation.index());
@@ -701,37 +709,16 @@ PathTrieProvider MultiModelDatabase::CachePathTrieProvider(
       return std::shared_ptr<const RelationTrie>();
     }
     uint64_t version = snap->documents.find(doc_name)->second.version;
-    std::string key = PathTrieKey(doc_name, version, signature);
-    {
-      std::lock_guard<std::mutex> lock(self->trie_cache_mu_);
-      auto hit = self->TrieCacheLookupLocked(key);
-      if (hit != nullptr) {
-        ++self->trie_cache_hits_;
-        MetricsAdd(metrics, "db.trie_cache.hits", 1);
-        return hit;
-      }
-    }
-    if (cancel != nullptr && cancel->cancelled()) return cancel->status();
-    if (XJOIN_FAULT("trie.build")) {
-      return Status::Internal("fault injection: path trie build for " +
-                              doc_name + " failed (site trie.build)");
-    }
-    TrieBuildOptions build_options;
-    build_options.num_threads = num_threads;
-    build_options.metrics = metrics;
-    XJ_ASSIGN_OR_RETURN(Relation materialized, relation.Materialize());
-    XJ_ASSIGN_OR_RETURN(RelationTrie trie,
-                        RelationTrie::Build(materialized, relation.attributes(),
-                                            build_options));
-    auto shared = std::make_shared<const RelationTrie>(std::move(trie));
-    std::lock_guard<std::mutex> lock(self->trie_cache_mu_);
-    ++self->trie_cache_misses_;
-    MetricsAdd(metrics, "db.trie_cache.misses", 1);
-    int64_t before = self->trie_cache_evictions_;
-    self->TrieCacheInsertLocked(std::move(key), doc_name, shared);
-    MetricsAdd(metrics, "db.trie_cache.evictions",
-               self->trie_cache_evictions_ - before);
-    return shared;
+    return CachedTrie(
+        PathTrieKey(doc_name, version, signature), doc_name, "path trie",
+        metrics, budget, [&]() -> Result<RelationTrie> {
+          TrieBuildOptions build_options;
+          build_options.num_threads = num_threads;
+          build_options.metrics = metrics;
+          XJ_ASSIGN_OR_RETURN(Relation materialized, relation.Materialize());
+          return RelationTrie::Build(materialized, relation.attributes(),
+                                     build_options);
+        });
   };
 }
 
@@ -936,31 +923,26 @@ bool MultiModelDatabase::PlanMatchesRegistry(const XJoinPlan& plan) const {
   return true;
 }
 
-XJoinOptions MultiModelDatabase::EngineOptions(
-    const QueryOptions& options, const CancellationToken* cancel,
-    BudgetTracker* budget,
+EngineServices MultiModelDatabase::Services(
+    const QueryOptions& options, BudgetTracker* budget,
     const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const {
-  XJoinOptions engine = options.xjoin;  // plan settings
-  engine.metrics = options.metrics;
-  engine.cancel = cancel;
-  engine.budget = budget;
-  engine.executor = nullptr;  // Executor::Default()
-  engine.trie_provider = nullptr;
-  engine.path_trie_provider = nullptr;
+  EngineServices services;
+  services.metrics = options.metrics;
+  services.budget = budget;
   if (snap != nullptr) {
     int num_threads = std::max(1, options.xjoin.num_threads);
-    engine.trie_provider =
-        CacheTrieProvider(snap, options.metrics, num_threads, cancel);
-    engine.path_trie_provider =
-        CachePathTrieProvider(snap, options.metrics, num_threads, cancel);
+    services.trie_provider =
+        CacheTrieProvider(snap, options.metrics, num_threads, budget);
+    services.path_trie_provider =
+        CachePathTrieProvider(snap, options.metrics, num_threads, budget);
   }
-  return engine;
+  return services;
 }
 
 Result<std::shared_ptr<const XJoinPlan>>
 MultiModelDatabase::PreparePlanSnapshot(
     const std::string& text, const QueryOptions& options,
-    const CancellationToken* cancel,
+    BudgetTracker* budget,
     const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const {
   std::string key = PlanCacheKey(text, options.xjoin);
 
@@ -1019,17 +1001,16 @@ MultiModelDatabase::PreparePlanSnapshot(
     if (eligible) {
       // Re-pin instead of re-plan: reuse the stale plan's parsed query
       // with relation pointers remapped onto the snapshot (skips
-      // parsing), and let RebindXJoin force the old expansion order
-      // (skips order selection). The trie provider serves the
-      // delta-patched tries at the new versions.
+      // parsing), and let RebindXJoin reuse the old settings and force
+      // the old expansion order (skips order selection). The trie
+      // provider serves the delta-patched tries at the new versions.
       MultiModelQuery query = stale->query;
       for (auto& nr : query.relations) {
         nr.relation = snap->relations.find(nr.name)->second.relation.get();
       }
       XJ_ASSIGN_OR_RETURN(
           std::shared_ptr<XJoinPlan> plan,
-          RebindXJoin(*stale, query,
-                      EngineOptions(options, cancel, nullptr, snap)));
+          RebindXJoin(*stale, query, Services(options, budget, snap)));
       AttachSnapshotSources(plan.get(), *snap, key);
       std::shared_ptr<const XJoinPlan> shared = std::move(plan);
       // Same publish gate as a miss: a rebind for an *old* snapshot
@@ -1062,7 +1043,7 @@ MultiModelDatabase::PreparePlanSnapshot(
   XJ_ASSIGN_OR_RETURN(MultiModelQuery query, ParseQuery(text, *snap));
   XJ_ASSIGN_OR_RETURN(
       std::shared_ptr<XJoinPlan> plan,
-      PrepareXJoin(query, EngineOptions(options, cancel, nullptr, snap)));
+      PrepareXJoin(query, options.xjoin, Services(options, budget, snap)));
   AttachSnapshotSources(plan.get(), *snap, key);
   std::shared_ptr<const XJoinPlan> shared = std::move(plan);
 
@@ -1197,9 +1178,8 @@ Result<Relation> MultiModelDatabase::RunPlan(
     }
     // Every cancel scope already rides the budget as a cancel source.
     return ExecutePlan(
-        plan, EngineOptions(options, /*cancel=*/nullptr,
-                            budget.limited() ? &budget : nullptr,
-                            /*snap=*/nullptr));
+        plan, Services(options, budget.limited() ? &budget : nullptr,
+                       /*snap=*/nullptr));
   }();
 
   if (!result.ok() && result.status().code() == StatusCode::kCancelled) {
@@ -1224,12 +1204,14 @@ Result<Relation> MultiModelDatabase::RunQuery(
     return RunPlan(shell, options, session_cancel, nullptr);
   }
   // Prepare-time cancellation: the cold path builds tries, which a
-  // cancelled caller should never pay for. (Execution attaches every
-  // scope to the budget tracker; prepare polls one token directly.)
-  const CancellationToken* prepare_cancel =
-      options.cancel != nullptr ? options.cancel : session_cancel;
+  // cancelled caller should never pay for. Prepare watches the call and
+  // session tokens through a cancel-only budget (limits and the
+  // deadline start with execution, in RunPlan).
+  BudgetTracker prepare_budget;
+  prepare_budget.AddCancelSource(options.cancel);
+  prepare_budget.AddCancelSource(session_cancel);
   Result<std::shared_ptr<const XJoinPlan>> plan =
-      PreparePlanSnapshot(text, options, prepare_cancel, snap);
+      PreparePlanSnapshot(text, options, &prepare_budget, snap);
   if (!plan.ok()) {
     // A query cancelled while its plan was still being prepared never
     // reached admission, but it still finished kCancelled — count it so

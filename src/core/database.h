@@ -46,6 +46,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -110,14 +111,11 @@ struct QueryOptions {
   /// moment a ceiling is crossed), the baseline engine post-hoc (each
   /// per-model stage completes, then the combined result is checked).
   Engine engine = Engine::kXJoin;
-  /// XJoin plan settings: attribute_order, order_heuristic,
-  /// materialize_paths, structural_pruning, num_threads, num_shards and
-  /// batch_size (the plan-cache fingerprint). Ignored by the baseline
-  /// engine. The per-call service fields (metrics, cancel, budget,
-  /// executor, trie_provider, path_trie_provider) are the database's:
-  /// whatever a caller puts there is ignored and replaced by the fields
-  /// below, the database caches and the shared executor.
-  XJoinOptions xjoin;
+  /// XJoin plan settings, the plan-cache fingerprint. Ignored by the
+  /// baseline engine. The engine's per-call services (EngineServices)
+  /// are the database's: it builds them from the fields below and its
+  /// trie caches.
+  PlanSettings xjoin;
   /// Admission budgets; 0 = unlimited. max_rows / max_bytes meter rows
   /// materialized at ANY stage — XJoin's expansion output counts even
   /// though validation may later discard most of it (they are resource
@@ -452,14 +450,12 @@ class MultiModelDatabase {
   Result<MultiModelQuery> ParseQuery(
       const std::string& text, const internal::DatabaseSnapshot& snap) const;
 
-  /// The engine's XJoinOptions for one call: the plan settings of
-  /// options.xjoin, and the per-call services owned here — counters
-  /// from options.metrics, the given cancel token and budget (both
-  /// nullable), the shared executor, and, when `snap` is set, the
-  /// trie-cache providers over that snapshot.
-  XJoinOptions EngineOptions(
-      const QueryOptions& options, const CancellationToken* cancel,
-      BudgetTracker* budget,
+  /// The engine's services for one call: counters from
+  /// options.metrics, the given budget (nullable; it carries the cancel
+  /// tokens), and, when `snap` is set, the trie-cache providers over
+  /// that snapshot.
+  EngineServices Services(
+      const QueryOptions& options, BudgetTracker* budget,
       const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const;
 
   /// The snapshot-aware planning path behind every entry point: plan
@@ -467,11 +463,11 @@ class MultiModelDatabase {
   /// prepare on miss, insert only when the snapshot is still current
   /// (an old session builds privately rather than poisoning the cache
   /// for new sessions, and never drops an entry that is valid for the
-  /// current registry). `cancel` (nullable) aborts before a cold trie
-  /// build.
+  /// current registry). A violated `budget` (nullable) aborts before a
+  /// cold trie build.
   Result<std::shared_ptr<const XJoinPlan>> PreparePlanSnapshot(
       const std::string& text, const QueryOptions& options,
-      const CancellationToken* cancel,
+      BudgetTracker* budget,
       const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const;
 
   /// The unified execution path behind Session::Query / Execute:
@@ -495,16 +491,25 @@ class MultiModelDatabase {
   /// The TrieProvider XJoin consults for relation tries: cache lookup,
   /// build and insert on miss (cache-miss builds use `num_threads`
   /// workers). Thread-safe against concurrent queries; identity and
-  /// versions come from the captured snapshot. `cancel` (nullable)
-  /// aborts before a cold build.
+  /// versions come from the captured snapshot. A violated `budget`
+  /// (nullable) aborts before a cold build.
   TrieProvider CacheTrieProvider(
       std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
-      int num_threads, const CancellationToken* cancel) const;
+      int num_threads, BudgetTracker* budget) const;
 
   /// Likewise for materialized path tries (materialize_paths queries).
   PathTrieProvider CachePathTrieProvider(
       std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
-      int num_threads, const CancellationToken* cancel) const;
+      int num_threads, BudgetTracker* budget) const;
+
+  /// The sequence both providers share: LRU lookup under `key`; on a
+  /// miss, the budget check, the "trie.build" fault site (`kind` names
+  /// the trie in its message), `build` outside the lock, and the insert
+  /// under `owner`; with the hit / miss / eviction counters.
+  Result<std::shared_ptr<const RelationTrie>> CachedTrie(
+      std::string key, const std::string& owner, const char* kind,
+      Metrics* metrics, BudgetTracker* budget,
+      const std::function<Result<RelationTrie>()>& build) const;
 
   /// Shared LRU plumbing (callers hold trie_cache_mu_; const because
   /// the providers run on the const query path — all touched state is

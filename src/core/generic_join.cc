@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "common/executor.h"
 #include "common/fault.h"
 #include "relational/intersect_kernels.h"
 #include "relational/result_batch.h"
@@ -363,15 +364,9 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
     return Status::InvalidArgument("batch_size must be >= 1");
   }
 
-  // A cancellation token rides the budget tracker as an extra "cancel
-  // source": the per-binding violation poll then observes it for free.
-  // A token without a caller budget gets a private unlimited tracker.
-  BudgetTracker local_budget;
-  BudgetTracker* budget = options.budget;
-  if (options.cancel != nullptr) {
-    if (budget == nullptr) budget = &local_budget;
-    budget->AddCancelSource(options.cancel);
-  }
+  // Cancellation tokens ride the budget as cancel sources: the
+  // per-binding violation poll observes them for free.
+  BudgetTracker* const budget = options.budget;
 
   // Admission: refuse to start a query whose deadline already passed,
   // whose budget a prior stage already exhausted (a multi-step caller —
@@ -537,8 +532,7 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   // cores instead of each spawning num_threads threads. A shared budget
   // tracker aborts every shard once any of them trips a ceiling or sees
   // a cancellation.
-  Executor* executor =
-      options.executor != nullptr ? options.executor : Executor::Default();
+  Executor* executor = Executor::Default();
 #ifdef XJOIN_FAULTS_ENABLED
   // Fault site: the per-shard morsel hand-off. A hit makes the worker
   // drop that shard's work on the floor (the morsel "ran" but produced

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/budget.h"
-#include "common/executor.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "relational/relation.h"
@@ -70,7 +69,8 @@ struct GenericJoinOptions {
   /// join runs with more than one shard.
   PrefixFilter prefix_filter;
   /// Number of worker threads. <= 1 runs the serial executor; > 1 runs
-  /// the sharded driver (see num_shards) on up to this many threads.
+  /// the sharded driver (see num_shards) on up to this many threads of
+  /// the shared Executor::Default() pool.
   int num_threads = 1;
   /// Number of prefix-range shards. 0 means "= num_threads". Values
   /// > 1 force the sharded driver even when num_threads == 1 (useful for
@@ -102,23 +102,12 @@ struct GenericJoinOptions {
   /// (nullable). The engine charges each materialized output row
   /// (rows x 8*arity bytes) against it, samples the deadline every few
   /// thousand bindings, and aborts all shards as soon as any ceiling is
-  /// crossed — GenericJoin then returns the tracker's typed Status
-  /// (kResourceExhausted / kDeadlineExceeded) and discards partial
-  /// rows. With no budget (or an unlimited one) results and counters
-  /// are bit-identical to a budget-free run.
+  /// crossed or any attached cancel source is cancelled — GenericJoin
+  /// then returns the tracker's typed Status (kResourceExhausted /
+  /// kDeadlineExceeded / kCancelled) and discards partial rows. With no
+  /// budget (or an unlimited one) results and counters are
+  /// bit-identical to a budget-free run.
   BudgetTracker* budget = nullptr;
-  /// Optional cooperative cancellation token (nullable). Attached to the
-  /// budget tracker (a private one is used when `budget` is null) as a
-  /// cancel source, so every shard's per-binding violation poll also
-  /// observes Cancel() from any thread and the join returns the token's
-  /// typed kCancelled Status within one budget-check interval per
-  /// shard, discarding partial rows. Per-call service, never part of a
-  /// plan fingerprint.
-  const CancellationToken* cancel = nullptr;
-  /// Executor pool for the sharded driver (nullable; null = the shared
-  /// Executor::Default() pool). Per-call service, never part of a plan
-  /// fingerprint.
-  Executor* executor = nullptr;
   /// Optional counters (nullable): per level "gj.level<i>.bindings" plus
   /// "gj.max_intermediate", "gj.total_intermediate", "gj.seeks",
   /// "gj.output". Sharded runs additionally record "gj.shards" (effective

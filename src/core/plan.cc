@@ -93,7 +93,9 @@ void PlanLevels(XJoinPlan* plan) {
 // capped by the chosen domain's estimate.
 void PlanShards(XJoinPlan* plan) {
   ShardPlan& sp = plan->shard_plan;
-  sp.requested = plan->num_shards > 0 ? plan->num_shards : plan->num_threads;
+  const PlanSettings& settings = plan->settings;
+  sp.requested =
+      settings.num_shards > 0 ? settings.num_shards : settings.num_threads;
   sp.requested = std::max(1, sp.requested);
   if (plan->order.empty()) {
     sp.depth = 1;
@@ -173,43 +175,42 @@ std::string PathSignature(const Twig& twig, const TwigPath& path) {
   return sig;
 }
 
-size_t PlanFingerprint(const XJoinOptions& options) {
+size_t PlanFingerprint(const PlanSettings& settings) {
   size_t fp = 0;
-  fp = HashBytes(fp, JoinStrings(options.attribute_order, ","));
-  fp = HashCombine(fp, static_cast<size_t>(options.order_heuristic));
-  fp = HashCombine(fp, (options.materialize_paths ? 1u : 0u) |
-                           (options.structural_pruning ? 2u : 0u));
-  fp = HashCombine(fp, static_cast<size_t>(std::max(1, options.num_threads)));
-  fp = HashCombine(fp, static_cast<size_t>(std::max(0, options.num_shards)));
-  fp = HashCombine(fp, static_cast<size_t>(options.batch_size));
+  fp = HashBytes(fp, JoinStrings(settings.attribute_order, ","));
+  fp = HashCombine(fp, static_cast<size_t>(settings.order_heuristic));
+  fp = HashCombine(fp, (settings.materialize_paths ? 1u : 0u) |
+                           (settings.structural_pruning ? 2u : 0u));
+  fp = HashCombine(fp, static_cast<size_t>(std::max(1, settings.num_threads)));
+  fp = HashCombine(fp, static_cast<size_t>(std::max(0, settings.num_shards)));
+  fp = HashCombine(fp, static_cast<size_t>(settings.batch_size));
   return fp;
 }
 
-Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(const MultiModelQuery& query,
-                                                const XJoinOptions& options) {
+Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(
+    const MultiModelQuery& query, const PlanSettings& settings,
+    const EngineServices& services) {
   Timer timer;
   XJ_RETURN_NOT_OK(ValidateQuery(query));
+  if (settings.batch_size < 1) {
+    return Status::InvalidArgument("batch_size must be >= 1");
+  }
 
   auto plan = std::make_shared<XJoinPlan>();
   plan->query = query;
-  plan->order_heuristic = options.order_heuristic;
-  plan->materialize_paths = options.materialize_paths;
-  plan->structural_pruning = options.structural_pruning;
-  plan->num_threads = std::max(1, options.num_threads);
-  plan->num_shards = options.num_shards;
-  if (options.batch_size < 1) {
-    return Status::InvalidArgument("batch_size must be >= 1");
-  }
-  plan->batch_size = options.batch_size;
+  plan->settings = settings;
+  plan->settings.num_threads = std::max(1, settings.num_threads);
+  plan->settings.num_shards = std::max(0, settings.num_shards);
 
   // 1. Expansion order (PA).
-  if (options.attribute_order.empty()) {
+  if (settings.attribute_order.empty()) {
     XJ_ASSIGN_OR_RETURN(
         plan->order,
-        ChooseAttributeOrder(plan->query, options.order_heuristic));
+        ChooseAttributeOrder(plan->query, settings.order_heuristic));
   } else {
-    XJ_RETURN_NOT_OK(CheckAttributeOrder(plan->query, options.attribute_order));
-    plan->order = options.attribute_order;
+    XJ_RETURN_NOT_OK(
+        CheckAttributeOrder(plan->query, settings.attribute_order));
+    plan->order = settings.attribute_order;
   }
   std::map<std::string, size_t> order_pos;
   for (size_t i = 0; i < plan->order.size(); ++i) order_pos[plan->order[i]] = i;
@@ -244,24 +245,24 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(const MultiModelQuery& query,
   }
 
   // 3. Pin relation tries: provider (the database cache) first, private
-  // build otherwise. Builds use the plan's thread budget. Trie builds
-  // are the expensive prepare-time step, so a cancelled caller is
-  // checked before each one rather than only at execution.
+  // build otherwise. Builds use the plan's thread count. Trie builds are
+  // the expensive prepare-time step, so the budget (and the cancel
+  // sources it carries) is polled before each one rather than only at
+  // execution.
+  BudgetTracker* budget = services.budget;
   TrieBuildOptions build_options;
-  build_options.num_threads = plan->num_threads;
-  build_options.metrics = options.metrics;
+  build_options.num_threads = plan->settings.num_threads;
+  build_options.metrics = services.metrics;
   for (const auto& nr : plan->query.relations) {
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      return options.cancel->status();
-    }
+    if (budget != nullptr && budget->violated()) return budget->status();
     XJoinPlan::RelInput input;
     input.name = nr.name;
     input.relation = nr.relation;
     for (const auto& a : plan->order) {
       if (nr.relation->schema().Contains(a)) input.attrs.push_back(a);
     }
-    if (options.trie_provider) {
-      XJ_ASSIGN_OR_RETURN(input.trie, options.trie_provider(
+    if (services.trie_provider) {
+      XJ_ASSIGN_OR_RETURN(input.trie, services.trie_provider(
                                           nr.name, *nr.relation, input.attrs));
       input.from_provider = input.trie != nullptr;
     }
@@ -276,16 +277,14 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(const MultiModelQuery& query,
   }
 
   // 4. Pin path tries (ablation only; the default is lazy navigation).
-  if (plan->materialize_paths) {
+  if (settings.materialize_paths) {
     for (auto& input : plan->path_inputs) {
-      if (options.cancel != nullptr && options.cancel->cancelled()) {
-        return options.cancel->status();
-      }
+      if (budget != nullptr && budget->violated()) return budget->status();
       const PathRelation& rel =
           plan->twigs[input.twig_index].paths[input.path_index];
-      if (options.path_trie_provider) {
+      if (services.path_trie_provider) {
         XJ_ASSIGN_OR_RETURN(input.trie,
-                            options.path_trie_provider(rel, input.signature));
+                            services.path_trie_provider(rel, input.signature));
         input.from_provider = input.trie != nullptr;
       }
       if (input.trie == nullptr) {
@@ -304,27 +303,31 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(const MultiModelQuery& query,
   PlanLevels(plan.get());
   PlanShards(plan.get());
 
-  MetricsAdd(options.metrics, "plan.prepared", 1);
-  MetricsAdd(options.metrics, "plan.prepare_micros", timer.ElapsedMicros());
+  MetricsAdd(services.metrics, "plan.prepared", 1);
+  MetricsAdd(services.metrics, "plan.prepare_micros", timer.ElapsedMicros());
   return plan;
 }
 
 Result<std::shared_ptr<XJoinPlan>> RebindXJoin(const XJoinPlan& stale,
                                                const MultiModelQuery& query,
-                                               const XJoinOptions& options) {
+                                               const EngineServices& services) {
   Timer timer;
-  XJoinOptions rebind_options = options;
   // Pin the stale plan's expansion order: the query shape is unchanged,
   // so re-running order selection could only reproduce (or needlessly
   // perturb) it. Metrics are detached so a rebind counts below rather
   // than as a full "plan.prepared"; the providers carry their own
   // metrics pointers and are unaffected.
-  rebind_options.attribute_order = stale.order;
-  rebind_options.metrics = nullptr;
+  PlanSettings settings = stale.settings;
+  settings.attribute_order = stale.order;
+  EngineServices rebind_services = services;
+  rebind_services.metrics = nullptr;
   XJ_ASSIGN_OR_RETURN(std::shared_ptr<XJoinPlan> plan,
-                      PrepareXJoin(query, rebind_options));
-  MetricsAdd(options.metrics, "plan.rebinds", 1);
-  MetricsAdd(options.metrics, "plan.rebind_micros", timer.ElapsedMicros());
+                      PrepareXJoin(query, settings, rebind_services));
+  // The forced order is how a rebind works, not a setting: the rebound
+  // plan keeps the settings (and so the fingerprint) of the stale one.
+  plan->settings.attribute_order = stale.settings.attribute_order;
+  MetricsAdd(services.metrics, "plan.rebinds", 1);
+  MetricsAdd(services.metrics, "plan.rebind_micros", timer.ElapsedMicros());
   return plan;
 }
 
@@ -374,7 +377,7 @@ std::string ExplainPlan(const XJoinPlan& plan) {
   }
   out += ")\n";
   out += "execution: batched (columnar, block=" +
-         std::to_string(plan.batch_size) + ")\n";
+         std::to_string(plan.settings.batch_size) + ")\n";
   // Live property of the host running EXPLAIN, not a plan snapshot: the
   // dispatch ladder is resolved again wherever the plan executes.
   out += "simd dispatch: " + std::string(SimdLevelName(ActiveSimdLevel())) +
@@ -382,7 +385,7 @@ std::string ExplainPlan(const XJoinPlan& plan) {
   out += "pinned tries: " + std::to_string(plan.tries_provider) +
          " via db cache, " + std::to_string(plan.tries_built) +
          " private builds\n";
-  if (plan.structural_pruning) out += "structural pruning: on\n";
+  if (plan.settings.structural_pruning) out += "structural pruning: on\n";
 
   BoundOptions bound_options;
   bound_options.path_size_mode = PathSizeMode::kChainCount;

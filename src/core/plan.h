@@ -11,7 +11,7 @@
 //   Execute  ExecutePlan walks the pinned tries; no planning work left
 //
 // MultiModelDatabase caches XJoinPlans keyed by canonical query text +
-// options fingerprint and re-validates input versions on every hit, so
+// PlanSettings fingerprint and re-validates input versions on every hit, so
 // repeated query shapes skip order selection, shard planning, and all
 // trie builds.
 #ifndef XJOIN_CORE_PLAN_H_
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/budget.h"
-#include "common/executor.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "core/decompose.h"
@@ -59,12 +58,12 @@ using PathTrieProvider =
     std::function<Result<std::shared_ptr<const RelationTrie>>(
         const PathRelation& relation, const std::string& signature)>;
 
-/// Execution options for XJoin. The plan-shaping fields (attribute
-/// order, heuristic, materialize_paths, structural_pruning, num_threads,
-/// num_shards) are snapshotted into the XJoinPlan at prepare time and
-/// are part of the database's plan-cache fingerprint; metrics and the
-/// providers are per-call services.
-struct XJoinOptions {
+/// Algorithm 1's plan-shaping choices. PrepareXJoin normalises them once
+/// into XJoinPlan::settings, and PlanFingerprint hashes every field: the
+/// second half of the database's plan-cache key. Nothing per-call lives
+/// here (see EngineServices), so a plan is a function of the query, its
+/// inputs and these settings alone.
+struct PlanSettings {
   /// The paper's PA: explicit expansion order. Empty = choose
   /// automatically (core/order.h). Must respect twig path precedence.
   std::vector<std::string> attribute_order;
@@ -75,47 +74,27 @@ struct XJoinOptions {
   /// §4 extension: prune prefixes whose partial twig structure is
   /// already infeasible.
   bool structural_pruning = false;
-  /// Worker threads for the expansion loop and the final structural
-  /// validation. <= 1 (default) runs fully serial, bit-identical to the
-  /// pre-sharding engine; > 1 shards the first attribute's key domain
-  /// across a thread pool (see GenericJoinOptions::num_threads). The
-  /// result relation is byte-identical either way.
+  /// Worker threads for trie builds, the expansion loop and the final
+  /// structural validation. <= 1 (default) runs fully serial; > 1
+  /// shards the first attribute's key domain across the shared
+  /// executor pool (see GenericJoinOptions::num_threads). The result
+  /// relation is byte-identical either way.
   int num_threads = 1;
-  /// Prefix shard count forwarded to the shard plan (0 = one shard per
-  /// thread). num_shards > 1 with num_threads == 1 exercises the shard
-  /// partitioning deterministically on one thread.
+  /// Prefix shard count forwarded to the shard plan (<= 0 = one shard
+  /// per thread). num_shards > 1 with num_threads == 1 exercises the
+  /// shard partitioning deterministically on one thread.
   int num_shards = 0;
   /// Result-batch capacity for the expansion loop (>= 1; PrepareXJoin
-  /// rejects smaller values), snapshotted into the plan and part of the
-  /// cache fingerprint — see GenericJoinOptions::batch_size. Results
-  /// and "gj.*"/"validate.*" counters are identical at every size.
+  /// rejects smaller values) — see GenericJoinOptions::batch_size.
+  /// Results and "gj.*"/"validate.*" counters are identical at every
+  /// size.
   int batch_size = kDefaultResultBatchCapacity;
-  /// Optional trie cache hook (see TrieProvider above). Empty = every
-  /// prepare builds its own relation tries.
-  TrieProvider trie_provider;
-  /// Optional materialized-path-trie cache hook (used only with
-  /// materialize_paths). Empty = materialize and build locally.
-  PathTrieProvider path_trie_provider;
-  /// Optional per-query admission budget (nullable), shared by the
-  /// expansion loop and the final structural validation: every
-  /// materialized row at any stage is charged against it and the
-  /// deadline is sampled as work progresses. On violation the engine
-  /// stops, discards partial rows, and returns the tracker's typed
-  /// Status (kResourceExhausted / kDeadlineExceeded). Per-call service —
-  /// never part of the plan fingerprint.
-  BudgetTracker* budget = nullptr;
-  /// Optional cooperative cancellation token (nullable), observed both
-  /// at prepare time (between trie pins, so a cancelled caller never
-  /// pays for a cold trie build) and throughout execution (attached to
-  /// the budget tracker as a cancel source, polled every binding).
-  /// Cancelled queries return the token's typed kCancelled Status and
-  /// discard partial rows. Per-call service — never part of the plan
-  /// fingerprint.
-  const CancellationToken* cancel = nullptr;
-  /// Executor pool for sharded expansion and parallel validation
-  /// (nullable; null = the shared Executor::Default() pool). Per-call
-  /// service — never part of the plan fingerprint.
-  Executor* executor = nullptr;
+};
+
+/// The per-call services of one prepare or execute. Never part of a
+/// plan or its fingerprint: a cached plan replays identically whatever
+/// services a later call brings.
+struct EngineServices {
   /// Nullable counters. Records the generic-join "gj.*" counters plus
   /// "plan.prepared" / "plan.prepare_micros" (prepare side),
   /// "xjoin.expanded" (tuples before validation), "xjoin.validated"
@@ -124,6 +103,23 @@ struct XJoinOptions {
   /// "validate.*" sub-counters — exact at every thread count (per-shard
   /// bags merged at the barriers).
   Metrics* metrics = nullptr;
+  /// Optional per-query budget (nullable), and the engine's only cancel
+  /// channel: cancellation tokens ride it as cancel sources
+  /// (BudgetTracker::AddCancelSource). PrepareXJoin polls violated()
+  /// before every trie pin, so a cancelled caller never pays for a cold
+  /// trie build. ExecutePlan shares it between the expansion loop and
+  /// the final structural validation: every materialized row at any
+  /// stage is charged against it and the deadline is sampled as work
+  /// progresses. On violation the engine stops, discards partial rows,
+  /// and returns the tracker's typed Status (kResourceExhausted /
+  /// kDeadlineExceeded / kCancelled).
+  BudgetTracker* budget = nullptr;
+  /// Optional trie cache hook (see TrieProvider above). Empty = every
+  /// prepare builds its own relation tries.
+  TrieProvider trie_provider;
+  /// Optional materialized-path-trie cache hook (used only with
+  /// materialize_paths). Empty = materialize and build locally.
+  PathTrieProvider path_trie_provider;
 };
 
 /// Rationale for one expansion level, recorded at prepare time: who
@@ -173,13 +169,9 @@ struct XJoinPlan {
   /// The resolved query (relations + twigs + output attributes).
   MultiModelQuery query;
 
-  // --- plan-shaping option snapshot (part of the cache fingerprint) ---
-  OrderHeuristic order_heuristic = OrderHeuristic::kCoverage;
-  bool materialize_paths = false;
-  bool structural_pruning = false;
-  int num_threads = 1;
-  int num_shards = 0;
-  int batch_size = kDefaultResultBatchCapacity;
+  /// The settings it was prepared with, normalised (num_threads >= 1,
+  /// num_shards >= 0).
+  PlanSettings settings;
 
   /// The chosen expansion order (PA) with its per-level rationale.
   std::vector<std::string> order;
@@ -255,37 +247,39 @@ struct XJoinPlan {
 /// database's path-trie cache key.
 std::string PathSignature(const Twig& twig, const TwigPath& path);
 
-/// Fingerprint of the plan-shaping option fields (attribute_order,
-/// order_heuristic, materialize_paths, structural_pruning, num_threads,
-/// num_shards, batch_size) — the second half of the database's
-/// plan-cache key, so e.g. num_threads and structural_pruning variants
-/// get distinct plans.
-size_t PlanFingerprint(const XJoinOptions& options);
+/// Fingerprint of every PlanSettings field — the second half of the
+/// database's plan-cache key, so e.g. num_threads and structural_pruning
+/// variants get distinct plans. Settings that prepare the same plan
+/// share it: every num_threads <= 1, and every num_shards <= 0.
+size_t PlanFingerprint(const PlanSettings& settings);
 
 /// Prepares `query`: validates it, chooses the expansion order (with
 /// per-level lead rationale), decomposes twigs into path relations,
 /// pins relation tries (and path tries under materialize_paths) through
 /// the providers or private builds, and plans the shard partitioning
 /// from the level-0/level-1 domain estimates. O(planning) only — no
-/// expansion runs. Records "plan.prepared" and "plan.prepare_micros" on
-/// options.metrics. The returned plan is mutable only so the caching
-/// layer can attach versions; treat it as const afterwards.
-Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(const MultiModelQuery& query,
-                                                const XJoinOptions& options);
+/// expansion runs. Returns the budget's Status as soon as
+/// services.budget is violated (checked before every trie pin). Records
+/// "plan.prepared" and "plan.prepare_micros" on services.metrics. The
+/// returned plan is mutable only so the caching layer can attach
+/// versions; treat it as const afterwards.
+Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(
+    const MultiModelQuery& query, const PlanSettings& settings = {},
+    const EngineServices& services = {});
 
 /// Re-prepares a structurally unchanged plan against updated inputs:
 /// the caller supplies `query` as the stale plan's parsed query with
 /// relation pointers remapped to the new storage (documents must be
-/// unchanged), and the stale plan's expansion order is forced, so
-/// rebinding skips parsing and order selection and spends its time only
-/// re-pinning tries through the providers — which is where the
-/// database's delta-patched tries at the new versions come from.
-/// Records "plan.rebinds" / "plan.rebind_micros" instead of
+/// unchanged). The stale plan's settings are reused and its expansion
+/// order is forced, so rebinding skips parsing and order selection and
+/// spends its time only re-pinning tries through the providers — which
+/// is where the database's delta-patched tries at the new versions come
+/// from. Records "plan.rebinds" / "plan.rebind_micros" instead of
 /// "plan.prepared"; used by the plan cache to keep entries serving
 /// across ApplyRelationDelta version bumps without a full re-plan.
-Result<std::shared_ptr<XJoinPlan>> RebindXJoin(const XJoinPlan& stale,
-                                               const MultiModelQuery& query,
-                                               const XJoinOptions& options);
+Result<std::shared_ptr<XJoinPlan>> RebindXJoin(
+    const XJoinPlan& stale, const MultiModelQuery& query,
+    const EngineServices& services = {});
 
 /// Renders the plan for EXPLAIN: inputs and their transform(Sx)
 /// decompositions, the expansion order with per-level bound rationale,

@@ -70,20 +70,13 @@ void GatherRows(const Relation& in, const std::vector<size_t>& cols,
 }  // namespace
 
 Result<Relation> ExecutePlan(const XJoinPlan& plan,
-                             const XJoinOptions& options) {
-  const int num_threads = plan.num_threads;
-
-  // A cancellation token rides the budget tracker as a cancel source so
-  // both the expansion loop and the validation stage observe it through
-  // one violated() poll; a token without a caller budget gets a private
-  // unlimited tracker. (The caller's tracker may carry further tokens —
-  // session- and statement-scoped — attached upstream.)
-  BudgetTracker local_budget;
-  BudgetTracker* budget = options.budget;
-  if (options.cancel != nullptr) {
-    if (budget == nullptr) budget = &local_budget;
-    budget->AddCancelSource(options.cancel);
-  }
+                             const EngineServices& services) {
+  const int num_threads = plan.settings.num_threads;
+  Metrics* const metrics = services.metrics;
+  // Cancellation tokens ride the budget as cancel sources, so the
+  // expansion loop and the validation stage observe them through the
+  // one violated() poll.
+  BudgetTracker* const budget = services.budget;
 
   // 1. Instantiate cursors over the pinned tries: relations first, then
   // twig paths, mirroring the plan's input order.
@@ -112,14 +105,13 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   // merged at the join barrier — counters stay exact in parallel runs.
   GenericJoinOptions gj_options;
   gj_options.attribute_order = plan.order;
-  gj_options.metrics = options.metrics;
+  gj_options.metrics = metrics;
   gj_options.num_threads = num_threads;
   gj_options.num_shards = plan.shard_plan.count;
   gj_options.shard_depth = plan.shard_plan.depth;
-  gj_options.batch_size = plan.batch_size;
+  gj_options.batch_size = plan.settings.batch_size;
   gj_options.budget = budget;
-  gj_options.executor = options.executor;
-  if (plan.structural_pruning) {
+  if (plan.settings.structural_pruning) {
     gj_options.prefix_filter = [&plan](size_t depth,
                                        const std::vector<int64_t>& prefix,
                                        Metrics* metrics) {
@@ -155,7 +147,7 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   XJ_ASSIGN_OR_RETURN(Relation expanded, GenericJoin(inputs, gj_options));
   XJ_DCHECK(StrictlyAscending(expanded))
       << "GenericJoin output is not strictly ascending by plan.order";
-  MetricsAdd(options.metrics, "xjoin.expanded",
+  MetricsAdd(metrics, "xjoin.expanded",
              static_cast<int64_t>(expanded.num_rows()));
 
   // 4. Final structural validation. Row checks are independent, so they
@@ -177,16 +169,14 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
     keep.assign(num_rows, 0);
     std::vector<ValidationWorker> workers(static_cast<size_t>(
         ParallelWorkerCount(num_threads, num_rows, kGrain)));
-    Executor* executor =
-        options.executor != nullptr ? options.executor : Executor::Default();
-    executor->ParallelForWorker(
+    Executor::Default()->ParallelForWorker(
         num_threads, num_rows, kGrain, [&](int worker, size_t r) {
           // Cancelled (or budget-tripped) mid-validation: skip the
           // remaining rows (the whole result is discarded below, so a
           // zero keep-bit is fine).
           if (budget != nullptr && budget->violated()) return;
           ValidationWorker& w = workers[static_cast<size_t>(worker)];
-          Metrics* metrics = options.metrics != nullptr ? &w.metrics : nullptr;
+          Metrics* row_metrics = metrics != nullptr ? &w.metrics : nullptr;
           for (size_t t = 0; t < plan.twigs.size(); ++t) {
             const XJoinPlan::TwigExec& exec = plan.twigs[t];
             const size_t num_nodes = plan.query.twigs[t].twig.num_nodes();
@@ -195,16 +185,14 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
               w.values[q] = expanded.at(r, exec.order_pos_of_node[q]);
             }
             if (!exec.validator.ExistsEmbedding(w.values, &w.scratch,
-                                                metrics)) {
+                                                row_metrics)) {
               return;
             }
           }
           keep[r] = 1;
         });
-    if (options.metrics != nullptr) {
-      for (const ValidationWorker& w : workers) {
-        options.metrics->MergeFrom(w.metrics);
-      }
+    if (metrics != nullptr) {
+      for (const ValidationWorker& w : workers) metrics->MergeFrom(w.metrics);
     }
     num_kept = static_cast<size_t>(std::count(keep.begin(), keep.end(), 1));
   }
@@ -216,11 +204,10 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
     budget->CheckDeadline();
     if (budget->violated()) return budget->status();
   }
-  MetricsAdd(options.metrics, "xjoin.validated",
-             static_cast<int64_t>(num_kept));
-  if (options.metrics != nullptr) {
-    options.metrics->RecordMax("xjoin.max_intermediate",
-                               options.metrics->Get("gj.max_intermediate"));
+  MetricsAdd(metrics, "xjoin.validated", static_cast<int64_t>(num_kept));
+  if (metrics != nullptr) {
+    metrics->RecordMax("xjoin.max_intermediate",
+                       metrics->Get("gj.max_intermediate"));
   }
 
   // 5. Projection, fused with the gather of the kept rows: only output
@@ -254,10 +241,11 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
 }
 
 Result<Relation> ExecuteXJoin(const MultiModelQuery& query,
-                              const XJoinOptions& options) {
+                              const PlanSettings& settings,
+                              const EngineServices& services) {
   XJ_ASSIGN_OR_RETURN(std::shared_ptr<XJoinPlan> plan,
-                      PrepareXJoin(query, options));
-  return ExecutePlan(*plan, options);
+                      PrepareXJoin(query, settings, services));
+  return ExecutePlan(*plan, services);
 }
 
 }  // namespace xjoin

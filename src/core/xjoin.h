@@ -26,17 +26,18 @@ namespace xjoin {
 /// Executes a prepared plan: instantiates cursors over the pinned tries
 /// (lazy document cursors for unmaterialized paths), runs the expansion
 /// loop under the plan's shard plan, validates twig structure, and
-/// projects. Only options.metrics is consulted — every engine knob
-/// (threads, shards, pruning, order) was frozen into the plan at
-/// prepare time, which is what makes a cached plan deterministic. Safe
-/// to call concurrently on the same plan.
+/// projects. Every engine knob (threads, shards, pruning, order, batch
+/// size) was frozen into plan.settings at prepare time, which is what
+/// makes a cached plan deterministic; of the services only metrics and
+/// budget are consulted, on the shared Executor::Default() pool. Safe to
+/// call concurrently on the same plan.
 Result<Relation> ExecutePlan(const XJoinPlan& plan,
-                             const XJoinOptions& options = {});
+                             const EngineServices& services = {});
 
 /// Runs XJoin (paper Algorithm 1) and returns the distinct result tuples
 /// over the query's output attributes (all attributes when
 /// output_attributes is empty). Implemented as
-/// PrepareXJoin(query, options) + ExecutePlan(plan, options).
+/// PrepareXJoin(query, settings, services) + ExecutePlan(plan, services).
 ///
 /// Worst-case optimality (paper Theorem 4.1 via Lemma 3.5): with a
 /// bound-respecting expansion order, every per-attribute expansion stage
@@ -45,7 +46,8 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
 /// adds O(|expanded|) embedding checks. Fails on invalid queries
 /// (ValidateQuery) or an inconsistent user-supplied attribute_order.
 Result<Relation> ExecuteXJoin(const MultiModelQuery& query,
-                              const XJoinOptions& options = {});
+                              const PlanSettings& settings = {},
+                              const EngineServices& services = {});
 
 }  // namespace xjoin
 

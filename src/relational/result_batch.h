@@ -14,7 +14,7 @@
 namespace xjoin {
 
 /// Default result-batch capacity in rows — the batch_size that
-/// GenericJoinOptions and XJoinOptions start from. 1024 rows keeps a
+/// GenericJoinOptions and PlanSettings start from. 1024 rows keeps a
 /// batch's working set (8 KiB per column) inside L1/L2 while amortizing
 /// the per-block dispatch overhead; the equivalence suites hold results
 /// byte-identical at every size, so the constant is purely a

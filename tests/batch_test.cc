@@ -329,9 +329,9 @@ TEST(BatchedGenericJoinTest, RejectsBatchSizeBelowOne) {
 
     PaperInstance inst = MakePaperInstance(2, PaperSchema::kExample33,
                                            PaperDataMode::kRandom);
-    XJoinOptions xopts;
-    xopts.batch_size = batch;
-    auto prepared = PrepareXJoin(inst.Query(), xopts);
+    PlanSettings settings;
+    settings.batch_size = batch;
+    auto prepared = PrepareXJoin(inst.Query(), settings);
     ASSERT_FALSE(prepared.ok());
     EXPECT_EQ(prepared.status().code(), StatusCode::kInvalidArgument);
   }
@@ -399,23 +399,25 @@ TEST(BatchedGenericJoinTest, DispatchMatrixMatchesReference) {
 // deterministic counters (per thread count — sharded runs add gj.shards
 // et al., so runs are compared at matching thread counts).
 void ExpectBatchedXJoinMatchesReference(const MultiModelQuery& query,
-                                     XJoinOptions base) {
+                                     PlanSettings base) {
   for (int threads : kThreadCounts) {
-    XJoinOptions ref_opts = base;
-    ref_opts.num_threads = threads;
-    ref_opts.batch_size = 1;
+    PlanSettings ref_settings = base;
+    ref_settings.num_threads = threads;
+    ref_settings.batch_size = 1;
     Metrics ref_m;
-    ref_opts.metrics = &ref_m;
-    auto reference = ExecuteXJoin(query, ref_opts);
+    EngineServices ref_services;
+    ref_services.metrics = &ref_m;
+    auto reference = ExecuteXJoin(query, ref_settings, ref_services);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
     for (int batch : kBatchSizes) {
-      XJoinOptions opts = base;
-      opts.num_threads = threads;
-      opts.batch_size = batch;
+      PlanSettings settings = base;
+      settings.num_threads = threads;
+      settings.batch_size = batch;
       Metrics m;
-      opts.metrics = &m;
-      auto batched = ExecuteXJoin(query, opts);
+      EngineServices services;
+      services.metrics = &m;
+      auto batched = ExecuteXJoin(query, settings, services);
       ASSERT_TRUE(batched.ok()) << batched.status().ToString();
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " batch=" + std::to_string(batch));
@@ -431,7 +433,7 @@ TEST(BatchedXJoinTest, PaperExampleWorkloads) {
     for (PaperDataMode mode :
          {PaperDataMode::kAdversarial, PaperDataMode::kRandom}) {
       PaperInstance inst = MakePaperInstance(5, schema, mode);
-      ExpectBatchedXJoinMatchesReference(inst.Query(), XJoinOptions{});
+      ExpectBatchedXJoinMatchesReference(inst.Query(), PlanSettings{});
     }
   }
 }
@@ -442,10 +444,10 @@ TEST(BatchedXJoinTest, PaperExampleWithPruningAndMaterializedPaths) {
   MultiModelQuery q = inst.Query();
   // structural_pruning exercises the per-binding filter inside every
   // drain; materialize_paths turns all inputs into CSR tries.
-  XJoinOptions pruning;
+  PlanSettings pruning;
   pruning.structural_pruning = true;
   ExpectBatchedXJoinMatchesReference(q, pruning);
-  XJoinOptions materialized;
+  PlanSettings materialized;
   materialized.materialize_paths = true;
   ExpectBatchedXJoinMatchesReference(q, materialized);
 }
@@ -458,7 +460,7 @@ TEST(BatchedXJoinTest, AdversarialAgmTightWorkload) {
     q.relations.push_back(
         {"R" + std::to_string(i + 1), inst->relations[i].get()});
   }
-  ExpectBatchedXJoinMatchesReference(q, XJoinOptions{});
+  ExpectBatchedXJoinMatchesReference(q, PlanSettings{});
 }
 
 TEST(BatchedXJoinTest, XMarkWorkloads) {
@@ -470,7 +472,7 @@ TEST(BatchedXJoinTest, XMarkWorkloads) {
   XMarkInstance inst = MakeXMark(opts);
   for (MultiModelQuery q :
        {inst.ClosedAuctionQuery(), inst.OpenAuctionQuery()}) {
-    ExpectBatchedXJoinMatchesReference(q, XJoinOptions{});
+    ExpectBatchedXJoinMatchesReference(q, PlanSettings{});
   }
 }
 

@@ -329,9 +329,9 @@ TEST(OrderTest, SmallestDomainHeuristicIsValidToo) {
   ASSERT_TRUE(order.ok()) << order.status().ToString();
   EXPECT_TRUE(CheckAttributeOrder(q, *order).ok());
   // Both heuristics must produce the same answer through XJoin.
-  XJoinOptions a;
+  PlanSettings a;
   a.order_heuristic = OrderHeuristic::kCoverage;
-  XJoinOptions b;
+  PlanSettings b;
   b.order_heuristic = OrderHeuristic::kSmallestDomain;
   auto ra = ExecuteXJoin(q, a);
   auto rb = ExecuteXJoin(q, b);

@@ -70,7 +70,7 @@ TEST_F(PlanTest, CachedPlanReuseIsByteIdenticalToColdExecution) {
   // byte (no database caches involved at all).
   auto prepared = db_.OpenSession().Prepare(q_);
   ASSERT_TRUE(prepared.ok());
-  auto bare = ExecuteXJoin(prepared->query(), XJoinOptions{});
+  auto bare = ExecuteXJoin(prepared->query(), PlanSettings{});
   ASSERT_TRUE(bare.ok());
   EXPECT_EQ(first->ToTuples(), bare->ToTuples());
 }
@@ -128,6 +128,45 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
   stats = db_.cache_stats();
   EXPECT_EQ(stats.plan_hits, 2);
   EXPECT_EQ(stats.plan_entries, 4u);
+
+  // Every other plan setting is a variant of its own as well.
+  QueryOptions ordered;
+  ordered.xjoin.attribute_order = {"item", "B", "D", "A", "C"};
+  QueryOptions smallest_domain;
+  smallest_domain.xjoin.order_heuristic = OrderHeuristic::kSmallestDomain;
+  QueryOptions materialized;
+  materialized.xjoin.materialize_paths = true;
+  QueryOptions sharded;
+  sharded.xjoin.num_shards = 3;
+  const std::vector<QueryOptions> more = {ordered, smallest_domain,
+                                          materialized, sharded};
+  for (const QueryOptions& options : more) {
+    auto result = db_.OpenSession().Query(q_, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  stats = db_.cache_stats();
+  EXPECT_EQ(stats.plan_entries, 8u);
+  EXPECT_EQ(stats.plan_misses, 8);
+  EXPECT_EQ(stats.plan_hits, 2);
+  for (const QueryOptions& options : more) {
+    ASSERT_TRUE(db_.OpenSession().Query(q_, options).ok());
+  }
+  stats = db_.cache_stats();
+  EXPECT_EQ(stats.plan_hits, 6);
+  EXPECT_EQ(stats.plan_entries, 8u);
+
+  // Settings that prepare the same plan share its entry: every
+  // num_threads <= 1, and every num_shards <= 0.
+  QueryOptions zero_threads;
+  zero_threads.xjoin.num_threads = 0;
+  QueryOptions negative_shards;
+  negative_shards.xjoin.num_shards = -1;
+  ASSERT_TRUE(db_.OpenSession().Query(q_, zero_threads).ok());
+  ASSERT_TRUE(db_.OpenSession().Query(q_, negative_shards).ok());
+  stats = db_.cache_stats();
+  EXPECT_EQ(stats.plan_hits, 8);
+  EXPECT_EQ(stats.plan_misses, 8);
+  EXPECT_EQ(stats.plan_entries, 8u);
 }
 
 TEST_F(PlanTest, ExplainShowsExecutionMode) {

@@ -275,14 +275,14 @@ TEST(ShardedGenericJoinTest, ShardedRunIsDeterministic) {
 // --- XJoin-level equivalence on the seed workloads -----------------------
 
 void ExpectShardedXJoinMatchesSerial(const MultiModelQuery& query,
-                                     XJoinOptions base) {
+                                     PlanSettings base) {
   base.num_threads = 1;
   base.num_shards = 0;
   auto serial = ExecuteXJoin(query, base);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   for (int threads : {2, 4}) {
     for (int shards : {0, 3}) {
-      XJoinOptions opts = base;
+      PlanSettings opts = base;
       opts.num_threads = threads;
       opts.num_shards = shards;
       auto sharded = ExecuteXJoin(query, opts);
@@ -301,7 +301,7 @@ TEST(ShardedXJoinTest, PaperExampleWorkloads) {
          {PaperDataMode::kAdversarial, PaperDataMode::kRandom}) {
       PaperInstance inst = MakePaperInstance(5, schema, mode);
       MultiModelQuery q = inst.Query();
-      ExpectShardedXJoinMatchesSerial(q, XJoinOptions{});
+      ExpectShardedXJoinMatchesSerial(q, PlanSettings{});
     }
   }
 }
@@ -310,10 +310,10 @@ TEST(ShardedXJoinTest, PaperExampleWithPruningAndMaterializedPaths) {
   PaperInstance inst = MakePaperInstance(5, PaperSchema::kExample34,
                                          PaperDataMode::kRandom);
   MultiModelQuery q = inst.Query();
-  XJoinOptions pruning;
+  PlanSettings pruning;
   pruning.structural_pruning = true;
   ExpectShardedXJoinMatchesSerial(q, pruning);
-  XJoinOptions materialized;
+  PlanSettings materialized;
   materialized.materialize_paths = true;
   ExpectShardedXJoinMatchesSerial(q, materialized);
 }
@@ -326,7 +326,7 @@ TEST(ShardedXJoinTest, AdversarialAgmTightWorkload) {
     q.relations.push_back(
         {"R" + std::to_string(i + 1), inst->relations[i].get()});
   }
-  ExpectShardedXJoinMatchesSerial(q, XJoinOptions{});
+  ExpectShardedXJoinMatchesSerial(q, PlanSettings{});
 }
 
 TEST(ShardedXJoinTest, XMarkWorkloads) {
@@ -338,7 +338,7 @@ TEST(ShardedXJoinTest, XMarkWorkloads) {
   XMarkInstance inst = MakeXMark(opts);
   for (MultiModelQuery q :
        {inst.ClosedAuctionQuery(), inst.OpenAuctionQuery()}) {
-    ExpectShardedXJoinMatchesSerial(q, XJoinOptions{});
+    ExpectShardedXJoinMatchesSerial(q, PlanSettings{});
   }
 }
 

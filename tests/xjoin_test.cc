@@ -7,6 +7,8 @@
 #include <cmath>
 #include <set>
 
+#include "common/budget.h"
+#include "common/cancel.h"
 #include "common/random.h"
 #include "core/baseline.h"
 #include "core/bound.h"
@@ -46,7 +48,7 @@ Relation ReferenceAnswer(const MultiModelQuery& query) {
   return *Project(joined, query.output_attributes);
 }
 
-void ExpectSameAnswer(const MultiModelQuery& query, const XJoinOptions& opts) {
+void ExpectSameAnswer(const MultiModelQuery& query, const PlanSettings& opts) {
   auto fast = ExecuteXJoin(query, opts);
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
   Relation expected = ReferenceAnswer(query);
@@ -139,7 +141,7 @@ TEST(XJoinTest, MaterializedPathsGiveSameAnswer) {
                                          PaperDataMode::kAdversarial);
   MultiModelQuery q = inst.Query();
   auto lazy = ExecuteXJoin(q);
-  XJoinOptions mat_opts;
+  PlanSettings mat_opts;
   mat_opts.materialize_paths = true;
   auto mat = ExecuteXJoin(q, mat_opts);
   ASSERT_TRUE(lazy.ok() && mat.ok());
@@ -151,13 +153,14 @@ TEST(XJoinTest, StructuralPruningGivesSameAnswerWithFewerExpansions) {
                                          PaperDataMode::kRandom);
   MultiModelQuery q = inst.Query();
   Metrics plain_m, pruned_m;
-  XJoinOptions plain;
+  EngineServices plain;
   plain.metrics = &plain_m;
-  XJoinOptions pruned;
-  pruned.structural_pruning = true;
+  EngineServices pruned;
   pruned.metrics = &pruned_m;
-  auto a = ExecuteXJoin(q, plain);
-  auto b = ExecuteXJoin(q, pruned);
+  PlanSettings pruning;
+  pruning.structural_pruning = true;
+  auto a = ExecuteXJoin(q, PlanSettings{}, plain);
+  auto b = ExecuteXJoin(q, pruning, pruned);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(RelationsEqualAsSets(*a, *b));
   EXPECT_LE(pruned_m.Get("xjoin.expanded"), plain_m.Get("xjoin.expanded"));
@@ -167,7 +170,7 @@ TEST(XJoinTest, ExplicitAttributeOrderHonored) {
   PaperInstance inst = MakePaperInstance(3, PaperSchema::kExample34,
                                          PaperDataMode::kAdversarial);
   MultiModelQuery q = inst.Query();
-  XJoinOptions opts;
+  PlanSettings opts;
   opts.attribute_order = {"A", "D", "B", "C", "E", "F", "G", "H"};
   auto result = ExecuteXJoin(q, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -224,9 +227,9 @@ TEST(XJoinTest, Lemma35IntermediatesWithinBound) {
   auto bound = ComputeBound(q, bopts);
   ASSERT_TRUE(bound.ok());
   Metrics m;
-  XJoinOptions opts;
-  opts.metrics = &m;
-  auto result = ExecuteXJoin(q, opts);
+  EngineServices services;
+  services.metrics = &m;
+  auto result = ExecuteXJoin(q, PlanSettings{}, services);
   ASSERT_TRUE(result.ok());
   double limit = std::exp2(bound->cover.log2_bound);
   for (size_t d = 0; d < 8; ++d) {
@@ -324,6 +327,59 @@ TEST(WorkloadTest, BookstoreQueriesAnswerAndAgree) {
   }
 }
 
+// The budget is the engine's only cancel channel. A token attached to
+// it before prepare stops PrepareXJoin ahead of the first trie build
+// (relation or materialized path); attached before execution, it stops
+// ExecutePlan before any row is expanded, serial and sharded.
+TEST(XJoinTest, CancelledBudgetStopsPrepareAndExecute) {
+  PaperInstance inst = MakePaperInstance(5, PaperSchema::kExample34,
+                                         PaperDataMode::kRandom);
+  MultiModelQuery q = inst.Query();
+  CancellationToken token;
+  token.Cancel("engine-level cancel");
+  BudgetTracker cancelled;
+  cancelled.AddCancelSource(&token);
+
+  for (bool materialize : {false, true}) {
+    SCOPED_TRACE(materialize ? "materialized paths" : "lazy paths");
+    PlanSettings settings;
+    settings.materialize_paths = materialize;
+    Metrics m;
+    EngineServices services;
+    services.metrics = &m;
+    services.budget = &cancelled;
+    auto plan = PrepareXJoin(q, settings, services);
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().code(), StatusCode::kCancelled)
+        << plan.status().ToString();
+    EXPECT_NE(plan.status().ToString().find("engine-level cancel"),
+              std::string::npos);
+    for (const auto& [name, value] : m.counters()) {
+      EXPECT_NE(name.rfind("trie.", 0), 0u) << name << "=" << value;
+    }
+    EXPECT_EQ(m.Get("plan.prepared"), 0);
+  }
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    PlanSettings settings;
+    settings.num_threads = threads;
+    auto plan = PrepareXJoin(q, settings);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_TRUE(ExecutePlan(**plan).ok());
+    Metrics m;
+    EngineServices services;
+    services.metrics = &m;
+    services.budget = &cancelled;
+    auto result = ExecutePlan(**plan, services);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+        << result.status().ToString();
+    EXPECT_EQ(m.Get("gj.output"), 0);
+    EXPECT_EQ(m.Get("xjoin.expanded"), 0);
+  }
+}
+
 // ExecutePlan's projection takes one of three paths: an output that is
 // all of the plan order keeps the gathered rows as they are, a strict
 // prefix of it drops adjacent repeats, and any other column list is
@@ -335,7 +391,7 @@ TEST(WorkloadTest, BookstoreQueriesAnswerAndAgree) {
 void ExpectProjectionPathsMatchReference(
     const MultiModelQuery& query, const std::vector<std::string>& non_prefix,
     bool prefix_repeats) {
-  auto plan = PrepareXJoin(query, XJoinOptions{});
+  auto plan = PrepareXJoin(query, PlanSettings{});
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   const std::vector<std::string> order = (*plan)->order;
   ASSERT_GE(order.size(), 3u);
@@ -359,7 +415,7 @@ void ExpectProjectionPathsMatchReference(
     ASSERT_GT(expected.num_rows(), 0u);
     for (int threads : {1, 4}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      XJoinOptions opts;
+      PlanSettings opts;
       opts.attribute_order = order;
       opts.num_threads = threads;
       auto got = ExecuteXJoin(q, opts);
@@ -453,7 +509,7 @@ TEST_P(XJoinDifferential, MatchesReference) {
   }
   q.twigs.push_back(TwigInput{twig, &index});
 
-  XJoinOptions opts;
+  PlanSettings opts;
   opts.materialize_paths = param.materialize;
   opts.structural_pruning = param.pruning;
   ExpectSameAnswer(q, opts);
@@ -493,7 +549,7 @@ TEST_P(CrossTwigDifferential, MatchesReference) {
   q.relations.push_back({"bridge", &bridge});
   q.twigs.push_back(TwigInput{twig1, &index1});
   q.twigs.push_back(TwigInput{*twig2, &index2});
-  ExpectSameAnswer(q, XJoinOptions{});
+  ExpectSameAnswer(q, PlanSettings{});
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, CrossTwigDifferential,
