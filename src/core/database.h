@@ -390,10 +390,13 @@ class MultiModelDatabase {
   void ClearTrieCache();
 
   /// Caps the total ByteSizeEstimate() of cached tries (relation and
-  /// path tries combined). Least-recently-used entries are evicted on
-  /// insert once the budget is exceeded; a trie larger than the whole
-  /// budget is served uncached. Default 256 MiB. Setting a smaller
-  /// budget evicts immediately.
+  /// path tries combined) — the exact heap bytes of their level arrays
+  /// (8 per key, 4 per child offset) and delta side-files, with no
+  /// allocation slack, so a budget equal to cache_stats().trie_bytes
+  /// holds exactly the cached set. Least-recently-used entries are
+  /// evicted on insert once the budget is exceeded; a trie larger than
+  /// the whole budget is served uncached. Default 256 MiB. Setting a
+  /// smaller budget evicts immediately.
   void SetTrieCacheBudget(size_t bytes);
 
   /// Caps the number of cached plans, LRU-evicted on insert (default

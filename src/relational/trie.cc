@@ -26,21 +26,28 @@ size_t LowerBoundRange(const std::vector<int64_t>& col, size_t lo, size_t hi,
 // Core without befriending every free function.
 struct RelationTrieCoreView {
   const std::vector<std::vector<int64_t>>* keys;
-  const std::vector<std::vector<size_t>>* child_begin;
+  const std::vector<std::vector<uint32_t>>* child_begin;
 };
 
 namespace {
 
+// Child offsets are 32-bit, so every level below the root (the levels
+// the offsets index) holds at most this many nodes.
+constexpr size_t kMaxLevelNodes = UINT32_MAX;
+
 // Assembles the CSR level arrays from lexicographically sorted columnar
 // rows (duplicates allowed — they fold away): diff[i] is the first level
 // where sorted row i differs from row i-1, then level d gets one node
-// per row whose first difference is at or above d. Shared by Build
-// (after the radix sort) and by delta compaction (whose merge output is
-// already sorted, so compaction never re-sorts).
-void AssembleCsrLevels(const std::vector<std::vector<int64_t>>& sorted,
-                       size_t n, size_t k, int num_threads,
-                       std::vector<std::vector<int64_t>>* keys,
-                       std::vector<std::vector<size_t>>* child_begin) {
+// per row whose first difference is at or above d. A counting pass over
+// diff sizes every level before it is filled, so each array is
+// allocated once at exactly its length. Shared by Build (after the
+// radix sort) and by delta compaction (whose merge output is already
+// sorted, so compaction never re-sorts). Fails, writing nothing, when a
+// level below the root would not fit 32-bit offsets.
+Status AssembleCsrLevels(const std::vector<std::vector<int64_t>>& sorted,
+                         size_t n, size_t k, int num_threads,
+                         std::vector<std::vector<int64_t>>* keys,
+                         std::vector<std::vector<uint32_t>>* child_begin) {
   std::vector<uint32_t> diff(n);
   Executor* executor = Executor::Default();
   executor->ParallelFor(num_threads, n, /*grain=*/4096, [&](size_t i) {
@@ -53,13 +60,26 @@ void AssembleCsrLevels(const std::vector<std::vector<int64_t>>& sorted,
     diff[i] = level;
   });
 
+  // nodes[d] = rows whose first difference is at level <= d = the node
+  // count of level d (nondecreasing in d; nodes[k] counts duplicates).
+  std::vector<size_t> nodes(k + 1, 0);
+  for (uint32_t level : diff) ++nodes[level];
+  for (size_t d = 1; d <= k; ++d) nodes[d] += nodes[d - 1];
+  if (k > 1 && nodes[k - 1] > kMaxLevelNodes) {
+    return Status::ResourceExhausted(
+        "trie level of " + std::to_string(nodes[k - 1]) +
+        " nodes exceeds the 32-bit child offset limit");
+  }
+
   executor->ParallelFor(num_threads, k, /*grain=*/1, [&](size_t d) {
     std::vector<int64_t>& level_keys = (*keys)[d];
     const std::vector<int64_t>& col = sorted[d];
+    level_keys.reserve(nodes[d]);
     if (d + 1 < k) {
-      std::vector<size_t>& cb = (*child_begin)[d];
+      std::vector<uint32_t>& cb = (*child_begin)[d];
       cb.clear();
-      size_t children = 0;
+      cb.reserve(nodes[d] + 1);
+      uint32_t children = 0;
       for (size_t i = 0; i < n; ++i) {
         if (diff[i] <= d) {
           cb.push_back(children);
@@ -74,6 +94,7 @@ void AssembleCsrLevels(const std::vector<std::vector<int64_t>>& sorted,
       }
     }
   });
+  return Status::OK();
 }
 
 }  // namespace
@@ -143,8 +164,8 @@ Result<RelationTrie> RelationTrie::Build(const Relation& relation,
   });
 
   // 4+5. Dedup + per-level CSR assembly over the sorted columns.
-  AssembleCsrLevels(sorted, n, k, num_threads, &core->keys,
-                    &core->child_begin);
+  XJ_RETURN_NOT_OK(AssembleCsrLevels(sorted, n, k, num_threads, &core->keys,
+                                     &core->child_begin));
 
   MetricsAdd(options.metrics, "trie.builds", 1);
   MetricsAdd(options.metrics, "trie.build_micros", timer.ElapsedMicros());
@@ -291,6 +312,9 @@ Result<RelationTrie> RelationTrie::ApplyDelta(
                PrefixRows{0, core_->keys[0].size(), 0, insert_rows, 0,
                           tombstone_rows},
                &delta->root_keys);
+    // MergeLevel grows root_keys by push_back; drop the growth slack so
+    // the side-file holds (and the trie cache charges) only its keys.
+    delta->root_keys.shrink_to_fit();
     out.delta_ = delta;
     return out;
   }
@@ -331,8 +355,9 @@ Result<RelationTrie> RelationTrie::ApplyDelta(
   core->child_begin.resize(k > 0 ? k - 1 : 0);
   for (auto& cb : core->child_begin) cb.push_back(0);
   if (!merged.empty() && !merged[0].empty()) {
-    AssembleCsrLevels(merged, merged[0].size(), k, /*num_threads=*/1,
-                      &core->keys, &core->child_begin);
+    XJ_RETURN_NOT_OK(AssembleCsrLevels(merged, merged[0].size(), k,
+                                       /*num_threads=*/1, &core->keys,
+                                       &core->child_begin));
   }
   out.core_ = core;
   MetricsAdd(options.metrics, "trie.compactions", 1);
@@ -368,7 +393,7 @@ size_t RelationTrie::ByteSizeEstimate() const {
       bytes += level.capacity() * sizeof(int64_t);
     }
     for (const auto& level : core_->child_begin) {
-      bytes += level.capacity() * sizeof(size_t);
+      bytes += level.capacity() * sizeof(uint32_t);
     }
   }
   if (delta_ != nullptr) {
@@ -400,7 +425,7 @@ KeySpan RelationTrieIterator::Open(size_t parent_pos) {
   const RelationTrie::Core& core = *trie_->core_;
   const size_t d = open_++;
   if (d == 0) return KeySpan{core.keys[0].data(), 0, core.keys[0].size()};
-  const std::vector<size_t>& cb = core.child_begin[d - 1];
+  const std::vector<uint32_t>& cb = core.child_begin[d - 1];
   return KeySpan{core.keys[d].data(), cb[parent_pos], cb[parent_pos + 1]};
 }
 
@@ -420,7 +445,7 @@ namespace {
 
 // Base leaves under node `node` of level `d` (cascaded child ranges,
 // O(arity)): a base key dies only when its tombstone count equals this.
-size_t SubtreeLeafCount(const std::vector<std::vector<size_t>>& child_begin,
+size_t SubtreeLeafCount(const std::vector<std::vector<uint32_t>>& child_begin,
                         size_t d, size_t node) {
   size_t lo = node;
   size_t hi = node + 1;
@@ -515,7 +540,7 @@ KeySpan RelationDeltaTrieIterator::Open(size_t parent_pos) {
   if (!parent.rows.has_delta()) {
     // Under a delta-free prefix the span is a plain base slice whose
     // positions index the base array directly.
-    const std::vector<size_t>& cb = core_->child_begin[d - 1];
+    const std::vector<uint32_t>& cb = core_->child_begin[d - 1];
     f.rows = RelationTrie::PrefixRows{cb[parent_pos], cb[parent_pos + 1]};
   } else {
     f.rows = RelationTrie::ChildRows(*core_, *delta_, d - 1, parent.rows,

@@ -1,8 +1,10 @@
 // Materialized tries over columnar relations, stored as CSR level
 // arrays: level d keeps a dense array of distinct keys (given the bound
-// prefix) plus child offsets into level d+1 — classic compressed-
-// sparse-row nesting. Opening a level is O(1): its key span is a slice
-// of the level array.
+// prefix) plus 32-bit child offsets into level d+1 — classic
+// compressed-sparse-row nesting. Opening a level is O(1): its key span
+// is a slice of the level array. Every array is allocated once at its
+// exact length (a counting pass sizes the levels before they are
+// filled), so a trie's heap footprint is its data and nothing else.
 //
 // Incremental maintenance: the CSR arrays are an immutable shared base
 // (`Core`, behind a shared_ptr), and a trie may additionally carry a
@@ -60,12 +62,17 @@ struct TrieDeltaOptions {
 ///
 ///   keys[d]        — all level-d trie nodes' keys, parent-major
 ///   child_begin[d] — node i at level d owns keys[d+1] entries
-///                    [child_begin[d][i], child_begin[d][i+1])
+///                    [child_begin[d][i], child_begin[d][i+1]); 32-bit
 ///
 /// Build sorts dictionary codes with an LSD radix sort (std::sort below
-/// a small-input threshold) and assembles the per-level arrays in one
-/// pass over the sorted columns — duplicate rows fold away during that
-/// pass, no re-reads of the unsorted relation.
+/// a small-input threshold), counts each level's nodes from the sorted
+/// rows' first-difference levels, then fills the exactly sized per-level
+/// arrays in one pass over the sorted columns — duplicate rows fold away
+/// during that pass, no re-reads of the unsorted relation.
+///
+/// Because offsets are 32-bit, every level below the root holds at most
+/// UINT32_MAX nodes; Build and compacting ApplyDelta return
+/// kResourceExhausted for larger inputs rather than truncate.
 ///
 /// The logical contents of a trie are (base \ tombstones) ∪ inserts;
 /// the delta is empty for freshly built or just-compacted tries, and
@@ -135,8 +142,11 @@ class RelationTrie {
   /// Creates a cursor positioned at the virtual root.
   std::unique_ptr<TrieIterator> NewIterator() const;
 
-  /// Heap bytes held by the CSR arrays plus any delta side-file. Used
-  /// by the database's byte-budget trie cache for eviction accounting.
+  /// Exact heap bytes of the level arrays (8 per key, 4 per child
+  /// offset) plus any delta side-file (its insert and tombstone columns
+  /// and merged root keys). No array carries growth slack, so this is
+  /// also the sum of their sizes. The database's byte-budget trie cache
+  /// charges exactly this.
   size_t ByteSizeEstimate() const;
 
   /// Direct read access to the BASE CSR arrays (tests, debugging);
@@ -144,7 +154,7 @@ class RelationTrie {
   const std::vector<int64_t>& level_keys(size_t d) const {
     return core_->keys[d];
   }
-  const std::vector<size_t>& child_begin(size_t d) const {
+  const std::vector<uint32_t>& child_begin(size_t d) const {
     return core_->child_begin[d];
   }
 
@@ -154,12 +164,12 @@ class RelationTrie {
   friend class RelationTrieIterator;
   friend class RelationDeltaTrieIterator;
 
-  /// The immutable CSR level arrays. Shared (never mutated) across
-  /// every trie value derived by ApplyDelta without compaction, and
-  /// across iterator clones on other threads.
+  /// The immutable CSR level arrays, each exactly sized. Shared (never
+  /// mutated) across every trie value derived by ApplyDelta without
+  /// compaction, and across iterator clones on other threads.
   struct Core {
-    std::vector<std::vector<int64_t>> keys;         // one per level
-    std::vector<std::vector<size_t>> child_begin;   // one per level except last
+    std::vector<std::vector<int64_t>> keys;          // one per level
+    std::vector<std::vector<uint32_t>> child_begin;  // every level but the last
   };
 
   /// The sorted delta side-file: columnar tuple rows in trie order,

@@ -225,6 +225,56 @@ TEST_F(TrieCacheTest, CachedRunsMatchProviderFreeRuns) {
   EXPECT_EQ(expected, Decoded(uncached_db, *uncached_warm));
 }
 
+TEST_F(TrieCacheTest, BudgetOfExactlyTheWorkingSetHoldsIt) {
+  // Learn the working set: the bytes of the query's two cached tries.
+  const std::string q = "Q(*) := R, S";
+  auto cold = db_.OpenSession().Query(q);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  CacheStats stats = db_.cache_stats();
+  ASSERT_EQ(stats.trie_entries, 2u);
+  const size_t working_set = stats.trie_bytes;
+  ASSERT_GT(working_set, 0u);
+
+  // A budget of exactly the working set keeps both tries: a re-planned
+  // replay is served from the cache alone.
+  db_.SetTrieCacheBudget(working_set);
+  db_.ClearPlanCache();
+  auto fits = db_.OpenSession().Query(q);
+  ASSERT_TRUE(fits.ok());
+  stats = db_.cache_stats();
+  EXPECT_EQ(stats.trie_hits, 2);
+  EXPECT_EQ(stats.trie_misses, 2);  // the cold run's builds only
+  EXPECT_EQ(stats.trie_evictions, 0);
+  EXPECT_EQ(stats.trie_entries, 2u);
+  EXPECT_EQ(stats.trie_bytes, working_set);
+
+  // One byte less cannot hold both: the replay rebuilds what the
+  // smaller budget dropped, and inserting it evicts the other.
+  db_.SetTrieCacheBudget(working_set - 1);
+  const int64_t evictions_before = db_.cache_stats().trie_evictions;
+  const int64_t misses_before = db_.cache_stats().trie_misses;
+  db_.ClearPlanCache();
+  auto tight = db_.OpenSession().Query(q);
+  ASSERT_TRUE(tight.ok());
+  stats = db_.cache_stats();
+  EXPECT_GT(stats.trie_evictions, evictions_before);
+  EXPECT_GT(stats.trie_misses, misses_before);
+  EXPECT_LE(stats.trie_bytes, working_set - 1);
+
+  // Both replays agree row for row with a database that caches nothing.
+  MultiModelDatabase uncached_db;
+  RegisterRelations(&uncached_db);
+  uncached_db.SetPlanCacheCapacity(0);
+  uncached_db.SetTrieCacheBudget(0);
+  auto uncached = uncached_db.OpenSession().Query(q);
+  ASSERT_TRUE(uncached.ok());
+  const std::vector<std::vector<std::string>> expected =
+      Decoded(uncached_db, *uncached);
+  EXPECT_EQ(Decoded(db_, *cold), expected);
+  EXPECT_EQ(Decoded(db_, *fits), expected);
+  EXPECT_EQ(Decoded(db_, *tight), expected);
+}
+
 TEST_F(TrieCacheTest, ShardedQueriesShareTheCache) {
   QueryOptions sharded;
   sharded.xjoin.num_threads = 4;

@@ -32,7 +32,7 @@ TEST(RelationTrieTest, BuildSortsAndDedups) {
   // B keys per A parent, child_begin the offsets between them.
   EXPECT_EQ(trie->level_keys(0), (std::vector<int64_t>{1, 2, 5}));
   EXPECT_EQ(trie->level_keys(1), (std::vector<int64_t>{10, 20, 10, 7}));
-  EXPECT_EQ(trie->child_begin(0), (std::vector<size_t>{0, 2, 3, 4}));
+  EXPECT_EQ(trie->child_begin(0), (std::vector<uint32_t>{0, 2, 3, 4}));
 }
 
 TEST(RelationTrieTest, BuildWithPermutedOrder) {
@@ -42,7 +42,7 @@ TEST(RelationTrieTest, BuildWithPermutedOrder) {
             (std::vector<std::string>{"B", "A"}));
   EXPECT_EQ(trie->level_keys(0), (std::vector<int64_t>{7, 10, 20}));
   EXPECT_EQ(trie->level_keys(1), (std::vector<int64_t>{5, 1, 2, 1}));
-  EXPECT_EQ(trie->child_begin(0), (std::vector<size_t>{0, 1, 3, 4}));
+  EXPECT_EQ(trie->child_begin(0), (std::vector<uint32_t>{0, 1, 3, 4}));
 }
 
 TEST(RelationTrieTest, BuildRejectsBadOrders) {
@@ -81,6 +81,96 @@ TEST(RelationTrieIteratorTest, EmptyRelation) {
   auto trie = RelationTrie::Build(r, {"A", "B"});
   auto it = trie->NewIterator();
   EXPECT_EQ(it->Open(0).size(), 0u);
+}
+
+// The bytes a trie's data needs: 8 per level key, 4 per child offset,
+// and for a pending delta 8 per insert/tombstone column entry plus 8 per
+// merged root key (the delta cursor's root span is that array).
+size_t DataBytes(const RelationTrie& trie) {
+  const size_t k = static_cast<size_t>(trie.arity());
+  size_t bytes = 0;
+  for (size_t d = 0; d < k; ++d) bytes += trie.level_keys(d).size() * 8;
+  for (size_t d = 0; d + 1 < k; ++d) bytes += trie.child_begin(d).size() * 4;
+  if (trie.has_delta()) {
+    bytes += (trie.delta_insert_rows() + trie.delta_tombstone_rows()) * k * 8;
+    bytes += trie.NewIterator()->Open(0).size() * 8;
+  }
+  return bytes;
+}
+
+// `rows` rows of arity `arity` over a small domain (so prefixes repeat),
+// with every fifth row appended twice.
+Relation DuplicatingRelation(Rng* rng, size_t arity, size_t rows) {
+  std::vector<std::string> attrs;
+  for (size_t c = 0; c < arity; ++c) attrs.push_back("a" + std::to_string(c));
+  Relation rel(*Schema::Make(attrs));
+  Tuple row(arity);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < arity; ++c) {
+      row[c] = static_cast<int64_t>(rng->NextBounded(40));
+    }
+    rel.AppendRow(row);
+    if (r % 5 == 0) rel.AppendRow(row);
+  }
+  return rel;
+}
+
+// ByteSizeEstimate is what the byte-budget trie cache charges; it must
+// be the data's bytes exactly, with no growth slack in any array, on
+// both sort paths, every arity, and serial or parallel assembly.
+TEST(RelationTrieTest, ByteSizeEstimateHasNoSlack) {
+  Rng rng(17);
+  for (size_t arity = 1; arity <= 3; ++arity) {
+    // 50 rows take the std::sort path, 300 the radix path.
+    for (size_t rows : {50, 300}) {
+      Relation rel = DuplicatingRelation(&rng, arity, rows);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("arity " + std::to_string(arity) + ", rows " +
+                     std::to_string(rows) + ", threads " +
+                     std::to_string(threads));
+        Metrics metrics;
+        TrieBuildOptions options;
+        options.num_threads = threads;
+        options.metrics = &metrics;
+        auto trie =
+            RelationTrie::Build(rel, rel.schema().attributes(), options);
+        ASSERT_TRUE(trie.ok());
+        EXPECT_EQ(metrics.Get(rows >= 256 ? "trie.radix_sorts"
+                                          : "trie.std_sorts"),
+                  1);
+        EXPECT_LT(trie->num_rows(), rel.num_rows());  // duplicates folded
+        EXPECT_EQ(trie->ByteSizeEstimate(), DataBytes(*trie));
+      }
+    }
+  }
+}
+
+TEST(RelationTrieTest, DeltaTriesHaveNoSlack) {
+  Rng rng(29);
+  Relation rel = DuplicatingRelation(&rng, 3, 400);
+  auto base = RelationTrie::Build(rel, rel.schema().attributes());
+  ASSERT_TRUE(base.ok());
+  std::vector<Tuple> tuples;
+  base->EnumerateTuples(&tuples);
+  // Inserts under new root keys (so the merged root grows past the base
+  // root) and tombstones over base rows.
+  std::vector<Tuple> inserts = {{100, 1, 2}, {101, 3, 4}, {7, 100, 5}};
+  std::vector<Tuple> deletes = {tuples[0], tuples[10], tuples[20]};
+
+  auto pending = base->ApplyDelta(inserts, deletes);
+  ASSERT_TRUE(pending.ok());
+  ASSERT_TRUE(pending->has_delta());
+  EXPECT_EQ(pending->delta_insert_rows(), 3u);
+  EXPECT_EQ(pending->delta_tombstone_rows(), 3u);
+  EXPECT_EQ(pending->ByteSizeEstimate(), DataBytes(*pending));
+
+  TrieDeltaOptions compact;
+  compact.force_compact = true;
+  auto compacted = base->ApplyDelta(inserts, deletes, compact);
+  ASSERT_TRUE(compacted.ok());
+  ASSERT_FALSE(compacted->has_delta());
+  EXPECT_EQ(compacted->num_rows(), pending->num_rows());
+  EXPECT_EQ(compacted->ByteSizeEstimate(), DataBytes(*compacted));
 }
 
 // Property: enumerating the trie yields exactly the sorted distinct
