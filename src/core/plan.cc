@@ -162,6 +162,65 @@ void PlanShards(XJoinPlan* plan) {
   }
 }
 
+// Decides whether a twig's final structural validation (Algorithm 1's
+// "filter R by validating the structure of Sx") can reject any expanded
+// row, and records the outcome with its reason for EXPLAIN. It cannot
+// when the twig has no cut A-D edge and every node with two or more
+// children has a value-unique tag (NodeIndex::ValuesUnique):
+//  - each path tuple is a real P-C chain of document nodes carrying the
+//    path's tags and values (core/virtual_relation.h);
+//  - a branching node b has one value in the row, and its (tag, value)
+//    names a single document node, so every chain through b uses that
+//    node; parent links then fix the nodes of b's ancestors as well;
+//  - a twig node on two or more root-leaf paths is b or an ancestor of
+//    some branching node b, and a node on one path has one chain;
+// so the row's chains agree on every shared node, and their union is one
+// embedding binding each twig node to its row value. ExistsEmbedding
+// accepts every such row, so skipping it changes no answer.
+void CertifyTwig(const Twig& twig, const NodeIndex& index,
+                 XJoinPlan::TwigExec* exec) {
+  // "tag a" / "tags a, b", with the verb to match.
+  auto tags = [](const std::vector<std::string>& names, const char* one,
+                 const char* many) {
+    return std::string(names.size() == 1 ? "tag " : "tags ") +
+           JoinStrings(names, ", ") + " " + (names.size() == 1 ? one : many);
+  };
+  const auto& cut_edges = exec->decomposition.cut_edges;
+  if (!cut_edges.empty()) {
+    std::vector<std::string> cuts;
+    for (const auto& [ancestor, descendant] : cut_edges) {
+      cuts.push_back(twig.node(ancestor).attribute + "//" +
+                     twig.node(descendant).attribute);
+    }
+    exec->validation = std::string("final (cut edge") +
+                       (cuts.size() == 1 ? " " : "s ") +
+                       JoinStrings(cuts, ", ") + ")";
+    return;
+  }
+  std::vector<std::string> unique;
+  std::vector<std::string> repeating;
+  for (size_t q = 0; q < twig.num_nodes(); ++q) {
+    const TwigNode& node = twig.node(static_cast<TwigNodeId>(q));
+    if (node.children.size() < 2) continue;
+    std::vector<std::string>& bucket =
+        index.ValuesUnique(index.doc().LookupTag(node.tag)) ? unique
+                                                            : repeating;
+    if (std::find(bucket.begin(), bucket.end(), node.tag) == bucket.end()) {
+      bucket.push_back(node.tag);
+    }
+  }
+  if (!repeating.empty()) {
+    exec->validation = "final (" + tags(repeating, "repeats", "repeat") +
+                       " values)";
+    return;
+  }
+  exec->certified = true;
+  exec->validation =
+      unique.empty() ? "none (P-C only; no branching nodes)"
+                     : "none (P-C only; branching " +
+                           tags(unique, "has", "have") + " unique values)";
+}
+
 }  // namespace
 
 std::string PathSignature(const Twig& twig, const TwigPath& path) {
@@ -222,6 +281,7 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(
     const TwigInput& ti = plan->query.twigs[t];
     XJoinPlan::TwigExec exec(TwigStructureValidator(&ti.twig, ti.index));
     XJ_ASSIGN_OR_RETURN(exec.decomposition, DecomposeTwig(ti.twig));
+    CertifyTwig(ti.twig, *ti.index, &exec);
     exec.order_pos_of_node.resize(ti.twig.num_nodes());
     for (size_t q = 0; q < ti.twig.num_nodes(); ++q) {
       exec.order_pos_of_node[q] =
@@ -346,6 +406,7 @@ std::string ExplainPlan(const XJoinPlan& plan) {
            std::to_string(ti.index->doc().num_nodes()) + " nodes]\n";
     out += "    transform(Sx): " +
            DecompositionToString(ti.twig, plan.twigs[t].decomposition) + "\n";
+    out += "    validation: " + plan.twigs[t].validation + "\n";
   }
   for (const auto& p : plan.path_inputs) {
     out += "  path " + p.name + " = " + p.signature + "  [" +

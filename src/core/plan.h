@@ -99,9 +99,11 @@ struct EngineServices {
   /// "plan.prepared" / "plan.prepare_micros" (prepare side),
   /// "xjoin.expanded" (tuples before validation), "xjoin.validated"
   /// (tuples after), "xjoin.pruned" (prefixes cut by partial
-  /// validation), "xjoin.max_intermediate", and the per-twig
-  /// "validate.*" sub-counters — exact at every thread count (per-shard
-  /// bags merged at the barriers).
+  /// validation), "xjoin.max_intermediate", and the "validate.*"
+  /// sub-counters of the twigs that are validated (prefix filter, and
+  /// the final pass over uncertified twigs; see XJoinPlan::TwigExec) —
+  /// exact at every thread count (per-shard bags merged at the
+  /// barriers).
   Metrics* metrics = nullptr;
   /// Optional per-query budget (nullable), and the engine's only cancel
   /// channel: cancellation tokens ride it as cancel sources
@@ -194,9 +196,21 @@ struct XJoinPlan {
   struct TwigExec {
     TwigDecomposition decomposition;
     std::vector<PathRelation> paths;
+    /// Checks this twig's rows: in the prefix filter (structural_pruning)
+    /// and, only when the twig is not certified, in the final
+    /// validation. The "validate.*" counters come from those calls alone.
     TwigStructureValidator validator;
     /// Twig node id -> position of its attribute in the global order.
     std::vector<size_t> order_pos_of_node;
+    /// True when the join of the twig's path relations already proves an
+    /// embedding for every expanded row (no cut A-D edge, and every node
+    /// with two or more children has a value-unique tag), so ExecutePlan
+    /// skips its final validation. Decided at prepare time against the
+    /// document's NodeIndex.
+    bool certified = false;
+    /// EXPLAIN's account of that decision: "none (...)" or
+    /// "final (...)", with the reason.
+    std::string validation;
 
     explicit TwigExec(TwigStructureValidator v) : validator(std::move(v)) {}
   };

@@ -9,6 +9,12 @@
 // sets — exact for full assignments; for partial assignments the twig is
 // contracted onto the bound nodes (nearest-bound-ancestor skeleton with
 // level-distance constraints), a sound relaxation used for pruning.
+//
+// ExecutePlan (core/xjoin.cc) runs the final check only for twigs that
+// are not certified at prepare time (XJoinPlan::TwigExec::certified), so
+// the "validate.*" counters are recorded only for the twigs that are
+// validated: by the prefix filter, and by the final pass over the
+// uncertified twigs.
 #ifndef XJOIN_CORE_VALIDATE_H_
 #define XJOIN_CORE_VALIDATE_H_
 

@@ -102,7 +102,9 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   // 2. Optional partial structural validation during expansion. The
   // validators are stateless-const and shared across shard threads;
   // each invocation records into the engine's shard-local metrics bag,
-  // merged at the join barrier — counters stay exact in parallel runs.
+  // merged at the join barrier — counters stay exact in parallel runs —
+  // and works in its thread's own buffers, so a binding allocates
+  // nothing once they have grown.
   GenericJoinOptions gj_options;
   gj_options.attribute_order = plan.order;
   gj_options.metrics = metrics;
@@ -115,8 +117,8 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
     gj_options.prefix_filter = [&plan](size_t depth,
                                        const std::vector<int64_t>& prefix,
                                        Metrics* metrics) {
-      ValidationScratch scratch;
-      std::vector<std::optional<int64_t>> values;
+      thread_local ValidationScratch scratch;
+      thread_local std::vector<std::optional<int64_t>> values;
       for (size_t t = 0; t < plan.twigs.size(); ++t) {
         const XJoinPlan::TwigExec& exec = plan.twigs[t];
         const Twig& twig = plan.query.twigs[t].twig;
@@ -150,16 +152,22 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   MetricsAdd(metrics, "xjoin.expanded",
              static_cast<int64_t>(expanded.num_rows()));
 
-  // 4. Final structural validation. Row checks are independent, so they
-  // run chunked across the thread pool. Each worker owns a validation
-  // scratch, a values buffer and a Metrics bag (merged after the barrier
-  // — sub-counters stay exact), so checking a row allocates nothing
-  // once the buffers have grown; the keep-mask is filled at disjoint
-  // indices.
+  // 4. Final structural validation, of the twigs it can reject rows of:
+  // a certified twig's expanded rows are all embeddings (see
+  // CertifyTwig, core/plan.cc), and with every twig certified the stage
+  // is skipped whole. Row checks are independent, so they run chunked
+  // across the thread pool. Each worker owns a validation scratch, a
+  // values buffer and a Metrics bag (merged after the barrier —
+  // sub-counters stay exact), so checking a row allocates nothing once
+  // the buffers have grown; the keep-mask is filled at disjoint indices.
+  std::vector<const XJoinPlan::TwigExec*> to_validate;
+  for (const XJoinPlan::TwigExec& exec : plan.twigs) {
+    if (!exec.certified) to_validate.push_back(&exec);
+  }
   const size_t num_rows = expanded.num_rows();
   std::vector<uint8_t> keep;  // empty: every row is kept
   size_t num_kept = num_rows;
-  if (!plan.twigs.empty()) {
+  if (!to_validate.empty()) {
     constexpr size_t kGrain = 64;
     struct ValidationWorker {
       ValidationScratch scratch;
@@ -177,15 +185,14 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
           if (budget != nullptr && budget->violated()) return;
           ValidationWorker& w = workers[static_cast<size_t>(worker)];
           Metrics* row_metrics = metrics != nullptr ? &w.metrics : nullptr;
-          for (size_t t = 0; t < plan.twigs.size(); ++t) {
-            const XJoinPlan::TwigExec& exec = plan.twigs[t];
-            const size_t num_nodes = plan.query.twigs[t].twig.num_nodes();
+          for (const XJoinPlan::TwigExec* exec : to_validate) {
+            const size_t num_nodes = exec->order_pos_of_node.size();
             w.values.resize(num_nodes);
             for (size_t q = 0; q < num_nodes; ++q) {
-              w.values[q] = expanded.at(r, exec.order_pos_of_node[q]);
+              w.values[q] = expanded.at(r, exec->order_pos_of_node[q]);
             }
-            if (!exec.validator.ExistsEmbedding(w.values, &w.scratch,
-                                                row_metrics)) {
+            if (!exec->validator.ExistsEmbedding(w.values, &w.scratch,
+                                                 row_metrics)) {
               return;
             }
           }

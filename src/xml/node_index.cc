@@ -34,12 +34,21 @@ NodeIndex NodeIndex::Build(const XmlDocument* doc, Dictionary* dict,
     index.by_tag_value_[static_cast<size_t>(node.tag)].push_back(
         ValueNode{index.values_[i], static_cast<NodeId>(i)});
   }
-  for (auto& list : index.by_tag_value_) {
+  index.values_unique_.assign(num_tags, 1);
+  for (size_t tag = 0; tag < num_tags; ++tag) {
+    std::vector<ValueNode>& list = index.by_tag_value_[tag];
     std::sort(list.begin(), list.end(),
               [](const ValueNode& a, const ValueNode& b) {
                 if (a.value != b.value) return a.value < b.value;
                 return a.node < b.node;
               });
+    // Sorted by value, so a shared value shows as an adjacent pair.
+    for (size_t i = 1; i < list.size(); ++i) {
+      if (list[i - 1].value == list[i].value) {
+        index.values_unique_[tag] = 0;
+        break;
+      }
+    }
   }
   return index;
 }

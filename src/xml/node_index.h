@@ -82,6 +82,14 @@ class NodeIndex {
   /// NodeId. Borrowed from the index; nothing is copied.
   ValueNodeSpan NodesByTagValue(int32_t tag, int64_t value) const;
 
+  /// True when no two nodes with tag code `tag` share a join value, so a
+  /// (tag, value) pair names at most one node: a value -> node key.
+  /// Always true under kNodeIdAlways, and for unknown tags.
+  bool ValuesUnique(int32_t tag) const {
+    return tag < 0 || static_cast<size_t>(tag) >= values_unique_.size() ||
+           values_unique_[static_cast<size_t>(tag)] != 0;
+  }
+
  private:
   NodeIndex() = default;
 
@@ -90,6 +98,7 @@ class NodeIndex {
   std::vector<int64_t> values_;                      // by NodeId
   std::vector<std::vector<NodeId>> by_tag_;          // by tag code
   std::vector<std::vector<ValueNode>> by_tag_value_; // by tag code
+  std::vector<uint8_t> values_unique_;               // by tag code
   std::vector<NodeId> empty_nodes_;
   std::vector<ValueNode> empty_value_nodes_;
 };

@@ -87,6 +87,29 @@ TEST(NodeIndexTest, UnknownTagYieldsEmpty) {
   EXPECT_TRUE(index.ValueSortedNodes(12345).empty());
 }
 
+TEST(NodeIndexTest, ValuesUniqueFlagsTagsWhoseValuesNameOneNode) {
+  auto doc = ParseXml("<r><a>1<b>x</b></a><a>1<b>y</b></a><c><b/></c></r>");
+  ASSERT_TRUE(doc.ok());
+  const int32_t a = doc->LookupTag("a");
+  const int32_t b = doc->LookupTag("b");
+  const int32_t c = doc->LookupTag("c");
+  Dictionary dict;
+  NodeIndex index = NodeIndex::Build(&*doc, &dict);
+  EXPECT_FALSE(index.ValuesUnique(a));  // both <a> carry "1"
+  EXPECT_TRUE(index.ValuesUnique(b));   // x, y and one synthetic value
+  EXPECT_TRUE(index.ValuesUnique(c));   // element children only
+  EXPECT_TRUE(index.ValuesUnique(doc->LookupTag("r")));
+  EXPECT_TRUE(index.ValuesUnique(-1));
+  EXPECT_TRUE(index.ValuesUnique(12345));
+
+  Dictionary id_dict;
+  NodeIndex by_id =
+      NodeIndex::Build(&*doc, &id_dict, ValuePolicy::kNodeIdAlways);
+  for (int64_t tag = 0; tag < doc->tag_dict().size(); ++tag) {
+    EXPECT_TRUE(by_id.ValuesUnique(static_cast<int32_t>(tag))) << tag;
+  }
+}
+
 // Property: ChildValues and DescendantValues agree with brute force.
 class NodeIndexProperty : public ::testing::TestWithParam<int> {};
 

@@ -401,5 +401,34 @@ TEST_F(PlanTest, ExplainRendersThePlanAndCacheCounters) {
   EXPECT_NE(text->find("trie cache:"), std::string::npos);
 }
 
+TEST_F(PlanTest, ExplainShowsWhetherEachTwigIsValidated) {
+  // item is textless, so each <item> has its own value: the P-C twig is
+  // certified and its final validation skipped.
+  auto certified = db_.OpenSession().Explain(q_);
+  ASSERT_TRUE(certified.ok()) << certified.status().ToString();
+  EXPECT_NE(certified->find("    validation: none (P-C only; branching tag "
+                            "item has unique values)\n"),
+            std::string::npos)
+      << *certified;
+
+  ASSERT_TRUE(db_.RegisterDocumentXml("cut", "<r><A><x><C>1</C></x></A></r>")
+                  .ok());
+  auto cut = db_.OpenSession().Explain("Q(*) := cut : A//C");
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  EXPECT_NE(cut->find("    validation: final (cut edge A//C)\n"),
+            std::string::npos)
+      << *cut;
+
+  ASSERT_TRUE(db_.RegisterDocumentXml("rep",
+                                      "<r><a>1<b>x</b><c>y</c></a>"
+                                      "<a>1<b>z</b><c>w</c></a></r>")
+                  .ok());
+  auto repeats = db_.OpenSession().Explain("Q(*) := rep : a[b,c]");
+  ASSERT_TRUE(repeats.ok()) << repeats.status().ToString();
+  EXPECT_NE(repeats->find("    validation: final (tag a repeats values)\n"),
+            std::string::npos)
+      << *repeats;
+}
+
 }  // namespace
 }  // namespace xjoin

@@ -20,11 +20,12 @@ namespace xjoin::testing {
 
 /// Builds a random tree document: `num_nodes` elements, tags drawn from
 /// `tags`, text values drawn from "v0".."v{num_values-1}" (with
-/// probability `text_prob`, else no text). Shape is a random recursive
-/// tree (each new node attaches to a uniformly chosen previous node).
+/// probability `text_prob`, else no text; with `leaf_text_only`, only
+/// leaves may carry text). Shape is a random recursive tree (each new
+/// node attaches to a uniformly chosen previous node).
 inline std::unique_ptr<XmlDocument> RandomDocument(
     Rng* rng, size_t num_nodes, const std::vector<std::string>& tags,
-    size_t num_values, double text_prob = 0.8) {
+    size_t num_values, double text_prob = 0.8, bool leaf_text_only = false) {
   // Generate parent links first (node 0 = root), then emit recursively.
   std::vector<size_t> parent(num_nodes, 0);
   for (size_t i = 1; i < num_nodes; ++i) {
@@ -42,7 +43,8 @@ inline std::unique_ptr<XmlDocument> RandomDocument(
   std::vector<Frame> stack;
   auto open = [&](size_t node) {
     b.StartElement(node == 0 ? "root" : tags[rng->NextBounded(tags.size())]);
-    if (node != 0 && rng->NextBernoulli(text_prob)) {
+    if (node != 0 && (!leaf_text_only || children[node].empty()) &&
+        rng->NextBernoulli(text_prob)) {
       b.AddText("v" + std::to_string(rng->NextBounded(num_values)));
     }
     stack.push_back({node, 0});

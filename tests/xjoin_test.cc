@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "common/budget.h"
@@ -97,6 +99,37 @@ TEST(XJoinTest, Figure1BookstoreExample) {
       {dict.Lookup("jack"), dict.Lookup("978-3-16-1"), dict.Lookup("30")}));
   EXPECT_TRUE(result->ContainsRow(
       {dict.Lookup("tom"), dict.Lookup("634-3-12-2"), dict.Lookup("20")}));
+}
+
+// A branching tag that repeats text defeats certification: the value
+// join on a's paths pairs every b with every c under a=1, though no one
+// <a> holds both z and y. Only the final validation removes those rows.
+TEST(XJoinTest, RepeatedBranchingValuesKeepFinalValidation) {
+  auto doc = ParseXml(
+      "<r><a>1<b>x</b><c>y</c></a><a>1<b>z</b><c>w</c></a></r>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  Dictionary dict;
+  NodeIndex index = NodeIndex::Build(&*doc, &dict);
+  auto twig = Twig::Parse("a[b,c]");
+  ASSERT_TRUE(twig.ok());
+  MultiModelQuery q;
+  q.twigs.push_back(TwigInput{*std::move(twig), &index});
+
+  auto plan = PrepareXJoin(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_FALSE((*plan)->twigs[0].certified);
+  Metrics metrics;
+  EngineServices services;
+  services.metrics = &metrics;
+  auto result = ExecutePlan(**plan, services);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(metrics.Get("xjoin.expanded"), 4);
+  EXPECT_GT(metrics.Get("xjoin.expanded"), metrics.Get("xjoin.validated"));
+  Relation expected = ReferenceAnswer(q);
+  EXPECT_EQ(expected.num_rows(), 2u);
+  auto got = Project(*result, expected.schema().attributes());
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->ToTuples(), expected.ToTuples());
 }
 
 TEST(XJoinTest, PaperAdversarialInstanceHasNResults) {
@@ -470,26 +503,110 @@ TEST(XJoinTest, ProjectionPathsOnXMarkClosedAuctions) {
 // The heavyweight differential property: random document + random P-C/A-D
 // twig + random relations over twig attributes; XJoin under several
 // configurations must equal the brute-force reference.
+//
+// Document modes. kRandomText gives 80% of nodes one of 3 text values,
+// so a branching tag almost always repeats values and random twigs are
+// almost never certified (XJoinPlan::TwigExec::certified). The other
+// modes make certified twigs common: no text at all, text on leaves
+// only, and kNodeIdAlways values. Their twigs are read off the document
+// (SampledTwig) and their relations draw values from its nodes, half of
+// their rows from twig matches, so the join is not empty by
+// construction.
+enum class DocMode { kRandomText, kNoText, kLeafText, kNodeIdValues };
+
 struct DiffParam {
   int seed;
   bool materialize;
   bool pruning;
+  DocMode doc_mode = DocMode::kRandomText;
 };
 
-class XJoinDifferential : public ::testing::TestWithParam<DiffParam> {};
+// A twig read off `doc`, so it has at least one embedding: a random
+// node, then up to `size - 1` more, each a child (P-C edge) or, with
+// probability 0.3, any proper descendant (A-D edge) of a node already
+// taken. Attributes are "q0".."q{k-1}".
+Twig SampledTwig(Rng* rng, const XmlDocument& doc, size_t size) {
+  TwigBuilder b;
+  auto tag_of = [&](NodeId x) {
+    return doc.tag_dict().Decode(doc.node(x).tag);
+  };
+  std::vector<NodeId> taken = {
+      static_cast<NodeId>(rng->NextBounded(doc.num_nodes()))};
+  b.AddRoot(tag_of(taken[0]), "q0");
+  for (size_t attempt = 0; attempt < 4 * size && taken.size() < size;
+       ++attempt) {
+    const size_t parent = rng->NextBounded(taken.size());
+    const XmlNode& x = doc.node(taken[parent]);
+    if (x.first_child == kNullNode) continue;
+    NodeId pick;
+    TwigAxis axis = TwigAxis::kChild;
+    if (rng->NextBernoulli(0.3)) {
+      axis = TwigAxis::kDescendant;
+      pick = taken[parent] + 1 +
+             static_cast<NodeId>(rng->NextBounded(
+                 static_cast<uint64_t>(x.subtree_end - taken[parent])));
+    } else {
+      std::vector<NodeId> children;
+      for (NodeId c = x.first_child; c != kNullNode;
+           c = doc.node(c).next_sibling) {
+        children.push_back(c);
+      }
+      pick = children[rng->NextBounded(children.size())];
+    }
+    b.AddChild(static_cast<TwigNodeId>(parent), axis, tag_of(pick),
+               "q" + std::to_string(taken.size()));
+    taken.push_back(pick);
+  }
+  auto twig = b.Finish();
+  return *std::move(twig);
+}
 
-TEST_P(XJoinDifferential, MatchesReference) {
-  DiffParam param = GetParam();
+// What one differential instance showed, for the coverage check below.
+struct DiffOutcome {
+  bool certified = false;  ///< the twig was certified
+  bool branching = false;  ///< ... and has a node with two children
+  size_t rows = 0;         ///< output rows
+};
+
+// Runs one differential instance. Beyond the reference answer, a
+// certified plan (whose final validation ExecutePlan skips) must return
+// only rows that ExistsEmbedding accepts.
+void RunDifferential(const DiffParam& param, DiffOutcome* outcome) {
   Rng rng(20000 + static_cast<uint64_t>(param.seed));
   std::vector<std::string> tags = {"a", "b", "c"};
-  auto doc = testing::RandomDocument(&rng, 2 + rng.NextBounded(25), tags, 3);
+  const size_t num_nodes =
+      2 + rng.NextBounded(param.doc_mode == DocMode::kRandomText ? 25 : 60);
+  std::unique_ptr<XmlDocument> doc;
+  switch (param.doc_mode) {
+    case DocMode::kRandomText:
+    case DocMode::kNodeIdValues:
+      doc = testing::RandomDocument(&rng, num_nodes, tags, 3);
+      break;
+    case DocMode::kNoText:
+      doc = testing::RandomDocument(&rng, num_nodes, tags, 3, 0.0);
+      break;
+    case DocMode::kLeafText:
+      doc = testing::RandomDocument(&rng, num_nodes, tags, 3, 0.8,
+                                    /*leaf_text_only=*/true);
+      break;
+  }
   auto dict = std::make_unique<Dictionary>();
-  NodeIndex index = NodeIndex::Build(doc.get(), dict.get());
-  Twig twig = testing::RandomTwig(&rng, 1 + rng.NextBounded(4), tags);
+  NodeIndex index = NodeIndex::Build(doc.get(), dict.get(),
+                                     param.doc_mode == DocMode::kNodeIdValues
+                                         ? ValuePolicy::kNodeIdAlways
+                                         : ValuePolicy::kTextOrNodeId);
+  const size_t twig_size = 1 + rng.NextBounded(4);
+  Twig twig = param.doc_mode == DocMode::kRandomText
+                  ? testing::RandomTwig(&rng, twig_size, tags)
+                  : SampledTwig(&rng, *doc, twig_size + 1);
 
   // 0-2 relations over a random subset of twig attributes (+ maybe one
   // fresh attribute), values from the document's value pool.
   std::vector<std::string> twig_attrs = twig.attributes();
+  std::vector<TwigMatch> matches;
+  if (param.doc_mode != DocMode::kRandomText) {
+    matches = MatchTwigNaive(*doc, twig);
+  }
   size_t num_rels = rng.NextBounded(3);
   std::vector<Relation> rels;
   for (size_t i = 0; i < num_rels; ++i) {
@@ -499,8 +616,36 @@ TEST_P(XJoinDifferential, MatchesReference) {
     }
     if (rng.NextBernoulli(0.3)) attrs.push_back("extra" + std::to_string(i));
     if (attrs.empty()) attrs.push_back(twig_attrs[0]);
-    rels.push_back(testing::RandomRelation(&rng, dict.get(), attrs,
-                                           3 + rng.NextBounded(15), 3));
+    const size_t rows = 3 + rng.NextBounded(15);
+    if (param.doc_mode == DocMode::kRandomText) {
+      rels.push_back(testing::RandomRelation(&rng, dict.get(), attrs, rows, 3));
+      continue;
+    }
+    // Half of the rows copy the values of a random twig match, the rest
+    // take random nodes with the attribute's tag (any node for a fresh
+    // attribute).
+    Relation rel(*Schema::Make(attrs));
+    Tuple row(attrs.size());
+    for (size_t r = 0; r < rows; ++r) {
+      const TwigMatch* match =
+          !matches.empty() && rng.NextBernoulli(0.5)
+              ? &matches[rng.NextBounded(matches.size())]
+              : nullptr;
+      for (size_t c = 0; c < attrs.size(); ++c) {
+        const TwigNodeId q = twig.NodeByAttribute(attrs[c]);
+        NodeId node = static_cast<NodeId>(rng.NextBounded(num_nodes));
+        if (q != kNullTwigNode && match != nullptr) {
+          node = (*match)[static_cast<size_t>(q)];
+        } else if (q != kNullTwigNode) {
+          const std::vector<NodeId>& pool =
+              index.NodesByTag(doc->LookupTag(twig.node(q).tag));
+          if (!pool.empty()) node = pool[rng.NextBounded(pool.size())];
+        }
+        row[c] = index.ValueOf(node);
+      }
+      rel.AppendRow(row);
+    }
+    rels.push_back(std::move(rel));
   }
 
   MultiModelQuery q;
@@ -513,6 +658,39 @@ TEST_P(XJoinDifferential, MatchesReference) {
   opts.materialize_paths = param.materialize;
   opts.structural_pruning = param.pruning;
   ExpectSameAnswer(q, opts);
+  if (param.doc_mode == DocMode::kRandomText) return;
+
+  auto plan = PrepareXJoin(q, opts);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto result = ExecutePlan(**plan, EngineServices{});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const XJoinPlan::TwigExec& exec = (*plan)->twigs[0];
+  outcome->certified = exec.certified;
+  outcome->rows = result->num_rows();
+  for (size_t n = 0; n < twig.num_nodes(); ++n) {
+    const TwigNode& node = twig.node(static_cast<TwigNodeId>(n));
+    outcome->branching = outcome->branching || node.children.size() >= 2;
+  }
+  if (!exec.certified) return;
+  ValidationScratch scratch;
+  std::vector<std::optional<int64_t>> values(twig.num_nodes());
+  for (size_t r = 0; r < result->num_rows(); ++r) {
+    for (size_t n = 0; n < twig.num_nodes(); ++n) {
+      const int col = result->schema().IndexOf(twig_attrs[n]);
+      ASSERT_GE(col, 0);
+      values[n] = result->at(r, static_cast<size_t>(col));
+    }
+    EXPECT_TRUE(exec.validator.ExistsEmbedding(values, &scratch))
+        << "certified twig " << twig.ToString() << " output row " << r
+        << " has no embedding";
+  }
+}
+
+class XJoinDifferential : public ::testing::TestWithParam<DiffParam> {};
+
+TEST_P(XJoinDifferential, MatchesReference) {
+  DiffOutcome outcome;
+  RunDifferential(GetParam(), &outcome);
 }
 
 // Cross-twig joins: two random twigs over two random documents, the
@@ -555,6 +733,22 @@ TEST_P(CrossTwigDifferential, MatchesReference) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, CrossTwigDifferential,
                          ::testing::Range(0, 30));
 
+// The instances of the certification-friendly document modes: 25 seeds
+// per mode, every third one with materialized paths and every third with
+// structural pruning.
+std::vector<DiffParam> CertifyingDiffParams() {
+  std::vector<DiffParam> params;
+  int base = 300;
+  for (DocMode mode :
+       {DocMode::kNoText, DocMode::kLeafText, DocMode::kNodeIdValues}) {
+    for (int seed = 0; seed < 25; ++seed) {
+      params.push_back({base + seed, seed % 3 == 1, seed % 3 == 2, mode});
+    }
+    base += 100;
+  }
+  return params;
+}
+
 std::vector<DiffParam> MakeDiffParams() {
   std::vector<DiffParam> params;
   for (int seed = 0; seed < 40; ++seed) {
@@ -564,11 +758,35 @@ std::vector<DiffParam> MakeDiffParams() {
     params.push_back({100 + seed, true, false});
     params.push_back({200 + seed, false, true});
   }
+  for (const DiffParam& p : CertifyingDiffParams()) params.push_back(p);
   return params;
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, XJoinDifferential,
                          ::testing::ValuesIn(MakeDiffParams()));
+
+// The certification axis must not pass vacuously: in each of the new
+// document modes, some instance certifies a twig that branches and
+// returns rows for the ExistsEmbedding check above.
+TEST(XJoinDifferentialCoverage, DocumentModesCertifyBranchingTwigs) {
+  std::map<DocMode, int> certified;
+  std::map<DocMode, int> certified_branching_with_rows;
+  for (const DiffParam& p : CertifyingDiffParams()) {
+    DiffOutcome outcome;
+    RunDifferential(p, &outcome);
+    if (!outcome.certified) continue;
+    ++certified[p.doc_mode];
+    if (outcome.branching && outcome.rows > 0) {
+      ++certified_branching_with_rows[p.doc_mode];
+    }
+  }
+  for (DocMode mode :
+       {DocMode::kNoText, DocMode::kLeafText, DocMode::kNodeIdValues}) {
+    SCOPED_TRACE("doc mode " + std::to_string(static_cast<int>(mode)));
+    EXPECT_GT(certified[mode], 0);
+    EXPECT_GT(certified_branching_with_rows[mode], 0);
+  }
+}
 
 }  // namespace
 }  // namespace xjoin
