@@ -29,8 +29,8 @@ class Dictionary {
   Dictionary() = default;
   Dictionary(const Dictionary&) = delete;
   Dictionary& operator=(const Dictionary&) = delete;
-  /// Movable (the lock lives behind a pointer) so Result<Dictionary>
-  /// and the storage layer keep working; a moved-from dictionary must
+  /// Movable (the lock lives behind a pointer) so an XmlDocument, which
+  /// owns its tag dictionary, can be moved; a moved-from dictionary must
   /// not be used.
   Dictionary(Dictionary&&) = default;
   Dictionary& operator=(Dictionary&&) = default;

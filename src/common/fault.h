@@ -18,8 +18,8 @@
 //                         executor (a hit fails the query kInternal)
 //   gj.tick               observer-only: each budget/cancel poll in the
 //                         expansion loop (never fails; handler hook)
-//   trie.build            before a relation/path trie build on cache
-//                         miss (a hit fails the build kInternal)
+//   trie.build            before a relation trie build on cache miss
+//                         (a hit fails the build kInternal)
 //   trie.compact          before a relation delta publishes its rebuilt
 //                         tries (a hit fails the update, old version
 //                         must stay fully intact)

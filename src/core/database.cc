@@ -13,20 +13,13 @@ namespace xjoin {
 
 namespace {
 
-// Cache keys for the shared trie LRU. Relation tries key on
-// (name, version, induced attribute order); materialized path tries on
-// (document, version, path signature). The '\x1F' separators cannot
-// occur in registered names or attribute names that come from parsing.
+// Cache key for the shared trie LRU: (name, version, induced attribute
+// order). The '\x1F' separators cannot occur in registered names or
+// attribute names that come from parsing.
 std::string RelationTrieKey(const std::string& name, uint64_t version,
                             const std::vector<std::string>& order) {
   return "rel\x1F" + name + "\x1F" + std::to_string(version) + "\x1F" +
          JoinStrings(order, ",");
-}
-
-std::string PathTrieKey(const std::string& doc_name, uint64_t version,
-                        const std::string& signature) {
-  return "path\x1F" + doc_name + "\x1F" + std::to_string(version) + "\x1F" +
-         signature;
 }
 
 // Plan-cache key: canonical query spelling + settings fingerprint, so
@@ -341,7 +334,6 @@ Status MultiModelDatabase::UpdateDocument(const std::string& name,
     it->second.index = std::move(index);
     ++it->second.version;
   }
-  InvalidateTrieCache(name);
   InvalidatePlans(name);
   return Status::OK();
 }
@@ -631,42 +623,6 @@ void MultiModelDatabase::SetTrieCacheBudget(size_t bytes) {
   }
 }
 
-Result<std::shared_ptr<const RelationTrie>> MultiModelDatabase::CachedTrie(
-    std::string key, const std::string& owner, const char* kind,
-    Metrics* metrics, BudgetTracker* budget,
-    const std::function<Result<RelationTrie>()>& build) const {
-  {
-    std::lock_guard<std::mutex> lock(trie_cache_mu_);
-    auto hit = TrieCacheLookupLocked(key);
-    if (hit != nullptr) {
-      ++trie_cache_hits_;
-      MetricsAdd(metrics, "db.trie_cache.hits", 1);
-      return hit;
-    }
-  }
-  // Cache miss: a cancelled query must not pay for (or fault tests
-  // silently survive) a cold build.
-  if (budget != nullptr && budget->violated()) return budget->status();
-  if (XJOIN_FAULT("trie.build")) {
-    return Status::Internal("fault injection: " + std::string(kind) +
-                            " build for " + owner +
-                            " failed (site trie.build)");
-  }
-  // Build outside the lock (concurrent queries may race to build the
-  // same trie; the insert below keeps the first and the extra build is
-  // discarded — correctness over double-build avoidance).
-  XJ_ASSIGN_OR_RETURN(RelationTrie trie, build());
-  auto shared = std::make_shared<const RelationTrie>(std::move(trie));
-  std::lock_guard<std::mutex> lock(trie_cache_mu_);
-  ++trie_cache_misses_;
-  MetricsAdd(metrics, "db.trie_cache.misses", 1);
-  int64_t before = trie_cache_evictions_;
-  TrieCacheInsertLocked(std::move(key), owner, shared);
-  MetricsAdd(metrics, "db.trie_cache.evictions",
-             trie_cache_evictions_ - before);
-  return shared;
-}
-
 TrieProvider MultiModelDatabase::CacheTrieProvider(
     std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
     int num_threads, BudgetTracker* budget) const {
@@ -686,39 +642,40 @@ TrieProvider MultiModelDatabase::CacheTrieProvider(
     // old-version trie after an update is harmless: it can only be hit
     // by sessions on the same version, and the update's owner-wide
     // invalidation / LRU pressure reclaims it.
-    return CachedTrie(
-        RelationTrieKey(name, entry->second.version, order), name, "trie",
-        metrics, budget, [&]() -> Result<RelationTrie> {
-          TrieBuildOptions build_options;
-          build_options.num_threads = num_threads;
-          build_options.metrics = metrics;
-          return RelationTrie::Build(relation, order, build_options);
-        });
-  };
-}
-
-PathTrieProvider MultiModelDatabase::CachePathTrieProvider(
-    std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
-    int num_threads, BudgetTracker* budget) const {
-  return [this, snap = std::move(snap), metrics, num_threads, budget](
-             const PathRelation& relation, const std::string& signature)
-             -> Result<std::shared_ptr<const RelationTrie>> {
-    std::string doc_name = SnapshotDocumentNameOf(*snap, &relation.index());
-    if (doc_name.empty()) {
-      // A foreign document — no identity, no caching.
-      return std::shared_ptr<const RelationTrie>();
+    std::string key = RelationTrieKey(name, entry->second.version, order);
+    {
+      std::lock_guard<std::mutex> lock(trie_cache_mu_);
+      auto hit = TrieCacheLookupLocked(key);
+      if (hit != nullptr) {
+        ++trie_cache_hits_;
+        MetricsAdd(metrics, "db.trie_cache.hits", 1);
+        return hit;
+      }
     }
-    uint64_t version = snap->documents.find(doc_name)->second.version;
-    return CachedTrie(
-        PathTrieKey(doc_name, version, signature), doc_name, "path trie",
-        metrics, budget, [&]() -> Result<RelationTrie> {
-          TrieBuildOptions build_options;
-          build_options.num_threads = num_threads;
-          build_options.metrics = metrics;
-          XJ_ASSIGN_OR_RETURN(Relation materialized, relation.Materialize());
-          return RelationTrie::Build(materialized, relation.attributes(),
-                                     build_options);
-        });
+    // Cache miss: a cancelled query must not pay for (or fault tests
+    // silently survive) a cold build.
+    if (budget != nullptr && budget->violated()) return budget->status();
+    if (XJOIN_FAULT("trie.build")) {
+      return Status::Internal("fault injection: trie build for " + name +
+                              " failed (site trie.build)");
+    }
+    // Build outside the lock (concurrent queries may race to build the
+    // same trie; the insert below keeps the first and the extra build is
+    // discarded — correctness over double-build avoidance).
+    TrieBuildOptions build_options;
+    build_options.num_threads = num_threads;
+    build_options.metrics = metrics;
+    XJ_ASSIGN_OR_RETURN(RelationTrie trie,
+                        RelationTrie::Build(relation, order, build_options));
+    auto shared = std::make_shared<const RelationTrie>(std::move(trie));
+    std::lock_guard<std::mutex> lock(trie_cache_mu_);
+    ++trie_cache_misses_;
+    MetricsAdd(metrics, "db.trie_cache.misses", 1);
+    int64_t before = trie_cache_evictions_;
+    TrieCacheInsertLocked(std::move(key), name, shared);
+    MetricsAdd(metrics, "db.trie_cache.evictions",
+               trie_cache_evictions_ - before);
+    return shared;
   };
 }
 
@@ -933,8 +890,6 @@ EngineServices MultiModelDatabase::Services(
     int num_threads = std::max(1, options.xjoin.num_threads);
     services.trie_provider =
         CacheTrieProvider(snap, options.metrics, num_threads, budget);
-    services.path_trie_provider =
-        CachePathTrieProvider(snap, options.metrics, num_threads, budget);
   }
   return services;
 }

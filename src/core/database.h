@@ -38,7 +38,8 @@
 // options fingerprint, validated against the session's snapshot
 // versions) and replays it with ExecutePlan, so repeated query shapes
 // skip order selection, shard planning, and all trie builds. Relation
-// tries and materialized path tries share one byte-budget LRU cache.
+// tries share one byte-budget LRU cache; twig paths are never
+// materialized, so documents own no cached trie.
 // Execution runs on the shared morsel-driven Executor pool, so N
 // in-flight queries share cores instead of each spawning threads.
 #ifndef XJOIN_CORE_DATABASE_H_
@@ -237,7 +238,7 @@ class Session {
 /// an intervening query. Trie and plan sections are each internally
 /// consistent.
 struct CacheStats {
-  // Trie cache (relation + materialized path tries, shared LRU).
+  // Trie cache (relation tries, shared LRU).
   size_t trie_entries = 0;
   size_t trie_bytes = 0;
   size_t trie_budget = 0;
@@ -379,24 +380,23 @@ class MultiModelDatabase {
   std::vector<std::string> TenantPoolNames() const;
 
   /// Explicit trie-cache invalidation hook: drops cached relation tries
-  /// for relation `name` (every attribute order) or cached path tries
-  /// for document `name`. UpdateRelation / UpdateDocument call this
-  /// automatically; call it yourself after mutating storage through any
-  /// other back door.
+  /// for relation `name` (every attribute order). UpdateRelation calls
+  /// this automatically; call it yourself after mutating storage through
+  /// any other back door.
   void InvalidateTrieCache(const std::string& name);
 
-  /// Drops every cached trie (all relations and documents). Sessions
-  /// and prepared statements keep their pinned tries.
+  /// Drops every cached trie. Sessions and prepared statements keep
+  /// their pinned tries.
   void ClearTrieCache();
 
-  /// Caps the total ByteSizeEstimate() of cached tries (relation and
-  /// path tries combined) — the exact heap bytes of their level arrays
-  /// (8 per key, 4 per child offset) and delta side-files, with no
-  /// allocation slack, so a budget equal to cache_stats().trie_bytes
-  /// holds exactly the cached set. Least-recently-used entries are
-  /// evicted on insert once the budget is exceeded; a trie larger than
-  /// the whole budget is served uncached. Default 256 MiB. Setting a
-  /// smaller budget evicts immediately.
+  /// Caps the total ByteSizeEstimate() of cached tries — the exact heap
+  /// bytes of their level arrays (8 per key, 4 per child offset) and
+  /// delta side-files, with no allocation slack, so a budget equal to
+  /// cache_stats().trie_bytes holds exactly the cached set.
+  /// Least-recently-used entries are evicted on insert once the budget
+  /// is exceeded; a trie larger than the whole budget is served
+  /// uncached. Default 256 MiB. Setting a smaller budget evicts
+  /// immediately.
   void SetTrieCacheBudget(size_t bytes);
 
   /// Caps the number of cached plans, LRU-evicted on insert (default
@@ -434,9 +434,8 @@ class MultiModelDatabase {
     uint64_t version = 0;
   };
 
-  /// One cached trie (relation or materialized path), on the shared
-  /// byte-budget LRU list. `owner` is the relation or document name,
-  /// for invalidation.
+  /// One cached relation trie, on the shared byte-budget LRU list.
+  /// `owner` is the relation name, for invalidation.
   struct TrieCacheEntry {
     std::string key;
     std::string owner;
@@ -455,7 +454,7 @@ class MultiModelDatabase {
 
   /// The engine's services for one call: counters from
   /// options.metrics, the given budget (nullable; it carries the cancel
-  /// tokens), and, when `snap` is set, the trie-cache providers over
+  /// tokens), and, when `snap` is set, the trie-cache provider over
   /// that snapshot.
   EngineServices Services(
       const QueryOptions& options, BudgetTracker* budget,
@@ -500,22 +499,8 @@ class MultiModelDatabase {
       std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
       int num_threads, BudgetTracker* budget) const;
 
-  /// Likewise for materialized path tries (materialize_paths queries).
-  PathTrieProvider CachePathTrieProvider(
-      std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
-      int num_threads, BudgetTracker* budget) const;
-
-  /// The sequence both providers share: LRU lookup under `key`; on a
-  /// miss, the budget check, the "trie.build" fault site (`kind` names
-  /// the trie in its message), `build` outside the lock, and the insert
-  /// under `owner`; with the hit / miss / eviction counters.
-  Result<std::shared_ptr<const RelationTrie>> CachedTrie(
-      std::string key, const std::string& owner, const char* kind,
-      Metrics* metrics, BudgetTracker* budget,
-      const std::function<Result<RelationTrie>()>& build) const;
-
   /// Shared LRU plumbing (callers hold trie_cache_mu_; const because
-  /// the providers run on the const query path — all touched state is
+  /// the provider runs on the const query path — all touched state is
   /// mutable).
   std::shared_ptr<const RelationTrie> TrieCacheLookupLocked(
       const std::string& key) const;

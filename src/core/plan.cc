@@ -17,10 +17,10 @@ namespace xjoin {
 namespace {
 
 // Static key-count estimate for one input at one of its local trie
-// levels: exact level sizes for materialized tries, per-tag candidate
+// levels: exact level sizes for relation tries, per-tag candidate
 // populations for lazy path relations. O(1) either way.
-int64_t LevelEstimate(const std::shared_ptr<const RelationTrie>& trie,
-                      const PathRelation* path, size_t local_level) {
+int64_t LevelEstimate(const RelationTrie* trie, const PathRelation* path,
+                      size_t local_level) {
   if (trie != nullptr) {
     // Delta-aware upper bound: base level keys plus pending insert rows
     // (exact for the common no-delta case).
@@ -34,18 +34,18 @@ int64_t LevelEstimate(const std::shared_ptr<const RelationTrie>& trie,
 struct PlannedInput {
   const std::string* name;
   const std::vector<std::string>* attrs;
-  const std::shared_ptr<const RelationTrie>* trie;  // null entry = lazy
-  const PathRelation* path;                         // set for path inputs
+  const RelationTrie* trie;  // set for relation inputs
+  const PathRelation* path;  // set for path inputs
 };
 
 std::vector<PlannedInput> CollectInputs(const XJoinPlan& plan) {
   std::vector<PlannedInput> inputs;
   inputs.reserve(plan.rel_inputs.size() + plan.path_inputs.size());
   for (const auto& r : plan.rel_inputs) {
-    inputs.push_back({&r.name, &r.attrs, &r.trie, nullptr});
+    inputs.push_back({&r.name, &r.attrs, r.trie.get(), nullptr});
   }
   for (const auto& p : plan.path_inputs) {
-    inputs.push_back({&p.name, &p.attrs, &p.trie,
+    inputs.push_back({&p.name, &p.attrs, nullptr,
                       &plan.twigs[p.twig_index].paths[p.path_index]});
   }
   return inputs;
@@ -69,7 +69,7 @@ void PlanLevels(XJoinPlan* plan) {
       if (it == in.attrs->end()) continue;
       size_t local = static_cast<size_t>(it - in.attrs->begin());
       level.participants.push_back(*in.name);
-      int64_t estimate = LevelEstimate(*in.trie, in.path, local);
+      int64_t estimate = LevelEstimate(in.trie, in.path, local);
       if (estimate < min_estimate) {
         level.lead = *in.name;
         level.lead_estimate = estimate;
@@ -110,7 +110,7 @@ void PlanShards(XJoinPlan* plan) {
   int64_t level0 = std::numeric_limits<int64_t>::max();
   for (const auto& in : inputs) {
     if (!in.attrs->empty() && (*in.attrs)[0] == attr0) {
-      level0 = std::min(level0, LevelEstimate(*in.trie, in.path, 0));
+      level0 = std::min(level0, LevelEstimate(in.trie, in.path, 0));
     }
   }
   if (level0 == std::numeric_limits<int64_t>::max()) level0 = 0;
@@ -138,9 +138,9 @@ void PlanShards(XJoinPlan* plan) {
     for (const auto& in : inputs) {
       const auto& attrs = *in.attrs;
       if (attrs.size() >= 2 && attrs[0] == attr0 && attrs[1] == attr1) {
-        level01 = std::min(level01, LevelEstimate(*in.trie, in.path, 1));
+        level01 = std::min(level01, LevelEstimate(in.trie, in.path, 1));
       } else if (!attrs.empty() && attrs[0] == attr1) {
-        int64_t roots = LevelEstimate(*in.trie, in.path, 0);
+        int64_t roots = LevelEstimate(in.trie, in.path, 0);
         if (level0 > 0 &&
             roots < std::numeric_limits<int64_t>::max() / level0) {
           level01 = std::min(level01, level0 * roots);
@@ -238,8 +238,7 @@ size_t PlanFingerprint(const PlanSettings& settings) {
   size_t fp = 0;
   fp = HashBytes(fp, JoinStrings(settings.attribute_order, ","));
   fp = HashCombine(fp, static_cast<size_t>(settings.order_heuristic));
-  fp = HashCombine(fp, (settings.materialize_paths ? 1u : 0u) |
-                           (settings.structural_pruning ? 2u : 0u));
+  fp = HashCombine(fp, static_cast<size_t>(settings.structural_pruning));
   fp = HashCombine(fp, static_cast<size_t>(std::max(1, settings.num_threads)));
   fp = HashCombine(fp, static_cast<size_t>(std::max(0, settings.num_shards)));
   fp = HashCombine(fp, static_cast<size_t>(settings.batch_size));
@@ -336,29 +335,7 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(
     plan->rel_inputs.push_back(std::move(input));
   }
 
-  // 4. Pin path tries (ablation only; the default is lazy navigation).
-  if (settings.materialize_paths) {
-    for (auto& input : plan->path_inputs) {
-      if (budget != nullptr && budget->violated()) return budget->status();
-      const PathRelation& rel =
-          plan->twigs[input.twig_index].paths[input.path_index];
-      if (services.path_trie_provider) {
-        XJ_ASSIGN_OR_RETURN(input.trie,
-                            services.path_trie_provider(rel, input.signature));
-        input.from_provider = input.trie != nullptr;
-      }
-      if (input.trie == nullptr) {
-        XJ_ASSIGN_OR_RETURN(Relation mat, rel.Materialize());
-        XJ_ASSIGN_OR_RETURN(
-            RelationTrie built,
-            RelationTrie::Build(mat, input.attrs, build_options));
-        input.trie = std::make_shared<const RelationTrie>(std::move(built));
-      }
-      (input.from_provider ? plan->tries_provider : plan->tries_built) += 1;
-    }
-  }
-
-  // 5. Per-level rationale and the shard plan, from the pinned tries'
+  // 4. Per-level rationale and the shard plan, from the pinned tries'
   // O(1) level statistics.
   PlanLevels(plan.get());
   PlanShards(plan.get());
@@ -375,8 +352,8 @@ Result<std::shared_ptr<XJoinPlan>> RebindXJoin(const XJoinPlan& stale,
   // Pin the stale plan's expansion order: the query shape is unchanged,
   // so re-running order selection could only reproduce (or needlessly
   // perturb) it. Metrics are detached so a rebind counts below rather
-  // than as a full "plan.prepared"; the providers carry their own
-  // metrics pointers and are unaffected.
+  // than as a full "plan.prepared"; the trie provider carries its own
+  // metrics pointer and is unaffected.
   PlanSettings settings = stale.settings;
   settings.attribute_order = stale.order;
   EngineServices rebind_services = services;
@@ -409,12 +386,7 @@ std::string ExplainPlan(const XJoinPlan& plan) {
     out += "    validation: " + plan.twigs[t].validation + "\n";
   }
   for (const auto& p : plan.path_inputs) {
-    out += "  path " + p.name + " = " + p.signature + "  [" +
-           (p.trie != nullptr
-                ? std::string(p.from_provider ? "materialized, db cache"
-                                              : "materialized, private")
-                : std::string("lazy")) +
-           "]\n";
+    out += "  path " + p.name + " = " + p.signature + "\n";
   }
 
   out += "expansion order (PA): " + JoinStrings(plan.order, " -> ") + "\n";

@@ -7,7 +7,7 @@
 //   Prepare  resolve inputs, transform(Sx) path relations, choose PA
 //            with its per-level rationale, plan the shard partitioning
 //   Pin      obtain shared_ptr<const RelationTrie> handles through the
-//            providers below (the database's caches) or build privately
+//            provider below (the database's trie cache) or build privately
 //   Execute  ExecutePlan walks the pinned tries; no planning work left
 //
 // MultiModelDatabase caches XJoinPlans keyed by canonical query text +
@@ -48,16 +48,6 @@ using TrieProvider = std::function<Result<std::shared_ptr<const RelationTrie>>(
     const std::string& name, const Relation& relation,
     const std::vector<std::string>& order)>;
 
-/// Optional supplier of materialized *path* tries (consulted only when
-/// materialize_paths is set). `signature` identifies the twig path
-/// within its document — PathSignature() below — and, combined with the
-/// document (reachable as &relation.index()) and its version, is the
-/// database's cache key. Same null-means-build-locally contract as
-/// TrieProvider.
-using PathTrieProvider =
-    std::function<Result<std::shared_ptr<const RelationTrie>>(
-        const PathRelation& relation, const std::string& signature)>;
-
 /// Algorithm 1's plan-shaping choices. PrepareXJoin normalises them once
 /// into XJoinPlan::settings, and PlanFingerprint hashes every field: the
 /// second half of the database's plan-cache key. Nothing per-call lives
@@ -69,8 +59,6 @@ struct PlanSettings {
   std::vector<std::string> attribute_order;
   /// Greedy rule used when attribute_order is empty.
   OrderHeuristic order_heuristic = OrderHeuristic::kCoverage;
-  /// Ablation: flatten path relations to materialized tries first.
-  bool materialize_paths = false;
   /// §4 extension: prune prefixes whose partial twig structure is
   /// already infeasible.
   bool structural_pruning = false;
@@ -119,9 +107,6 @@ struct EngineServices {
   /// Optional trie cache hook (see TrieProvider above). Empty = every
   /// prepare builds its own relation tries.
   TrieProvider trie_provider;
-  /// Optional materialized-path-trie cache hook (used only with
-  /// materialize_paths). Empty = materialize and build locally.
-  PathTrieProvider path_trie_provider;
 };
 
 /// Rationale for one expansion level, recorded at prepare time: who
@@ -216,23 +201,21 @@ struct XJoinPlan {
   };
   std::vector<TwigExec> twigs;
 
-  /// One twig path input ("twig<i>.P<j>"): lazy by default (trie left
-  /// null, ExecutePlan navigates the document in place), materialized
-  /// and pinned when materialize_paths is set.
+  /// One twig path input ("twig<i>.P<j>"), never materialized:
+  /// ExecutePlan navigates the document in place through a lazy cursor
+  /// (PathRelation::NewLazyIterator).
   struct PathInput {
     std::string name;
     size_t twig_index = 0;
     size_t path_index = 0;
     std::vector<std::string> attrs;
-    std::string signature;  ///< PathSignature(), the cache identity
-    std::shared_ptr<const RelationTrie> trie;  ///< null = lazy
-    bool from_provider = false;
+    std::string signature;  ///< PathSignature(), shown by EXPLAIN
   };
   std::vector<PathInput> path_inputs;
 
   ShardPlan shard_plan;
 
-  /// Pin statistics (EXPLAIN): tries obtained through the providers
+  /// Pin statistics (EXPLAIN): tries obtained through the provider
   /// (cache hits or fresh inserts — the db counters split those) vs
   /// built privately for this plan.
   int64_t tries_provider = 0;
@@ -257,8 +240,7 @@ struct XJoinPlan {
 
 /// Stable identity of one decomposed twig path inside its document:
 /// "tag:attr" per level, '/'-joined (tags disambiguate same-named
-/// attributes across twigs; attributes capture aliasing). Part of the
-/// database's path-trie cache key.
+/// attributes across twigs; attributes capture aliasing).
 std::string PathSignature(const Twig& twig, const TwigPath& path);
 
 /// Fingerprint of every PlanSettings field — the second half of the
@@ -268,9 +250,9 @@ std::string PathSignature(const Twig& twig, const TwigPath& path);
 size_t PlanFingerprint(const PlanSettings& settings);
 
 /// Prepares `query`: validates it, chooses the expansion order (with
-/// per-level lead rationale), decomposes twigs into path relations,
-/// pins relation tries (and path tries under materialize_paths) through
-/// the providers or private builds, and plans the shard partitioning
+/// per-level lead rationale), decomposes twigs into lazy path
+/// relations, pins relation tries through the provider or private
+/// builds, and plans the shard partitioning
 /// from the level-0/level-1 domain estimates. O(planning) only — no
 /// expansion runs. Returns the budget's Status as soon as
 /// services.budget is violated (checked before every trie pin). Records
@@ -286,7 +268,7 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(
 /// relation pointers remapped to the new storage (documents must be
 /// unchanged). The stale plan's settings are reused and its expansion
 /// order is forced, so rebinding skips parsing and order selection and
-/// spends its time only re-pinning tries through the providers — which
+/// spends its time only re-pinning tries through the provider — which
 /// is where the database's delta-patched tries at the new versions come
 /// from. Records "plan.rebinds" / "plan.rebind_micros" instead of
 /// "plan.prepared"; used by the plan cache to keep entries serving

@@ -5,8 +5,9 @@
 // the size bound, but does not physically transform them" — LazyPathTrie
 // realizes exactly that: a TrieIterator that navigates the document in
 // place, grouping candidate nodes by join value level by level.
-// MaterializePathRelation flattens the same relation into a Relation for
-// the ablation study and for exact size-bound inputs.
+// It is the engine's only path input. PathRelation::Materialize flattens
+// the same relation into a Relation for exact size-bound inputs and for
+// test oracles.
 #ifndef XJOIN_CORE_VIRTUAL_RELATION_H_
 #define XJOIN_CORE_VIRTUAL_RELATION_H_
 

@@ -78,8 +78,9 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   // one violated() poll.
   BudgetTracker* const budget = services.budget;
 
-  // 1. Instantiate cursors over the pinned tries: relations first, then
-  // twig paths, mirroring the plan's input order.
+  // 1. Instantiate cursors: over the pinned tries for relations, then
+  // lazy document cursors for twig paths, mirroring the plan's input
+  // order.
   std::vector<JoinInput> inputs;
   std::vector<std::unique_ptr<TrieIterator>> iterators;
   inputs.reserve(plan.rel_inputs.size() + plan.path_inputs.size());
@@ -89,13 +90,8 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
     inputs.push_back(JoinInput{rel.name, rel.attrs, iterators.back().get()});
   }
   for (const auto& path : plan.path_inputs) {
-    if (path.trie != nullptr) {
-      iterators.push_back(path.trie->NewIterator());
-    } else {
-      iterators.push_back(plan.twigs[path.twig_index]
-                              .paths[path.path_index]
-                              .NewLazyIterator());
-    }
+    iterators.push_back(
+        plan.twigs[path.twig_index].paths[path.path_index].NewLazyIterator());
     inputs.push_back(JoinInput{path.name, path.attrs, iterators.back().get()});
   }
 

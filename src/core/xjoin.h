@@ -9,10 +9,10 @@
 // (core/plan.h): PrepareXJoin derives everything shape-dependent once
 // (order, decompositions, shard plan, pinned tries) and ExecutePlan
 // replays it — ExecuteXJoin below is exactly Prepare + Execute. The
-// path relations are navigated lazily by default ("we do not physically
-// transform them into relational tables"); set materialize_paths for
-// the ablation. structural_pruning enables the paper's on-going-work
-// extension: partially validating the twig during the join.
+// path relations are always navigated lazily ("we do not physically
+// transform them into relational tables"). structural_pruning enables
+// the paper's on-going-work extension: partially validating the twig
+// during the join.
 #ifndef XJOIN_CORE_XJOIN_H_
 #define XJOIN_CORE_XJOIN_H_
 
@@ -24,7 +24,7 @@
 namespace xjoin {
 
 /// Executes a prepared plan: instantiates cursors over the pinned tries
-/// (lazy document cursors for unmaterialized paths), runs the expansion
+/// (lazy document cursors for the twig paths), runs the expansion
 /// loop under the plan's shard plan, validates twig structure, and
 /// projects. Every engine knob (threads, shards, pruning, order, batch
 /// size) was frozen into plan.settings at prepare time, which is what

@@ -12,7 +12,9 @@
 //   * LazyPathTrieIterator      — navigates an XML document in place,
 //     deduplicating the tag-matching children of the parent's value
 //     group per open (core/virtual_relation.h)
-//   * a materialized path trie is a RelationTrie over the flattened path
+//   * a flattened path (PathRelation::Materialize) is a plain
+//     RelationTrie; the engine never builds one, the conformance tests
+//     use it as the lazy cursor's oracle
 #ifndef XJOIN_RELATIONAL_TRIE_ITERATOR_H_
 #define XJOIN_RELATIONAL_TRIE_ITERATOR_H_
 

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "xml/parser.h"
 
 namespace xjoin {
 
@@ -17,7 +18,7 @@ class TwigParser {
   Result<Twig> Run() {
     TwigAxis root_axis;  // ignored for the root
     XJ_RETURN_NOT_OK(ParseLeadingSeparator(&root_axis));
-    XJ_RETURN_NOT_OK(ParsePath(kNullTwigNode, root_axis, &builder_));
+    XJ_RETURN_NOT_OK(ParsePath(kNullTwigNode, root_axis, 1, &builder_));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Error("trailing characters after pattern");
@@ -72,9 +73,16 @@ class TwigParser {
   }
 
   // Parses "step (('/'|'//') step)*" hanging the first step under
-  // `parent` with `axis`.
-  Status ParsePath(TwigNodeId parent, TwigAxis axis, TwigBuilder* builder) {
-    for (;;) {
+  // `parent` with `axis`; that step's node is `depth` deep (the root is
+  // depth 1). Recursion is one frame per '[', so the depth cap bounds
+  // it as well.
+  Status ParsePath(TwigNodeId parent, TwigAxis axis, int depth,
+                   TwigBuilder* builder) {
+    for (;; ++depth) {
+      if (depth > kMaxXmlDepth) {
+        return Error("twig nodes nest deeper than " +
+                     std::to_string(kMaxXmlDepth));
+      }
       XJ_ASSIGN_OR_RETURN(std::string tag, ParseName());
       std::string alias;
       if (Consume('=')) {
@@ -90,7 +98,7 @@ class TwigParser {
           if (Consume('/')) {
             if (Consume('/')) branch_axis = TwigAxis::kDescendant;
           }
-          XJ_RETURN_NOT_OK(ParsePath(id, branch_axis, builder));
+          XJ_RETURN_NOT_OK(ParsePath(id, branch_axis, depth + 1, builder));
           if (Consume(',')) continue;
           if (Consume(']')) break;
           return Error("expected ',' or ']' in branch list");

@@ -48,6 +48,11 @@ class Twig {
   /// default the attribute equals the tag. Examples:
   ///   "A[B,C/E]/D"                     (Figure 2's left sub-twig shape)
   ///   "invoices//orderLine[ISBN,price]" (Figure 1)
+  ///
+  /// A node deeper than kMaxXmlDepth (xml/parser.h; the root is depth 1,
+  /// and each '/', '//' or '[' nests one deeper) is a kParseError. No
+  /// answer is lost: every twig edge maps to a strictly deeper document
+  /// node, and ParseXml accepts no document that deep.
   static Result<Twig> Parse(const std::string& pattern);
 
   size_t num_nodes() const { return nodes_.size(); }

@@ -438,18 +438,14 @@ TEST(BatchedXJoinTest, PaperExampleWorkloads) {
   }
 }
 
-TEST(BatchedXJoinTest, PaperExampleWithPruningAndMaterializedPaths) {
+TEST(BatchedXJoinTest, PaperExampleWithPruning) {
   PaperInstance inst = MakePaperInstance(5, PaperSchema::kExample34,
                                          PaperDataMode::kRandom);
-  MultiModelQuery q = inst.Query();
   // structural_pruning exercises the per-binding filter inside every
-  // drain; materialize_paths turns all inputs into CSR tries.
+  // drain.
   PlanSettings pruning;
   pruning.structural_pruning = true;
-  ExpectBatchedXJoinMatchesReference(q, pruning);
-  PlanSettings materialized;
-  materialized.materialize_paths = true;
-  ExpectBatchedXJoinMatchesReference(q, materialized);
+  ExpectBatchedXJoinMatchesReference(inst.Query(), pruning);
 }
 
 TEST(BatchedXJoinTest, AdversarialAgmTightWorkload) {

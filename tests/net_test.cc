@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -363,14 +364,27 @@ TEST_F(NetTest, OneConnectionServesManyRequestsAndPings) {
 }
 
 TEST_F(NetTest, BadQueryTextGetsTypedErrorAndConnectionSurvives) {
+  ASSERT_TRUE(db_.RegisterDocumentXml("doc", "<t0><t1>x</t1></t0>").ok());
   StartServer();
   XJoinClient client(MakeClientOptions());
-  QueryRequest bad;
-  bad.text = "Q(*) := NoSuchRelation";
-  auto result = client.Query(bad);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNotFound)
-      << result.status().ToString();
+  // An unknown relation, and a twig nested 100,000 deep (~790 KB), far
+  // past kMaxXmlDepth: the parser must refuse it, not recurse per '['.
+  std::string deep_twig;
+  for (int i = 0; i < 100000; ++i) {
+    deep_twig += (i > 0 ? "[t" : "t") + std::to_string(i);
+  }
+  deep_twig.append(99999, ']');
+  const std::vector<std::pair<std::string, StatusCode>> bad_inputs = {
+      {"Q(*) := NoSuchRelation", StatusCode::kNotFound},
+      {"Q(*) := doc : " + deep_twig, StatusCode::kParseError},
+  };
+  for (const auto& [text, code] : bad_inputs) {
+    QueryRequest bad;
+    bad.text = text;
+    auto result = client.Query(bad);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), code) << result.status().ToString();
+  }
   // A semantic failure is not retryable: one attempt, no backoff.
   EXPECT_EQ(client.stats().retries, 0);
 

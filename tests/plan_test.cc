@@ -1,7 +1,7 @@
 // Plan lifecycle (Prepare -> Pin -> Execute): cached-plan reuse is
 // byte-identical to cold execution and skips order selection, shard
 // planning, and all trie builds; UpdateRelation / document mutation
-// invalidate dependent plans and path tries; the options fingerprint
+// invalidate dependent plans; the options fingerprint
 // separates num_threads / structural_pruning variants; the byte-budget
 // LRU bounds the trie cache; and the per-twig validation sub-counters
 // stay exact in parallel runs.
@@ -134,26 +134,23 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
   ordered.xjoin.attribute_order = {"item", "B", "D", "A", "C"};
   QueryOptions smallest_domain;
   smallest_domain.xjoin.order_heuristic = OrderHeuristic::kSmallestDomain;
-  QueryOptions materialized;
-  materialized.xjoin.materialize_paths = true;
   QueryOptions sharded;
   sharded.xjoin.num_shards = 3;
-  const std::vector<QueryOptions> more = {ordered, smallest_domain,
-                                          materialized, sharded};
+  const std::vector<QueryOptions> more = {ordered, smallest_domain, sharded};
   for (const QueryOptions& options : more) {
     auto result = db_.OpenSession().Query(q_, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
   stats = db_.cache_stats();
-  EXPECT_EQ(stats.plan_entries, 8u);
-  EXPECT_EQ(stats.plan_misses, 8);
+  EXPECT_EQ(stats.plan_entries, 7u);
+  EXPECT_EQ(stats.plan_misses, 7);
   EXPECT_EQ(stats.plan_hits, 2);
   for (const QueryOptions& options : more) {
     ASSERT_TRUE(db_.OpenSession().Query(q_, options).ok());
   }
   stats = db_.cache_stats();
-  EXPECT_EQ(stats.plan_hits, 6);
-  EXPECT_EQ(stats.plan_entries, 8u);
+  EXPECT_EQ(stats.plan_hits, 5);
+  EXPECT_EQ(stats.plan_entries, 7u);
 
   // Settings that prepare the same plan share its entry: every
   // num_threads <= 1, and every num_shards <= 0.
@@ -164,9 +161,9 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
   ASSERT_TRUE(db_.OpenSession().Query(q_, zero_threads).ok());
   ASSERT_TRUE(db_.OpenSession().Query(q_, negative_shards).ok());
   stats = db_.cache_stats();
-  EXPECT_EQ(stats.plan_hits, 8);
-  EXPECT_EQ(stats.plan_misses, 8);
-  EXPECT_EQ(stats.plan_entries, 8u);
+  EXPECT_EQ(stats.plan_hits, 7);
+  EXPECT_EQ(stats.plan_misses, 7);
+  EXPECT_EQ(stats.plan_entries, 7u);
 }
 
 TEST_F(PlanTest, ExplainShowsExecutionMode) {
@@ -226,12 +223,12 @@ TEST_F(PlanTest, UpdateRelationInvalidatesDependentPlans) {
       {dict.Lookup("2"), dict.Lookup("y"), dict.Lookup("8")}));
 }
 
-TEST_F(PlanTest, DocumentMutationInvalidatesPlansAndPathTries) {
-  QueryOptions mat;
-  mat.xjoin.materialize_paths = true;
-  ASSERT_TRUE(db_.OpenSession().Query(q_, mat).ok());
-  // 2 relation tries + 2 materialized path tries (item/B, item/D).
-  EXPECT_EQ(db_.cache_stats().trie_entries, 4u);
+TEST_F(PlanTest, DocumentMutationInvalidatesDependentPlans) {
+  ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
+  // The 2 relation tries; twig paths are navigated lazily, so the
+  // document owns no cached trie.
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
+  EXPECT_EQ(db_.cache_stats().trie_misses, 2);
   EXPECT_EQ(*db_.document_version("doc"), 0u);
   EXPECT_EQ(db_.cache_stats().plan_entries, 1u);
 
@@ -240,38 +237,25 @@ TEST_F(PlanTest, DocumentMutationInvalidatesPlansAndPathTries) {
              <item><B>y</B><D>6</D></item>
              <item><B>y</B><D>7</D></item></items>)")
                   .ok());
-  // Version bump observed; the document's path tries and the dependent
-  // plan are gone, the relation tries stay.
+  // Version bump observed; the dependent plan is gone, the relation
+  // tries stay.
   EXPECT_EQ(*db_.document_version("doc"), 1u);
   CacheStats stats = db_.cache_stats();
   EXPECT_EQ(stats.trie_entries, 2u);
   EXPECT_EQ(stats.plan_entries, 0u);
   EXPECT_GE(stats.plan_invalidations, 1);
 
-  auto result = db_.OpenSession().Query("Q(D) := R, S, doc : item[B]/D", mat);
+  // The re-prepared plan reads the new document and pins the surviving
+  // relation tries from the cache.
+  auto result = db_.OpenSession().Query("Q(D) := R, S, doc : item[B]/D");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->ContainsRow({db_.dictionary().Lookup("7")}));
-  // The new document's path tries were cached under the new version.
-  EXPECT_EQ(db_.cache_stats().trie_entries, 4u);
+  stats = db_.cache_stats();
+  EXPECT_EQ(stats.trie_entries, 2u);
+  EXPECT_EQ(stats.trie_misses, 2);
 
   // Updating an unregistered document fails.
   EXPECT_FALSE(db_.UpdateDocumentXml("nope", "<a/>").ok());
-}
-
-TEST_F(PlanTest, RepeatedMaterializedPathQueriesHitThePathTrieCache) {
-  QueryOptions mat;
-  mat.xjoin.materialize_paths = true;
-  ASSERT_TRUE(db_.OpenSession().Query(q_, mat).ok());
-  int64_t misses = db_.cache_stats().trie_misses;
-  EXPECT_EQ(misses, 4);  // 2 relations + 2 paths
-
-  // Re-planning the same text pins all four tries from the cache.
-  db_.ClearPlanCache();
-  Metrics metrics;
-  mat.metrics = &metrics;
-  ASSERT_TRUE(db_.OpenSession().Query(q_, mat).ok());
-  EXPECT_EQ(db_.cache_stats().trie_misses, misses);
-  EXPECT_EQ(metrics.Get("db.trie_cache.hits"), 4);
 }
 
 TEST_F(PlanTest, ByteBudgetLruEvictsLeastRecentlyUsed) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/dictionary.h"
-#include "relational/catalog.h"
 #include "relational/csv.h"
 #include "relational/relation.h"
 #include "relational/schema.h"
@@ -161,18 +160,6 @@ TEST(CsvTest, RoundTrip) {
   for (size_t c = 0; c < r->num_columns(); ++c) {
     EXPECT_EQ(r2->at(0, c), r->at(0, c));
   }
-}
-
-TEST(CatalogTest, AddGetAndNames) {
-  Catalog cat;
-  auto s = Schema::Make({"A"});
-  EXPECT_TRUE(cat.AddRelation("r1", Relation(*s)).ok());
-  EXPECT_FALSE(cat.AddRelation("r1", Relation(*s)).ok());
-  EXPECT_TRUE(cat.HasRelation("r1"));
-  EXPECT_TRUE(cat.GetRelation("r1").ok());
-  EXPECT_FALSE(cat.GetRelation("r2").ok());
-  cat.PutRelation("r2", Relation(*s));
-  EXPECT_EQ(cat.RelationNames(), (std::vector<std::string>{"r1", "r2"}));
 }
 
 }  // namespace

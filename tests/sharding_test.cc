@@ -306,16 +306,12 @@ TEST(ShardedXJoinTest, PaperExampleWorkloads) {
   }
 }
 
-TEST(ShardedXJoinTest, PaperExampleWithPruningAndMaterializedPaths) {
+TEST(ShardedXJoinTest, PaperExampleWithPruning) {
   PaperInstance inst = MakePaperInstance(5, PaperSchema::kExample34,
                                          PaperDataMode::kRandom);
-  MultiModelQuery q = inst.Query();
   PlanSettings pruning;
   pruning.structural_pruning = true;
-  ExpectShardedXJoinMatchesSerial(q, pruning);
-  PlanSettings materialized;
-  materialized.materialize_paths = true;
-  ExpectShardedXJoinMatchesSerial(q, materialized);
+  ExpectShardedXJoinMatchesSerial(inst.Query(), pruning);
 }
 
 TEST(ShardedXJoinTest, AdversarialAgmTightWorkload) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/random.h"
+#include "xml/parser.h"
 #include "xml/twig.h"
 
 namespace xjoin {
@@ -51,6 +54,58 @@ TEST(TwigParseTest, Errors) {
   EXPECT_FALSE(Twig::Parse("a/b extra garbage ]").ok());
   EXPECT_FALSE(Twig::Parse("a//").ok());
   EXPECT_FALSE(Twig::Parse("[a]").ok());
+}
+
+// How ChainTwig nests each step under the previous one.
+enum class Nest { kBrackets, kSlashes, kMixed };
+
+// A twig that is one chain of `depth` nodes t0, t1, ...: each step is
+// nested in a '[' branch (closed at the end), after '/', or, for kMixed,
+// alternately after '[' and '//'.
+std::string ChainTwig(int depth, Nest nest) {
+  std::string text = "t0";
+  int open = 0;
+  for (int i = 1; i < depth; ++i) {
+    if (nest == Nest::kBrackets || (nest == Nest::kMixed && i % 2 == 0)) {
+      text += '[';
+      ++open;
+    } else {
+      text += nest == Nest::kMixed ? "//" : "/";
+    }
+    text += "t" + std::to_string(i);
+  }
+  text.append(static_cast<size_t>(open), ']');
+  return text;
+}
+
+// Every twig edge maps to a strictly deeper document node, so a twig
+// deeper than any document ParseXml accepts matches nothing. The parser
+// refuses it with a typed error, so no recursion over the twig (parsing,
+// rendering, decomposing) grows with the input.
+TEST(TwigParseTest, DepthCappedAtXmlDepth) {
+  for (Nest nest : {Nest::kBrackets, Nest::kSlashes, Nest::kMixed}) {
+    SCOPED_TRACE("nest mode " + std::to_string(static_cast<int>(nest)));
+    auto at_cap = Twig::Parse(ChainTwig(kMaxXmlDepth, nest));
+    ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+    EXPECT_EQ(at_cap->num_nodes(), static_cast<size_t>(kMaxXmlDepth));
+    EXPECT_TRUE(Twig::Parse(at_cap->ToString()).ok());
+    auto over = Twig::Parse(ChainTwig(kMaxXmlDepth + 1, nest));
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+  }
+  // Hostile depths fail the same way instead of exhausting the stack.
+  for (Nest nest : {Nest::kBrackets, Nest::kSlashes}) {
+    auto hostile = Twig::Parse(ChainTwig(100000, nest));
+    ASSERT_FALSE(hostile.ok());
+    EXPECT_EQ(hostile.status().code(), StatusCode::kParseError);
+  }
+  // The cap is on depth, not size: a wide, shallow twig parses.
+  std::string wide = "r[c0";
+  for (int i = 1; i < 2 * kMaxXmlDepth; ++i) wide += ",c" + std::to_string(i);
+  wide += "]";
+  auto shallow = Twig::Parse(wide);
+  ASSERT_TRUE(shallow.ok()) << shallow.status().ToString();
+  EXPECT_EQ(shallow->num_nodes(), static_cast<size_t>(2 * kMaxXmlDepth + 1));
 }
 
 TEST(TwigParseTest, WhitespaceTolerated) {
