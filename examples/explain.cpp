@@ -100,9 +100,11 @@ int main() {
     std::fprintf(stderr, "query error: %s\n", r.status().ToString().c_str());
     return 1;
   }
-  Session doomed = db.OpenSession();
-  doomed.Cancel("example shutdown");
-  auto cancelled = doomed.Query(query);
+  CancellationToken shutdown;
+  shutdown.Cancel("example shutdown");
+  QueryOptions doomed;
+  doomed.cancel = &shutdown;
+  auto cancelled = session.Query(query, doomed);
   CacheStats stats = db.cache_stats();
   std::printf(
       "\n=== Admission (after one tenant-pool query + one cancel) ===\n\n"

@@ -113,13 +113,14 @@ int RunShell() {
       }
       std::printf("%s\n", st.ok() ? "ok" : st.ToString().c_str());
     } else if (command == "list") {
-      for (const auto& name : db.RelationNames()) {
-        auto rel = db.relation(name);
+      Session session = db.OpenSession();
+      for (const auto& name : session.RelationNames()) {
+        auto rel = session.relation(name);
         std::printf("relation %s  [%zu rows]\n", name.c_str(),
                     (*rel)->num_rows());
       }
-      for (const auto& name : db.DocumentNames()) {
-        auto index = db.document_index(name);
+      for (const auto& name : session.DocumentNames()) {
+        auto index = session.document_index(name);
         std::printf("document %s  [%zu nodes]\n", name.c_str(),
                     (*index)->doc().num_nodes());
       }

@@ -6,13 +6,13 @@
 // kDeadlineExceeded for time) and NO partial result is returned —
 // budgets are guardrails against runaway queries, not LIMIT clauses.
 //
-// The tracker is also the cancellation rendezvous: CancellationTokens
-// (common/cancel.h) attach as "cancel sources", and the violated() poll
-// every shard already performs each binding additionally observes them,
-// turning a Cancel() from any thread into a typed kCancelled failure
-// within one budget-check interval. Per-tenant aggregate in-flight
-// ceilings (AggregateBudget, fed by TenantPool) layer on the same
-// charge path.
+// The tracker is also the cancellation rendezvous: the query's one
+// CancellationToken (common/cancel.h, nullable) is a constructor
+// argument, and the violated() poll every shard already performs each
+// binding additionally observes it, turning a Cancel() from any thread
+// into a typed kCancelled failure within one budget-check interval.
+// Per-tenant aggregate in-flight ceilings (AggregateBudget, fed by
+// TenantPool) layer on the same charge path.
 //
 // Semantics (also documented on QueryOptions):
 //   max_rows / max_bytes  meter rows materialized at any stage — the
@@ -93,9 +93,11 @@ class BudgetTracker {
   BudgetTracker() = default;
 
   /// Installs limits; 0 means unlimited for each. `deadline_micros` is
-  /// relative to now.
-  BudgetTracker(int64_t max_rows, int64_t max_bytes, int64_t deadline_micros)
-      : max_rows_(max_rows), max_bytes_(max_bytes) {
+  /// relative to now. `cancel` (nullable, caller-owned, must outlive the
+  /// tracker) is the one token this query observes.
+  BudgetTracker(int64_t max_rows, int64_t max_bytes, int64_t deadline_micros,
+                const CancellationToken* cancel = nullptr)
+      : max_rows_(max_rows), max_bytes_(max_bytes), cancel_(cancel) {
     if (deadline_micros > 0) {
       has_deadline_ = true;
       deadline_ = std::chrono::steady_clock::now() +
@@ -104,28 +106,15 @@ class BudgetTracker {
   }
 
   /// Whether the engines must charge work through this tracker: any
-  /// finite limit, any attached cancel source, or a tenant aggregate.
+  /// finite limit, a cancel token, or a tenant aggregate.
   bool limited() const {
     return max_rows_ > 0 || max_bytes_ > 0 || has_deadline_ ||
-           num_cancel_ > 0 || aggregate_ != nullptr;
+           cancel_ != nullptr || aggregate_ != nullptr;
   }
 
-  /// Attaches a cancellation token this query observes (query-options
-  /// token, session token, prepared-statement token). Idempotent per
-  /// token; at most kMaxCancelSources distinct sources (extras are
-  /// ignored — the plumbing never attaches more). NOT thread-safe:
-  /// call during query setup, before any shard runs.
-  void AddCancelSource(const CancellationToken* token) {
-    if (token == nullptr) return;
-    for (int i = 0; i < num_cancel_; ++i) {
-      if (cancel_[i] == token) return;
-    }
-    if (num_cancel_ < kMaxCancelSources) cancel_[num_cancel_++] = token;
-  }
-
-  /// Whether any cancel source is attached (the engines count their
+  /// Whether a cancel token is attached (the engines count their
   /// cancellation polls only when one is).
-  bool has_cancel() const { return num_cancel_ > 0; }
+  bool has_cancel() const { return cancel_ != nullptr; }
 
   /// Attaches the tenant pool's aggregate in-flight ceilings; every
   /// ChargeRows also charges the aggregate. NOT thread-safe: call
@@ -172,16 +161,14 @@ class BudgetTracker {
     return !violated();
   }
 
-  /// Whether any budget has been exceeded or any attached token was
-  /// cancelled. Relaxed loads — shards poll this every binding to abort
-  /// early; a seen cancellation is latched as a sticky violation.
+  /// Whether any budget has been exceeded or the token was cancelled.
+  /// Relaxed loads — shards poll this every binding to abort early; a
+  /// seen cancellation is latched as a sticky violation.
   bool violated() {
     if (violation_.load(std::memory_order_relaxed) != kNone) return true;
-    for (int i = 0; i < num_cancel_; ++i) {
-      if (cancel_[i]->cancelled()) {
-        MarkViolation(kCancelled);
-        return true;
-      }
+    if (cancel_ != nullptr && cancel_->cancelled()) {
+      MarkViolation(kCancelled);
+      return true;
     }
     return false;
   }
@@ -204,11 +191,7 @@ class BudgetTracker {
         return Status::DeadlineExceeded(
             "query exceeded its deadline; partial results are discarded");
       case kCancelled:
-        for (int i = 0; i < num_cancel_; ++i) {
-          if (cancel_[i]->cancelled()) return cancel_[i]->status();
-        }
-        return Status::Cancelled(
-            "query cancelled; partial results are discarded");
+        return cancel_->status();
       case kTenantRowsExceeded:
         return Status::ResourceExhausted(
             "tenant pool '" + AggregateLabel() +
@@ -248,8 +231,6 @@ class BudgetTracker {
     kTenantBytesExceeded = 6,
   };
 
-  static constexpr int kMaxCancelSources = 4;
-
   void MarkViolation(Violation v) {
     int expected = kNone;
     violation_.compare_exchange_strong(expected, v,
@@ -269,11 +250,9 @@ class BudgetTracker {
   int64_t max_bytes_ = 0;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
-  // Cancel sources and the aggregate are set during query setup (before
-  // any shard thread launches — the executor hand-off provides the
-  // happens-before) and only read afterwards.
-  const CancellationToken* cancel_[kMaxCancelSources] = {};
-  int num_cancel_ = 0;
+  const CancellationToken* cancel_ = nullptr;
+  // Set during query setup (before any shard thread launches — the
+  // executor hand-off provides the happens-before), only read afterwards.
   AggregateBudget* aggregate_ = nullptr;
   std::atomic<int64_t> rows_{0};
   std::atomic<int64_t> bytes_{0};

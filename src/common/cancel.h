@@ -1,18 +1,19 @@
 // Cooperative cancellation for the serving core. A CancellationToken is
-// a shared atomic flag plus a reason string: one thread calls Cancel()
-// (Session::Cancel, PreparedQuery::Cancel, or a caller-owned token in
-// QueryOptions), and every engine loop polls cancelled() at the existing
-// budget-check cadence — expansion bindings, deepest-level kernel
-// blocks, final-validation rows, trie builds on cache miss, and tenant
-// admission waits. A cancelled query unwinds promptly (within one
-// budget-check interval per shard), discards its partial rows, and
-// fails with a typed StatusCode::kCancelled.
+// a shared atomic flag plus a reason string: one thread calls Cancel(),
+// and every query whose QueryOptions::cancel points at the token polls
+// cancelled() at the existing budget-check cadence — expansion
+// bindings, deepest-level kernel blocks, final-validation rows, trie
+// builds on cache miss, and tenant admission waits. A cancelled query
+// unwinds promptly (within one budget-check interval per shard),
+// discards its partial rows, and fails with a typed
+// StatusCode::kCancelled. To cancel a group of calls (a session's, a
+// statement's), pass the same token in each call's options.
 //
-// Tokens are plumbed into the engines as extra "cancel sources" on the
-// query's shared BudgetTracker (common/budget.h): BudgetTracker::
-// violated() — which every shard already polls each binding — also
-// polls the attached tokens, so cancellation costs nothing on queries
-// that carry no token and one relaxed load per source otherwise.
+// The token reaches the engines through the query's BudgetTracker
+// (common/budget.h): BudgetTracker::violated() — which every shard
+// already polls each binding — also polls the token, so cancellation
+// costs nothing on queries that carry no token and one relaxed load
+// otherwise.
 #ifndef XJOIN_COMMON_CANCEL_H_
 #define XJOIN_COMMON_CANCEL_H_
 

@@ -150,7 +150,10 @@ Status MultiModelDatabase::UpdateRelation(const std::string& name,
   }
   // Cache invalidation after releasing the registry lock (lock order:
   // never hold registry_mu_ while taking a cache mutex).
-  InvalidateTrieCache(name);
+  {
+    std::lock_guard<std::mutex> lock(trie_cache_mu_);
+    DropTriesLocked(name, /*key_prefix=*/"");
+  }
   InvalidatePlans(name);
   return Status::OK();
 }
@@ -262,15 +265,7 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
   // (see PreparePlanSnapshot) instead of re-planning.
   {
     std::lock_guard<std::mutex> lock(trie_cache_mu_);
-    for (auto it = trie_lru_.begin(); it != trie_lru_.end();) {
-      if (it->owner == name && HasPrefix(it->key, old_prefix)) {
-        trie_cache_bytes_ -= it->bytes;
-        trie_index_.erase(it->key);
-        it = trie_lru_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    DropTriesLocked(name, old_prefix);
     for (auto& [key, trie] : patched) {
       ++trie_cache_patches_;
       TrieCacheInsertLocked(std::move(key), name, std::move(trie));
@@ -287,109 +282,43 @@ void MultiModelDatabase::SetTrieDeltaCompaction(double ratio,
   trie_delta_min_rows_ = min_rows;
 }
 
-Status MultiModelDatabase::RegisterDocumentXml(const std::string& name,
-                                               std::string_view xml,
-                                               ValuePolicy policy) {
+Result<MultiModelDatabase::DocumentEntry> MultiModelDatabase::IndexDocumentXml(
+    std::string_view xml, ValuePolicy policy) {
   XJ_ASSIGN_OR_RETURN(XmlDocument doc, ParseXml(xml));
-  return RegisterDocument(name, std::move(doc), policy);
-}
-
-Status MultiModelDatabase::RegisterDocument(const std::string& name,
-                                            XmlDocument doc,
-                                            ValuePolicy policy) {
-  if (name.empty()) return Status::InvalidArgument("empty document name");
-  // Build the index outside the lock (indexing is the expensive part;
-  // Dictionary::Intern synchronizes internally).
   auto doc_shared = std::make_shared<const XmlDocument>(std::move(doc));
   auto index = std::make_shared<const NodeIndex>(
       NodeIndex::Build(doc_shared.get(), &dict_, policy));
+  return DocumentEntry{std::move(doc_shared), std::move(index), 0};
+}
+
+Status MultiModelDatabase::RegisterDocumentXml(const std::string& name,
+                                               std::string_view xml,
+                                               ValuePolicy policy) {
+  if (name.empty()) return Status::InvalidArgument("empty document name");
+  XJ_ASSIGN_OR_RETURN(DocumentEntry entry, IndexDocumentXml(xml, policy));
   std::unique_lock<std::shared_mutex> lock(registry_mu_);
   if (relations_.count(name) || documents_.count(name)) {
     return Status::AlreadyExists(name + " is already registered");
   }
-  documents_.emplace(
-      name, DocumentEntry{std::move(doc_shared), std::move(index), 0});
+  documents_.emplace(name, std::move(entry));
   return Status::OK();
 }
 
 Status MultiModelDatabase::UpdateDocumentXml(const std::string& name,
                                              std::string_view xml,
                                              ValuePolicy policy) {
-  XJ_ASSIGN_OR_RETURN(XmlDocument doc, ParseXml(xml));
-  return UpdateDocument(name, std::move(doc), policy);
-}
-
-Status MultiModelDatabase::UpdateDocument(const std::string& name,
-                                          XmlDocument doc,
-                                          ValuePolicy policy) {
-  auto doc_shared = std::make_shared<const XmlDocument>(std::move(doc));
-  auto index = std::make_shared<const NodeIndex>(
-      NodeIndex::Build(doc_shared.get(), &dict_, policy));
+  XJ_ASSIGN_OR_RETURN(DocumentEntry entry, IndexDocumentXml(xml, policy));
   std::lock_guard<std::mutex> update_lock(update_mu_);
   {
     std::unique_lock<std::shared_mutex> lock(registry_mu_);
     auto it = documents_.find(name);
     if (it == documents_.end()) return Status::NotFound("no document " + name);
-    it->second.doc = std::move(doc_shared);
-    it->second.index = std::move(index);
+    it->second.doc = std::move(entry.doc);
+    it->second.index = std::move(entry.index);
     ++it->second.version;
   }
   InvalidatePlans(name);
   return Status::OK();
-}
-
-Result<const Relation*> MultiModelDatabase::relation(
-    const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  auto it = relations_.find(name);
-  if (it == relations_.end()) return Status::NotFound("no relation " + name);
-  return it->second.relation.get();
-}
-
-Result<const NodeIndex*> MultiModelDatabase::document_index(
-    const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  auto it = documents_.find(name);
-  if (it == documents_.end()) return Status::NotFound("no document " + name);
-  return it->second.index.get();
-}
-
-std::vector<std::string> MultiModelDatabase::RelationNames() const {
-  std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  std::vector<std::string> names;
-  names.reserve(relations_.size());
-  for (const auto& [name, entry] : relations_) {
-    (void)entry;
-    names.push_back(name);
-  }
-  return names;
-}
-
-std::vector<std::string> MultiModelDatabase::DocumentNames() const {
-  std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  std::vector<std::string> names;
-  names.reserve(documents_.size());
-  for (const auto& [name, doc] : documents_) {
-    (void)doc;
-    names.push_back(name);
-  }
-  return names;
-}
-
-Result<uint64_t> MultiModelDatabase::relation_version(
-    const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  auto it = relations_.find(name);
-  if (it == relations_.end()) return Status::NotFound("no relation " + name);
-  return it->second.version;
-}
-
-Result<uint64_t> MultiModelDatabase::document_version(
-    const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  auto it = documents_.find(name);
-  if (it == documents_.end()) return Status::NotFound("no document " + name);
-  return it->second.version;
 }
 
 // ---------------------------------------------------------------------------
@@ -418,7 +347,7 @@ Session MultiModelDatabase::OpenSession() const {
 
 Result<Relation> Session::Query(const std::string& text,
                                 const QueryOptions& options) const {
-  return db_->RunQuery(text, options, snap_, cancel_.get());
+  return db_->RunQuery(text, options, snap_);
 }
 
 Result<PreparedQuery> Session::Prepare(const std::string& text,
@@ -434,8 +363,7 @@ Result<Relation> Session::Execute(const PreparedQuery& prepared,
   if (prepared.plan == nullptr) {
     return Status::InvalidArgument("empty PreparedQuery");
   }
-  return db_->RunPlan(*prepared.plan, options, cancel_.get(),
-                      prepared.cancel.get());
+  return db_->RunPlan(*prepared.plan, options);
 }
 
 Result<std::string> Session::Explain(const std::string& text,
@@ -462,6 +390,23 @@ Result<std::string> Session::Explain(const std::string& text,
          " rejected, " + std::to_string(stats.admission_cancelled) +
          " cancelled\n";
   return out;
+}
+
+Result<const Relation*> Session::relation(const std::string& name) const {
+  auto it = snap_->relations.find(name);
+  if (it == snap_->relations.end()) {
+    return Status::NotFound("no relation " + name);
+  }
+  return it->second.relation.get();
+}
+
+Result<const NodeIndex*> Session::document_index(
+    const std::string& name) const {
+  auto it = snap_->documents.find(name);
+  if (it == snap_->documents.end()) {
+    return Status::NotFound("no document " + name);
+  }
+  return it->second.index.get();
 }
 
 std::vector<std::string> Session::RelationNames() const {
@@ -553,6 +498,13 @@ Result<MultiModelQuery> MultiModelDatabase::ParseQuery(
     }
   }
   XJ_RETURN_NOT_OK(ValidateQuery(query));
+  const size_t width = QueryAttributes(query).size();
+  if (width > kMaxQueryAttributes) {
+    return Status::ParseError(
+        "query names " + std::to_string(width) +
+        " distinct attributes; at most kMaxQueryAttributes=" +
+        std::to_string(kMaxQueryAttributes) + " are allowed");
+  }
   return query;
 }
 
@@ -591,10 +543,10 @@ void MultiModelDatabase::TrieCacheInsertLocked(
   }
 }
 
-void MultiModelDatabase::InvalidateTrieCache(const std::string& name) {
-  std::lock_guard<std::mutex> lock(trie_cache_mu_);
+void MultiModelDatabase::DropTriesLocked(const std::string& name,
+                                         const std::string& key_prefix) const {
   for (auto it = trie_lru_.begin(); it != trie_lru_.end();) {
-    if (it->owner == name) {
+    if (it->owner == name && HasPrefix(it->key, key_prefix)) {
       trie_cache_bytes_ -= it->bytes;
       trie_index_.erase(it->key);
       it = trie_lru_.erase(it);
@@ -979,9 +931,9 @@ MultiModelDatabase::PreparePlanSnapshot(
       return shared;
     }
     // Not rebindable. Drop the entry only when it is also stale for the
-    // *current* registry (a back-door mutation or missed invalidation);
-    // when it is merely newer than this — old — session's snapshot,
-    // leave it for current sessions and build privately below.
+    // *current* registry (a missed invalidation); when it is merely
+    // newer than this — old — session's snapshot, leave it for current
+    // sessions and build privately below.
     if (!PlanMatchesRegistry(*stale)) {
       std::lock_guard<std::mutex> lock(plan_cache_mu_);
       auto it = plan_cache_.find(key);
@@ -1059,21 +1011,17 @@ struct SlotGuard {
 }  // namespace
 
 Result<Relation> MultiModelDatabase::RunPlan(
-    const XJoinPlan& plan, const QueryOptions& options,
-    const CancellationToken* session_cancel,
-    const CancellationToken* prepared_cancel) const {
+    const XJoinPlan& plan, const QueryOptions& options) const {
   XJ_ASSIGN_OR_RETURN(std::shared_ptr<TenantPool> pool,
                       ResolveTenant(options.tenant));
 
   // The budget clock starts here — planning/cache time is not charged;
-  // admission queueing and execution time are. Every cancel scope the
-  // query observes (call-, session-, statement-) attaches as a cancel
-  // source, polled by one violated() check per binding.
+  // admission queueing and execution time are. The call's token rides
+  // the budget, polled by one violated() check per binding; with no
+  // token and no limit the tracker is unlimited and the engine runs
+  // its unbudgeted path.
   BudgetTracker budget(options.max_rows, options.max_bytes,
-                       options.deadline_micros);
-  budget.AddCancelSource(options.cancel);
-  budget.AddCancelSource(session_cancel);
-  budget.AddCancelSource(prepared_cancel);
+                       options.deadline_micros, options.cancel);
 
   // Admission: take (or queue for) a slot in the tenant pool, then
   // layer the pool's aggregate in-flight ceilings on the budget.
@@ -1131,7 +1079,7 @@ Result<Relation> MultiModelDatabase::RunPlan(
       }
       return baseline_result;
     }
-    // Every cancel scope already rides the budget as a cancel source.
+    // The cancel token already rides the budget.
     return ExecutePlan(
         plan, Services(options, budget.limited() ? &budget : nullptr,
                        /*snap=*/nullptr));
@@ -1146,8 +1094,7 @@ Result<Relation> MultiModelDatabase::RunPlan(
 
 Result<Relation> MultiModelDatabase::RunQuery(
     const std::string& text, const QueryOptions& options,
-    const std::shared_ptr<const internal::DatabaseSnapshot>& snap,
-    const CancellationToken* session_cancel) const {
+    const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const {
   if (options.engine == Engine::kBaseline) {
     // Baseline evaluation needs no plan — parse and evaluate directly
     // (planning would build tries the baseline never uses). A shell
@@ -1156,15 +1103,14 @@ Result<Relation> MultiModelDatabase::RunQuery(
     XJ_ASSIGN_OR_RETURN(MultiModelQuery query, ParseQuery(text, *snap));
     XJoinPlan shell;
     shell.query = std::move(query);
-    return RunPlan(shell, options, session_cancel, nullptr);
+    return RunPlan(shell, options);
   }
   // Prepare-time cancellation: the cold path builds tries, which a
-  // cancelled caller should never pay for. Prepare watches the call and
-  // session tokens through a cancel-only budget (limits and the
-  // deadline start with execution, in RunPlan).
-  BudgetTracker prepare_budget;
-  prepare_budget.AddCancelSource(options.cancel);
-  prepare_budget.AddCancelSource(session_cancel);
+  // cancelled caller should never pay for. Prepare watches the call's
+  // token through a cancel-only budget (limits and the deadline start
+  // with execution, in RunPlan).
+  BudgetTracker prepare_budget(/*max_rows=*/0, /*max_bytes=*/0,
+                               /*deadline_micros=*/0, options.cancel);
   Result<std::shared_ptr<const XJoinPlan>> plan =
       PreparePlanSnapshot(text, options, &prepare_budget, snap);
   if (!plan.ok()) {
@@ -1177,7 +1123,7 @@ Result<Relation> MultiModelDatabase::RunQuery(
     }
     return plan.status();
   }
-  return RunPlan(**plan, options, session_cancel, nullptr);
+  return RunPlan(**plan, options);
 }
 
 }  // namespace xjoin

@@ -11,7 +11,9 @@
 //     head    := NAME "(" attr ("," attr)* ")" | NAME "(*)"
 //     input   := relation-name | document-name ":" twig-pattern
 // Commas inside twig branch brackets do not split inputs. Without a
-// head, the result contains every attribute.
+// head, the result contains every attribute. A query may name at most
+// kMaxQueryAttributes distinct attributes across its inputs; a wider
+// one fails to parse (planning cost grows superlinearly in width).
 //
 // Session is the only query surface. A one-shot query is
 // db.OpenSession().Query(text, options) (likewise Prepare and Explain);
@@ -74,6 +76,11 @@ namespace xjoin {
 
 class MultiModelDatabase;
 
+/// The widest query ParseQuery accepts: distinct attributes over every
+/// relation schema and twig node. Wider text fails with kParseError
+/// before any planning.
+inline constexpr size_t kMaxQueryAttributes = 256;
+
 namespace internal {
 
 /// The immutable payload behind a Session: every relation/document at
@@ -128,13 +135,12 @@ struct QueryOptions {
   int64_t max_rows = 0;
   int64_t max_bytes = 0;
   int64_t deadline_micros = 0;
-  /// Optional caller-owned cancellation token (nullable). Another
-  /// thread calling Cancel() on it makes this query fail with a typed
-  /// kCancelled within one budget-check interval per shard, discarding
-  /// partial rows. Session::Cancel / PreparedQuery::Cancel are
-  /// shorthands that cancel a session- or statement-scoped token; this
-  /// field scopes one to a single call. Never part of the plan-cache
-  /// fingerprint.
+  /// Optional caller-owned cancellation token (nullable), the only way
+  /// to cancel a query. Another thread calling Cancel() on it makes
+  /// this query fail with a typed kCancelled within one budget-check
+  /// interval per shard, discarding partial rows. To cancel a group of
+  /// calls (a session's, a statement's), pass the same token in each
+  /// call's options. Never part of the plan-cache fingerprint.
   const CancellationToken* cancel = nullptr;
   /// Tenant pool this query is admitted through (empty = no admission
   /// control). Must name a pool created with CreateTenantPool;
@@ -157,18 +163,6 @@ struct QueryOptions {
 /// or the caches evict.
 struct PreparedQuery {
   std::shared_ptr<const XJoinPlan> plan;
-
-  /// Statement-scoped cancel flag: every Execute of this prepared
-  /// statement (from any session, any thread) observes it. Copies of
-  /// the PreparedQuery share the token. Sticky — once cancelled, make a
-  /// fresh statement to run again.
-  std::shared_ptr<CancellationToken> cancel =
-      std::make_shared<CancellationToken>();
-
-  /// Cancels every in-flight (and future) Execute of this statement.
-  void Cancel(std::string reason = std::string()) const {
-    cancel->Cancel(std::move(reason));
-  }
 
   /// The parsed query (relations + twigs + output attributes).
   const MultiModelQuery& query() const { return plan->query; }
@@ -203,17 +197,16 @@ class Session {
   Result<std::string> Explain(const std::string& text,
                               const QueryOptions& options = {}) const;
 
-  /// Cancels every query currently running (or later issued) through
-  /// this session, from any thread: they fail with a typed kCancelled
-  /// within one budget-check interval per shard and discard partial
-  /// rows. Sticky — open a fresh session to query again.
-  void Cancel(std::string reason = std::string()) const {
-    cancel_->Cancel(std::move(reason));
-  }
-
-  /// Snapshot introspection: names and versions as of OpenSession.
+  /// Snapshot reads, as of OpenSession; NotFound for unknown names.
+  /// The storage stays valid for the session's lifetime (the snapshot
+  /// pins it), whatever updates land meanwhile.
+  Result<const Relation*> relation(const std::string& name) const;
+  Result<const NodeIndex*> document_index(const std::string& name) const;
+  /// Registered names, sorted.
   std::vector<std::string> RelationNames() const;
   std::vector<std::string> DocumentNames() const;
+  /// Monotonic versions, bumped by every update of the name; part of
+  /// the trie- and plan-cache keys.
   Result<uint64_t> relation_version(const std::string& name) const;
   Result<uint64_t> document_version(const std::string& name) const;
 
@@ -222,15 +215,10 @@ class Session {
 
   Session(const MultiModelDatabase* db,
           std::shared_ptr<const internal::DatabaseSnapshot> snap)
-      : db_(db),
-        snap_(std::move(snap)),
-        cancel_(std::make_shared<CancellationToken>()) {}
+      : db_(db), snap_(std::move(snap)) {}
 
   const MultiModelDatabase* db_;
   std::shared_ptr<const internal::DatabaseSnapshot> snap_;
-  // Shared with in-flight queries so a moved-from Session never leaves
-  // a dangling token behind.
-  std::shared_ptr<CancellationToken> cancel_;
 };
 
 /// One atomically consistent reading of every cache counter, taken
@@ -340,26 +328,10 @@ class MultiModelDatabase {
   Status RegisterDocumentXml(const std::string& name, std::string_view xml,
                              ValuePolicy policy = ValuePolicy::kTextOrNodeId);
 
-  /// Registers an already-parsed document.
-  Status RegisterDocument(const std::string& name, XmlDocument doc,
-                          ValuePolicy policy = ValuePolicy::kTextOrNodeId);
-
   /// Replaces an already-registered document (NotFound otherwise),
   /// mirroring UpdateRelation's copy-on-swap contract.
   Status UpdateDocumentXml(const std::string& name, std::string_view xml,
                            ValuePolicy policy = ValuePolicy::kTextOrNodeId);
-  Status UpdateDocument(const std::string& name, XmlDocument doc,
-                        ValuePolicy policy = ValuePolicy::kTextOrNodeId);
-
-  /// Lookup; NotFound if missing. The pointer is valid until the next
-  /// Update of the same name — prefer OpenSession(), whose pins make
-  /// the storage immortal for the session's lifetime.
-  Result<const Relation*> relation(const std::string& name) const;
-  Result<const NodeIndex*> document_index(const std::string& name) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> RelationNames() const;
-  std::vector<std::string> DocumentNames() const;
 
   /// Registers a tenant admission pool (AlreadyExists if the name is
   /// taken). Queries opt in with QueryOptions::tenant; see TenantPool
@@ -378,12 +350,6 @@ class MultiModelDatabase {
 
   /// Registered pool names, sorted.
   std::vector<std::string> TenantPoolNames() const;
-
-  /// Explicit trie-cache invalidation hook: drops cached relation tries
-  /// for relation `name` (every attribute order). UpdateRelation calls
-  /// this automatically; call it yourself after mutating storage through
-  /// any other back door.
-  void InvalidateTrieCache(const std::string& name);
 
   /// Drops every cached trie. Sessions and prepared statements keep
   /// their pinned tries.
@@ -413,13 +379,6 @@ class MultiModelDatabase {
   /// One atomically consistent snapshot of every cache counter.
   CacheStats cache_stats() const;
 
-  /// Monotonic per-relation / per-document versions, bumped by
-  /// UpdateRelation / UpdateDocument; part of the trie- and plan-cache
-  /// keys. NotFound for unknown names. These read the *current*
-  /// registry; Session has the snapshot-relative equivalents.
-  Result<uint64_t> relation_version(const std::string& name) const;
-  Result<uint64_t> document_version(const std::string& name) const;
-
  private:
   friend class Session;
 
@@ -443,6 +402,17 @@ class MultiModelDatabase {
     std::shared_ptr<const RelationTrie> trie;
   };
 
+  /// Parses `xml` and indexes the document (outside any lock: indexing
+  /// is the expensive part; Dictionary::Intern synchronizes internally).
+  Result<DocumentEntry> IndexDocumentXml(std::string_view xml,
+                                         ValuePolicy policy);
+
+  /// Drops the cached tries of relation `name` whose key starts with
+  /// `key_prefix` (empty = every version and order). Callers hold
+  /// trie_cache_mu_.
+  void DropTriesLocked(const std::string& name,
+                       const std::string& key_prefix) const;
+
   /// Copies the registry into an immutable snapshot under the shared
   /// registry lock.
   std::shared_ptr<const internal::DatabaseSnapshot> TakeSnapshot() const;
@@ -454,7 +424,7 @@ class MultiModelDatabase {
 
   /// The engine's services for one call: counters from
   /// options.metrics, the given budget (nullable; it carries the cancel
-  /// tokens), and, when `snap` is set, the trie-cache provider over
+  /// token), and, when `snap` is set, the trie-cache provider over
   /// that snapshot.
   EngineServices Services(
       const QueryOptions& options, BudgetTracker* budget,
@@ -473,17 +443,13 @@ class MultiModelDatabase {
       const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const;
 
   /// The unified execution path behind Session::Query / Execute:
-  /// tenant admission, budget + cancel-source construction, engine
-  /// dispatch, typed budget Statuses. `session_cancel` /
-  /// `prepared_cancel` (nullable) are the session- and statement-scoped
-  /// tokens attached alongside options.cancel.
+  /// tenant admission, budget construction (limits plus
+  /// options.cancel), engine dispatch, typed budget Statuses.
   Result<Relation> RunQuery(
       const std::string& text, const QueryOptions& options,
-      const std::shared_ptr<const internal::DatabaseSnapshot>& snap,
-      const CancellationToken* session_cancel) const;
-  Result<Relation> RunPlan(const XJoinPlan& plan, const QueryOptions& options,
-                           const CancellationToken* session_cancel,
-                           const CancellationToken* prepared_cancel) const;
+      const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const;
+  Result<Relation> RunPlan(const XJoinPlan& plan,
+                           const QueryOptions& options) const;
 
   /// Resolves QueryOptions::tenant to its pool (nullptr when the field
   /// is empty; NotFound when it names no registered pool).

@@ -96,8 +96,8 @@ class Engine {
     bool entering = true;
     for (;;) {
       // Admission budget: sample the deadline periodically, poll the
-      // shared violation flag — which also observes any attached
-      // cancellation tokens — every binding so all shards abort fast.
+      // shared violation flag — which also observes the query's
+      // cancellation token — every binding so all shards abort fast.
       // Partial output is discarded by the driver, so an early break
       // needs no iterator cleanup.
       if (budget_ != nullptr) {
@@ -364,8 +364,8 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
     return Status::InvalidArgument("batch_size must be >= 1");
   }
 
-  // Cancellation tokens ride the budget as cancel sources: the
-  // per-binding violation poll observes them for free.
+  // The cancellation token rides the budget: the per-binding violation
+  // poll observes it for free.
   BudgetTracker* const budget = options.budget;
 
   // Admission: refuse to start a query whose deadline already passed,

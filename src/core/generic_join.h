@@ -102,7 +102,7 @@ struct GenericJoinOptions {
   /// (nullable). The engine charges each materialized output row
   /// (rows x 8*arity bytes) against it, samples the deadline every few
   /// thousand bindings, and aborts all shards as soon as any ceiling is
-  /// crossed or any attached cancel source is cancelled — GenericJoin
+  /// crossed or its cancel token is cancelled — GenericJoin
   /// then returns the tracker's typed Status (kResourceExhausted /
   /// kDeadlineExceeded / kCancelled) and discards partial rows. With no
   /// budget (or an unlimited one) results and counters are

@@ -94,8 +94,8 @@ struct EngineServices {
   /// barriers).
   Metrics* metrics = nullptr;
   /// Optional per-query budget (nullable), and the engine's only cancel
-  /// channel: cancellation tokens ride it as cancel sources
-  /// (BudgetTracker::AddCancelSource). PrepareXJoin polls violated()
+  /// channel: the query's cancellation token rides it (a BudgetTracker
+  /// constructor argument). PrepareXJoin polls violated()
   /// before every trie pin, so a cancelled caller never pays for a cold
   /// trie build. ExecutePlan shares it between the expansion loop and
   /// the final structural validation: every materialized row at any

@@ -73,9 +73,8 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
                              const EngineServices& services) {
   const int num_threads = plan.settings.num_threads;
   Metrics* const metrics = services.metrics;
-  // Cancellation tokens ride the budget as cancel sources, so the
-  // expansion loop and the validation stage observe them through the
-  // one violated() poll.
+  // The cancellation token rides the budget, so the expansion loop and
+  // the validation stage observe it through the one violated() poll.
   BudgetTracker* const budget = services.budget;
 
   // 1. Instantiate cursors: over the pinned tries for relations, then

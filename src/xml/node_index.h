@@ -49,7 +49,7 @@ struct ValueNodeSpan {
 };
 
 /// Immutable index over one document. The dictionary is shared with the
-/// relational catalog so value codes agree across models.
+/// relations' codes (one per database) so values agree across models.
 class NodeIndex {
  public:
   /// Builds the index, interning node values into `dict`.

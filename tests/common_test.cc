@@ -351,13 +351,14 @@ TEST(BudgetTest, UnlimitedTrackerStillCountsCharges) {
   EXPECT_TRUE(budget.status().ok());
 }
 
-TEST(BudgetTest, CancelSourceTripsViolatedAndYieldsTokenStatus) {
+TEST(BudgetTest, CancelTokenTripsViolatedAndYieldsTokenStatus) {
   CancellationToken token;
-  BudgetTracker budget;
-  EXPECT_FALSE(budget.limited());
-  budget.AddCancelSource(&token);
-  budget.AddCancelSource(&token);  // idempotent
-  budget.AddCancelSource(nullptr);
+  BudgetTracker untokened(/*max_rows=*/0, /*max_bytes=*/0,
+                          /*deadline_micros=*/0, /*cancel=*/nullptr);
+  EXPECT_FALSE(untokened.limited());
+  EXPECT_FALSE(untokened.has_cancel());
+  BudgetTracker budget(/*max_rows=*/0, /*max_bytes=*/0,
+                       /*deadline_micros=*/0, &token);
   EXPECT_TRUE(budget.limited());
   EXPECT_TRUE(budget.has_cancel());
   EXPECT_FALSE(budget.violated());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/database.h"
 #include "relational/operators.h"
 
@@ -31,12 +33,13 @@ class DatabaseTest : public ::testing::Test {
 };
 
 TEST_F(DatabaseTest, RegistrationAndLookups) {
-  EXPECT_TRUE(db_.relation("R").ok());
-  EXPECT_FALSE(db_.relation("S").ok());
-  EXPECT_TRUE(db_.document_index("invoices").ok());
-  EXPECT_FALSE(db_.document_index("other").ok());
-  EXPECT_EQ(db_.RelationNames(), (std::vector<std::string>{"R"}));
-  EXPECT_EQ(db_.DocumentNames(), (std::vector<std::string>{"invoices"}));
+  Session session = db_.OpenSession();
+  EXPECT_TRUE(session.relation("R").ok());
+  EXPECT_FALSE(session.relation("S").ok());
+  EXPECT_TRUE(session.document_index("invoices").ok());
+  EXPECT_FALSE(session.document_index("other").ok());
+  EXPECT_EQ(session.RelationNames(), (std::vector<std::string>{"R"}));
+  EXPECT_EQ(session.DocumentNames(), (std::vector<std::string>{"invoices"}));
 }
 
 TEST_F(DatabaseTest, DuplicateNamesRejected) {
@@ -94,6 +97,34 @@ TEST_F(DatabaseTest, ParseErrors) {
   EXPECT_FALSE(session.Query("invoices:a[").ok());    // bad twig
   EXPECT_FALSE(session.Query("Q(zzz) := R").ok());    // unknown output attr
   EXPECT_FALSE(session.Query("R,,R").ok());           // empty input
+}
+
+// A query may name at most kMaxQueryAttributes distinct attributes:
+// the widest twig query is accepted and answered, one more attribute
+// fails to parse, naming the cap, before any planning.
+TEST_F(DatabaseTest, QueryWidthIsCappedBeforePlanning) {
+  ASSERT_TRUE(db_.RegisterDocumentXml("doc", "<r><c0>x</c0></r>").ok());
+  auto wide_query = [](size_t attributes) {
+    std::string text = "Q(*) := doc : r[";  // r plus attributes-1 children
+    for (size_t i = 0; i + 1 < attributes; ++i) {
+      text += (i > 0 ? ",c" : "c") + std::to_string(i);
+    }
+    return text + "]";
+  };
+  Session session = db_.OpenSession();
+  auto at_cap = session.Query(wide_query(kMaxQueryAttributes));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->num_columns(), kMaxQueryAttributes);
+  EXPECT_EQ(at_cap->num_rows(), 0u);
+
+  const CacheStats before = db_.cache_stats();
+  auto over_cap = session.Query(wide_query(kMaxQueryAttributes + 1));
+  ASSERT_FALSE(over_cap.ok());
+  EXPECT_EQ(over_cap.status().code(), StatusCode::kParseError);
+  EXPECT_NE(over_cap.status().ToString().find("kMaxQueryAttributes=256"),
+            std::string::npos)
+      << over_cap.status().ToString();
+  EXPECT_EQ(db_.cache_stats().plan_misses, before.plan_misses);
 }
 
 TEST_F(DatabaseTest, MetricsPlumbing) {

@@ -374,9 +374,16 @@ TEST_F(NetTest, BadQueryTextGetsTypedErrorAndConnectionSurvives) {
     deep_twig += (i > 0 ? "[t" : "t") + std::to_string(i);
   }
   deep_twig.append(99999, ']');
+  // And a twig 301 attributes wide, past kMaxQueryAttributes.
+  std::string wide_twig = "r[";
+  for (int i = 0; i < 300; ++i) {
+    wide_twig += (i > 0 ? ",c" : "c") + std::to_string(i);
+  }
+  wide_twig += "]";
   const std::vector<std::pair<std::string, StatusCode>> bad_inputs = {
       {"Q(*) := NoSuchRelation", StatusCode::kNotFound},
       {"Q(*) := doc : " + deep_twig, StatusCode::kParseError},
+      {"Q(*) := doc : " + wide_twig, StatusCode::kParseError},
   };
   for (const auto& [text, code] : bad_inputs) {
     QueryRequest bad;

@@ -201,16 +201,16 @@ TEST_F(PlanTest, UpdateRelationInvalidatesDependentPlans) {
   ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
   ASSERT_TRUE(db_.OpenSession().Query("Q(*) := S").ok());
   EXPECT_EQ(db_.cache_stats().plan_entries, 2u);
-  EXPECT_EQ(*db_.relation_version("R"), 0u);
+  EXPECT_EQ(*db_.OpenSession().relation_version("R"), 0u);
 
-  Relation replacement = **db_.relation("R");
+  Relation replacement = **db_.OpenSession().relation("R");
   Tuple extra = {db_.mutable_dictionary()->Intern("2"),
                  db_.mutable_dictionary()->Intern("y")};
   replacement.AppendRow(extra);
   ASSERT_TRUE(db_.UpdateRelation("R", std::move(replacement)).ok());
 
   // Version bump observed; only the plan reading R was dropped.
-  EXPECT_EQ(*db_.relation_version("R"), 1u);
+  EXPECT_EQ(*db_.OpenSession().relation_version("R"), 1u);
   CacheStats stats = db_.cache_stats();
   EXPECT_EQ(stats.plan_entries, 1u);
   EXPECT_EQ(stats.plan_invalidations, 1);
@@ -229,7 +229,7 @@ TEST_F(PlanTest, DocumentMutationInvalidatesDependentPlans) {
   // document owns no cached trie.
   EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
   EXPECT_EQ(db_.cache_stats().trie_misses, 2);
-  EXPECT_EQ(*db_.document_version("doc"), 0u);
+  EXPECT_EQ(*db_.OpenSession().document_version("doc"), 0u);
   EXPECT_EQ(db_.cache_stats().plan_entries, 1u);
 
   ASSERT_TRUE(db_.UpdateDocumentXml("doc", R"(
@@ -239,7 +239,7 @@ TEST_F(PlanTest, DocumentMutationInvalidatesDependentPlans) {
                   .ok());
   // Version bump observed; the dependent plan is gone, the relation
   // tries stay.
-  EXPECT_EQ(*db_.document_version("doc"), 1u);
+  EXPECT_EQ(*db_.OpenSession().document_version("doc"), 1u);
   CacheStats stats = db_.cache_stats();
   EXPECT_EQ(stats.trie_entries, 2u);
   EXPECT_EQ(stats.plan_entries, 0u);

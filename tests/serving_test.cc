@@ -60,7 +60,7 @@ TEST_F(ServingTest, SessionSeesRepeatableSnapshot) {
 
   // Writer lands after the session opened: the session keeps reading
   // the old contents, a fresh session sees the new ones.
-  Relation replacement = **db_.relation("S");
+  Relation replacement = **db_.OpenSession().relation("S");
   Relation bigger(replacement.schema());
   for (const auto& row : replacement.ToTuples()) bigger.AppendRow(row);
   bigger.AppendRow({db_.mutable_dictionary()->Intern("1"),
@@ -71,7 +71,7 @@ TEST_F(ServingTest, SessionSeesRepeatableSnapshot) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(before->ToTuples(), after->ToTuples());
   EXPECT_EQ(*session.relation_version("S"), 0u);
-  EXPECT_EQ(*db_.relation_version("S"), 1u);
+  EXPECT_EQ(*db_.OpenSession().relation_version("S"), 1u);
 
   Session fresh = db_.OpenSession();
   auto updated = fresh.Query(q_);
@@ -409,10 +409,10 @@ TEST_F(ServingTest, SessionPinsSurviveCacheEvictionAndUpdates) {
 
   // Replace both inputs; the statement still executes against the
   // snapshot it was prepared on.
-  ASSERT_TRUE(db_.UpdateRelation("R", Relation((*db_.relation("R"))->schema()))
-                  .ok());
-  ASSERT_TRUE(db_.UpdateRelation("S", Relation((*db_.relation("S"))->schema()))
-                  .ok());
+  for (const char* name : {"R", "S"}) {
+    Schema schema = (*session.relation(name))->schema();
+    ASSERT_TRUE(db_.UpdateRelation(name, Relation(schema)).ok());
+  }
   auto after_update = session.Execute(*prepared);
   ASSERT_TRUE(after_update.ok());
   EXPECT_EQ(expected->ToTuples(), after_update->ToTuples());
@@ -430,7 +430,8 @@ TEST_F(ServingTest, OldSessionPlansDoNotPoisonTheCacheForNewSessions) {
   Session old_session = db_.OpenSession();
   ASSERT_TRUE(old_session.Query(q_).ok());  // seeds the cache at v0
 
-  ASSERT_TRUE(db_.UpdateRelation("R", **db_.relation("R")).ok());  // v1
+  // v1, same contents.
+  ASSERT_TRUE(db_.UpdateRelation("R", **old_session.relation("R")).ok());
 
   // A new session must re-prepare (the cached plan is v0)...
   Session new_session = db_.OpenSession();
@@ -451,30 +452,45 @@ TEST_F(ServingTest, OldSessionPlansDoNotPoisonTheCacheForNewSessions) {
 // ---------------------------------------------------------------------------
 // Cooperative cancellation.
 
-TEST_F(ServingTest, SessionCancelFailsItsQueriesOnly) {
+TEST_F(ServingTest, SharedCallTokenCancelsEveryCallThatCarriesIt) {
+  // Session- or statement-wide cancellation is one token passed in
+  // every call's options: each call that carries it fails kCancelled
+  // with the reason, whatever the entry point or session, and calls
+  // without it are unaffected.
   Session session = db_.OpenSession();
-  session.Cancel("tearing the session down");
-  auto result = session.Query(q_);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
-      << result.status().ToString();
-  EXPECT_NE(result.status().ToString().find("tearing the session down"),
-            std::string::npos)
-      << result.status().ToString();
-  // Other sessions are unaffected.
-  EXPECT_TRUE(db_.OpenSession().Query(q_).ok());
+  auto prepared = session.Prepare(q_);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  CancellationToken shared;
+  shared.Cancel("tearing the session down");
+  QueryOptions doomed;
+  doomed.cancel = &shared;
+  Session other = db_.OpenSession();
+  for (const Result<Relation>& result :
+       {session.Query(q_, doomed), session.Execute(*prepared, doomed),
+        other.Query(q_, doomed), other.Execute(*prepared, doomed)}) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+        << result.status().ToString();
+    EXPECT_NE(result.status().ToString().find("tearing the session down"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+  EXPECT_TRUE(session.Query(q_).ok());
+  EXPECT_TRUE(session.Execute(*prepared).ok());
+  EXPECT_TRUE(other.Query(q_).ok());
+  EXPECT_EQ(db_.cache_stats().admission_cancelled, 4);
 }
 
-TEST_F(ServingTest, CancelledSessionStopsPrepareDespiteALiveCallToken) {
-  // Prepare watches the session's token and the call's own token
-  // together: a cancelled session builds no trie, publishes no plan and
-  // takes no admission slot, whether or not the call brings a token.
+TEST_F(ServingTest, CancelledCallTokenStopsPrepare) {
+  // Prepare watches the call's token: a cancelled call builds no trie,
+  // publishes no plan and takes no admission slot, yet still counts as
+  // cancelled.
   Session session = db_.OpenSession();
-  session.Cancel("session closed");
-  CancellationToken live;
-  QueryOptions with_token;
-  with_token.cancel = &live;
-  for (const QueryOptions& options : {QueryOptions{}, with_token}) {
+  CancellationToken token;
+  token.Cancel("session closed");
+  QueryOptions options;
+  options.cancel = &token;
+  for (int attempt = 0; attempt < 2; ++attempt) {
     auto result = session.Query(q_, options);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
@@ -489,19 +505,28 @@ TEST_F(ServingTest, CancelledSessionStopsPrepareDespiteALiveCallToken) {
   EXPECT_EQ(db_.cache_stats().admission_cancelled, 2);
 }
 
-TEST_F(ServingTest, PreparedCancelIsStatementScoped) {
+TEST_F(ServingTest, OnlyTokenedQueriesCountCancelChecks) {
+  // With no token and no limit the tracker is unlimited and the engine
+  // runs its unbudgeted path: no cancellation polls are counted. The
+  // same query with a live token counts them; the rows are the same.
   Session session = db_.OpenSession();
-  auto doomed = session.Prepare(q_);
-  auto healthy = session.Prepare(q_);
-  ASSERT_TRUE(doomed.ok());
-  ASSERT_TRUE(healthy.ok());
-  doomed->Cancel();
-  auto result = session.Execute(*doomed);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  // The sibling statement and the session itself still work.
-  EXPECT_TRUE(session.Execute(*healthy).ok());
-  EXPECT_TRUE(session.Query(q_).ok());
+  Metrics plain_metrics;
+  QueryOptions plain;
+  plain.metrics = &plain_metrics;
+  auto untokened = session.Query(q_, plain);
+  ASSERT_TRUE(untokened.ok()) << untokened.status().ToString();
+  ASSERT_GT(untokened->num_rows(), 0u);
+  EXPECT_EQ(plain_metrics.counters().count("gj.cancel_checks"), 0u);
+
+  CancellationToken live;
+  Metrics tokened_metrics;
+  QueryOptions tokened;
+  tokened.metrics = &tokened_metrics;
+  tokened.cancel = &live;
+  auto with_token = session.Query(q_, tokened);
+  ASSERT_TRUE(with_token.ok()) << with_token.status().ToString();
+  EXPECT_GT(tokened_metrics.Get("gj.cancel_checks"), 0);
+  EXPECT_EQ(untokened->ToTuples(), with_token->ToTuples());
 }
 
 TEST_F(ServingTest, OptionsTokenCancelsMidQueryFromAnotherThread) {
@@ -664,8 +689,8 @@ TEST(TenantPoolTest, CancelWhileQueuedCountsCancelledAndUnblocksPeers) {
   ASSERT_TRUE(pool.Admit(nullptr).ok());
 
   CancellationToken token;
-  BudgetTracker budget;
-  budget.AddCancelSource(&token);
+  BudgetTracker budget(/*max_rows=*/0, /*max_bytes=*/0,
+                       /*deadline_micros=*/0, &token);
   Status status;
   std::thread waiter([&] { status = pool.Admit(&budget); });
   while (pool.stats().waiting < 1) std::this_thread::yield();
@@ -1092,7 +1117,7 @@ TEST_F(ServingTest, FaultTrieBuildFailsQueryWithoutPoisoningCache) {
 TEST_F(ServingTest, FaultCompactionFailureLeavesOldVersionIntact) {
   ScopedFaultInjection scoped;
   const auto before = db_.OpenSession().Query(q_)->ToTuples();
-  const uint64_t version = *db_.relation_version("R");
+  const uint64_t version = *db_.OpenSession().relation_version("R");
   FaultInjector::Global().FailAt("trie.compact", 1);
   RelationDelta delta;
   delta.inserts = {{db_.mutable_dictionary()->Intern("777"),
@@ -1102,11 +1127,11 @@ TEST_F(ServingTest, FaultCompactionFailureLeavesOldVersionIntact) {
   EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
   // The failed update never published: same version, same answers.
   FaultInjector::Global().Disarm();
-  EXPECT_EQ(*db_.relation_version("R"), version);
+  EXPECT_EQ(*db_.OpenSession().relation_version("R"), version);
   EXPECT_EQ(db_.OpenSession().Query(q_)->ToTuples(), before);
   // And the stream recovers once the fault clears.
   ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
-  EXPECT_EQ(*db_.relation_version("R"), version + 1);
+  EXPECT_EQ(*db_.OpenSession().relation_version("R"), version + 1);
 }
 
 TEST_F(ServingTest, FaultForcedQueueFullRejectsThenRecovers) {

@@ -103,15 +103,15 @@ TEST_F(TrieCacheTest, DistinctAttributeOrdersGetDistinctEntries) {
 TEST_F(TrieCacheTest, UpdateRelationInvalidatesAndRebuilds) {
   ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S").ok());
   EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
-  EXPECT_EQ(*db_.relation_version("R"), 0u);
+  EXPECT_EQ(*db_.OpenSession().relation_version("R"), 0u);
 
   // Replace R: its cached trie must go; S's must stay.
-  Relation replacement = **db_.relation("R");
+  Relation replacement = **db_.OpenSession().relation("R");
   Tuple extra = {db_.mutable_dictionary()->Intern("2"),
                  db_.mutable_dictionary()->Intern("y")};
   replacement.AppendRow(extra);
   ASSERT_TRUE(db_.UpdateRelation("R", std::move(replacement)).ok());
-  EXPECT_EQ(*db_.relation_version("R"), 1u);
+  EXPECT_EQ(*db_.OpenSession().relation_version("R"), 1u);
   EXPECT_EQ(db_.cache_stats().trie_entries, 1u);
 
   // The next query sees the new contents (no stale trie).
@@ -138,7 +138,7 @@ TEST_F(TrieCacheTest, ApplyRelationDeltaPatchesInsteadOfInvalidating) {
   delta.inserts = {{db_.mutable_dictionary()->Intern("2"),
                     db_.mutable_dictionary()->Intern("y")}};
   ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
-  EXPECT_EQ(*db_.relation_version("R"), 1u);
+  EXPECT_EQ(*db_.OpenSession().relation_version("R"), 1u);
   EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
   CacheStats stats = db_.cache_stats();
   EXPECT_EQ(stats.trie_patches, 1);
@@ -169,11 +169,6 @@ TEST_F(TrieCacheTest, ApplyRelationDeltaPatchesInsteadOfInvalidating) {
 TEST_F(TrieCacheTest, ExplicitInvalidationHooks) {
   ASSERT_TRUE(db_.OpenSession().Query("Q(*) := R, S").ok());
   ASSERT_EQ(db_.cache_stats().trie_entries, 2u);
-
-  db_.InvalidateTrieCache("R");
-  EXPECT_EQ(db_.cache_stats().trie_entries, 1u);
-  db_.InvalidateTrieCache("R");  // idempotent
-  EXPECT_EQ(db_.cache_stats().trie_entries, 1u);
 
   db_.ClearTrieCache();
   EXPECT_EQ(db_.cache_stats().trie_entries, 0u);

@@ -363,8 +363,8 @@ TEST(XJoinTest, CancelledBudgetStopsPrepareAndExecute) {
   MultiModelQuery q = inst.Query();
   CancellationToken token;
   token.Cancel("engine-level cancel");
-  BudgetTracker cancelled;
-  cancelled.AddCancelSource(&token);
+  BudgetTracker cancelled(/*max_rows=*/0, /*max_bytes=*/0,
+                          /*deadline_micros=*/0, &token);
 
   {
     Metrics m;
