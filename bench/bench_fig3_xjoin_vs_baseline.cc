@@ -51,6 +51,7 @@ void Run() {
     MultiModelQuery query = inst.Query();
     RunStats base = RunBaseline(query);
     RunStats xj = RunXJoin(query);
+    XJ_CHECK(base.output_rows == xj.output_rows);
     control.AddRow({FmtInt(n), FmtSeconds(base.seconds), FmtSeconds(xj.seconds),
                     FmtRatio(base.seconds, xj.seconds),
                     FmtInt(base.max_intermediate), FmtInt(xj.max_intermediate),

@@ -37,6 +37,10 @@ void RunShape(const std::string& name,
   }
   RunStats xj = RunXJoin(query);
   double bound = std::exp2(cover->log2_bound);
+  // Lemma 3.1: the output never exceeds the LP bound (up to floating-
+  // point rounding of exp2 of the LP optimum).
+  XJ_CHECK(static_cast<double>(xj.output_rows) <= bound * (1 + 1e-9))
+      << name << ": " << xj.output_rows << " rows exceed the bound " << bound;
   table->AddRow({name, FmtInt(n), FmtF(cover->uniform_exponent, 2),
                  FmtF(bound, 0), FmtInt(xj.output_rows),
                  FmtF(static_cast<double>(xj.output_rows) / bound, 3),

@@ -15,19 +15,16 @@
 //
 // A second sweep pins the SIMD dispatch override to each compiled
 // kernel table (portable scalar, SSE4.2, AVX2) and times the batched
-// engine under each on the triangle and AGM-tight workloads — the
-// scalar-vs-SIMD trajectory CI tracks as BENCH_simd.json. Every level's
-// result and gj.* counters are checked identical to the scalar table's
-// before its timing is trusted (the kernels accelerate each seek's
-// interior search, never the jump sequence).
+// engine under each on the triangle and AGM-tight workloads. Every
+// level's result and gj.* counters are checked identical to the scalar
+// table's before its timing is trusted (the kernels accelerate each
+// seek's interior search, never the jump sequence).
 //
 // Flags: --reps=5          best-of repetitions per measurement
 //        --n=220           triangle/path2 key domain (~n^2-row inputs)
 //        --batch=1024      result-batch capacity for the batched runs
 //        --agm-scale=64    AGM-tight instance scale for the SIMD sweep
 //        --xmark-scale=32  XMark size multiplier
-//        --json=PATH       also write the one-row-vs-batched records there
-//        --simd-json=PATH  also write the dispatch-sweep records there
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -35,7 +32,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/simd.h"
 #include "core/generic_join.h"
+#include "relational/intersect_kernels.h"
 #include "relational/trie.h"
 #include "workload/adversarial.h"
 #include "workload/xmark.h"
@@ -205,8 +204,6 @@ void Run(int argc, char** argv) {
   const int batch = static_cast<int>(IntFlag(argc, argv, "batch", 1024));
   const int agm_scale = static_cast<int>(IntFlag(argc, argv, "agm-scale", 64));
   const int64_t xmark_scale = IntFlag(argc, argv, "xmark-scale", 32);
-  const char* json_path = FlagValue(argc, argv, "json");
-  const char* simd_json_path = FlagValue(argc, argv, "simd-json");
 
   Banner("Generic join: one-row vs full blocks (output-heavy mix)");
 
@@ -276,29 +273,17 @@ void Run(int argc, char** argv) {
   records.push_back(BenchXMark(xmark_scale, reps, batch));
 
   Table table({"workload", "batch=1", "batched", "speedup", "|Q|", "seeks"});
-  JsonArrayWriter json;
   for (const Record& r : records) {
     double speedup = r.batched_s > 0 ? r.row_s / r.batched_s : 0.0;
     table.AddRow({r.workload, FmtSeconds(r.row_s), FmtSeconds(r.batched_s),
                   FmtF(speedup, 2) + "x", FmtInt(r.rows), FmtInt(r.seeks)});
-    json.BeginObject()
-        .Field("bench", "bench_micro_gj")
-        .Field("workload", r.workload)
-        .Field("batch_size", batch)
-        .Field("batch1_s", r.row_s, 6)
-        .Field("batched_s", r.batched_s, 6)
-        .Field("speedup", speedup, 3)
-        .Field("rows", r.rows)
-        .Field("seeks", r.seeks);
   }
   table.Print();
-  json.Emit(json_path);
 
   Banner("SIMD dispatch sweep: batched engine per kernel table");
 
   Table simd_table(
       {"workload", "dispatch", "seconds", "vs scalar", "|Q|", "seeks"});
-  JsonArrayWriter simd_json;
   for (const SimdRecord& r : simd_records) {
     double scalar_s = 0.0;
     for (const SimdRecord& s : simd_records) {
@@ -309,19 +294,8 @@ void Run(int argc, char** argv) {
     simd_table.AddRow({r.workload, r.dispatch, FmtSeconds(r.seconds),
                        FmtRatio(scalar_s, r.seconds), FmtInt(r.rows),
                        FmtInt(r.seeks)});
-    simd_json.BeginObject()
-        .Field("bench", "bench_micro_gj.simd")
-        .Field("workload", r.workload)
-        .Field("dispatch", r.dispatch)
-        .Field("batch_size", batch)
-        .Field("seconds", r.seconds, 6)
-        .Field("speedup_vs_scalar",
-               r.seconds > 0 ? scalar_s / r.seconds : 0.0, 3)
-        .Field("rows", r.rows)
-        .Field("seeks", r.seeks);
   }
   simd_table.Print();
-  simd_json.Emit(simd_json_path);
 }
 
 }  // namespace

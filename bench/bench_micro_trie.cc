@@ -5,10 +5,6 @@
 //   BM_TrieBuild            — radix sort + CSR level assembly
 //   BM_TrieSeek             — one dispatched kernel seek into a level span
 //   BM_TrieIterateSeekHeavy — the generic-join access pattern over spans
-//
-// Accepts `--json=PATH` (shorthand for google-benchmark's
-// --benchmark_out=PATH --benchmark_out_format=json) so CI can archive
-// the numbers as a perf trajectory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "common/dictionary.h"
 #include "common/random.h"
 #include "core/generic_join.h"
@@ -159,18 +154,4 @@ BENCHMARK(BM_TriangleHashJoin)->Arg(1000)->Arg(5000);
 }  // namespace
 }  // namespace xjoin
 
-// Custom main: translate `--json=PATH` into google-benchmark's
-// --benchmark_out flags before initialization (shared helper in
-// bench_util.h); everything else passes through untouched.
-int main(int argc, char** argv) {
-  std::vector<std::string> args = xjoin::bench::TranslateJsonFlag(argc, argv);
-  std::vector<char*> argv2;
-  argv2.reserve(args.size());
-  for (auto& a : args) argv2.push_back(a.data());
-  int argc2 = static_cast<int>(argv2.size());
-  benchmark::Initialize(&argc2, argv2.data());
-  if (benchmark::ReportUnrecognizedArguments(argc2, argv2.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

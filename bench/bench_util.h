@@ -7,18 +7,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/simd.h"
 #include "core/baseline.h"
 #include "core/query.h"
 #include "core/xjoin.h"
-#include "relational/intersect_kernels.h"
 
 namespace xjoin::bench {
 
@@ -140,140 +137,11 @@ inline const char* FlagValue(int argc, char** argv, const char* name) {
   return nullptr;
 }
 
-/// Integer flag with fallback: "--threads=4".
+/// Integer flag with fallback: "--reps=5".
 inline int64_t IntFlag(int argc, char** argv, const char* name,
                        int64_t fallback) {
   const char* v = FlagValue(argc, argv, name);
   return v == nullptr ? fallback : std::strtoll(v, nullptr, 10);
-}
-
-/// Accumulates an array of flat JSON objects — the shared emission path
-/// for the benches' machine-readable perf trajectories (BENCH_*.json CI
-/// artifacts). Usage:
-///   JsonArrayWriter json;
-///   json.BeginObject().Field("workload", name).Field("seconds", s, 6);
-///   json.Emit(FlagValue(argc, argv, "json"));
-class JsonArrayWriter {
- public:
-  /// Fluent handle onto the object currently being built.
-  class Object {
-   public:
-    explicit Object(std::string* out) : out_(out) {}
-
-    Object& Field(const char* name, const std::string& value) {
-      Key(name);
-      *out_ += '"';
-      for (char c : value) {
-        if (c == '"' || c == '\\') *out_ += '\\';
-        *out_ += c;
-      }
-      *out_ += '"';
-      return *this;
-    }
-    Object& Field(const char* name, const char* value) {
-      return Field(name, std::string(value));
-    }
-    Object& Field(const char* name, int64_t value) {
-      Key(name);
-      *out_ += FmtInt(value);
-      return *this;
-    }
-    Object& Field(const char* name, int value) {
-      return Field(name, static_cast<int64_t>(value));
-    }
-    Object& Field(const char* name, double value, int precision = 6) {
-      Key(name);
-      *out_ += FmtF(value, precision);
-      return *this;
-    }
-
-   private:
-    void Key(const char* name) {
-      if (!first_) *out_ += ", ";
-      first_ = false;
-      *out_ += '"';
-      *out_ += name;
-      *out_ += "\": ";
-    }
-
-    std::string* out_;
-    bool first_ = true;
-  };
-
-  /// Starts the next object in the array. Finish one object's fields
-  /// before beginning the next. Every row is stamped with the SIMD
-  /// kernel the dispatch ladder resolves to on this host at emission
-  /// time ("scalar" / "sse42" / "avx2"), so perf trajectories across CI
-  /// runs are attributable to the code path that actually executed.
-  Object BeginObject() {
-    body_ += body_.empty() ? "\n  {" : "},\n  {";
-    Object obj(&body_);
-    obj.Field("kernel", SimdLevelName(ActiveIntersectKernel().level));
-    return obj;
-  }
-
-  std::string ToString() const {
-    std::string out = "[" + body_;
-    if (!body_.empty()) out += "}\n";
-    out += "]\n";
-    return out;
-  }
-
-  /// Prints the array to stdout and, when `json_path` is non-null, also
-  /// writes it there (the CI artifact).
-  void Emit(const char* json_path) const {
-    std::string json = ToString();
-    std::printf("\nJSON:\n%s", json.c_str());
-    if (json_path != nullptr) {
-      std::FILE* f = std::fopen(json_path, "w");
-      XJ_CHECK(f != nullptr) << "cannot open " << json_path;
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-      std::printf("(written to %s)\n", json_path);
-    }
-  }
-
- private:
-  std::string body_;
-};
-
-/// Rewrites `--json=PATH` into google-benchmark's
-/// `--benchmark_out=PATH --benchmark_out_format=json` pair, passing
-/// every other argument through — the gbench harnesses' (bench_micro_*)
-/// share of the JSON-emission surface, kept benchmark-agnostic so this
-/// header needs no benchmark.h.
-inline std::vector<std::string> TranslateJsonFlag(int argc, char** argv) {
-  std::vector<std::string> args;
-  std::string json_path;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  if (!json_path.empty()) {
-    args.push_back("--benchmark_out=" + json_path);
-    args.push_back("--benchmark_out_format=json");
-  }
-  return args;
-}
-
-/// Comma-separated integer list flag: "--threads=1,2,4,8".
-inline std::vector<int> IntListFlag(int argc, char** argv, const char* name,
-                                    std::vector<int> fallback) {
-  const char* v = FlagValue(argc, argv, name);
-  if (v == nullptr) return fallback;
-  std::vector<int> out;
-  const char* p = v;
-  while (*p != '\0') {
-    char* end = nullptr;
-    long value = std::strtol(p, &end, 10);
-    if (end == p) break;
-    out.push_back(static_cast<int>(value));
-    p = (*end == ',') ? end + 1 : end;
-  }
-  return out.empty() ? fallback : out;
 }
 
 }  // namespace xjoin::bench

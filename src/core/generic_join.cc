@@ -431,26 +431,15 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   if (requested_shards <= 1) return run_serial();
 
   // Sharded driver: partition the first attribute's matching keys into
-  // contiguous ascending ranges, one per shard. When level 0 alone has
-  // fewer distinct keys than the requested shard count (and the order
-  // has a second attribute), fall back to sharding on the
-  // level-0 x level-1 composite prefix instead of silently degenerating
-  // to ~1 shard.
+  // contiguous ascending ranges, one per shard. At shard_depth 2 (and
+  // when the order has a second attribute) shard on the
+  // level-0 x level-1 composite prefix instead, so a small leading
+  // domain does not degenerate to ~1 shard.
   int64_t plan_seeks = 0;
   Relation domain =
       PrefixDomain(inputs, order, plan, 1, options.batch_size, &plan_seeks);
-  const size_t num_keys = domain.num_rows();
-
-  // Composite planning enumerates the pair domain serially, so by
-  // default (shard_depth == 0) only pay for it when level-0 sharding
-  // would fall well short of the request (under half the shards) — a
-  // near-miss level-0 split is cheaper than enumerating the pair domain
-  // up front. A prepared plan that already knows the domain sizes
-  // overrides the decision through shard_depth.
-  bool composite = options.shard_depth == 2 ||
-                   (options.shard_depth == 0 &&
-                    num_keys * 2 <= static_cast<size_t>(requested_shards));
-  composite = composite && plan.size() >= 2 && num_keys > 0;
+  bool composite = options.shard_depth == 2 && plan.size() >= 2 &&
+                   domain.num_rows() > 0;
   if (composite) {
     Relation pairs = PrefixDomain(inputs, order, plan, 2, options.batch_size,
                                   &plan_seeks);

@@ -75,21 +75,16 @@ struct GenericJoinOptions {
   /// Number of prefix-range shards. 0 means "= num_threads". Values
   /// > 1 force the sharded driver even when num_threads == 1 (useful for
   /// deterministic testing of the shard partitioning itself). Shards
-  /// normally cover contiguous ranges of the level-0 intersection keys;
-  /// when that domain has fewer than half the requested shard count
-  /// (and the order has >= 2 attributes), the driver shards on the
-  /// level-0 x level-1 composite prefix instead, so small leading
-  /// domains no longer degenerate to ~1 shard. The effective shard
-  /// count is capped by the size of the chosen prefix domain.
+  /// cover contiguous ranges of the prefix domain that shard_depth
+  /// selects; the effective shard count is capped by its size.
   int num_shards = 0;
-  /// Shard partitioning depth hint, normally set from an XJoinPlan's
-  /// shard plan. 0 = decide at run time from the actual level-0
-  /// intersection (the rule above); 1 = always shard on level-0 key
-  /// ranges; 2 = shard on the level-0 x level-1 composite prefix (falls
-  /// back to level-0 / serial when the order has < 2 attributes or the
-  /// pair domain has <= 1 element). Results are byte-identical for
-  /// every setting.
-  int shard_depth = 0;
+  /// Shard partitioning depth, set from an XJoinPlan's shard plan
+  /// (PlanShards decides it once, at prepare time). 1 = shard on
+  /// level-0 key ranges; 2 = shard on the level-0 x level-1 composite
+  /// prefix (falls back to level-0 / serial when the order has < 2
+  /// attributes or the pair domain has <= 1 element). Results are
+  /// byte-identical for every setting.
+  int shard_depth = 1;
   /// Result-batch capacity in rows; must be >= 1. Results stage in a
   /// columnar ResultBatch of this many rows, flushed via
   /// Relation::AppendColumnBlock, and the deepest level drains at most

@@ -128,9 +128,8 @@ struct PlanLevel {
   std::string kernel;
 };
 
-/// The shard partitioning decision, chosen at prepare time from the
-/// level-0 / level-1 domain-size estimates (instead of the engine's
-/// run-time half-shortfall rule).
+/// The shard partitioning decision, chosen once at prepare time from
+/// the level-0 / level-1 domain-size estimates.
 struct ShardPlan {
   int requested = 1;  ///< num_shards, defaulted to num_threads
   /// 1 = contiguous level-0 key ranges; 2 = level-0 x level-1 composite

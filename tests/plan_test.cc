@@ -62,8 +62,12 @@ TEST_F(PlanTest, CachedPlanReuseIsByteIdenticalToColdExecution) {
   EXPECT_EQ(cold_metrics.Get("db.plan_cache.misses"), 1);
   EXPECT_EQ(cold_metrics.Get("plan.prepared"), 1);
 
-  auto second = db_.OpenSession().Query(q_);
+  Metrics warm_metrics;
+  QueryOptions warm;
+  warm.metrics = &warm_metrics;
+  auto second = db_.OpenSession().Query(q_, warm);
   ASSERT_TRUE(second.ok());
+  EXPECT_EQ(warm_metrics.Get("db.plan_cache.hits"), 1);
   EXPECT_EQ(first->ToTuples(), second->ToTuples());
 
   // A plan-free execution over the same parsed query agrees byte for

@@ -130,8 +130,10 @@ TEST(ShardedGenericJoinTest, MoreShardsThanKeysDegradesGracefully) {
   ExpectByteIdentical(*serial, *sharded);
 }
 
-// A tiny level-0 domain must shard on the level-0 x level-1 composite
-// prefix instead of degenerating to ~1 shard — and stay byte-identical.
+// With shard_depth 2, a tiny level-0 domain shards on the
+// level-0 x level-1 composite prefix instead of degenerating to ~1
+// shard — and stays byte-identical. The planner's choice of depth 2 is
+// covered by PlanTest.AdaptiveShardPlanGoesCompositeOnSmallLevel0Domains.
 TEST(ShardedGenericJoinTest, CompositePrefixShardingMatchesSerial) {
   // R(A,B) x S(B,C) x T(A,C) with only two distinct A values but a wide
   // B domain: level-0 sharding could use at most 2 shards.
@@ -174,6 +176,7 @@ TEST(ShardedGenericJoinTest, CompositePrefixShardingMatchesSerial) {
       GenericJoinOptions opts = serial_opts;
       opts.num_threads = threads;
       opts.num_shards = shards;
+      opts.shard_depth = 2;
       Metrics m;
       opts.metrics = &m;
       auto sharded = GenericJoin(inputs, opts);

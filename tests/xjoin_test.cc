@@ -589,12 +589,43 @@ std::vector<std::string> RandomAttributeOrder(Rng* rng,
   return order;
 }
 
-// What one differential instance showed, for the coverage check below.
+// What one differential instance showed, for the coverage checks below.
 struct DiffOutcome {
-  bool certified = false;  ///< the twig was certified
-  bool branching = false;  ///< ... and has a node with two children
-  size_t rows = 0;         ///< output rows
+  bool certified = false;   ///< the twig was certified
+  bool branching = false;   ///< ... and has a node with two children
+  size_t rows = 0;          ///< output rows
+  int64_t shard_depth = 0;  ///< gj.shard_depth of the 4-shard run
+  int64_t shards = 0;       ///< gj.shards of the 4-shard run
 };
+
+// The sharding and batching axes: at 4 shards on one thread and at
+// one-row batches, the answer must be byte-identical (same schema, rows
+// and row order) to the run at default settings.
+void ExpectAxesByteIdentical(const MultiModelQuery& q,
+                             const PlanSettings& opts, DiffOutcome* outcome) {
+  auto reference = ExecuteXJoin(q, opts);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  PlanSettings sharded = opts;
+  sharded.num_threads = 1;
+  sharded.num_shards = 4;
+  PlanSettings one_row = opts;
+  one_row.batch_size = 1;
+  for (const PlanSettings& axis : {sharded, one_row}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(axis.num_shards) +
+                 " batch_size=" + std::to_string(axis.batch_size));
+    Metrics metrics;
+    EngineServices services;
+    services.metrics = &metrics;
+    auto result = ExecuteXJoin(q, axis, services);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->schema().attributes(), reference->schema().attributes());
+    EXPECT_EQ(result->ToTuples(), reference->ToTuples());
+    if (axis.num_shards > 1) {
+      outcome->shard_depth = metrics.Get("gj.shard_depth");
+      outcome->shards = metrics.Get("gj.shards");
+    }
+  }
+}
 
 // Runs one differential instance. Beyond the reference answer, a
 // certified plan (whose final validation ExecutePlan skips) must return
@@ -686,6 +717,7 @@ void RunDifferential(const DiffParam& param, DiffOutcome* outcome) {
   if (param.random_order) opts.attribute_order = RandomAttributeOrder(&rng, q);
   opts.structural_pruning = param.pruning;
   ExpectSameAnswer(q, opts);
+  ExpectAxesByteIdentical(q, opts, outcome);
   if (param.doc_mode == DocMode::kRandomText) return;
 
   auto plan = PrepareXJoin(q, opts);
@@ -814,6 +846,22 @@ TEST(XJoinDifferentialCoverage, DocumentModesCertifyBranchingTwigs) {
     EXPECT_GT(certified[mode], 0);
     EXPECT_GT(certified_branching_with_rows[mode], 0);
   }
+}
+
+// The sharding axis must not pass vacuously either: some instances
+// shard on composite (level-0 x level-1) prefixes, and some shard on
+// level-0 key ranges with more than one shard.
+TEST(XJoinDifferentialCoverage, ShardAxisReachesBothDepths) {
+  int composite = 0;
+  int level0_sharded = 0;
+  for (const DiffParam& p : MakeDiffParams()) {
+    DiffOutcome outcome;
+    RunDifferential(p, &outcome);
+    if (outcome.shard_depth == 2) ++composite;
+    if (outcome.shard_depth == 1 && outcome.shards > 1) ++level0_sharded;
+  }
+  EXPECT_GT(composite, 0);
+  EXPECT_GT(level0_sharded, 0);
 }
 
 }  // namespace
