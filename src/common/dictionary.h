@@ -22,8 +22,10 @@ namespace xjoin {
 /// Thread-safe: Intern takes a writer lock, the read paths share a
 /// reader lock, so serving-core sessions can decode results while a
 /// writer registers new data. Strings live in a deque — push_back never
-/// relocates existing elements — so the reference Decode returns stays
-/// valid for the dictionary's lifetime even across concurrent Interns.
+/// relocates existing elements, and a move of the deque hands its blocks
+/// over — so the reference Decode returns stays valid for the
+/// dictionary's lifetime even across concurrent Interns, and the index
+/// keys each string by a view into the deque instead of a second copy.
 class Dictionary {
  public:
   Dictionary() = default;
@@ -45,15 +47,18 @@ class Dictionary {
   /// The reference stays valid for the dictionary's lifetime.
   const std::string& Decode(int64_t code) const;
 
-  /// Whether `code` is a valid interned code.
-  bool Contains(int64_t code) const;
+  /// Decodes `n` codes under one reader lock: out[i] points at the
+  /// string for codes[i], or is nullptr when codes[i] is not a valid
+  /// code. The pointers stay valid for the dictionary's lifetime.
+  void DecodeMany(const int64_t* codes, size_t n,
+                  const std::string** out) const;
 
   int64_t size() const;
 
  private:
   mutable std::unique_ptr<std::shared_mutex> mu_ =
       std::make_unique<std::shared_mutex>();
-  std::unordered_map<std::string, int64_t> index_;
+  std::unordered_map<std::string_view, int64_t> index_;  // views into strings_
   std::deque<std::string> strings_;
 };
 

@@ -1,6 +1,11 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cstring>
+#include <unordered_map>
+
+#include "common/dictionary.h"
+#include "relational/relation.h"
 
 namespace xjoin {
 namespace net {
@@ -27,6 +32,8 @@ class PayloadWriter {
     PutU32(static_cast<uint32_t>(s.size()));
     buf_.append(s.data(), s.size());
   }
+  void PutBytes(std::string_view s) { buf_.append(s.data(), s.size()); }
+  void Reserve(size_t n) { buf_.reserve(n); }
 
   std::string Take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
@@ -82,13 +89,41 @@ class PayloadReader {
     return Status::OK();
   }
   Status GetString(std::string* out) {
+    std::string_view view;
+    XJ_RETURN_NOT_OK(GetStringView(&view));
+    out->assign(view.data(), view.size());
+    return Status::OK();
+  }
+  /// A view into the payload; valid as long as the payload is.
+  Status GetStringView(std::string_view* out) {
     uint32_t len = 0;
     XJ_RETURN_NOT_OK(GetU32(&len));
-    if (pos_ + len > data_.size()) return Truncated();
-    out->assign(data_.data() + pos_, len);
+    if (len > remaining()) return Truncated();
+    *out = data_.substr(pos_, len);
     pos_ += len;
     return Status::OK();
   }
+  /// LEB128: 7 bits per byte, low group first, at most 10 bytes.
+  Status GetVarint(uint64_t* out) {
+    uint64_t v = 0;
+    for (int shift = 0; shift < 70; shift += 7) {
+      if (pos_ >= data_.size()) return Truncated();
+      const uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
+      if (shift == 63 && (byte & 0x7f) > 1) {
+        return Status::ParseError("varint overflows 64 bits at offset " +
+                                  std::to_string(pos_));
+      }
+      v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) {
+        *out = v;
+        return Status::OK();
+      }
+    }
+    return Status::ParseError("varint longer than 10 bytes at offset " +
+                              std::to_string(pos_));
+  }
+
+  size_t remaining() const { return data_.size() - pos_; }
 
   /// Decoders call this last: trailing bytes mean a version/format
   /// mismatch and must not be silently ignored.
@@ -186,51 +221,257 @@ Result<QueryRequest> DecodeQueryRequest(std::string_view payload) {
   return req;
 }
 
-Result<std::string> EncodeQueryResultSet(const QueryResultSet& result) {
+namespace {
+
+Status ResultTooLarge() {
+  return Status::ResourceExhausted(
+      "serialized result exceeds the 64 MiB frame cap; constrain the "
+      "query with max_rows / max_bytes");
+}
+
+// Bytes of the column block plus the row count; both layouts share them.
+uint64_t HeadBytes(const std::vector<std::string>& columns) {
+  uint64_t bytes = 4 + 8;
+  for (const std::string& name : columns) bytes += 4 + name.size();
+  return bytes;
+}
+
+// Appends table index `index` to the cell section (LEB128) and counts
+// the reference, from which the writer derives the logical size.
+void AppendCell(uint32_t index, std::string* cells,
+                std::vector<uint64_t>* counts) {
+  ++(*counts)[index];
+  while (index >= 0x80) {
+    cells->push_back(static_cast<char>((index & 0x7f) | 0x80));
+    index >>= 7;
+  }
+  cells->push_back(static_cast<char>(index));
+}
+
+// The one writer of kResult payloads. `table` holds each distinct cell
+// value once, in order of first appearance in row-major order,
+// `counts[i]` how many cells reference table[i], and `cells` the cell
+// section AppendCell built. Enforces both caps (see frame.h).
+Result<std::string> WriteResultPayload(
+    const std::vector<std::string>& columns,
+    const std::vector<std::string_view>& table,
+    const std::vector<uint64_t>& counts, uint64_t num_rows,
+    std::string_view cells) {
+  uint64_t logical = HeadBytes(columns);  // the version-1 size
+  uint64_t coded = logical + 4 + cells.size();
+  for (size_t i = 0; i < table.size(); ++i) {
+    const uint64_t per_cell = 4 + table[i].size();
+    if (counts[i] > kMaxPayloadBytes / per_cell) return ResultTooLarge();
+    logical += counts[i] * per_cell;
+    coded += per_cell;
+    if (logical > kMaxPayloadBytes) return ResultTooLarge();
+  }
+  if (coded > kMaxPayloadBytes) return ResultTooLarge();
   PayloadWriter w;
-  w.PutU32(static_cast<uint32_t>(result.columns.size()));
-  for (const std::string& name : result.columns) w.PutString(name);
-  w.PutU64(result.rows.size());
-  for (const auto& row : result.rows) {
-    for (const std::string& cell : row) {
-      w.PutString(cell);
-      if (w.size() > kMaxPayloadBytes) break;  // fail below, stop growing
-    }
-    if (w.size() > kMaxPayloadBytes) break;
-  }
-  if (w.size() > kMaxPayloadBytes) {
-    return Status::ResourceExhausted(
-        "serialized result exceeds the 64 MiB frame cap; constrain the "
-        "query with max_rows / max_bytes");
-  }
+  w.Reserve(static_cast<size_t>(coded));
+  w.PutU32(static_cast<uint32_t>(columns.size()));
+  for (const std::string& name : columns) w.PutString(name);
+  w.PutU32(static_cast<uint32_t>(table.size()));
+  for (std::string_view entry : table) w.PutString(entry);
+  w.PutU64(num_rows);
+  w.PutBytes(cells);
   return w.Take();
+}
+
+// Every cell costs at least 4 logical bytes (its length prefix).
+bool CellsOverCap(uint64_t num_rows, uint64_t width) {
+  return width > 0 && num_rows > kMaxPayloadBytes / 4 / width;
+}
+
+// Home slot of a code in a power-of-two table (Fibonacci hashing; join
+// codes are dense small integers, so their low bits alone cluster).
+size_t HomeSlot(int64_t code, size_t mask) {
+  const uint64_t h = static_cast<uint64_t>(code) * 0x9e3779b97f4a7c15ULL;
+  return static_cast<size_t>(h ^ (h >> 32)) & mask;
+}
+
+}  // namespace
+
+Result<std::string> EncodeQueryResultSet(const QueryResultSet& result) {
+  const size_t width = result.columns.size();
+  if (width == 0 && result.rows.size() > 1) {
+    return Status::InvalidArgument(
+        "a result with no columns has at most one row");
+  }
+  if (CellsOverCap(result.rows.size(), width)) return ResultTooLarge();
+  std::unordered_map<std::string_view, uint32_t> index;
+  index.reserve(result.rows.size() * width);
+  std::vector<std::string_view> table;
+  std::vector<uint64_t> counts;
+  std::string cells;
+  cells.reserve(result.rows.size() * width);
+  for (const auto& row : result.rows) {
+    if (row.size() != width) {
+      return Status::InvalidArgument("a result row has the wrong width");
+    }
+    for (const std::string& cell : row) {
+      const uint32_t next = static_cast<uint32_t>(table.size());
+      const auto [it, fresh] = index.try_emplace(cell, next);
+      if (fresh) {
+        table.push_back(cell);
+        counts.push_back(0);
+      }
+      AppendCell(it->second, &cells, &counts);
+    }
+  }
+  return WriteResultPayload(result.columns, table, counts, result.rows.size(),
+                            cells);
+}
+
+Result<std::string> ResultEncoder::Encode(const Relation& result,
+                                          const Dictionary& dict) {
+  const size_t width = result.num_columns();
+  const size_t num_rows = result.num_rows();
+  if (CellsOverCap(num_rows, width)) return ResultTooLarge();
+  if (++epoch_ == 0) {  // wrapped: no stale slot may look live
+    for (Slot& slot : slots_) slot.epoch = 0;
+    epoch_ = 1;
+  }
+  distinct_.clear();
+  counts_.clear();
+  cells_.clear();
+  std::vector<const int64_t*> columns(width);
+  for (size_t c = 0; c < width; ++c) columns[c] = result.column(c).data();
+  for (size_t r = 0; r < num_rows; ++r) {
+    for (size_t c = 0; c < width; ++c) {
+      AppendCell(IndexOf(columns[c][r]), &cells_, &counts_);
+    }
+  }
+
+  decoded_.resize(distinct_.size());
+  dict.DecodeMany(distinct_.data(), distinct_.size(), decoded_.data());
+  // Every synthetic string exists before the table views any of them:
+  // a growing vector moves its (short, inline) strings.
+  synthetic_.clear();
+  for (size_t i = 0; i < distinct_.size(); ++i) {
+    if (decoded_[i] == nullptr) {
+      synthetic_.push_back("#" + std::to_string(distinct_[i]));
+    }
+  }
+  table_.clear();
+  size_t next_synthetic = 0;
+  for (const std::string* s : decoded_) {
+    table_.push_back(s != nullptr ? *s : synthetic_[next_synthetic++]);
+  }
+  Result<std::string> payload = WriteResultPayload(
+      result.schema().attributes(), table_, counts_, num_rows, cells_);
+
+  // Scratch sized for one huge answer is not kept for every later one.
+  constexpr size_t kRetainedScratchBytes = size_t{1} << 20;
+  if (cells_.capacity() + slots_.size() * sizeof(Slot) >
+      kRetainedScratchBytes) {
+    *this = ResultEncoder();
+  }
+  return payload;
+}
+
+uint32_t ResultEncoder::IndexOf(int64_t code) {
+  if ((distinct_.size() + 1) * 2 > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HomeSlot(code, mask);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.epoch != epoch_) {
+      const uint32_t index = static_cast<uint32_t>(distinct_.size());
+      slot = Slot{code, index, epoch_};
+      distinct_.push_back(code);
+      counts_.push_back(0);
+      return index;
+    }
+    if (slot.code == code) return slot.index;
+  }
+}
+
+void ResultEncoder::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::max<size_t>(256, old.size() * 2), Slot{});
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& live : old) {
+    if (live.epoch != epoch_) continue;
+    size_t i = HomeSlot(live.code, mask);
+    while (slots_[i].epoch == epoch_) i = (i + 1) & mask;
+    slots_[i] = live;
+  }
 }
 
 Result<QueryResultSet> DecodeQueryResultSet(std::string_view payload) {
   PayloadReader r(payload);
   QueryResultSet result;
+  // Every claimed count is checked against the bytes that remain before
+  // anything is sized by it: a column name or table entry costs at least
+  // its 4-byte length, a cell at least one varint byte.
   uint32_t num_columns = 0;
   XJ_RETURN_NOT_OK(r.GetU32(&num_columns));
+  if (num_columns > r.remaining() / 4) {
+    return Status::ParseError("result column count " +
+                              std::to_string(num_columns) +
+                              " is impossible for the payload size");
+  }
   result.columns.resize(num_columns);
   for (uint32_t c = 0; c < num_columns; ++c) {
     XJ_RETURN_NOT_OK(r.GetString(&result.columns[c]));
   }
+  uint32_t num_strings = 0;
+  XJ_RETURN_NOT_OK(r.GetU32(&num_strings));
+  if (num_strings > r.remaining() / 4) {
+    return Status::ParseError("result string table size " +
+                              std::to_string(num_strings) +
+                              " is impossible for the payload size");
+  }
+  std::vector<std::string_view> table(num_strings);
+  for (uint32_t i = 0; i < num_strings; ++i) {
+    XJ_RETURN_NOT_OK(r.GetStringView(&table[i]));
+  }
   uint64_t num_rows = 0;
   XJ_RETURN_NOT_OK(r.GetU64(&num_rows));
-  // A row costs at least num_columns 4-byte length prefixes, so a
-  // hostile count cannot force a huge allocation before the bounds
-  // checks below reject the truncated payload.
-  if (num_columns > 0 && num_rows > payload.size() / (4 * num_columns) + 1) {
+  // A set of 0-ary tuples has at most one member.
+  const uint64_t max_rows = num_columns == 0 ? 1 : r.remaining() / num_columns;
+  if (num_rows > max_rows) {
     return Status::ParseError("result row count " + std::to_string(num_rows) +
                               " is impossible for the payload size");
   }
+  // The logical (version-1) size is capped like the encoder caps it,
+  // and checked before each cell's string is allocated.
+  uint64_t logical = HeadBytes(result.columns);
+  const uint64_t num_cells = num_rows * num_columns;
+  if (logical + 4 * num_cells > kMaxPayloadBytes) {
+    return Status::ParseError("result of " + std::to_string(num_cells) +
+                              " cells expands past the 64 MiB cap");
+  }
   result.rows.reserve(num_rows);
+  uint64_t referenced = 0;  // table entries seen so far, in order
   for (uint64_t i = 0; i < num_rows; ++i) {
-    std::vector<std::string> row(num_columns);
+    std::vector<std::string> row;
+    row.reserve(num_columns);
     for (uint32_t c = 0; c < num_columns; ++c) {
-      XJ_RETURN_NOT_OK(r.GetString(&row[c]));
+      uint64_t index = 0;
+      XJ_RETURN_NOT_OK(r.GetVarint(&index));
+      if (index >= table.size()) {
+        return Status::ParseError("result cell references table entry " +
+                                  std::to_string(index) + " of " +
+                                  std::to_string(table.size()));
+      }
+      if (index > referenced) {
+        return Status::ParseError(
+            "result table is not in order of first appearance");
+      }
+      if (index == referenced) ++referenced;
+      logical += 4 + table[index].size();
+      if (logical > kMaxPayloadBytes) {
+        return Status::ParseError("result expands past the 64 MiB cap");
+      }
+      row.emplace_back(table[index]);
     }
     result.rows.push_back(std::move(row));
+  }
+  if (referenced != table.size()) {
+    return Status::ParseError("result string table has " +
+                              std::to_string(table.size() - referenced) +
+                              " unreferenced entries");
   }
   XJ_RETURN_NOT_OK(r.ExpectEnd());
   return result;

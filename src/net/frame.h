@@ -7,7 +7,7 @@
 //
 //     offset  size  field
 //     0       4     magic        0x584A4F49 ("XJOI" read as LE u32)
-//     4       1     version      kProtocolVersion (currently 1)
+//     4       1     version      kProtocolVersion (currently 2)
 //     5       1     type         FrameType
 //     6       2     reserved     must be 0
 //     8       4     payload_len  <= kMaxPayloadBytes (64 MiB)
@@ -23,12 +23,41 @@
 // an intact header is recoverable — the server answers kError
 // (kInvalidArgument) and keeps the connection.
 //
-// Payload encodings are little-endian with u32 length-prefixed strings;
-// result cells travel as decoded dictionary strings so the bytes mean
-// the same thing on both sides of the socket. Error payloads carry the
-// machine-readable StatusCode plus optional RetryInfo (retry-after
-// suggestion + admission queue depth), so a client backs off on data
-// instead of parsing the human message.
+// Payload encodings are little-endian with u32 length-prefixed strings.
+// Error payloads carry the machine-readable StatusCode plus optional
+// RetryInfo (retry-after suggestion + admission queue depth), so a
+// client backs off on data instead of parsing the human message.
+//
+// A kResult payload (version 2) is dictionary-coded: cells travel as
+// indexes into a response-local string table, so each distinct value
+// crosses the wire once and the bytes mean the same thing on both
+// sides of the socket (server dictionary codes never leave the server):
+//
+//     u32     num_columns, then num_columns strings (column names)
+//     u32     num_strings, then num_strings strings (the table: each
+//             distinct cell value once, in order of first appearance
+//             in row-major order)
+//     u64     num_rows
+//     varint  num_rows * num_columns table indexes, row-major
+//             (LEB128: 7 bits per byte, low group first, at most 10
+//             bytes)
+//
+// Caps. The frame cap (kMaxPayloadBytes) bounds the coded bytes. A
+// second cap bounds the *logical* size, the bytes the uncoded
+// version-1 layout would take (4 + length per cell, plus the column
+// block and row count), by the same 64 MiB, so one long table entry
+// referenced by millions of cells cannot expand without bound on the
+// client. A result is thus accepted exactly when the version-1 layout
+// fit, except that a first occurrence costs its index on top of its
+// table entry, so an answer near 64 MiB whose cells are nearly all
+// distinct can hit the frame cap first. Over either cap the encoders
+// fail kResourceExhausted and the decoder fails kParseError, before it
+// allocates past the cap. The
+// decoder also checks every claimed count (columns, table entries,
+// rows, string lengths) against the bytes that remain, rejects a
+// 0-column result claiming more than one row, and rejects indexes out
+// of range or out of first-appearance order and unreferenced table
+// entries.
 #ifndef XJOIN_NET_FRAME_H_
 #define XJOIN_NET_FRAME_H_
 
@@ -40,10 +69,14 @@
 #include "common/status.h"
 
 namespace xjoin {
+
+class Dictionary;
+class Relation;
+
 namespace net {
 
 inline constexpr uint32_t kFrameMagic = 0x584A4F49;  // "XJOI"
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderSize = 12;
 inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;  // 64 MiB
 
@@ -89,20 +122,61 @@ struct QueryRequest {
 std::string EncodeQueryRequest(const QueryRequest& req);
 Result<QueryRequest> DecodeQueryRequest(std::string_view payload);
 
-/// A query result as it travels on the wire: column names plus row-major
+/// A query result as the client sees it: column names plus row-major
 /// cells, each cell the dictionary-decoded string (cells whose code is
 /// not in the server dictionary — possible only for synthetic data —
-/// travel as "#<code>").
+/// read "#<code>").
 struct QueryResultSet {
   std::vector<std::string> columns;
   std::vector<std::vector<std::string>> rows;
 };
 
-/// Fails kResourceExhausted (no retry context) when the serialized
-/// result would not fit one frame; tighten max_rows/max_bytes instead
-/// of retrying.
+/// Encodes a result set as a kResult payload. Fails kResourceExhausted
+/// (no retry context) when the result is over either cap; tighten
+/// max_rows/max_bytes instead of retrying. Fails kInvalidArgument on a
+/// row whose width is not the column count, or on more than one row
+/// with no columns.
 Result<std::string> EncodeQueryResultSet(const QueryResultSet& result);
+/// Fails kParseError on a truncated, malformed or over-cap payload (see
+/// the checks listed at the top of this file).
 Result<QueryResultSet> DecodeQueryResultSet(std::string_view payload);
+
+/// Encodes a query answer straight from its code columns, decoding each
+/// distinct code once through one Dictionary::DecodeMany call. It
+/// writes through the same writer as EncodeQueryResultSet, so when
+/// every code is in the dictionary the bytes equal EncodeQueryResultSet
+/// of the decoded answer. Keeps its scratch (a flat code -> table-index
+/// map, the cell bytes) between calls: a server worker reuses one
+/// instance for every response. Not thread-safe.
+class ResultEncoder {
+ public:
+  Result<std::string> Encode(const Relation& result, const Dictionary& dict);
+
+ private:
+  /// Returns the table index of `code`, assigning the next one (and
+  /// recording the code in distinct_) when it is new.
+  uint32_t IndexOf(int64_t code);
+  void Grow();
+
+  // Open addressing with linear probing; a slot is live only when its
+  // epoch is the current one, so starting a response costs O(1).
+  struct Slot {
+    int64_t code = 0;
+    uint32_t index = 0;
+    uint32_t epoch = 0;
+  };
+  std::vector<Slot> slots_;
+  uint32_t epoch_ = 0;
+  // Per response: the distinct codes in table order, their strings
+  // ("#<code>" ones live in synthetic_), how many cells reference each,
+  // and the varint cell section.
+  std::vector<int64_t> distinct_;
+  std::vector<const std::string*> decoded_;
+  std::vector<std::string> synthetic_;
+  std::vector<std::string_view> table_;
+  std::vector<uint64_t> counts_;
+  std::string cells_;
+};
 
 /// Serializes a non-OK Status, including its RetryInfo when present.
 std::string EncodeErrorStatus(const Status& status);

@@ -481,6 +481,7 @@ void XJoinServer::WriteInline(const std::shared_ptr<Conn>& conn,
 }
 
 void XJoinServer::WorkerLoop() {
+  ResultEncoder encoder;  // this worker's scratch, reused per response
   for (;;) {
     Job job;
     {
@@ -516,22 +517,8 @@ void XJoinServer::WorkerLoop() {
     FrameType type = FrameType::kError;
     std::string payload;
     if (result.ok()) {
-      const Relation& rel = *result;
-      const Dictionary& dict = db_->dictionary();
-      QueryResultSet rs;
-      rs.columns = rel.schema().attributes();
-      rs.rows.reserve(rel.num_rows());
-      for (size_t r = 0; r < rel.num_rows(); ++r) {
-        std::vector<std::string> row;
-        row.reserve(rel.num_columns());
-        for (size_t c = 0; c < rel.num_columns(); ++c) {
-          const int64_t code = rel.at(r, c);
-          row.push_back(dict.Contains(code) ? dict.Decode(code)
-                                            : "#" + std::to_string(code));
-        }
-        rs.rows.push_back(std::move(row));
-      }
-      Result<std::string> encoded = EncodeQueryResultSet(rs);
+      Result<std::string> encoded =
+          encoder.Encode(*result, db_->dictionary());
       if (encoded.ok()) {
         type = FrameType::kResult;
         payload = std::move(*encoded);

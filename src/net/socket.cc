@@ -8,8 +8,10 @@
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -47,6 +49,45 @@ Status WaitReady(int fd, short events, int64_t deadline_micros) {
       return Status::IOError("socket error while waiting for readiness");
     }
     return Status::OK();
+  }
+}
+
+// Sends every byte the `count` iovecs hold in one gather write per
+// wakeup (MSG_NOSIGNAL: a dead peer is a kIOError, not a SIGPIPE),
+// advancing `iov` past what each partial write took.
+Status SendAll(int fd, struct iovec* iov, size_t count,
+               int64_t deadline_micros) {
+  for (;;) {
+    while (count > 0 && iov->iov_len == 0) {
+      ++iov;
+      --count;
+    }
+    if (count == 0) return Status::OK();
+    struct msghdr msg;
+    std::memset(&msg, 0, sizeof(msg));
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t rc = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (rc > 0) {
+      size_t sent = static_cast<size_t>(rc);
+      while (sent > 0) {
+        const size_t step = std::min(sent, iov->iov_len);
+        iov->iov_base = static_cast<char*>(iov->iov_base) + step;
+        iov->iov_len -= step;
+        sent -= step;
+        if (iov->iov_len == 0) {
+          ++iov;
+          --count;
+        }
+      }
+      continue;
+    }
+    if (rc < 0 && errno == EINTR) continue;
+    if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      XJ_RETURN_NOT_OK(WaitReady(fd, POLLOUT, deadline_micros));
+      continue;
+    }
+    return Errno("send");
   }
 }
 
@@ -175,21 +216,10 @@ Status ReadFull(int fd, uint8_t* buf, size_t n, int64_t deadline_micros) {
 
 Status WriteFull(int fd, const uint8_t* buf, size_t n,
                  int64_t deadline_micros) {
-  size_t sent = 0;
-  while (sent < n) {
-    const ssize_t rc = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (rc > 0) {
-      sent += static_cast<size_t>(rc);
-      continue;
-    }
-    if (rc < 0 && errno == EINTR) continue;
-    if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      XJ_RETURN_NOT_OK(WaitReady(fd, POLLOUT, deadline_micros));
-      continue;
-    }
-    return Errno("send");
-  }
-  return Status::OK();
+  struct iovec iov;
+  iov.iov_base = const_cast<uint8_t*>(buf);
+  iov.iov_len = n;
+  return SendAll(fd, &iov, 1, deadline_micros);
 }
 
 Status WriteFrame(int fd, FrameType type, std::string_view payload,
@@ -206,14 +236,14 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload,
   header.payload_len = static_cast<uint32_t>(payload.size());
   uint8_t head[kFrameHeaderSize];
   EncodeFrameHeader(header, head);
-  // Header and payload go out as one buffer so a slow peer cannot
-  // observe a torn header boundary across our two writes.
-  std::string wire;
-  wire.reserve(kFrameHeaderSize + payload.size());
-  wire.append(reinterpret_cast<const char*>(head), kFrameHeaderSize);
-  wire.append(payload.data(), payload.size());
-  return WriteFull(fd, reinterpret_cast<const uint8_t*>(wire.data()),
-                   wire.size(), deadline_micros);
+  // Header and payload leave in one gather write, with no copy of the
+  // payload to put the header in front of it.
+  struct iovec iov[2];
+  iov[0].iov_base = head;
+  iov[0].iov_len = kFrameHeaderSize;
+  iov[1].iov_base = const_cast<char*>(payload.data());
+  iov[1].iov_len = payload.size();
+  return SendAll(fd, iov, 2, deadline_micros);
 }
 
 Result<std::pair<FrameHeader, std::string>> ReadFrame(

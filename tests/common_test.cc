@@ -100,9 +100,39 @@ TEST(DictionaryTest, CodesAreDense) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(d.Intern("s" + std::to_string(i)), i);
   }
-  EXPECT_TRUE(d.Contains(99));
-  EXPECT_FALSE(d.Contains(100));
-  EXPECT_FALSE(d.Contains(-1));
+  // DecodeMany marks codes outside the dictionary with nullptr.
+  const int64_t probes[] = {99, 100, -1, 0};
+  const std::string* decoded[4] = {};
+  d.DecodeMany(probes, 4, decoded);
+  ASSERT_NE(decoded[0], nullptr);
+  EXPECT_EQ(*decoded[0], "s99");
+  EXPECT_EQ(decoded[1], nullptr);
+  EXPECT_EQ(decoded[2], nullptr);
+  ASSERT_NE(decoded[3], nullptr);
+  EXPECT_EQ(decoded[3], &d.Decode(0));
+}
+
+TEST(DictionaryTest, IndexSurvivesMoves) {
+  // The index keys each string by a view into the dictionary's own
+  // storage, so those views must stay valid when the dictionary moves.
+  Dictionary d;
+  const std::string long_value(100, 'x');  // heap-allocated, unlike "s0"
+  EXPECT_EQ(d.Intern("s0"), 0);
+  EXPECT_EQ(d.Intern(long_value), 1);
+  Dictionary moved(std::move(d));
+  EXPECT_EQ(moved.Lookup("s0"), 0);
+  EXPECT_EQ(moved.Intern(long_value), 1);
+  for (int i = 1; i < 1000; ++i) moved.Intern("s" + std::to_string(i));
+  Dictionary assigned;
+  assigned.Intern("other");
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.size(), 1001);
+  EXPECT_EQ(assigned.Lookup("s0"), 0);
+  EXPECT_EQ(assigned.Lookup(long_value), 1);
+  EXPECT_EQ(assigned.Lookup("s999"), 1000);
+  EXPECT_EQ(assigned.Lookup("other"), -1);
+  EXPECT_EQ(assigned.Intern("s500"), 501);
+  EXPECT_EQ(assigned.Decode(1), long_value);
 }
 
 TEST(RngTest, Deterministic) {

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/dictionary.h"
 #include "common/fault.h"
 #include "common/string_util.h"
 #include "core/database.h"
@@ -27,6 +28,7 @@
 #include "net/frame.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "relational/relation.h"
 
 namespace xjoin {
 namespace {
@@ -52,6 +54,7 @@ using net::kMaxPayloadBytes;
 using net::QueryRequest;
 using net::QueryResultSet;
 using net::ReadFrame;
+using net::ResultEncoder;
 using net::ServerOptions;
 using net::ServerStats;
 using net::SteadyNowMicros;
@@ -69,6 +72,26 @@ std::string MakeCsv(const std::string& a, const std::string& b, int n,
            std::to_string((i + offset) % mod) + "\n";
   }
   return csv;
+}
+
+// Little-endian scalars for hand-built payloads.
+void AppendU32(std::string* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+void AppendU64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+void AppendString(std::string* out, const std::string& s) {
+  AppendU32(out, static_cast<uint32_t>(s.size()));
+  *out += s;
+}
+
+// A relation over `columns` whose rows are the given codes.
+Relation MakeRelation(const std::vector<std::string>& columns,
+                      const std::vector<Tuple>& rows) {
+  Relation rel(*Schema::Make(columns));
+  for (const Tuple& row : rows) rel.AppendRow(row);
+  return rel;
 }
 
 // Spins until `pred` holds or `timeout_micros` passes.
@@ -121,6 +144,9 @@ TEST(FrameTest, HeaderRejectsEveryMalformedField) {
   EXPECT_FALSE(corrupt(5, 200).ok()) << "unknown frame type must be rejected";
   EXPECT_FALSE(corrupt(6, 1).ok()) << "reserved bits must be zero";
   EXPECT_FALSE(corrupt(7, 0xff).ok()) << "reserved bits must be zero";
+  // A version-1 peer speaks the uncoded result layout.
+  EXPECT_EQ(corrupt(4, 1).status().code(), StatusCode::kParseError)
+      << "protocol version 1 must be rejected";
   // Payload length over the 64 MiB cap.
   uint8_t oversize[kFrameHeaderSize];
   std::copy(good, good + kFrameHeaderSize, oversize);
@@ -176,6 +202,111 @@ TEST(FrameTest, QueryResultSetRoundTripsIncludingEmpty) {
   EXPECT_TRUE(empty_decoded->rows.empty());
 }
 
+TEST(FrameTest, CodedResultRoundTripsRepeatedEmptyAndLongCells) {
+  const std::string long_cell(100'000, 'z');
+  QueryResultSet rs;
+  rs.columns = {"A", "B"};
+  for (int i = 0; i < 300; ++i) {
+    rs.rows.push_back({std::to_string(i % 3), i % 2 ? "" : long_cell});
+  }
+  auto wire = EncodeQueryResultSet(rs);
+  ASSERT_TRUE(wire.ok());
+  // Each distinct value crosses once: "0", "1", "2", "" and the long
+  // cell, plus one index byte per cell.
+  EXPECT_LT(wire->size(), long_cell.size() + 1000);
+  auto decoded = DecodeQueryResultSet(*wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->columns, rs.columns);
+  EXPECT_EQ(decoded->rows, rs.rows);
+
+  // Columns and no rows.
+  QueryResultSet no_rows;
+  no_rows.columns = {"A", "B"};
+  auto no_rows_wire = EncodeQueryResultSet(no_rows);
+  ASSERT_TRUE(no_rows_wire.ok());
+  auto no_rows_decoded = DecodeQueryResultSet(*no_rows_wire);
+  ASSERT_TRUE(no_rows_decoded.ok());
+  EXPECT_EQ(no_rows_decoded->columns, no_rows.columns);
+  EXPECT_TRUE(no_rows_decoded->rows.empty());
+
+  // No columns: one empty tuple round-trips, two are not a set.
+  QueryResultSet unit;
+  unit.rows = {{}};
+  auto unit_wire = EncodeQueryResultSet(unit);
+  ASSERT_TRUE(unit_wire.ok());
+  auto unit_decoded = DecodeQueryResultSet(*unit_wire);
+  ASSERT_TRUE(unit_decoded.ok());
+  EXPECT_EQ(unit_decoded->rows.size(), 1u);
+  unit.rows.push_back({});
+  EXPECT_EQ(EncodeQueryResultSet(unit).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // A row narrower than the column list is refused, not misframed.
+  QueryResultSet ragged;
+  ragged.columns = {"A", "B"};
+  ragged.rows = {{"1"}};
+  EXPECT_EQ(EncodeQueryResultSet(ragged).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(FrameTest, RelationEncoderMatchesStringEncoderByteForByte) {
+  Dictionary dict;
+  std::vector<int64_t> codes;
+  for (int i = 0; i < 2000; ++i) {
+    codes.push_back(dict.Intern("v" + std::to_string(i)));
+  }
+  codes.push_back(dict.Intern(""));
+  // Enough distinct codes to grow the encoder's map several times, in an
+  // order unlike code order, with repeats within and across columns.
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 3000; ++i) {
+    const int64_t a = codes[(i * 7) % codes.size()];
+    const int64_t c = codes[(i * 13) % codes.size()];
+    rows.push_back({a, codes[i % 5], c});
+  }
+  // One encoder serves every answer, as a server worker's does.
+  std::vector<Relation> answers;
+  answers.push_back(MakeRelation({"A", "B", "C"}, rows));
+  answers.push_back(MakeRelation({"X"}, {{codes[3]}, {codes[2000]}}));
+  answers.push_back(MakeRelation({"A", "B", "C"}, rows));
+  answers.push_back(MakeRelation({"Y"}, {}));
+  ResultEncoder encoder;
+  for (const Relation& rel : answers) {
+    QueryResultSet rs;
+    rs.columns = rel.schema().attributes();
+    for (size_t r = 0; r < rel.num_rows(); ++r) {
+      std::vector<std::string> row;
+      for (size_t c = 0; c < rel.num_columns(); ++c) {
+        row.push_back(dict.Decode(rel.at(r, c)));
+      }
+      rs.rows.push_back(std::move(row));
+    }
+    auto from_strings = EncodeQueryResultSet(rs);
+    auto from_codes = encoder.Encode(rel, dict);
+    ASSERT_TRUE(from_strings.ok());
+    ASSERT_TRUE(from_codes.ok());
+    EXPECT_EQ(*from_codes, *from_strings);
+    auto decoded = DecodeQueryResultSet(*from_codes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->columns, rs.columns);
+    EXPECT_EQ(decoded->rows, rs.rows);
+  }
+}
+
+TEST(FrameTest, RelationCodeOutsideDictionaryDecodesAsHashCode) {
+  Dictionary dict;
+  const int64_t known = dict.Intern("known");
+  ResultEncoder encoder;
+  const Relation rel = MakeRelation({"A", "B"}, {{known, 999}, {999, -5}});
+  auto wire = encoder.Encode(rel, dict);
+  ASSERT_TRUE(wire.ok());
+  auto decoded = DecodeQueryResultSet(*wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->rows.size(), 2u);
+  EXPECT_EQ(decoded->rows[0], (std::vector<std::string>{"known", "#999"}));
+  EXPECT_EQ(decoded->rows[1], (std::vector<std::string>{"#999", "#-5"}));
+}
+
 TEST(FrameTest, QueryResultSetRejectsHostileRowCount) {
   // A tiny payload claiming 2^40 rows must be rejected before any
   // allocation proportional to the claimed count.
@@ -185,8 +316,8 @@ TEST(FrameTest, QueryResultSetRejectsHostileRowCount) {
   auto wire = EncodeQueryResultSet(rs);
   ASSERT_TRUE(wire.ok());
   std::string hostile = *wire;
-  // The row count is the u64 right after the column block.
-  const size_t count_at = 4 + 4 + 1;  // num_columns, len("A"), "A"
+  // The row count is the u64 right after the string table.
+  const size_t count_at = 4 + 4 + 1 + 4 + 4 + 1;  // columns, "A", table, "1"
   const uint64_t absurd = uint64_t{1} << 40;
   for (int i = 0; i < 8; ++i) {
     hostile[count_at + i] = static_cast<char>((absurd >> (8 * i)) & 0xff);
@@ -194,6 +325,101 @@ TEST(FrameTest, QueryResultSetRejectsHostileRowCount) {
   auto decoded = DecodeQueryResultSet(hostile);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+
+  // With no columns a row costs no bytes, so only set semantics bound
+  // the count: 0-ary tuples form a set of at most one.
+  // The row count of an empty result sits at offset 8, after the
+  // column and table counts.
+  auto empty_wire = EncodeQueryResultSet(QueryResultSet{});
+  ASSERT_TRUE(empty_wire.ok());
+  std::string no_columns = empty_wire->substr(0, 8);
+  ASSERT_EQ(empty_wire->size(), no_columns.size() + 8);
+  AppendU64(&no_columns, absurd);
+  auto no_columns_decoded = DecodeQueryResultSet(no_columns);
+  ASSERT_FALSE(no_columns_decoded.ok());
+  EXPECT_EQ(no_columns_decoded.status().code(), StatusCode::kParseError);
+}
+
+TEST(FrameTest, CodedResultRejectsDamage) {
+  QueryResultSet rs;
+  rs.columns = {"A", "B"};
+  rs.rows = {{"x", "y"}, {"y", "x"}, {"x", "x"}};
+  auto wire = EncodeQueryResultSet(rs);
+  ASSERT_TRUE(wire.ok());
+
+  // Truncation at every prefix length fails typed, never crashes.
+  for (size_t cut = 0; cut < wire->size(); ++cut) {
+    auto damaged = DecodeQueryResultSet(std::string_view(wire->data(), cut));
+    EXPECT_FALSE(damaged.ok()) << "prefix of " << cut << " bytes decoded";
+    EXPECT_EQ(damaged.status().code(), StatusCode::kParseError);
+  }
+  // Trailing bytes mean a format mismatch.
+  EXPECT_EQ(DecodeQueryResultSet(*wire + "x").status().code(),
+            StatusCode::kParseError);
+
+  // The six cell indexes are the last six bytes: 0 1 1 0 0 0.
+  const size_t cells_at = wire->size() - 6;
+  ASSERT_EQ(wire->substr(cells_at), std::string("\0\1\1\0\0\0", 6));
+  std::string out_of_range = *wire;
+  out_of_range[cells_at + 2] = 2;  // the table holds two entries
+  EXPECT_EQ(DecodeQueryResultSet(out_of_range).status().code(),
+            StatusCode::kParseError);
+  std::string out_of_order = *wire;
+  out_of_order[cells_at] = 1;  // "y" before "x" was first seen
+  EXPECT_EQ(DecodeQueryResultSet(out_of_order).status().code(),
+            StatusCode::kParseError);
+  std::string unreferenced = *wire;
+  unreferenced[cells_at + 1] = 0;
+  unreferenced[cells_at + 2] = 0;
+  EXPECT_EQ(DecodeQueryResultSet(unreferenced).status().code(),
+            StatusCode::kParseError);
+
+  // A varint longer than 10 bytes, and one that overflows 64 bits.
+  std::string head;
+  AppendU32(&head, 1);
+  AppendString(&head, "A");
+  AppendU32(&head, 1);
+  AppendString(&head, "x");
+  AppendU64(&head, 1);
+  const std::string too_long = head + std::string(10, '\x80') + '\0';
+  EXPECT_EQ(DecodeQueryResultSet(too_long).status().code(),
+            StatusCode::kParseError);
+  const std::string overflow = head + std::string(9, '\x80') + '\x02';
+  EXPECT_EQ(DecodeQueryResultSet(overflow).status().code(),
+            StatusCode::kParseError);
+  EXPECT_TRUE(DecodeQueryResultSet(head + '\0').ok());
+}
+
+TEST(FrameTest, CodedResultCannotExpandPastTheCap) {
+  // One 1 MiB table entry referenced by 65 cells has a logical size of
+  // 65 * (4 + 1 MiB) > 64 MiB in a ~1 MiB payload: a decompression
+  // bomb. The decoder refuses it before materializing the cells.
+  const std::string mib(1u << 20, 'b');
+  std::string bomb;
+  AppendU32(&bomb, 1);
+  AppendString(&bomb, "blob");
+  AppendU32(&bomb, 1);
+  AppendString(&bomb, mib);
+  AppendU64(&bomb, 65);
+  bomb += std::string(65, '\0');
+  ASSERT_LT(bomb.size(), kMaxPayloadBytes);
+  auto decoded = DecodeQueryResultSet(bomb);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+
+  // The encoder applies the same logical cap to the same answer.
+  Dictionary dict;
+  const int64_t code = dict.Intern(mib);
+  ResultEncoder encoder;
+  const Relation over = MakeRelation({"blob"}, std::vector<Tuple>(65, {code}));
+  auto encoded = encoder.Encode(over, dict);
+  ASSERT_FALSE(encoded.ok());
+  EXPECT_EQ(encoded.status().code(), StatusCode::kResourceExhausted);
+  // 63 references stay under the cap, exactly as in the uncoded layout.
+  const Relation under = MakeRelation({"blob"}, std::vector<Tuple>(63, {code}));
+  auto fits = encoder.Encode(under, dict);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_LT(fits->size(), mib.size() + 200);
 }
 
 TEST(FrameTest, OversizeResultSetFailsEncodeWithTypedStatus) {
@@ -296,8 +522,10 @@ class NetTest : public ::testing::Test {
       std::vector<std::string> row;
       for (size_t c = 0; c < result->num_columns(); ++c) {
         const int64_t code = result->at(r, c);
-        row.push_back(dict.Contains(code) ? dict.Decode(code)
-                                          : "#" + std::to_string(code));
+        const std::string* decoded = nullptr;
+        dict.DecodeMany(&code, 1, &decoded);
+        row.push_back(decoded != nullptr ? *decoded
+                                         : "#" + std::to_string(code));
       }
       rows.push_back(std::move(row));
     }
