@@ -24,7 +24,7 @@ std::string RelationTrieKey(const std::string& name, uint64_t version,
 
 // Plan-cache key: canonical query spelling + settings fingerprint, so
 // "Q(*) := R,S" and "Q(*):=R, S" share a plan while num_threads or
-// structural_pruning variants get distinct ones.
+// batch_size variants get distinct ones.
 std::string PlanCacheKey(const std::string& text,
                          const PlanSettings& settings) {
   return CanonicalizeQueryText(text) + "\x1F" +

@@ -67,11 +67,8 @@ struct JoinCounters {
 class Engine {
  public:
   Engine(const std::vector<JoinInput>& inputs, const LevelPlan& plan,
-         const PrefixFilter& filter, Metrics* filter_metrics, Relation* out,
-         int batch_size, BudgetTracker* budget)
-      : filter_(filter),
-        filter_metrics_(filter_metrics),
-        out_(out),
+         Relation* out, int batch_size, BudgetTracker* budget)
+      : out_(out),
         budget_(budget != nullptr && budget->limited() ? budget : nullptr),
         count_cancel_(budget_ != nullptr && budget_->has_cancel()),
         row_bytes_(static_cast<int64_t>(plan.size()) * 8),
@@ -115,9 +112,8 @@ class Engine {
         // Only ever entered: drained in one go, then closed.
         DrainDeepest(depth, range);
       } else if (Bind(depth, entering, range)) {
-        // Descend unless pruned (then advance at this level).
-        entering = !filter_ || filter_(depth, prefix_, filter_metrics_);
-        if (entering) ++depth;
+        entering = true;
+        ++depth;
         continue;
       }
       // Level done: close it and backtrack.
@@ -242,10 +238,8 @@ class Engine {
   }
 
   // Drains the entire deepest level for the current prefix, a batch of
-  // keys per kernel call with a budget poll in between, and emits them:
-  // bulk columnar staging when no prefix filter is installed, per-key
-  // bind + filter otherwise. Binding and budget accounting are identical
-  // either way.
+  // keys per kernel call with a budget poll in between, and stages them
+  // in bulk as columnar runs under the bound prefix.
   void DrainDeepest(size_t depth, const PrefixRange& range) {
     Level& level = levels_[depth];
     int64_t hi = 0;
@@ -276,16 +270,7 @@ class Engine {
       }
       counters_.level_totals[depth] += static_cast<int64_t>(n);
       counters_.total_intermediate += static_cast<int64_t>(n);
-      if (filter_) {
-        for (size_t i = 0; i < n; ++i) {
-          prefix_[depth] = keys[i];
-          if (!filter_(depth, prefix_, filter_metrics_)) continue;
-          batch_.PushRow(prefix_);
-          ChargeOutput(1);
-          if (batch_.full()) batch_.Flush(out_);
-        }
-      }
-      while (!filter_ && n > 0) {
+      while (n > 0) {
         size_t take = std::min(n, batch_.capacity() - batch_.size());
         batch_.PushRun(prefix_, keys, take);
         ChargeOutput(static_cast<int64_t>(take));
@@ -297,8 +282,6 @@ class Engine {
     }
   }
 
-  const PrefixFilter& filter_;
-  Metrics* filter_metrics_;
   Relation* out_;
   BudgetTracker* budget_;   // null when the query has no finite budget
   bool count_cancel_;       // count cancellation polls (a token is attached)
@@ -346,9 +329,8 @@ Relation PrefixDomain(const std::vector<JoinInput>& inputs,
   const auto head = static_cast<ptrdiff_t>(levels);
   Relation domain(*Schema::Make(std::vector<std::string>(
       order.begin(), order.begin() + head)));
-  PrefixFilter no_filter;
   Engine engine(inputs, LevelPlan(plan.begin(), plan.begin() + head),
-                no_filter, nullptr, &domain, batch_size, nullptr);
+                &domain, batch_size, nullptr);
   engine.Run(PrefixRange{});
   *seeks += engine.counters().seeks;
   return domain;
@@ -420,8 +402,7 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   // The serial engine over the whole key space; also the fallback when
   // the prefix domain is too small to shard.
   auto run_serial = [&]() -> Result<Relation> {
-    Engine engine(inputs, plan, options.prefix_filter, options.metrics, &out,
-                  options.batch_size, budget);
+    Engine engine(inputs, plan, &out, options.batch_size, budget);
     engine.Run(PrefixRange{});
     if (budget != nullptr && budget->violated()) return budget->status();
     PublishMetrics(options.metrics, engine.counters(),
@@ -470,9 +451,6 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
     PrefixRange range;
     Relation out;
     JoinCounters counters;
-    // Shard-local bag handed to the prefix filter; merged into
-    // options.metrics at the barrier so filter counters stay exact.
-    Metrics metrics;
 
     explicit Shard(Schema s) : out(std::move(s)) {}
   };
@@ -538,10 +516,8 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
     }
 #endif
     Shard& shard = shards[s];
-    Metrics* filter_metrics =
-        options.metrics != nullptr ? &shard.metrics : nullptr;
-    Engine engine(shard.inputs, plan, options.prefix_filter, filter_metrics,
-                  &shard.out, options.batch_size, budget);
+    Engine engine(shard.inputs, plan, &shard.out, options.batch_size,
+                  budget);
     engine.Run(shard.range);
     shard.counters = engine.counters();
   });
@@ -569,7 +545,6 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   for (Shard& shard : shards) {
     out.AppendRows(shard.out);
     counters.Add(shard.counters);
-    if (options.metrics != nullptr) options.metrics->MergeFrom(shard.metrics);
   }
   PublishMetrics(options.metrics, counters,
                  static_cast<int64_t>(out.num_rows()));

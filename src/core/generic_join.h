@@ -19,7 +19,6 @@
 #ifndef XJOIN_CORE_GENERIC_JOIN_H_
 #define XJOIN_CORE_GENERIC_JOIN_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,33 +40,11 @@ struct JoinInput {
   TrieIterator* iterator = nullptr;     ///< positioned at the root
 };
 
-/// Called after each attribute binding. `prefix` is the engine's binding
-/// buffer: it always has length attribute_order.size(), and exactly the
-/// entries prefix[0..depth] (values of attribute_order[0..depth]) are
-/// valid for this call — entries past `depth` are stale and must be
-/// ignored. Returning false prunes the subtree — used by XJoin's partial
-/// structural validation.
-///
-/// `metrics` is the engine's shard-local counter bag (options.metrics in
-/// a serial run, a private per-shard bag in a sharded one, merged into
-/// options.metrics at the join barrier; nullptr when the caller passed
-/// no metrics). Filters record their own counters through it, which
-/// keeps them exact — not silently dropped — in parallel runs.
-///
-/// When the join runs sharded (num_threads/num_shards > 1), the filter is
-/// invoked concurrently from multiple shard threads (each with its own
-/// prefix buffer and metrics bag) and must otherwise be thread-safe.
-using PrefixFilter = std::function<bool(
-    size_t depth, const std::vector<int64_t>& prefix, Metrics* metrics)>;
-
 /// Engine options.
 struct GenericJoinOptions {
   /// Global expansion order (the paper's PA). Every attribute of every
   /// input must appear exactly once.
   std::vector<std::string> attribute_order;
-  /// Optional pruning hook (may be empty). Must be thread-safe when the
-  /// join runs with more than one shard.
-  PrefixFilter prefix_filter;
   /// Number of worker threads. <= 1 runs the serial executor; > 1 runs
   /// the sharded driver (see num_shards) on up to this many threads of
   /// the shared Executor::Default() pool.

@@ -238,7 +238,6 @@ size_t PlanFingerprint(const PlanSettings& settings) {
   size_t fp = 0;
   fp = HashBytes(fp, JoinStrings(settings.attribute_order, ","));
   fp = HashCombine(fp, static_cast<size_t>(settings.order_heuristic));
-  fp = HashCombine(fp, static_cast<size_t>(settings.structural_pruning));
   fp = HashCombine(fp, static_cast<size_t>(std::max(1, settings.num_threads)));
   fp = HashCombine(fp, static_cast<size_t>(std::max(0, settings.num_shards)));
   fp = HashCombine(fp, static_cast<size_t>(settings.batch_size));
@@ -418,7 +417,6 @@ std::string ExplainPlan(const XJoinPlan& plan) {
   out += "pinned tries: " + std::to_string(plan.tries_provider) +
          " via db cache, " + std::to_string(plan.tries_built) +
          " private builds\n";
-  if (plan.settings.structural_pruning) out += "structural pruning: on\n";
 
   BoundOptions bound_options;
   bound_options.path_size_mode = PathSizeMode::kChainCount;

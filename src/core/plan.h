@@ -59,9 +59,6 @@ struct PlanSettings {
   std::vector<std::string> attribute_order;
   /// Greedy rule used when attribute_order is empty.
   OrderHeuristic order_heuristic = OrderHeuristic::kCoverage;
-  /// §4 extension: prune prefixes whose partial twig structure is
-  /// already infeasible.
-  bool structural_pruning = false;
   /// Worker threads for trie builds, the expansion loop and the final
   /// structural validation. <= 1 (default) runs fully serial; > 1
   /// shards the first attribute's key domain across the shared
@@ -86,12 +83,10 @@ struct EngineServices {
   /// Nullable counters. Records the generic-join "gj.*" counters plus
   /// "plan.prepared" / "plan.prepare_micros" (prepare side),
   /// "xjoin.expanded" (tuples before validation), "xjoin.validated"
-  /// (tuples after), "xjoin.pruned" (prefixes cut by partial
-  /// validation), "xjoin.max_intermediate", and the "validate.*"
-  /// sub-counters of the twigs that are validated (prefix filter, and
-  /// the final pass over uncertified twigs; see XJoinPlan::TwigExec) —
-  /// exact at every thread count (per-shard bags merged at the
-  /// barriers).
+  /// (tuples after), "xjoin.max_intermediate", and the "validate.*"
+  /// sub-counters of the final validation of uncertified twigs (see
+  /// XJoinPlan::TwigExec) — exact at every thread count (per-worker bags
+  /// merged at the barrier).
   Metrics* metrics = nullptr;
   /// Optional per-query budget (nullable), and the engine's only cancel
   /// channel: the query's cancellation token rides it (a BudgetTracker
@@ -180,9 +175,9 @@ struct XJoinPlan {
   struct TwigExec {
     TwigDecomposition decomposition;
     std::vector<PathRelation> paths;
-    /// Checks this twig's rows: in the prefix filter (structural_pruning)
-    /// and, only when the twig is not certified, in the final
-    /// validation. The "validate.*" counters come from those calls alone.
+    /// Checks this twig's expanded rows in the final validation, only
+    /// when the twig is not certified. The "validate.*" counters come
+    /// from those calls alone.
     TwigStructureValidator validator;
     /// Twig node id -> position of its attribute in the global order.
     std::vector<size_t> order_pos_of_node;
@@ -243,7 +238,7 @@ struct XJoinPlan {
 std::string PathSignature(const Twig& twig, const TwigPath& path);
 
 /// Fingerprint of every PlanSettings field — the second half of the
-/// database's plan-cache key, so e.g. num_threads and structural_pruning
+/// database's plan-cache key, so e.g. num_threads and batch_size
 /// variants get distinct plans. Settings that prepare the same plan
 /// share it: every num_threads <= 1, and every num_shards <= 0.
 size_t PlanFingerprint(const PlanSettings& settings);

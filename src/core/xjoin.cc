@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/executor.h"
@@ -94,12 +93,11 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
     inputs.push_back(JoinInput{path.name, path.attrs, iterators.back().get()});
   }
 
-  // 2. Optional partial structural validation during expansion. The
-  // validators are stateless-const and shared across shard threads;
-  // each invocation records into the engine's shard-local metrics bag,
-  // merged at the join barrier — counters stay exact in parallel runs —
-  // and works in its thread's own buffers, so a binding allocates
-  // nothing once they have grown.
+  // 2. Expansion (Algorithm 1's loop). The budget tracker (if any) is
+  // shared with the engine, which charges every expanded row against it
+  // and returns the typed violation Status here — expansion output
+  // counts toward max_rows/max_bytes even though validation may later
+  // discard most of it (the budget meters work, not final result size).
   GenericJoinOptions gj_options;
   gj_options.attribute_order = plan.order;
   gj_options.metrics = metrics;
@@ -108,46 +106,13 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   gj_options.shard_depth = plan.shard_plan.depth;
   gj_options.batch_size = plan.settings.batch_size;
   gj_options.budget = budget;
-  if (plan.settings.structural_pruning) {
-    gj_options.prefix_filter = [&plan](size_t depth,
-                                       const std::vector<int64_t>& prefix,
-                                       Metrics* metrics) {
-      thread_local ValidationScratch scratch;
-      thread_local std::vector<std::optional<int64_t>> values;
-      for (size_t t = 0; t < plan.twigs.size(); ++t) {
-        const XJoinPlan::TwigExec& exec = plan.twigs[t];
-        const Twig& twig = plan.query.twigs[t].twig;
-        // Only re-check when the newly bound attribute belongs to this
-        // twig.
-        bool relevant = false;
-        values.assign(twig.num_nodes(), std::nullopt);
-        for (size_t q = 0; q < twig.num_nodes(); ++q) {
-          size_t pos = exec.order_pos_of_node[q];
-          if (pos <= depth) values[q] = prefix[pos];
-          if (pos == depth) relevant = true;
-        }
-        if (!relevant) continue;
-        if (!exec.validator.ExistsEmbedding(values, &scratch, metrics)) {
-          MetricsAdd(metrics, "xjoin.pruned", 1);
-          return false;
-        }
-      }
-      return true;
-    };
-  }
-
-  // 3. Expansion (Algorithm 1's loop). The budget tracker (if any) is
-  // shared with the engine, which charges every expanded row against it
-  // and returns the typed violation Status here — expansion output
-  // counts toward max_rows/max_bytes even though validation may later
-  // discard most of it (the budget meters work, not final result size).
   XJ_ASSIGN_OR_RETURN(Relation expanded, GenericJoin(inputs, gj_options));
   XJ_DCHECK(StrictlyAscending(expanded))
       << "GenericJoin output is not strictly ascending by plan.order";
   MetricsAdd(metrics, "xjoin.expanded",
              static_cast<int64_t>(expanded.num_rows()));
 
-  // 4. Final structural validation, of the twigs it can reject rows of:
+  // 3. Final structural validation, of the twigs it can reject rows of:
   // a certified twig's expanded rows are all embeddings (see
   // CertifyTwig, core/plan.cc), and with every twig certified the stage
   // is skipped whole. Row checks are independent, so they run chunked
@@ -166,7 +131,7 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
     constexpr size_t kGrain = 64;
     struct ValidationWorker {
       ValidationScratch scratch;
-      std::vector<std::optional<int64_t>> values;
+      std::vector<int64_t> values;
       Metrics metrics;
     };
     keep.assign(num_rows, 0);
@@ -212,7 +177,7 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
                        metrics->Get("gj.max_intermediate"));
   }
 
-  // 5. Projection, fused with the gather of the kept rows: only output
+  // 4. Projection, fused with the gather of the kept rows: only output
   // columns are copied. The expanded rows ascend strictly by plan.order
   // and validation keeps a subset in order, so an output that is all of
   // plan.order is final as gathered, one that is a prefix of it only

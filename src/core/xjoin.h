@@ -10,9 +10,8 @@
 // (order, decompositions, shard plan, pinned tries) and ExecutePlan
 // replays it — ExecuteXJoin below is exactly Prepare + Execute. The
 // path relations are always navigated lazily ("we do not physically
-// transform them into relational tables"). structural_pruning enables
-// the paper's on-going-work extension: partially validating the twig
-// during the join.
+// transform them into relational tables"), and twig structure is
+// validated once, on the full expanded rows.
 #ifndef XJOIN_CORE_XJOIN_H_
 #define XJOIN_CORE_XJOIN_H_
 
@@ -26,11 +25,11 @@ namespace xjoin {
 /// Executes a prepared plan: instantiates cursors over the pinned tries
 /// (lazy document cursors for the twig paths), runs the expansion
 /// loop under the plan's shard plan, validates twig structure, and
-/// projects. Every engine knob (threads, shards, pruning, order, batch
-/// size) was frozen into plan.settings at prepare time, which is what
-/// makes a cached plan deterministic; of the services only metrics and
-/// budget are consulted, on the shared Executor::Default() pool. Safe to
-/// call concurrently on the same plan.
+/// projects. Every engine knob (threads, shards, order, batch size) was
+/// frozen into plan.settings at prepare time, which is what makes a
+/// cached plan deterministic; of the services only metrics and budget
+/// are consulted, on the shared Executor::Default() pool. Safe to call
+/// concurrently on the same plan.
 Result<Relation> ExecutePlan(const XJoinPlan& plan,
                              const EngineServices& services = {});
 

@@ -35,6 +35,11 @@ enum ConnState : int {
 // wedged one cannot stall the loop.
 constexpr int64_t kInlineWriteBudgetMicros = 100 * 1000;
 
+// Most payload bytes one recv may read. A frame's body grows only by
+// what each recv asks for, so a header that declares a large payload
+// costs no memory until the payload itself arrives.
+constexpr size_t kBodyChunkBytes = 64 * 1024;
+
 #ifdef POLLRDHUP
 constexpr short kHangupEvents = POLLRDHUP;
 constexpr bool kHaveRdhup = true;
@@ -342,16 +347,21 @@ void XJoinServer::HandleAccept() {
 
 void XJoinServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
   for (;;) {
-    const size_t want =
+    size_t want =
         !conn->have_header
             ? kFrameHeaderSize - conn->have
             : static_cast<size_t>(conn->header.payload_len) - conn->have;
     if (want > 0) {
-      uint8_t* dst =
-          !conn->have_header
-              ? conn->head + conn->have
-              : reinterpret_cast<uint8_t*>(&conn->body[0]) + conn->have;
+      uint8_t* dst = conn->head + conn->have;
+      if (conn->have_header) {
+        want = std::min(want, kBodyChunkBytes);
+        conn->body.resize(conn->have + want);
+        dst = reinterpret_cast<uint8_t*>(&conn->body[conn->have]);
+      }
       const ssize_t n = ::recv(conn->fd, dst, want, 0);
+      if (conn->have_header) {
+        conn->body.resize(conn->have + (n > 0 ? static_cast<size_t>(n) : 0));
+      }
       if (n == 0) {  // clean EOF
         conn->state.store(kClosed);
         return;
@@ -384,7 +394,6 @@ void XJoinServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
       conn->header = *header;
       conn->have_header = true;
       conn->have = 0;
-      conn->body.assign(conn->header.payload_len, '\0');
       if (conn->header.payload_len > 0) continue;
     } else if (conn->have < conn->header.payload_len) {
       continue;

@@ -10,12 +10,6 @@ ResultBatch::ResultBatch(size_t arity, size_t capacity)
   for (auto& col : cols_) col.reserve(capacity);
 }
 
-void ResultBatch::PushRow(const std::vector<int64_t>& row) {
-  XJ_DCHECK(!full());
-  XJ_DCHECK(row.size() >= cols_.size());
-  for (size_t c = 0; c < cols_.size(); ++c) cols_[c].push_back(row[c]);
-}
-
 void ResultBatch::PushRun(const std::vector<int64_t>& prefix,
                           const int64_t* keys, size_t count) {
   XJ_DCHECK(count <= capacity_ - size());

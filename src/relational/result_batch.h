@@ -35,10 +35,6 @@ class ResultBatch {
   bool empty() const { return size() == 0; }
   bool full() const { return size() >= capacity_; }
 
-  /// Stages one row: the first arity() entries of `row`, in column
-  /// order. Precondition: !full().
-  void PushRow(const std::vector<int64_t>& row);
-
   /// Stages `count` rows that share row[0..arity-2] == prefix[0..arity-2]
   /// and take their last column from keys[0..count-1] — the shape a
   /// last-level key run produces. Column-at-a-time: one fill per prefix

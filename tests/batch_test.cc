@@ -59,16 +59,18 @@ TEST(ResultBatchTest, FlushPreservesRowOrderAndClears) {
   auto schema = Schema::Make({"A", "B"});
   Relation out(*schema);
   ResultBatch batch(2, 3);
+  // Stages the one-row run (a, b).
+  auto push = [&batch](int64_t a, int64_t b) { batch.PushRun({a, 0}, &b, 1); };
   EXPECT_TRUE(batch.empty());
-  batch.PushRow({1, 10});
-  batch.PushRow({2, 20});
+  push(1, 10);
+  push(2, 20);
   EXPECT_EQ(batch.size(), 2u);
   EXPECT_FALSE(batch.full());
-  batch.PushRow({3, 30});
+  push(3, 30);
   EXPECT_TRUE(batch.full());
   batch.Flush(&out);
   EXPECT_TRUE(batch.empty());
-  batch.PushRow({4, 40});
+  push(4, 40);
   batch.Flush(&out);
   batch.Flush(&out);  // empty flush is a no-op
   EXPECT_EQ(out.ToTuples(),
@@ -436,16 +438,6 @@ TEST(BatchedXJoinTest, PaperExampleWorkloads) {
       ExpectBatchedXJoinMatchesReference(inst.Query(), PlanSettings{});
     }
   }
-}
-
-TEST(BatchedXJoinTest, PaperExampleWithPruning) {
-  PaperInstance inst = MakePaperInstance(5, PaperSchema::kExample34,
-                                         PaperDataMode::kRandom);
-  // structural_pruning exercises the per-binding filter inside every
-  // drain.
-  PlanSettings pruning;
-  pruning.structural_pruning = true;
-  ExpectBatchedXJoinMatchesReference(inst.Query(), pruning);
 }
 
 TEST(BatchedXJoinTest, AdversarialAgmTightWorkload) {

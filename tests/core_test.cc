@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <optional>
 #include <set>
 
 #include "common/random.h"
@@ -193,22 +192,6 @@ TEST(GenericJoinTest, TriangleQuery) {
   EXPECT_TRUE(result->ContainsRow({1, 2, 0}));
   EXPECT_EQ(m.Get("gj.output"), 3);
   EXPECT_GT(m.Get("gj.seeks"), 0);
-}
-
-TEST(GenericJoinTest, PrefixFilterPrunes) {
-  auto s = Schema::Make({"A"});
-  Relation r(*s);
-  for (int i = 0; i < 10; ++i) r.AppendRow({i});
-  auto trie = RelationTrie::Build(r, {"A"});
-  auto it = trie->NewIterator();
-  GenericJoinOptions opts;
-  opts.attribute_order = {"A"};
-  opts.prefix_filter = [](size_t, const std::vector<int64_t>& p, Metrics*) {
-    return p[0] % 2 == 0;
-  };
-  auto result = GenericJoin({{"R", {"A"}, it.get()}}, opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->num_rows(), 5u);
 }
 
 TEST(GenericJoinTest, RejectsUncoveredAttribute) {
@@ -412,21 +395,6 @@ TEST(ValidateTest, FullAssignmentExactness) {
   EXPECT_FALSE(v.ExistsEmbedding({val("1"), val("y")}, &scratch));
 }
 
-TEST(ValidateTest, PartialAssignmentsAreSound) {
-  auto doc = ParseXml("<r><a>1<b>x</b></a></r>");
-  Dictionary dict;
-  NodeIndex index = NodeIndex::Build(&*doc, &dict);
-  auto twig = Twig::Parse("a/b");
-  TwigStructureValidator v(&*twig, &index);
-  ValidationScratch scratch;
-  auto val = [&](const char* s) { return dict.Lookup(s); };
-  EXPECT_TRUE(v.ExistsEmbedding({val("1"), std::nullopt}, &scratch));
-  EXPECT_TRUE(v.ExistsEmbedding({std::nullopt, val("x")}, &scratch));
-  EXPECT_TRUE(v.ExistsEmbedding({std::nullopt, std::nullopt}, &scratch));
-  // No a-node with text x.
-  EXPECT_FALSE(v.ExistsEmbedding({val("x"), std::nullopt}, &scratch));
-}
-
 TEST(ValidateTest, DescendantEdgesChecked) {
   auto doc = ParseXml("<r><a>1<m><b>x</b></m></a><a>2</a><b>y</b></r>");
   Dictionary dict;
@@ -449,44 +417,50 @@ TEST(ValidateTest, ReusedScratchMatchesFreshScratch) {
   NodeIndex index = NodeIndex::Build(&*doc, &dict);
   auto with_c = Twig::Parse("a[c]/b");
   auto desc = Twig::Parse("a//b");
-  auto missing = Twig::Parse("z/a");  // no z in the document
-  ASSERT_TRUE(with_c.ok() && desc.ok() && missing.ok());
+  auto missing = Twig::Parse("z/a");       // no z in the document
+  auto missing_leaf = Twig::Parse("a/z");  // z is visited first
+  ASSERT_TRUE(with_c.ok() && desc.ok() && missing.ok() && missing_leaf.ok());
   TwigStructureValidator v_with_c(&*with_c, &index);
   TwigStructureValidator v_desc(&*desc, &index);
   TwigStructureValidator v_missing(&*missing, &index);
+  TwigStructureValidator v_missing_leaf(&*missing_leaf, &index);
 
-  // Binds the twig nodes whose tag is a key of `bound`; the rest stay
-  // unbound.
+  // Binds every twig node to the value `bound` gives its tag.
   auto assign = [&](const Twig& twig,
                     const std::map<std::string, std::string>& bound) {
-    std::vector<std::optional<int64_t>> values(twig.num_nodes());
+    std::vector<int64_t> values(twig.num_nodes());
     for (size_t q = 0; q < twig.num_nodes(); ++q) {
-      auto it = bound.find(twig.node(static_cast<TwigNodeId>(q)).tag);
-      if (it != bound.end()) values[q] = dict.Lookup(it->second);
+      const TwigNode& node = twig.node(static_cast<TwigNodeId>(q));
+      values[q] = dict.Lookup(bound.at(node.tag));
     }
     return values;
   };
   struct Call {
     const TwigStructureValidator* validator;
-    std::vector<std::optional<int64_t>> values;
+    std::vector<int64_t> values;
     bool expected;
   };
   std::vector<Call> calls = {
-      // Full assignments.
       {&v_with_c, assign(*with_c, {{"a", "1"}, {"c", "p"}, {"b", "x"}}), true},
       {&v_with_c, assign(*with_c, {{"a", "2"}, {"c", "p"}, {"b", "y"}}),
        false},
-      // Partial assignments, different bound masks.
-      {&v_with_c, assign(*with_c, {{"a", "1"}, {"b", "y"}}), false},
-      {&v_with_c, assign(*with_c, {{"c", "q"}}), true},
-      {&v_with_c, assign(*with_c, {{"b", "y"}}), true},
-      {&v_with_c, assign(*with_c, {}), true},
-      // Early failures: no candidates; a tag absent from the document,
-      // first before and then after a node with candidates.
-      {&v_with_c, assign(*with_c, {{"a", "x"}, {"b", "x"}}), false},
-      {&v_missing, assign(*missing, {{"z", "1"}}), false},
+      // The third a-node has b=y only below m, not as a child.
+      {&v_with_c, assign(*with_c, {{"a", "1"}, {"c", "p"}, {"b", "y"}}),
+       false},
+      {&v_with_c, assign(*with_c, {{"a", "1"}, {"c", "q"}, {"b", "x"}}),
+       false},
+      {&v_with_c, assign(*with_c, {{"a", "2"}, {"c", "q"}, {"b", "y"}}), true},
+      {&v_with_c, assign(*with_c, {{"a", "2"}, {"c", "q"}, {"b", "x"}}),
+       false},
+      // Early failures: no candidates for the first node visited; a tag
+      // absent from the document, visited first and then after a node
+      // with candidates.
+      {&v_with_c, assign(*with_c, {{"a", "1"}, {"c", "p"}, {"b", "p"}}),
+       false},
+      {&v_missing_leaf, assign(*missing_leaf, {{"a", "1"}, {"z", "1"}}),
+       false},
       {&v_missing, assign(*missing, {{"z", "1"}, {"a", "1"}}), false},
-      {&v_missing, assign(*missing, {{"a", "2"}}), true},
+      {&v_missing, assign(*missing, {{"z", "2"}, {"a", "2"}}), false},
       // A second twig of a different shape, then back to the first.
       {&v_desc, assign(*desc, {{"a", "1"}, {"b", "y"}}), true},
       {&v_desc, assign(*desc, {{"a", "2"}, {"b", "x"}}), false},
@@ -514,13 +488,14 @@ TEST(ValidateTest, ReusedScratchMatchesFreshScratch) {
   // absent tag before any lookup records nothing; a lookup with no
   // candidates records 0; otherwise the sum over the nodes examined.
   Metrics m;
-  EXPECT_FALSE(v_missing.ExistsEmbedding(calls[7].values, &reused, &m));
+  EXPECT_FALSE(v_missing_leaf.ExistsEmbedding(calls[7].values, &reused, &m));
   EXPECT_EQ(m.counters().count("validate.candidates"), 0u);
   EXPECT_FALSE(v_missing.ExistsEmbedding(calls[8].values, &reused, &m));
   EXPECT_EQ(m.Get("validate.candidates"), 2);  // two a-nodes with "1"
   m.Clear();
   EXPECT_FALSE(v_with_c.ExistsEmbedding(calls[6].values, &reused, &m));
   ASSERT_EQ(m.counters().count("validate.candidates"), 1u);
+  EXPECT_EQ(m.Get("validate.candidates"), 0);
   m.Clear();
   EXPECT_TRUE(v_with_c.ExistsEmbedding(calls[0].values, &reused, &m));
   EXPECT_EQ(m.Get("validate.candidates"), 4);  // two a, one c, one b
@@ -550,8 +525,7 @@ TEST_P(ValidateProperty, AgreesWithNaiveMatcherOnFullAssignments) {
   }
   // Every oracle tuple must validate.
   for (const auto& vals : valid_tuples) {
-    std::vector<std::optional<int64_t>> opt(vals.begin(), vals.end());
-    EXPECT_TRUE(validator.ExistsEmbedding(opt, &scratch));
+    EXPECT_TRUE(validator.ExistsEmbedding(vals, &scratch));
   }
   // Perturbed tuples must validate iff they are themselves oracle tuples.
   Rng rng2(777 + static_cast<uint64_t>(GetParam()));
@@ -559,8 +533,7 @@ TEST_P(ValidateProperty, AgreesWithNaiveMatcherOnFullAssignments) {
     std::vector<int64_t> mutated = vals;
     size_t pos = rng2.NextBounded(mutated.size());
     mutated[pos] = dict.Intern("v" + std::to_string(rng2.NextBounded(3)));
-    std::vector<std::optional<int64_t>> opt(mutated.begin(), mutated.end());
-    EXPECT_EQ(validator.ExistsEmbedding(opt, &scratch),
+    EXPECT_EQ(validator.ExistsEmbedding(mutated, &scratch),
               valid_tuples.count(mutated) > 0);
     if (valid_tuples.size() > 400) break;  // cap runtime
   }

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -92,6 +93,17 @@ Relation MakeRelation(const std::vector<std::string>& columns,
   Relation rel(*Schema::Make(columns));
   for (const Tuple& row : rows) rel.AppendRow(row);
   return rel;
+}
+
+// This process's resident set size in KiB (VmRSS of /proc/self/status),
+// or -1 when it cannot be read.
+int64_t ResidentKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6));
+  }
+  return -1;
 }
 
 // Spins until `pred` holds or `timeout_micros` passes.
@@ -667,6 +679,48 @@ TEST_F(NetTest, GarbageHeaderPoisonsTheStream) {
   EXPECT_TRUE(WaitFor([&] { return server_->stats().bad_frames >= 1; },
                       2'000'000));
   ::close(fd);
+}
+
+TEST_F(NetTest, DeclaredPayloadIsNotAllocatedBeforeItArrives) {
+  StartServer();
+  const auto expected = ExpectedRows(q_);
+  ASSERT_FALSE(expected.empty());
+  const int64_t rss_before = ResidentKiB();
+  ASSERT_GT(rss_before, 0);
+
+  // Each connection sends only a header that claims the largest payload
+  // the protocol allows, then nothing.
+  constexpr int kHeaderOnly = 4;
+  FrameHeader header;
+  header.type = FrameType::kQuery;
+  header.payload_len = kMaxPayloadBytes;
+  uint8_t wire[kFrameHeaderSize];
+  EncodeFrameHeader(header, wire);
+  std::vector<int> fds;
+  for (int i = 0; i < kHeaderOnly; ++i) {
+    const int fd = RawConnect();
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+    ASSERT_TRUE(
+        net::WriteFull(fd, wire, sizeof(wire), SteadyNowMicros() + 2'000'000)
+            .ok());
+  }
+
+  // Another connection is served meanwhile. Its ping follows the query,
+  // so the event loop has polled again after reading every header.
+  XJoinClient client(MakeClientOptions());
+  QueryRequest request;
+  request.text = q_;
+  auto result = client.Query(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows, expected);
+  ASSERT_TRUE(client.Ping().ok());
+
+  const int64_t claimed_kib =
+      int64_t{kHeaderOnly} * static_cast<int64_t>(kMaxPayloadBytes) / 1024;
+  EXPECT_LT(ResidentKiB() - rss_before, claimed_kib / 16)
+      << "claimed " << claimed_kib << " KiB";
+  for (int fd : fds) ::close(fd);
 }
 
 TEST_F(NetTest, ServerFrameTypesAreRejectedWhenSentByAClient) {

@@ -2,7 +2,7 @@
 // byte-identical to cold execution and skips order selection, shard
 // planning, and all trie builds; UpdateRelation / document mutation
 // invalidate dependent plans; the options fingerprint
-// separates num_threads / structural_pruning variants; the byte-budget
+// separates num_threads / batch_size variants; the byte-budget
 // LRU bounds the trie cache; and the per-twig validation sub-counters
 // stay exact in parallel runs.
 #include <gtest/gtest.h>
@@ -114,24 +114,21 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
   QueryOptions threaded;
   threaded.xjoin.num_threads = 2;
   ASSERT_TRUE(db_.OpenSession().Query(q_, threaded).ok());
-  QueryOptions pruning;
-  pruning.xjoin.structural_pruning = true;
-  ASSERT_TRUE(db_.OpenSession().Query(q_, pruning).ok());
   // A non-default batch size is a variant that must fingerprint
   // separately.
   QueryOptions small_batch;
   small_batch.xjoin.batch_size = 7;
   ASSERT_TRUE(db_.OpenSession().Query(q_, small_batch).ok());
   CacheStats stats = db_.cache_stats();
-  EXPECT_EQ(stats.plan_entries, 4u);
+  EXPECT_EQ(stats.plan_entries, 3u);
   EXPECT_EQ(stats.plan_hits, 0);
-  EXPECT_EQ(stats.plan_misses, 4);
+  EXPECT_EQ(stats.plan_misses, 3);
   // Re-running each variant hits its own entry.
   ASSERT_TRUE(db_.OpenSession().Query(q_, threaded).ok());
   ASSERT_TRUE(db_.OpenSession().Query(q_, small_batch).ok());
   stats = db_.cache_stats();
   EXPECT_EQ(stats.plan_hits, 2);
-  EXPECT_EQ(stats.plan_entries, 4u);
+  EXPECT_EQ(stats.plan_entries, 3u);
 
   // Every other plan setting is a variant of its own as well.
   QueryOptions ordered;
@@ -146,15 +143,15 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
   stats = db_.cache_stats();
-  EXPECT_EQ(stats.plan_entries, 7u);
-  EXPECT_EQ(stats.plan_misses, 7);
+  EXPECT_EQ(stats.plan_entries, 6u);
+  EXPECT_EQ(stats.plan_misses, 6);
   EXPECT_EQ(stats.plan_hits, 2);
   for (const QueryOptions& options : more) {
     ASSERT_TRUE(db_.OpenSession().Query(q_, options).ok());
   }
   stats = db_.cache_stats();
   EXPECT_EQ(stats.plan_hits, 5);
-  EXPECT_EQ(stats.plan_entries, 7u);
+  EXPECT_EQ(stats.plan_entries, 6u);
 
   // Settings that prepare the same plan share its entry: every
   // num_threads <= 1, and every num_shards <= 0.
@@ -166,8 +163,8 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
   ASSERT_TRUE(db_.OpenSession().Query(q_, negative_shards).ok());
   stats = db_.cache_stats();
   EXPECT_EQ(stats.plan_hits, 7);
-  EXPECT_EQ(stats.plan_misses, 7);
-  EXPECT_EQ(stats.plan_entries, 7u);
+  EXPECT_EQ(stats.plan_misses, 6);
+  EXPECT_EQ(stats.plan_entries, 6u);
 }
 
 TEST_F(PlanTest, ExplainShowsExecutionMode) {
@@ -314,11 +311,13 @@ TEST_F(PlanTest, PlanCacheCapacityBoundsThePins) {
 }
 
 TEST_F(PlanTest, ParallelValidationCountersAreExact) {
-  // Wide level-0 domain (30 items) so the shard plan stays at depth 1,
-  // where binding and filter counts match the serial run exactly.
+  // The cut A-D edge items//item leaves the twig uncertified, so every
+  // expanded row goes through the final validation, which runs chunked
+  // across the pool with one Metrics bag per worker: 150 expanded rows
+  // make several 64-row chunks.
   std::string xml = "<items>";
   std::string csv = "B,E\n";
-  for (int i = 0; i < 30; ++i) {
+  for (int i = 0; i < 300; ++i) {
     xml += "<item><B>b" + std::to_string(i) + "</B><D>d" + std::to_string(i) +
            "</D></item>";
     if (i % 2 == 0) csv += "b" + std::to_string(i) + ",e\n";
@@ -326,30 +325,27 @@ TEST_F(PlanTest, ParallelValidationCountersAreExact) {
   xml += "</items>";
   ASSERT_TRUE(db_.RegisterDocumentXml("wide", xml).ok());
   ASSERT_TRUE(db_.RegisterRelationCsv("T", csv).ok());
-  const std::string query = "Q(*) := T, wide : item[B]/D";
+  const std::string query = "Q(*) := T, wide : items//item[B]/D";
 
   Metrics serial;
   QueryOptions serial_options;
-  serial_options.xjoin.structural_pruning = true;
   serial_options.metrics = &serial;
   auto serial_result = db_.OpenSession().Query(query, serial_options);
   ASSERT_TRUE(serial_result.ok());
 
   Metrics parallel;
   QueryOptions parallel_options;
-  parallel_options.xjoin.structural_pruning = true;
   parallel_options.xjoin.num_threads = 4;
   parallel_options.metrics = &parallel;
   auto parallel_result = db_.OpenSession().Query(query, parallel_options);
   ASSERT_TRUE(parallel_result.ok());
 
   EXPECT_EQ(serial_result->ToTuples(), parallel_result->ToTuples());
-  // Before the per-shard Metrics merge these were silently skipped with
-  // num_threads > 1; now they must match the serial run exactly.
+  EXPECT_EQ(serial_result->num_rows(), 150u);
+  // The per-worker bags must merge into exactly the serial counts.
   EXPECT_GT(serial.Get("validate.candidates"), 0);
   EXPECT_EQ(serial.Get("validate.candidates"),
             parallel.Get("validate.candidates"));
-  EXPECT_EQ(serial.Get("xjoin.pruned"), parallel.Get("xjoin.pruned"));
   EXPECT_EQ(serial.Get("xjoin.expanded"), parallel.Get("xjoin.expanded"));
   EXPECT_EQ(serial.Get("xjoin.validated"), parallel.Get("xjoin.validated"));
 }

@@ -309,14 +309,6 @@ TEST(ShardedXJoinTest, PaperExampleWorkloads) {
   }
 }
 
-TEST(ShardedXJoinTest, PaperExampleWithPruning) {
-  PaperInstance inst = MakePaperInstance(5, PaperSchema::kExample34,
-                                         PaperDataMode::kRandom);
-  PlanSettings pruning;
-  pruning.structural_pruning = true;
-  ExpectShardedXJoinMatchesSerial(inst.Query(), pruning);
-}
-
 TEST(ShardedXJoinTest, AdversarialAgmTightWorkload) {
   auto inst = MakeAgmTightInstance({{"A", "B"}, {"B", "C"}, {"C", "A"}}, 64);
   ASSERT_TRUE(inst.ok());

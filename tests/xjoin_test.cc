@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <optional>
 #include <set>
 
 #include "common/budget.h"
@@ -172,24 +171,6 @@ TEST(XJoinTest, AgreesWithBaselineOnPaperInstances) {
       EXPECT_TRUE(RelationsEqualAsSets(*a, *b_proj));
     }
   }
-}
-
-TEST(XJoinTest, StructuralPruningGivesSameAnswerWithFewerExpansions) {
-  PaperInstance inst = MakePaperInstance(5, PaperSchema::kExample34,
-                                         PaperDataMode::kRandom);
-  MultiModelQuery q = inst.Query();
-  Metrics plain_m, pruned_m;
-  EngineServices plain;
-  plain.metrics = &plain_m;
-  EngineServices pruned;
-  pruned.metrics = &pruned_m;
-  PlanSettings pruning;
-  pruning.structural_pruning = true;
-  auto a = ExecuteXJoin(q, PlanSettings{}, plain);
-  auto b = ExecuteXJoin(q, pruning, pruned);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_TRUE(RelationsEqualAsSets(*a, *b));
-  EXPECT_LE(pruned_m.Get("xjoin.expanded"), plain_m.Get("xjoin.expanded"));
 }
 
 TEST(XJoinTest, ExplicitAttributeOrderHonored) {
@@ -507,7 +488,6 @@ enum class DocMode { kRandomText, kNoText, kLeafText, kNodeIdValues };
 struct DiffParam {
   int seed;
   bool random_order;  ///< a random valid attribute_order (see below)
-  bool pruning;
   DocMode doc_mode = DocMode::kRandomText;
 };
 
@@ -715,7 +695,6 @@ void RunDifferential(const DiffParam& param, DiffOutcome* outcome) {
 
   PlanSettings opts;
   if (param.random_order) opts.attribute_order = RandomAttributeOrder(&rng, q);
-  opts.structural_pruning = param.pruning;
   ExpectSameAnswer(q, opts);
   ExpectAxesByteIdentical(q, opts, outcome);
   if (param.doc_mode == DocMode::kRandomText) return;
@@ -733,7 +712,7 @@ void RunDifferential(const DiffParam& param, DiffOutcome* outcome) {
   }
   if (!exec.certified) return;
   ValidationScratch scratch;
-  std::vector<std::optional<int64_t>> values(twig.num_nodes());
+  std::vector<int64_t> values(twig.num_nodes());
   for (size_t r = 0; r < result->num_rows(); ++r) {
     for (size_t n = 0; n < twig.num_nodes(); ++n) {
       const int col = result->schema().IndexOf(twig_attrs[n]);
@@ -794,15 +773,14 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, CrossTwigDifferential,
                          ::testing::Range(0, 30));
 
 // The instances of the certification-friendly document modes: 25 seeds
-// per mode, every third one with a random attribute order and every
-// third with structural pruning.
+// per mode, every third one with a random attribute order.
 std::vector<DiffParam> CertifyingDiffParams() {
   std::vector<DiffParam> params;
   int base = 300;
   for (DocMode mode :
        {DocMode::kNoText, DocMode::kLeafText, DocMode::kNodeIdValues}) {
     for (int seed = 0; seed < 25; ++seed) {
-      params.push_back({base + seed, seed % 3 == 1, seed % 3 == 2, mode});
+      params.push_back({base + seed, seed % 3 == 1, mode});
     }
     base += 100;
   }
@@ -812,11 +790,11 @@ std::vector<DiffParam> CertifyingDiffParams() {
 std::vector<DiffParam> MakeDiffParams() {
   std::vector<DiffParam> params;
   for (int seed = 0; seed < 40; ++seed) {
-    params.push_back({seed, false, false});
+    params.push_back({seed, false});
   }
   for (int seed = 0; seed < 15; ++seed) {
-    params.push_back({100 + seed, true, false});
-    params.push_back({200 + seed, false, true});
+    params.push_back({100 + seed, true});
+    params.push_back({200 + seed, false});
   }
   for (const DiffParam& p : CertifyingDiffParams()) params.push_back(p);
   return params;
