@@ -7,20 +7,10 @@
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "xml/parser.h"
-#include "xml/twig.h"
 
 namespace xjoin {
 
 namespace {
-
-// Cache key for the shared trie LRU: (name, version, induced attribute
-// order). The '\x1F' separators cannot occur in registered names or
-// attribute names that come from parsing.
-std::string RelationTrieKey(const std::string& name, uint64_t version,
-                            const std::vector<std::string>& order) {
-  return "rel\x1F" + name + "\x1F" + std::to_string(version) + "\x1F" +
-         JoinStrings(order, ",");
-}
 
 // Plan-cache key: canonical query spelling + settings fingerprint, so
 // "Q(*) := R,S" and "Q(*):=R, S" share a plan while num_threads or
@@ -32,7 +22,8 @@ std::string PlanCacheKey(const std::string& text,
 }
 
 // Whether every source the plan read exists in the snapshot at the
-// same version (the hit condition for a session).
+// same version (the hit condition for a session, and the publish
+// condition against the current registry).
 bool PlanMatchesSnapshot(const XJoinPlan& plan,
                          const internal::DatabaseSnapshot& snap) {
   for (const auto& source : plan.sources) {
@@ -51,34 +42,29 @@ bool PlanMatchesSnapshot(const XJoinPlan& plan,
   return true;
 }
 
-// Document name for a NodeIndex pointer within a snapshot; empty if the
-// index is foreign (not part of this snapshot).
-std::string SnapshotDocumentNameOf(const internal::DatabaseSnapshot& snap,
-                                   const NodeIndex* index) {
-  for (const auto& [name, doc] : snap.documents) {
-    if (doc.index.get() == index) return name;
+// Records the snapshot versions and storage pins of a freshly prepared
+// (or rebound) plan's inputs, and its cache key.
+void AttachSnapshotSources(XJoinPlan* plan,
+                           const internal::DatabaseSnapshot& snap,
+                           std::string key) {
+  for (const auto& nr : plan->query.relations) {
+    auto it = snap.relations.find(nr.name);
+    if (it == snap.relations.end()) continue;  // defensive; parse bound it
+    plan->sources.push_back({nr.name, /*is_document=*/false,
+                             it->second.version});
+    // Pin the snapshot storage the plan's raw pointers reference, so
+    // the plan outlives any later copy-on-swap of the registry entry.
+    plan->pins.push_back(it->second.relation);
   }
-  return std::string();
-}
-
-// Splits on commas at bracket depth zero (twig branches keep their
-// commas).
-std::vector<std::string> SplitTopLevel(std::string_view text) {
-  std::vector<std::string> parts;
-  std::string current;
-  int depth = 0;
-  for (char c : text) {
-    if (c == '[') ++depth;
-    if (c == ']') --depth;
-    if (c == ',' && depth == 0) {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current += c;
-    }
+  for (const auto& ti : plan->query.twigs) {
+    auto it = snap.documents.find(ti.document);
+    if (it == snap.documents.end()) continue;  // defensive; parse bound it
+    plan->sources.push_back({ti.document, /*is_document=*/true,
+                             it->second.version});
+    plan->pins.push_back(it->second.index);
+    plan->pins.push_back(it->second.doc);
   }
-  parts.push_back(current);
-  return parts;
+  plan->cache_key = std::move(key);
 }
 
 // Applies a RelationDelta to columnar storage with set semantics:
@@ -102,16 +88,27 @@ Relation ApplyDeltaRows(const Relation& base, const RelationDelta& delta) {
   return next;
 }
 
-bool HasPrefix(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Registration and the copy-on-swap registry
+// Registration and the copy-on-write registry
 // ---------------------------------------------------------------------------
+
+std::shared_ptr<const internal::DatabaseSnapshot> MultiModelDatabase::Current()
+    const {
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return current_;
+}
+
+void MultiModelDatabase::Publish(
+    std::shared_ptr<const internal::DatabaseSnapshot> next) {
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    current_.swap(next);
+  }
+  // `next` now holds the replaced snapshot; when nothing else pins it,
+  // it is freed here, outside the leaf lock.
+}
 
 Status MultiModelDatabase::RegisterRelationCsv(const std::string& name,
                                                std::string_view csv,
@@ -124,35 +121,36 @@ Status MultiModelDatabase::RegisterRelation(const std::string& name,
                                             Relation relation) {
   if (name.empty()) return Status::InvalidArgument("empty relation name");
   auto shared = std::make_shared<const Relation>(std::move(relation));
-  std::unique_lock<std::shared_mutex> lock(registry_mu_);
-  if (relations_.count(name) || documents_.count(name)) {
+  std::lock_guard<std::mutex> update_lock(update_mu_);
+  if (current_->relations.count(name) || current_->documents.count(name)) {
     return Status::AlreadyExists(name + " is already registered");
   }
-  relations_.emplace(name, RelationEntry{std::move(shared), 0});
+  auto next = std::make_shared<internal::DatabaseSnapshot>(*current_);
+  next->relations.emplace(name,
+                          internal::SnapshotRelation{std::move(shared), 0});
+  Publish(std::move(next));
   return Status::OK();
 }
 
 Status MultiModelDatabase::UpdateRelation(const std::string& name,
                                           Relation relation) {
   auto shared = std::make_shared<const Relation>(std::move(relation));
-  // Writers are serialized (update_mu_ outermost) so a concurrent
-  // ApplyRelationDelta cannot interleave its read-modify-write with
-  // this full replacement.
   std::lock_guard<std::mutex> update_lock(update_mu_);
-  {
-    std::unique_lock<std::shared_mutex> lock(registry_mu_);
-    auto it = relations_.find(name);
-    if (it == relations_.end()) return Status::NotFound("no relation " + name);
-    // Copy-on-swap: the old shared_ptr stays alive while any session,
-    // plan, or in-flight query pins it; new snapshots see the new one.
-    it->second.relation = std::move(shared);
-    ++it->second.version;
+  auto next = std::make_shared<internal::DatabaseSnapshot>(*current_);
+  auto it = next->relations.find(name);
+  if (it == next->relations.end()) {
+    return Status::NotFound("no relation " + name);
   }
-  // Cache invalidation after releasing the registry lock (lock order:
-  // never hold registry_mu_ while taking a cache mutex).
+  // Copy-on-swap: the old shared_ptr stays alive while any session,
+  // plan, or in-flight query pins it; new snapshots see the new one.
+  it->second.relation = std::move(shared);
+  ++it->second.version;
+  Publish(std::move(next));
   {
     std::lock_guard<std::mutex> lock(trie_cache_mu_);
-    DropTriesLocked(name, /*key_prefix=*/"");
+    trie_cache_.EraseIf([&name](const TrieKey& key, const auto&) {
+      return key.relation == name;
+    });
   }
   InvalidatePlans(name);
   return Status::OK();
@@ -165,15 +163,12 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
   // registry entry and of every cached trie derived from it.
   std::lock_guard<std::mutex> update_lock(update_mu_);
 
-  std::shared_ptr<const Relation> base;
-  uint64_t old_version = 0;
-  {
-    std::shared_lock<std::shared_mutex> lock(registry_mu_);
-    auto it = relations_.find(name);
-    if (it == relations_.end()) return Status::NotFound("no relation " + name);
-    base = it->second.relation;
-    old_version = it->second.version;
+  auto found = current_->relations.find(name);
+  if (found == current_->relations.end()) {
+    return Status::NotFound("no relation " + name);
   }
+  const std::shared_ptr<const Relation> base = found->second.relation;
+  const uint64_t old_version = found->second.version;
   const Schema& schema = base->schema();
   const size_t arity = schema.size();
   if (arity == 0) {
@@ -191,29 +186,31 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
   }
 
   // 1. New relation contents, copy-on-swap (set semantics).
-  auto next = std::make_shared<const Relation>(ApplyDeltaRows(*base, delta));
+  auto next = std::make_shared<internal::DatabaseSnapshot>(*current_);
+  internal::SnapshotRelation& entry = next->relations[name];
+  entry.relation =
+      std::make_shared<const Relation>(ApplyDeltaRows(*base, delta));
+  entry.version = old_version + 1;
 
   // 2. Collect the cached tries keyed at (name, old_version) and patch
   // each outside the cache lock (compaction can take a while):
   // RelationTrie::ApplyDelta returns a new trie sharing the base level
   // arrays, so session snapshots and plans pinning the old objects are
   // untouched. Tuples are permuted into each trie's attribute order.
+  auto at_old_version = [&name, old_version](const TrieKey& key) {
+    return key.relation == name && key.version == old_version;
+  };
   std::vector<std::shared_ptr<const RelationTrie>> old_tries;
-  const std::string old_prefix =
-      "rel\x1F" + name + "\x1F" + std::to_string(old_version) + "\x1F";
   {
     std::lock_guard<std::mutex> lock(trie_cache_mu_);
-    for (const TrieCacheEntry& entry : trie_lru_) {
-      if (entry.owner == name && HasPrefix(entry.key, old_prefix)) {
-        old_tries.push_back(entry.trie);
-      }
-    }
+    trie_cache_.ForEach([&](const TrieKey& key, const auto& trie) {
+      if (at_old_version(key)) old_tries.push_back(trie);
+    });
   }
   TrieDeltaOptions delta_options;
   delta_options.compact_ratio = trie_delta_ratio_;
   delta_options.compact_min_rows = trie_delta_min_rows_;
-  std::vector<std::pair<std::string, std::shared_ptr<const RelationTrie>>>
-      patched;
+  std::vector<std::pair<TrieKey, std::shared_ptr<const RelationTrie>>> patched;
   patched.reserve(old_tries.size());
   int64_t compactions = 0;
   for (const auto& old_trie : old_tries) {
@@ -235,28 +232,21 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
                              delta_options));
     auto shared = std::make_shared<const RelationTrie>(std::move(fresh));
     if (!shared->SharesBaseWith(*old_trie)) ++compactions;
-    patched.emplace_back(RelationTrieKey(name, old_version + 1, order),
+    patched.emplace_back(TrieKey{name, old_version + 1, order},
                          std::move(shared));
   }
 
   // Fault site: a failure here (after patching, before publication)
-  // must leave the old version fully intact — the registry entry,
-  // version, and every cached trie are untouched because nothing above
-  // mutated shared state.
+  // must leave the old version fully intact — the registry, version,
+  // and every cached trie are untouched because nothing above mutated
+  // shared state.
   if (XJOIN_FAULT("trie.compact")) {
     return Status::Internal("fault injection: delta compaction for " + name +
                             " failed before publish (site trie.compact)");
   }
 
-  // 3. Publish: swap the storage and bump the version (update_mu_
-  // guarantees it is still old_version).
-  {
-    std::unique_lock<std::shared_mutex> lock(registry_mu_);
-    auto it = relations_.find(name);
-    if (it == relations_.end()) return Status::NotFound("no relation " + name);
-    it->second.relation = std::move(next);
-    it->second.version = old_version + 1;
-  }
+  // 3. Publish the new storage and version.
+  Publish(std::move(next));
 
   // 4. Re-key the patched tries under the new version and drop the
   // old-version entries (pins keep the old objects alive for open
@@ -265,10 +255,12 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
   // (see PreparePlanSnapshot) instead of re-planning.
   {
     std::lock_guard<std::mutex> lock(trie_cache_mu_);
-    DropTriesLocked(name, old_prefix);
+    trie_cache_.EraseIf(
+        [&](const TrieKey& key, const auto&) { return at_old_version(key); });
     for (auto& [key, trie] : patched) {
       ++trie_cache_patches_;
-      TrieCacheInsertLocked(std::move(key), name, std::move(trie));
+      const size_t bytes = trie->ByteSizeEstimate();
+      trie_cache_.Put(key, std::move(trie), bytes);
     }
     trie_cache_compactions_ += compactions;
   }
@@ -282,41 +274,45 @@ void MultiModelDatabase::SetTrieDeltaCompaction(double ratio,
   trie_delta_min_rows_ = min_rows;
 }
 
-Result<MultiModelDatabase::DocumentEntry> MultiModelDatabase::IndexDocumentXml(
-    std::string_view xml, ValuePolicy policy) {
+Result<internal::SnapshotDocument> MultiModelDatabase::IndexDocumentXml(
+    const std::string& name, std::string_view xml, ValuePolicy policy) {
   XJ_ASSIGN_OR_RETURN(XmlDocument doc, ParseXml(xml));
   auto doc_shared = std::make_shared<const XmlDocument>(std::move(doc));
   auto index = std::make_shared<const NodeIndex>(
-      NodeIndex::Build(doc_shared.get(), &dict_, policy));
-  return DocumentEntry{std::move(doc_shared), std::move(index), 0};
+      NodeIndex::Build(doc_shared.get(), &dict_, policy, name));
+  return internal::SnapshotDocument{std::move(doc_shared), std::move(index), 0};
 }
 
 Status MultiModelDatabase::RegisterDocumentXml(const std::string& name,
                                                std::string_view xml,
                                                ValuePolicy policy) {
   if (name.empty()) return Status::InvalidArgument("empty document name");
-  XJ_ASSIGN_OR_RETURN(DocumentEntry entry, IndexDocumentXml(xml, policy));
-  std::unique_lock<std::shared_mutex> lock(registry_mu_);
-  if (relations_.count(name) || documents_.count(name)) {
+  XJ_ASSIGN_OR_RETURN(internal::SnapshotDocument entry,
+                      IndexDocumentXml(name, xml, policy));
+  std::lock_guard<std::mutex> update_lock(update_mu_);
+  if (current_->relations.count(name) || current_->documents.count(name)) {
     return Status::AlreadyExists(name + " is already registered");
   }
-  documents_.emplace(name, std::move(entry));
+  auto next = std::make_shared<internal::DatabaseSnapshot>(*current_);
+  next->documents.emplace(name, std::move(entry));
+  Publish(std::move(next));
   return Status::OK();
 }
 
 Status MultiModelDatabase::UpdateDocumentXml(const std::string& name,
                                              std::string_view xml,
                                              ValuePolicy policy) {
-  XJ_ASSIGN_OR_RETURN(DocumentEntry entry, IndexDocumentXml(xml, policy));
+  XJ_ASSIGN_OR_RETURN(internal::SnapshotDocument entry,
+                      IndexDocumentXml(name, xml, policy));
   std::lock_guard<std::mutex> update_lock(update_mu_);
-  {
-    std::unique_lock<std::shared_mutex> lock(registry_mu_);
-    auto it = documents_.find(name);
-    if (it == documents_.end()) return Status::NotFound("no document " + name);
-    it->second.doc = std::move(entry.doc);
-    it->second.index = std::move(entry.index);
-    ++it->second.version;
+  auto next = std::make_shared<internal::DatabaseSnapshot>(*current_);
+  auto it = next->documents.find(name);
+  if (it == next->documents.end()) {
+    return Status::NotFound("no document " + name);
   }
+  entry.version = it->second.version + 1;
+  it->second = std::move(entry);
+  Publish(std::move(next));
   InvalidatePlans(name);
   return Status::OK();
 }
@@ -325,26 +321,9 @@ Status MultiModelDatabase::UpdateDocumentXml(const std::string& name,
 // Sessions
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const internal::DatabaseSnapshot>
-MultiModelDatabase::TakeSnapshot() const {
-  auto snap = std::make_shared<internal::DatabaseSnapshot>();
-  std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  for (const auto& [name, entry] : relations_) {
-    snap->relations.emplace(
-        name, internal::SnapshotRelation{entry.relation, entry.version});
-  }
-  for (const auto& [name, entry] : documents_) {
-    snap->documents.emplace(
-        name,
-        internal::SnapshotDocument{entry.doc, entry.index, entry.version});
-  }
-  return snap;
-}
-
 Session MultiModelDatabase::OpenSession() const {
-  return Session(this, TakeSnapshot());
+  return Session(this, Current());
 }
-
 Result<Relation> Session::Query(const std::string& text,
                                 const QueryOptions& options) const {
   return db_->RunQuery(text, options, snap_);
@@ -446,133 +425,17 @@ Result<uint64_t> Session::document_version(const std::string& name) const {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing (against a snapshot)
-// ---------------------------------------------------------------------------
-
-Result<MultiModelQuery> MultiModelDatabase::ParseQuery(
-    const std::string& text, const internal::DatabaseSnapshot& snap) const {
-  MultiModelQuery query;
-  std::string_view rest = TrimWhitespace(text);
-
-  // Optional head "Name(attrs) :=".
-  auto assign = rest.find(":=");
-  if (assign != std::string_view::npos) {
-    std::string_view head = TrimWhitespace(rest.substr(0, assign));
-    rest = TrimWhitespace(rest.substr(assign + 2));
-    auto open = head.find('(');
-    if (open == std::string_view::npos || head.back() != ')') {
-      return Status::ParseError("query head must look like Q(a, b)");
-    }
-    std::string_view attrs = head.substr(open + 1, head.size() - open - 2);
-    if (TrimWhitespace(attrs) != "*") {
-      for (const auto& part : SplitString(attrs, ',')) {
-        std::string attr(TrimWhitespace(part));
-        if (attr.empty()) return Status::ParseError("empty output attribute");
-        query.output_attributes.push_back(std::move(attr));
-      }
-    }
-  }
-  if (rest.empty()) return Status::ParseError("query has no inputs");
-
-  for (const auto& part : SplitTopLevel(rest)) {
-    std::string_view input = TrimWhitespace(part);
-    if (input.empty()) return Status::ParseError("empty query input");
-    auto colon = input.find(':');
-    if (colon == std::string_view::npos) {
-      // Relation reference, bound to the snapshot's pinned storage.
-      std::string name(input);
-      auto it = snap.relations.find(name);
-      if (it == snap.relations.end()) {
-        return Status::NotFound("no relation " + name);
-      }
-      query.relations.push_back({name, it->second.relation.get()});
-    } else {
-      std::string doc_name(TrimWhitespace(input.substr(0, colon)));
-      std::string pattern(TrimWhitespace(input.substr(colon + 1)));
-      auto it = snap.documents.find(doc_name);
-      if (it == snap.documents.end()) {
-        return Status::NotFound("no document " + doc_name);
-      }
-      XJ_ASSIGN_OR_RETURN(Twig twig, Twig::Parse(pattern));
-      query.twigs.push_back(TwigInput{std::move(twig), it->second.index.get()});
-    }
-  }
-  XJ_RETURN_NOT_OK(ValidateQuery(query));
-  const size_t width = QueryAttributes(query).size();
-  if (width > kMaxQueryAttributes) {
-    return Status::ParseError(
-        "query names " + std::to_string(width) +
-        " distinct attributes; at most kMaxQueryAttributes=" +
-        std::to_string(kMaxQueryAttributes) + " are allowed");
-  }
-  return query;
-}
-
-// ---------------------------------------------------------------------------
 // Trie cache
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const RelationTrie> MultiModelDatabase::TrieCacheLookupLocked(
-    const std::string& key) const {
-  auto it = trie_index_.find(key);
-  if (it == trie_index_.end()) return nullptr;
-  trie_lru_.splice(trie_lru_.begin(), trie_lru_, it->second);  // touch
-  return it->second->trie;
-}
-
-void MultiModelDatabase::TrieCacheInsertLocked(
-    std::string key, std::string owner,
-    std::shared_ptr<const RelationTrie> trie) const {
-  if (trie_index_.count(key) != 0) return;  // lost a build race; keep first
-  size_t bytes = trie->ByteSizeEstimate();
-  if (bytes > trie_cache_budget_) return;  // oversize: serve uncached
-  TrieCacheEntry entry;
-  entry.key = key;
-  entry.owner = std::move(owner);
-  entry.bytes = bytes;
-  entry.trie = std::move(trie);
-  trie_lru_.push_front(std::move(entry));
-  trie_index_[std::move(key)] = trie_lru_.begin();
-  trie_cache_bytes_ += bytes;
-  while (trie_cache_bytes_ > trie_cache_budget_ && trie_lru_.size() > 1) {
-    const TrieCacheEntry& victim = trie_lru_.back();
-    trie_cache_bytes_ -= victim.bytes;
-    trie_index_.erase(victim.key);
-    trie_lru_.pop_back();
-    ++trie_cache_evictions_;
-  }
-}
-
-void MultiModelDatabase::DropTriesLocked(const std::string& name,
-                                         const std::string& key_prefix) const {
-  for (auto it = trie_lru_.begin(); it != trie_lru_.end();) {
-    if (it->owner == name && HasPrefix(it->key, key_prefix)) {
-      trie_cache_bytes_ -= it->bytes;
-      trie_index_.erase(it->key);
-      it = trie_lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void MultiModelDatabase::ClearTrieCache() {
   std::lock_guard<std::mutex> lock(trie_cache_mu_);
-  trie_lru_.clear();
-  trie_index_.clear();
-  trie_cache_bytes_ = 0;
+  trie_cache_.Clear();
 }
 
 void MultiModelDatabase::SetTrieCacheBudget(size_t bytes) {
   std::lock_guard<std::mutex> lock(trie_cache_mu_);
-  trie_cache_budget_ = bytes;
-  while (trie_cache_bytes_ > trie_cache_budget_ && !trie_lru_.empty()) {
-    const TrieCacheEntry& victim = trie_lru_.back();
-    trie_cache_bytes_ -= victim.bytes;
-    trie_index_.erase(victim.key);
-    trie_lru_.pop_back();
-    ++trie_cache_evictions_;
-  }
+  trie_cache_.SetBudget(bytes);
 }
 
 TrieProvider MultiModelDatabase::CacheTrieProvider(
@@ -589,19 +452,18 @@ TrieProvider MultiModelDatabase::CacheTrieProvider(
       // only as good as its key) — let the engine build privately.
       return std::shared_ptr<const RelationTrie>();
     }
-    // The key embeds the snapshot version, so an old session can never
+    // The key holds the snapshot version, so an old session can never
     // be served a trie over newer data (and vice versa). Inserting an
     // old-version trie after an update is harmless: it can only be hit
-    // by sessions on the same version, and the update's owner-wide
+    // by sessions on the same version, and the update's relation-wide
     // invalidation / LRU pressure reclaims it.
-    std::string key = RelationTrieKey(name, entry->second.version, order);
+    TrieKey key{name, entry->second.version, order};
     {
       std::lock_guard<std::mutex> lock(trie_cache_mu_);
-      auto hit = TrieCacheLookupLocked(key);
-      if (hit != nullptr) {
+      if (const auto* hit = trie_cache_.Get(key)) {
         ++trie_cache_hits_;
         MetricsAdd(metrics, "db.trie_cache.hits", 1);
-        return hit;
+        return *hit;
       }
     }
     // Cache miss: a cancelled query must not pay for (or fault tests
@@ -612,21 +474,22 @@ TrieProvider MultiModelDatabase::CacheTrieProvider(
                               " failed (site trie.build)");
     }
     // Build outside the lock (concurrent queries may race to build the
-    // same trie; the insert below keeps the first and the extra build is
-    // discarded — correctness over double-build avoidance).
+    // same trie; the last insert wins and the other build is served
+    // uncached — correctness over double-build avoidance).
     TrieBuildOptions build_options;
     build_options.num_threads = num_threads;
     build_options.metrics = metrics;
     XJ_ASSIGN_OR_RETURN(RelationTrie trie,
                         RelationTrie::Build(relation, order, build_options));
     auto shared = std::make_shared<const RelationTrie>(std::move(trie));
+    const size_t bytes = shared->ByteSizeEstimate();
     std::lock_guard<std::mutex> lock(trie_cache_mu_);
     ++trie_cache_misses_;
     MetricsAdd(metrics, "db.trie_cache.misses", 1);
-    int64_t before = trie_cache_evictions_;
-    TrieCacheInsertLocked(std::move(key), name, shared);
+    const int64_t before = trie_cache_.evictions();
+    trie_cache_.Put(key, shared, bytes);
     MetricsAdd(metrics, "db.trie_cache.evictions",
-               trie_cache_evictions_ - before);
+               trie_cache_.evictions() - before);
     return shared;
   };
 }
@@ -637,55 +500,25 @@ TrieProvider MultiModelDatabase::CacheTrieProvider(
 
 void MultiModelDatabase::ClearPlanCache() {
   std::lock_guard<std::mutex> lock(plan_cache_mu_);
-  plan_cache_.clear();
-  plan_lru_.clear();
+  plan_cache_.Clear();
 }
 
 void MultiModelDatabase::SetPlanCacheCapacity(size_t max_plans) {
-  std::lock_guard<std::mutex> lock(plan_cache_mu_);
-  plan_cache_capacity_ = max_plans;
-  PlanCacheTrimLocked();
-}
-
-void MultiModelDatabase::PlanCacheTrimLocked() const {
   // Evicting a plan also releases its pinned tries and storage (the
   // trie byte budget bounds the cache, this bounds the pins).
-  while (plan_cache_.size() > plan_cache_capacity_) {
-    plan_cache_.erase(plan_lru_.back());
-    plan_lru_.pop_back();
-    ++plan_cache_evictions_;
-  }
-}
-
-void MultiModelDatabase::PlanCachePublishLocked(
-    std::string key, std::shared_ptr<const XJoinPlan> plan) const {
-  if (plan_cache_capacity_ == 0) return;
-  auto it = plan_cache_.find(key);
-  if (it != plan_cache_.end()) {
-    plan_lru_.erase(it->second.lru);
-    plan_cache_.erase(it);
-  }
-  plan_lru_.push_front(key);
-  plan_cache_.emplace(std::move(key),
-                      PlanCacheEntry{std::move(plan), plan_lru_.begin()});
-  PlanCacheTrimLocked();
+  std::lock_guard<std::mutex> lock(plan_cache_mu_);
+  plan_cache_.SetBudget(max_plans);
 }
 
 void MultiModelDatabase::InvalidatePlans(const std::string& name) {
   std::lock_guard<std::mutex> lock(plan_cache_mu_);
-  for (auto it = plan_cache_.begin(); it != plan_cache_.end();) {
-    const auto& sources = it->second.plan->sources;
-    bool depends = std::any_of(
-        sources.begin(), sources.end(),
-        [&name](const XJoinPlan::SourceVersion& s) { return s.name == name; });
-    if (depends) {
-      plan_lru_.erase(it->second.lru);
-      it = plan_cache_.erase(it);
-      ++plan_cache_invalidations_;
-    } else {
-      ++it;
-    }
-  }
+  plan_cache_invalidations_ += static_cast<int64_t>(
+      plan_cache_.EraseIf([&name](const std::string&, const auto& plan) {
+        return std::any_of(plan->sources.begin(), plan->sources.end(),
+                           [&name](const XJoinPlan::SourceVersion& s) {
+                             return s.name == name;
+                           });
+      }));
 }
 
 CacheStats MultiModelDatabase::cache_stats() const {
@@ -695,20 +528,20 @@ CacheStats MultiModelDatabase::cache_stats() const {
     // exist); each section is read atomically under its own mutex.
     std::lock_guard<std::mutex> trie_lock(trie_cache_mu_);
     std::lock_guard<std::mutex> plan_lock(plan_cache_mu_);
-    stats.trie_entries = trie_lru_.size();
-    stats.trie_bytes = trie_cache_bytes_;
-    stats.trie_budget = trie_cache_budget_;
+    stats.trie_entries = trie_cache_.size();
+    stats.trie_bytes = trie_cache_.cost();
+    stats.trie_budget = trie_cache_.budget();
     stats.trie_hits = trie_cache_hits_;
     stats.trie_misses = trie_cache_misses_;
-    stats.trie_evictions = trie_cache_evictions_;
+    stats.trie_evictions = trie_cache_.evictions();
     stats.trie_patches = trie_cache_patches_;
     stats.trie_compactions = trie_cache_compactions_;
     stats.plan_entries = plan_cache_.size();
-    stats.plan_capacity = plan_cache_capacity_;
+    stats.plan_capacity = plan_cache_.budget();
     stats.plan_hits = plan_cache_hits_;
     stats.plan_misses = plan_cache_misses_;
     stats.plan_invalidations = plan_cache_invalidations_;
-    stats.plan_evictions = plan_cache_evictions_;
+    stats.plan_evictions = plan_cache_.evictions();
     stats.plan_rebinds = plan_cache_rebinds_;
   }
   // Admission totals: live pools + pools already removed + queries that
@@ -790,48 +623,6 @@ std::vector<std::string> MultiModelDatabase::TenantPoolNames() const {
   return names;
 }
 
-void MultiModelDatabase::AttachSnapshotSources(
-    XJoinPlan* plan, const internal::DatabaseSnapshot& snap,
-    std::string key) const {
-  for (const auto& nr : plan->query.relations) {
-    auto it = snap.relations.find(nr.name);
-    if (it == snap.relations.end()) continue;  // defensive; parse bound it
-    plan->sources.push_back({nr.name, /*is_document=*/false,
-                             it->second.version});
-    // Pin the snapshot storage the plan's raw pointers reference, so
-    // the plan outlives any later copy-on-swap of the registry entry.
-    plan->pins.push_back(it->second.relation);
-  }
-  for (const auto& ti : plan->query.twigs) {
-    std::string doc_name = SnapshotDocumentNameOf(snap, ti.index);
-    if (doc_name.empty()) continue;  // defensive; parse binds our docs
-    auto it = snap.documents.find(doc_name);
-    plan->sources.push_back({doc_name, /*is_document=*/true,
-                             it->second.version});
-    plan->pins.push_back(it->second.index);
-    plan->pins.push_back(it->second.doc);
-  }
-  plan->cache_key = std::move(key);
-}
-
-bool MultiModelDatabase::PlanMatchesRegistry(const XJoinPlan& plan) const {
-  std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  for (const auto& source : plan.sources) {
-    if (source.is_document) {
-      auto it = documents_.find(source.name);
-      if (it == documents_.end() || it->second.version != source.version) {
-        return false;
-      }
-    } else {
-      auto it = relations_.find(source.name);
-      if (it == relations_.end() || it->second.version != source.version) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 EngineServices MultiModelDatabase::Services(
     const QueryOptions& options, BudgetTracker* budget,
     const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const {
@@ -858,15 +649,13 @@ MultiModelDatabase::PreparePlanSnapshot(
   std::shared_ptr<const XJoinPlan> stale;
   {
     std::lock_guard<std::mutex> lock(plan_cache_mu_);
-    auto it = plan_cache_.find(key);
-    if (it != plan_cache_.end()) {
-      if (PlanMatchesSnapshot(*it->second.plan, *snap)) {
-        plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru);
+    if (const auto* cached = plan_cache_.Get(key)) {
+      if (PlanMatchesSnapshot(**cached, *snap)) {
         ++plan_cache_hits_;
         MetricsAdd(options.metrics, "db.plan_cache.hits", 1);
-        return it->second.plan;
+        return *cached;
       }
-      stale = it->second.plan;
+      stale = *cached;
     }
   }
 
@@ -923,25 +712,23 @@ MultiModelDatabase::PreparePlanSnapshot(
       // Same publish gate as a miss: a rebind for an *old* snapshot
       // stays private to its session instead of clobbering the entry
       // current sessions are hitting.
-      bool current_valid = PlanMatchesRegistry(*shared);
+      bool current_valid = PlanMatchesSnapshot(*shared, *Current());
       std::lock_guard<std::mutex> lock(plan_cache_mu_);
       ++plan_cache_rebinds_;
       MetricsAdd(options.metrics, "db.plan_cache.rebinds", 1);
-      if (current_valid) PlanCachePublishLocked(std::move(key), shared);
+      if (current_valid) plan_cache_.Put(key, shared, 1);
       return shared;
     }
     // Not rebindable. Drop the entry only when it is also stale for the
     // *current* registry (a missed invalidation); when it is merely
     // newer than this — old — session's snapshot, leave it for current
     // sessions and build privately below.
-    if (!PlanMatchesRegistry(*stale)) {
+    if (!PlanMatchesSnapshot(*stale, *Current())) {
       std::lock_guard<std::mutex> lock(plan_cache_mu_);
-      auto it = plan_cache_.find(key);
-      if (it != plan_cache_.end() && it->second.plan == stale) {
-        plan_lru_.erase(it->second.lru);
-        plan_cache_.erase(it);
-        ++plan_cache_invalidations_;
-      }
+      plan_cache_invalidations_ += static_cast<int64_t>(plan_cache_.EraseIf(
+          [&stale](const std::string&, const auto& plan) {
+            return plan == stale;
+          }));
     }
   }
 
@@ -958,11 +745,11 @@ MultiModelDatabase::PreparePlanSnapshot(
   // *current* registry. A plan prepared on an old snapshot stays
   // private to its session: inserting it would poison the cache for
   // new sessions (their validation would drop it, thrashing).
-  bool current_valid = PlanMatchesRegistry(*shared);
+  bool current_valid = PlanMatchesSnapshot(*shared, *Current());
   std::lock_guard<std::mutex> lock(plan_cache_mu_);
   ++plan_cache_misses_;
   MetricsAdd(options.metrics, "db.plan_cache.misses", 1);
-  if (current_valid) PlanCachePublishLocked(std::move(key), shared);
+  if (current_valid) plan_cache_.Put(key, shared, 1);
   return shared;
 }
 

@@ -1,23 +1,8 @@
 // MultiModelDatabase: the serving core a downstream application talks
 // to — it owns the shared dictionary, registered relations (from CSV
 // or tuples) and XML documents (parsed and indexed at registration),
-// and evaluates textual multi-model queries through a Session:
-//
-//     Q(userID, ISBN, price) :=
-//         R, invoices : invoice[orderID]/orderLine[ISBN]/price
-//
-// Grammar:
-//     query   := [ head ":=" ] input ("," input)*
-//     head    := NAME "(" attr ("," attr)* ")" | NAME "(*)"
-//     input   := relation-name | document-name ":" twig-pattern
-// Commas inside twig branch brackets do not split inputs. Without a
-// head, the result contains every attribute. A query may name at most
-// kMaxQueryAttributes distinct attributes across its inputs; a wider
-// one fails to parse (planning cost grows superlinearly in width).
-//
-// Session is the only query surface. A one-shot query is
-// db.OpenSession().Query(text, options) (likewise Prepare and Explain);
-// the serving model (many concurrent callers) keeps the session:
+// and evaluates textual multi-model queries (ParseQuery's grammar,
+// core/query.h) through a Session:
 //
 //   Session session = db.OpenSession();
 //   QueryOptions opts;
@@ -26,22 +11,26 @@
 //   auto result = session.Query("Q(*) := R, invoices:invoice/orderID",
 //                               opts);
 //
-// A Session captures a consistent snapshot of the database: the version
-// of every relation and document plus shared_ptr pins on their storage.
-// Every query through the session sees exactly that snapshot, no matter
-// how many UpdateRelation / UpdateDocument calls land concurrently —
-// writers replace registry entries copy-on-swap (the old storage stays
-// alive while any session or cached plan pins it), so readers never
-// block writers and never see a half-applied update. Queries on one
-// session are safe to issue from multiple threads.
+// Session is the only query surface: a one-shot query is
+// db.OpenSession().Query(text, options) (likewise Prepare and Explain).
+//
+// The registry is one immutable snapshot: the version of every relation
+// and document plus shared_ptr pins on their storage. A writer copies
+// it, edits the copy and publishes the copy in its place, so a Session
+// holds one pointer and every query through it sees exactly that
+// snapshot, however many updates land meanwhile (the old storage stays
+// alive while any session or cached plan pins it). Readers never block
+// writers and never see a half-applied update. Queries on one session
+// are safe to issue from multiple threads.
 //
 // The database is also a prepared-statement engine: Session::Query
 // resolves the text to a cached XJoinPlan (key: canonical query text +
 // options fingerprint, validated against the session's snapshot
 // versions) and replays it with ExecutePlan, so repeated query shapes
 // skip order selection, shard planning, and all trie builds. Relation
-// tries share one byte-budget LRU cache; twig paths are never
-// materialized, so documents own no cached trie.
+// tries and plans live in two LRU caches of one kind (LruCache): tries
+// charged by bytes, plans by count. Twig paths are never materialized,
+// so documents own no cached trie.
 // Execution runs on the shared morsel-driven Executor pool, so N
 // in-flight queries share cores instead of each spawning threads.
 #ifndef XJOIN_CORE_DATABASE_H_
@@ -49,18 +38,17 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/budget.h"
 #include "common/cancel.h"
 #include "common/dictionary.h"
+#include "common/lru_cache.h"
 #include "common/status.h"
 #include "core/tenant.h"
 #include "core/baseline.h"
@@ -75,34 +63,6 @@
 namespace xjoin {
 
 class MultiModelDatabase;
-
-/// The widest query ParseQuery accepts: distinct attributes over every
-/// relation schema and twig node. Wider text fails with kParseError
-/// before any planning.
-inline constexpr size_t kMaxQueryAttributes = 256;
-
-namespace internal {
-
-/// The immutable payload behind a Session: every relation/document at
-/// snapshot time, pinned via shared_ptr with its version. Shared
-/// (shared_ptr) with plans and providers so a moved-from or destroyed
-/// Session never invalidates an in-flight query. Internal — reach it
-/// through Session.
-struct SnapshotRelation {
-  std::shared_ptr<const Relation> relation;
-  uint64_t version = 0;
-};
-struct SnapshotDocument {
-  std::shared_ptr<const XmlDocument> doc;
-  std::shared_ptr<const NodeIndex> index;
-  uint64_t version = 0;
-};
-struct DatabaseSnapshot {
-  std::map<std::string, SnapshotRelation> relations;
-  std::map<std::string, SnapshotDocument> documents;
-};
-
-}  // namespace internal
 
 /// Which engine evaluates a query.
 enum class Engine {
@@ -168,9 +128,9 @@ struct PreparedQuery {
   const MultiModelQuery& query() const { return plan->query; }
 };
 
-/// A consistent read snapshot of the database. Cheap to open (copies a
-/// name -> {pin, version} map under a shared lock), cheap to destroy
-/// (drops the pins). Movable, not copyable; safe to query from multiple
+/// A consistent read snapshot of the database. Cheap to open (copies
+/// one pointer to the current registry snapshot), cheap to destroy
+/// (drops that pointer). Movable, not copyable; safe to query from multiple
 /// threads concurrently. The database must outlive its sessions.
 class Session {
  public:
@@ -382,45 +342,30 @@ class MultiModelDatabase {
  private:
   friend class Session;
 
-  struct DocumentEntry {
-    std::shared_ptr<const XmlDocument> doc;
-    std::shared_ptr<const NodeIndex> index;
+  /// Trie-cache key: one relation version under one attribute order.
+  struct TrieKey {
+    std::string relation;
     uint64_t version = 0;
+    std::vector<std::string> order;
+    bool operator<(const TrieKey& other) const {
+      return std::tie(relation, version, order) <
+             std::tie(other.relation, other.version, other.order);
+    }
   };
 
-  struct RelationEntry {
-    std::shared_ptr<const Relation> relation;
-    uint64_t version = 0;
-  };
+  /// Parses `xml` and indexes it as document `name` (outside any lock:
+  /// indexing is the expensive part; Dictionary::Intern synchronizes
+  /// internally).
+  Result<internal::SnapshotDocument> IndexDocumentXml(const std::string& name,
+                                                      std::string_view xml,
+                                                      ValuePolicy policy);
 
-  /// One cached relation trie, on the shared byte-budget LRU list.
-  /// `owner` is the relation name, for invalidation.
-  struct TrieCacheEntry {
-    std::string key;
-    std::string owner;
-    size_t bytes = 0;
-    std::shared_ptr<const RelationTrie> trie;
-  };
+  /// The current registry snapshot (one pointer copy).
+  std::shared_ptr<const internal::DatabaseSnapshot> Current() const;
 
-  /// Parses `xml` and indexes the document (outside any lock: indexing
-  /// is the expensive part; Dictionary::Intern synchronizes internally).
-  Result<DocumentEntry> IndexDocumentXml(std::string_view xml,
-                                         ValuePolicy policy);
-
-  /// Drops the cached tries of relation `name` whose key starts with
-  /// `key_prefix` (empty = every version and order). Callers hold
-  /// trie_cache_mu_.
-  void DropTriesLocked(const std::string& name,
-                       const std::string& key_prefix) const;
-
-  /// Copies the registry into an immutable snapshot under the shared
-  /// registry lock.
-  std::shared_ptr<const internal::DatabaseSnapshot> TakeSnapshot() const;
-
-  /// Parses `text` binding inputs against `snap` (raw pointers into the
-  /// snapshot's pinned storage).
-  Result<MultiModelQuery> ParseQuery(
-      const std::string& text, const internal::DatabaseSnapshot& snap) const;
+  /// Makes `next` the current registry snapshot. Callers hold
+  /// update_mu_ and built `next` from a copy of current_.
+  void Publish(std::shared_ptr<const internal::DatabaseSnapshot> next);
 
   /// The engine's services for one call: counters from
   /// options.metrics, the given budget (nullable; it carries the cancel
@@ -465,94 +410,57 @@ class MultiModelDatabase {
       std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
       int num_threads, BudgetTracker* budget) const;
 
-  /// Shared LRU plumbing (callers hold trie_cache_mu_; const because
-  /// the provider runs on the const query path — all touched state is
-  /// mutable).
-  std::shared_ptr<const RelationTrie> TrieCacheLookupLocked(
-      const std::string& key) const;
-  void TrieCacheInsertLocked(std::string key, std::string owner,
-                             std::shared_ptr<const RelationTrie> trie) const;
-
-  /// Publishes `plan` under `key` (replacing any entry there) as the
-  /// most recently used plan, then evicts from the LRU tail down to
-  /// plan_cache_capacity_. Callers hold plan_cache_mu_.
-  void PlanCachePublishLocked(std::string key,
-                              std::shared_ptr<const XJoinPlan> plan) const;
-  /// Evicts least-recently-used plans down to plan_cache_capacity_.
-  /// Callers hold plan_cache_mu_.
-  void PlanCacheTrimLocked() const;
-
   /// Drops cached plans whose sources include `name`.
   void InvalidatePlans(const std::string& name);
 
-  /// Attaches snapshot versions, storage pins, and the cache key to a
-  /// freshly prepared (or rebound) plan.
-  void AttachSnapshotSources(
-      XJoinPlan* plan, const internal::DatabaseSnapshot& snap,
-      std::string key) const;
-
-  /// Whether every source of `plan` matches the current registry
-  /// version (callers must NOT hold registry_mu_).
-  bool PlanMatchesRegistry(const XJoinPlan& plan) const;
-
   Dictionary dict_;
 
-  /// Serializes writers (UpdateRelation / UpdateDocument /
-  /// ApplyRelationDelta): the delta path is a read-modify-write of the
-  /// registry entry plus every cached trie derived from it, so two
-  /// writers must not interleave. Outermost in the lock order:
-  /// update_mu_ -> registry_mu_ -> (released) -> cache mutexes; readers
-  /// never take it.
-  mutable std::mutex update_mu_;
+  // Lock order: update_mu_ -> trie_cache_mu_ -> plan_cache_mu_.
+  // snapshot_mu_ and tenant_mu_ are leaves: nothing else is acquired
+  // while either is held. Queries never take update_mu_.
+
+  /// Serializes writers (Register*, Update*, ApplyRelationDelta). Each
+  /// copies current_, edits the copy and publishes it, and the delta
+  /// path also re-keys the cached tries of the version it replaces, so
+  /// two writers must not interleave: a second writer copying the same
+  /// snapshot would lose the first one's edit.
+  std::mutex update_mu_;
   double trie_delta_ratio_ = 0.25;     // guarded by update_mu_
   size_t trie_delta_min_rows_ = 64;    // guarded by update_mu_
 
-  /// The registry. Readers (sessions, lookups) take registry_mu_
-  /// shared; Register*/Update* take it exclusive, swap the shared_ptr
-  /// payload, and bump the version — old payloads stay alive while any
-  /// session, plan, or in-flight query pins them. Lock order: never
-  /// acquire a cache mutex while holding registry_mu_ (Update* swaps
-  /// under the lock, releases it, then invalidates the caches; the
-  /// plan-cache path may take registry_mu_ shared while holding
-  /// plan_cache_mu_).
-  mutable std::shared_mutex registry_mu_;
-  std::map<std::string, RelationEntry> relations_;
-  std::map<std::string, DocumentEntry> documents_;
+  /// The registry. Only writers replace it (holding update_mu_, then
+  /// snapshot_mu_ for the swap); readers copy the pointer under
+  /// snapshot_mu_. A replaced snapshot stays alive while any session,
+  /// plan or in-flight query holds it.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const internal::DatabaseSnapshot> current_ =
+      std::make_shared<const internal::DatabaseSnapshot>();
 
+  /// Relation tries, each charged ByteSizeEstimate() bytes against the
+  /// byte budget (default 256 MiB). Const query paths insert, hence
+  /// mutable.
   mutable std::mutex trie_cache_mu_;
-  // Front = most recently used. The index maps cache key -> list node.
-  mutable std::list<TrieCacheEntry> trie_lru_;
-  mutable std::map<std::string, std::list<TrieCacheEntry>::iterator>
-      trie_index_;
-  mutable size_t trie_cache_bytes_ = 0;
-  size_t trie_cache_budget_ = 256u << 20;  // 256 MiB
+  mutable LruCache<TrieKey, std::shared_ptr<const RelationTrie>> trie_cache_{
+      size_t{256} << 20};
   mutable int64_t trie_cache_hits_ = 0;
   mutable int64_t trie_cache_misses_ = 0;
-  mutable int64_t trie_cache_evictions_ = 0;
   mutable int64_t trie_cache_patches_ = 0;
   mutable int64_t trie_cache_compactions_ = 0;
 
-  struct PlanCacheEntry {
-    std::shared_ptr<const XJoinPlan> plan;
-    std::list<std::string>::iterator lru;  // position in plan_lru_
-  };
-
+  /// Plans by PlanCacheKey, each charged 1 against the capacity
+  /// (default 256 plans).
   mutable std::mutex plan_cache_mu_;
-  // Front = most recently used key.
-  mutable std::list<std::string> plan_lru_;
-  mutable std::map<std::string, PlanCacheEntry> plan_cache_;
-  size_t plan_cache_capacity_ = 256;
+  mutable LruCache<std::string, std::shared_ptr<const XJoinPlan>> plan_cache_{
+      256};
   mutable int64_t plan_cache_hits_ = 0;
   mutable int64_t plan_cache_misses_ = 0;
   mutable int64_t plan_cache_invalidations_ = 0;
-  mutable int64_t plan_cache_evictions_ = 0;
   mutable int64_t plan_cache_rebinds_ = 0;
 
   /// Tenant admission pools. Pools are shared_ptr so an in-flight query
   /// keeps its pool alive across RemoveTenantPool. `tenant_retired_`
   /// accumulates the monotonic counters of removed pools so the
-  /// db-wide admission totals never go backwards. Leaf in the lock
-  /// order (never held while acquiring another mutex).
+  /// db-wide admission totals never go backwards.
   mutable std::mutex tenant_mu_;
   std::map<std::string, std::shared_ptr<TenantPool>> tenant_pools_;
   TenantPoolStats tenant_retired_;  // guarded by tenant_mu_

@@ -1,10 +1,11 @@
 #include "net/frame.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/dictionary.h"
+#include "common/hash.h"
 #include "relational/relation.h"
 
 namespace xjoin {
@@ -299,24 +300,36 @@ Result<std::string> EncodeQueryResultSet(const QueryResultSet& result) {
         "a result with no columns has at most one row");
   }
   if (CellsOverCap(result.rows.size(), width)) return ResultTooLarge();
-  std::unordered_map<std::string_view, uint32_t> index;
-  index.reserve(result.rows.size() * width);
+  // A flat map from a cell's bytes to its table index: open addressing
+  // with linear probing over table indices, at most half full.
+  constexpr uint32_t kFree = UINT32_MAX;
+  std::vector<uint32_t> slots(256, kFree);
   std::vector<std::string_view> table;
   std::vector<uint64_t> counts;
   std::string cells;
   cells.reserve(result.rows.size() * width);
+  auto probe = [&slots, &table](std::string_view cell) {
+    const size_t mask = slots.size() - 1;
+    size_t i = HashBytes(0, cell) & mask;
+    while (slots[i] != kFree && table[slots[i]] != cell) i = (i + 1) & mask;
+    return i;
+  };
   for (const auto& row : result.rows) {
     if (row.size() != width) {
       return Status::InvalidArgument("a result row has the wrong width");
     }
     for (const std::string& cell : row) {
-      const uint32_t next = static_cast<uint32_t>(table.size());
-      const auto [it, fresh] = index.try_emplace(cell, next);
-      if (fresh) {
+      if ((table.size() + 1) * 2 > slots.size()) {
+        slots.assign(slots.size() * 2, kFree);
+        for (uint32_t t = 0; t < table.size(); ++t) slots[probe(table[t])] = t;
+      }
+      const size_t slot = probe(cell);
+      if (slots[slot] == kFree) {
+        slots[slot] = static_cast<uint32_t>(table.size());
         table.push_back(cell);
         counts.push_back(0);
       }
-      AppendCell(it->second, &cells, &counts);
+      AppendCell(slots[slot], &cells, &counts);
     }
   }
   return WriteResultPayload(result.columns, table, counts, result.rows.size(),

@@ -1,32 +1,42 @@
 #include "xml/node_index.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/logging.h"
 
 namespace xjoin {
 
 NodeIndex NodeIndex::Build(const XmlDocument* doc, Dictionary* dict,
-                           ValuePolicy policy) {
+                           ValuePolicy policy, std::string_view scope) {
   NodeIndex index;
   index.doc_ = doc;
   index.policy_ = policy;
   const size_t n = doc->num_nodes();
   index.values_.resize(n);
+  const std::string prefix = "\x1F" + std::string(scope) + ":";
   for (size_t i = 0; i < n; ++i) {
     const XmlNode& node = doc->node(static_cast<NodeId>(i));
     if (policy == ValuePolicy::kTextOrNodeId && !node.text.empty()) {
       index.values_[i] = dict->Intern(node.text);
     } else {
-      // '\x1F' cannot occur in parsed text, so synthetic values never
-      // collide with real ones.
-      index.values_[i] = dict->Intern("\x1Fnode:" + std::to_string(i));
+      index.values_[i] = dict->Intern(prefix + std::to_string(i));
     }
   }
 
   const size_t num_tags = static_cast<size_t>(doc->tag_dict().size());
   index.by_tag_.resize(num_tags);
   index.by_tag_value_.resize(num_tags);
+  // Size each per-tag list exactly, sparing the slack (up to half a
+  // list) and the copies of growing it by doubling.
+  std::vector<size_t> tag_counts(num_tags, 0);
+  for (size_t i = 0; i < n; ++i) {
+    ++tag_counts[static_cast<size_t>(doc->node(static_cast<NodeId>(i)).tag)];
+  }
+  for (size_t tag = 0; tag < num_tags; ++tag) {
+    index.by_tag_[tag].reserve(tag_counts[tag]);
+    index.by_tag_value_[tag].reserve(tag_counts[tag]);
+  }
   for (size_t i = 0; i < n; ++i) {
     const XmlNode& node = doc->node(static_cast<NodeId>(i));
     index.by_tag_[static_cast<size_t>(node.tag)].push_back(

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/dictionary.h"
@@ -17,13 +18,22 @@
 namespace xjoin {
 
 /// How a matched node's join value is derived (DESIGN.md §2).
+///
+/// A synthetic value is the string "\x1F<scope>:<id>": an invisible
+/// U+001F, the index's scope (the registered document name inside a
+/// MultiModelDatabase, "node" by default), a colon and the node's
+/// preorder id. A result cell holding one prints exactly that, e.g.
+/// "\x1Finvoices:7". '\x1F' cannot occur in parsed text, so synthetic
+/// values never equal real ones; distinct scopes keep node i of two
+/// documents apart, and the same scope and document give the same
+/// strings, so re-indexing a document adds no dictionary entries.
 enum class ValuePolicy : uint8_t {
-  /// Text content when the node has any, otherwise a synthetic unique
-  /// per-node value ("\x1Fnode:<id>"). Default; matches the paper's
-  /// Figure 1 where value-carrying elements join with relational columns.
+  /// Text content when the node has any, otherwise the node's synthetic
+  /// value. Default; matches the paper's Figure 1 where value-carrying
+  /// elements join with relational columns.
   kTextOrNodeId,
-  /// Always the synthetic unique per-node value; turns every value join
-  /// into a node-identity join (useful as an exact structural oracle).
+  /// Always the synthetic value; turns every value join into a
+  /// node-identity join (useful as an exact structural oracle).
   kNodeIdAlways,
 };
 
@@ -52,9 +62,11 @@ struct ValueNodeSpan {
 /// relations' codes (one per database) so values agree across models.
 class NodeIndex {
  public:
-  /// Builds the index, interning node values into `dict`.
+  /// Builds the index, interning node values into `dict`. Documents that
+  /// share `dict` need distinct `scope`s (see ValuePolicy).
   static NodeIndex Build(const XmlDocument* doc, Dictionary* dict,
-                         ValuePolicy policy = ValuePolicy::kTextOrNodeId);
+                         ValuePolicy policy = ValuePolicy::kTextOrNodeId,
+                         std::string_view scope = "node");
 
   const XmlDocument& doc() const { return *doc_; }
   ValuePolicy policy() const { return policy_; }

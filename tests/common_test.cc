@@ -4,12 +4,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/budget.h"
 #include "common/cancel.h"
 #include "common/dictionary.h"
 #include "common/fault.h"
+#include "common/lru_cache.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/simd.h"
@@ -483,6 +485,42 @@ TEST(FaultInjectorTest, HandlerObservesWithoutFailing) {
   EXPECT_FALSE(faults.Hit("watched.site"));
   EXPECT_FALSE(faults.Hit("watched.site"));
   EXPECT_EQ(observed, (std::vector<int64_t>{1, 2}));
+}
+
+// The one eviction rule both database caches share: evict from the
+// least recently used end until the total cost fits, never cache an
+// entry costlier than the whole budget, and count only budget-driven
+// drops as evictions.
+TEST(LruCacheTest, CostBudgetEvictsColdestAndSkipsOversizeEntries) {
+  LruCache<std::string, int> cache(/*budget=*/10);
+  cache.Put("a", 1, 4);
+  cache.Put("b", 2, 4);
+  ASSERT_NE(cache.Get("a"), nullptr);  // "b" is now the coldest
+  cache.Put("c", 3, 4);                // 12 > 10: evicts "b"
+  EXPECT_EQ(cache.Get("b"), nullptr);
+  EXPECT_EQ(*cache.Get("a"), 1);
+  EXPECT_EQ(cache.cost(), 8u);
+  EXPECT_EQ(cache.evictions(), 1);
+
+  cache.Put("big", 4, 11);  // over the whole budget: not cached
+  EXPECT_EQ(cache.Get("big"), nullptr);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 1);
+
+  cache.Put("a", 5, 2);  // replaces in place of adding
+  EXPECT_EQ(*cache.Get("a"), 5);
+  EXPECT_EQ(cache.cost(), 6u);
+
+  EXPECT_EQ(cache.EraseIf([](const std::string& key, int) {
+              return key == "c";
+            }),
+            1u);
+  EXPECT_EQ(cache.evictions(), 1);
+  cache.SetBudget(0);  // capacity 0 holds nothing
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.evictions(), 2);
+  cache.Put("d", 6, 1);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 }  // namespace

@@ -180,5 +180,34 @@ TEST_F(DatabaseTest, NodeIdAlwaysPolicy) {
   EXPECT_EQ(result->num_rows(), 2u);
 }
 
+// A textless node's value is scoped by its document's name, so the
+// roots of two documents with the same shape are different values: the
+// twigs below share only attribute `a`, and must not join.
+TEST_F(DatabaseTest, TextlessNodesOfTwoDocumentsNeverJoin) {
+  ASSERT_TRUE(db_.RegisterDocumentXml("d1", "<a><b>x</b><c/></a>").ok());
+  ASSERT_TRUE(db_.RegisterDocumentXml("d2", "<a><b>y</b><c/></a>").ok());
+  for (Engine engine : {Engine::kXJoin, Engine::kBaseline}) {
+    QueryOptions options;
+    options.engine = engine;
+    auto result = db_.OpenSession().Query("Q(*) := d1:a[b], d2:a/c", options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->num_rows(), 0u)
+        << (engine == Engine::kXJoin ? "xjoin" : "baseline");
+  }
+
+  // The cell prints as "\x1F<document>:<node id>".
+  auto root = db_.OpenSession().Query("Q(a) := d1:a");
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  ASSERT_EQ(root->num_rows(), 1u);
+  EXPECT_EQ(db_.dictionary().Decode(root->column(0)[0]),
+            std::string("\x1F" "d1:0"));
+
+  // Re-ingesting identical XML under the same name reuses every value.
+  const int64_t entries = db_.dictionary().size();
+  ASSERT_TRUE(db_.UpdateDocumentXml("d1", "<a><b>x</b><c/></a>").ok());
+  ASSERT_TRUE(db_.UpdateDocumentXml("d2", "<a><b>y</b><c/></a>").ok());
+  EXPECT_EQ(db_.dictionary().size(), entries);
+}
+
 }  // namespace
 }  // namespace xjoin

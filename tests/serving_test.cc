@@ -273,6 +273,81 @@ void CheckConcurrentDeltaWriters(size_t plan_capacity) {
   EXPECT_LE(stats.plan_entries, stats.plan_capacity);
 }
 
+// Writers register distinct relations and documents while readers open
+// sessions, list names and query. Every registration publishes a copy
+// of the registry, so a lost update would drop a name: afterwards a
+// fresh session must see every name, and each reader's view of the
+// names only ever grows.
+TEST_F(ServingTest, ConcurrentRegistrationLosesNoName) {
+  // Exercised under TSan in CI.
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 128;
+  constexpr int kReaders = 2;
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> writers_ready{0};
+  std::atomic<int> failures{0};
+  std::vector<std::string> relations = {"R", "S"};
+  std::vector<std::string> documents;
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kPerWriter; ++i) {
+      std::string name = "w" + std::to_string(w) + "_" + std::to_string(i);
+      (i % 2 == 0 ? relations : documents).push_back(name);
+    }
+  }
+  std::sort(relations.begin(), relations.end());
+  std::sort(documents.begin(), documents.end());
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      // Start together, so registrations overlap as much as they can.
+      writers_ready.fetch_add(1);
+      while (writers_ready.load() < kWriters) std::this_thread::yield();
+      for (int i = 0; i < kPerWriter; ++i) {
+        std::string name = "w" + std::to_string(w) + "_" + std::to_string(i);
+        Status st =
+            i % 2 == 0
+                ? db_.RegisterRelationCsv(name, "X,Y\n" + std::to_string(i) +
+                                                    ",1\n")
+                : db_.RegisterDocumentXml(name, "<a><b>1</b></a>");
+        if (!st.ok()) failures.fetch_add(1);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      std::vector<std::string> seen_relations;
+      std::vector<std::string> seen_documents;
+      do {
+        Session session = db_.OpenSession();
+        std::vector<std::string> rels = session.RelationNames();
+        std::vector<std::string> docs = session.DocumentNames();
+        if (!std::includes(rels.begin(), rels.end(), seen_relations.begin(),
+                           seen_relations.end()) ||
+            !std::includes(docs.begin(), docs.end(), seen_documents.begin(),
+                           seen_documents.end())) {
+          failures.fetch_add(1);
+        }
+        auto joined = session.Query(q_);
+        if (!joined.ok()) failures.fetch_add(1);
+        if (!docs.empty()) {
+          auto twig = session.Query("Q(*) := " + docs.back() + ":a/b");
+          if (!twig.ok() || twig->num_rows() != 1) failures.fetch_add(1);
+        }
+        seen_relations = std::move(rels);
+        seen_documents = std::move(docs);
+      } while (writers_left.load() > 0);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  Session fresh = db_.OpenSession();
+  EXPECT_EQ(fresh.RelationNames(), relations);
+  EXPECT_EQ(fresh.DocumentNames(), documents);
+}
+
 TEST_F(ServingTest, ConcurrentDeltaWritersSeeConsistentSnapshots) {
   // Exercised under TSan in CI.
   for (size_t plan_capacity : {size_t{256}, size_t{1}}) {
