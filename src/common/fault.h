@@ -20,9 +20,9 @@
 //                         expansion loop (never fails; handler hook)
 //   trie.build            before a relation trie build on cache miss
 //                         (a hit fails the build kInternal)
-//   trie.compact          before a relation delta publishes its rebuilt
-//                         tries (a hit fails the update, old version
-//                         must stay fully intact)
+//   trie.compact          after a relation delta rebuilds its cached
+//                         tries, before it publishes (a hit fails the
+//                         update, old version must stay fully intact)
 //   admission.queue_full  evaluated at tenant admission (a hit makes
 //                         the pool report queue-full regardless of
 //                         actual depth)

@@ -67,25 +67,85 @@ void AttachSnapshotSources(XJoinPlan* plan,
   plan->cache_key = std::move(key);
 }
 
-// Applies a RelationDelta to columnar storage with set semantics:
-// deletes drop every matching row, inserts append rows not already
-// present. O(rows * log(deletes) + inserts * rows) — deltas are small
-// by contract, and the trie rebuild this path replaces dwarfs the copy.
+// Three-way comparison of row `r` of `rel` with `t` (schema order).
+int CompareRow(const Relation& rel, size_t r, const Tuple& t) {
+  for (size_t c = 0; c < t.size(); ++c) {
+    const int64_t v = rel.at(r, c);
+    if (v != t[c]) return v < t[c] ? -1 : 1;
+  }
+  return 0;
+}
+
+// Applies a RelationDelta to columnar storage with set semantics: the
+// base rows minus every row equal to a delete, in base order, then each
+// insert not among those rows and not repeating an earlier insert, in
+// batch order. Rows are tested in place by binary search over sorted
+// copies of the two lists and copied as column runs, so no row becomes
+// a Tuple: O(rows * log(delta) * arity) plus the copy.
 Relation ApplyDeltaRows(const Relation& base, const RelationDelta& delta) {
   std::vector<Tuple> deletes = delta.deletes;
   std::sort(deletes.begin(), deletes.end());
-  Relation next(base.schema());
-  next.Reserve(base.num_rows() + delta.inserts.size());
-  for (size_t r = 0; r < base.num_rows(); ++r) {
-    Tuple row = base.GetRow(r);
-    if (!std::binary_search(deletes.begin(), deletes.end(), row)) {
-      next.AppendRow(row);
+  // Inserts sorted with their batch positions; `skip` marks those that
+  // repeat an earlier insert or a surviving row.
+  std::vector<std::pair<Tuple, size_t>> inserts;
+  inserts.reserve(delta.inserts.size());
+  for (size_t i = 0; i < delta.inserts.size(); ++i) {
+    inserts.emplace_back(delta.inserts[i], i);
+  }
+  std::sort(inserts.begin(), inserts.end());
+  std::vector<bool> skip(inserts.size(), false);
+  for (size_t j = 1; j < inserts.size(); ++j) {
+    if (inserts[j].first == inserts[j - 1].first) {
+      skip[inserts[j].second] = true;
     }
   }
-  for (const Tuple& t : delta.inserts) {
-    if (!next.ContainsRow(t)) next.AppendRow(t);
+
+  const size_t n = base.num_rows();
+  std::vector<size_t> dropped;  // ascending
+  for (size_t r = 0; r < n; ++r) {
+    auto del = std::partition_point(
+        deletes.begin(), deletes.end(),
+        [&](const Tuple& t) { return CompareRow(base, r, t) > 0; });
+    if (del != deletes.end() && CompareRow(base, r, *del) == 0) {
+      dropped.push_back(r);
+      continue;
+    }
+    auto ins = std::partition_point(
+        inserts.begin(), inserts.end(),
+        [&](const auto& e) { return CompareRow(base, r, e.first) > 0; });
+    for (; ins != inserts.end() && CompareRow(base, r, ins->first) == 0;
+         ++ins) {
+      skip[ins->second] = true;
+    }
+  }
+
+  Relation next(base.schema());
+  next.Reserve(n - dropped.size() + inserts.size());
+  std::vector<const int64_t*> run(base.num_columns());
+  size_t begin = 0;
+  dropped.push_back(n);  // sentinel: the run after the last drop
+  for (size_t end : dropped) {
+    if (end > begin) {
+      for (size_t c = 0; c < run.size(); ++c) {
+        run[c] = base.column(c).data() + begin;
+      }
+      next.AppendColumnBlock(run.data(), end - begin);
+    }
+    begin = end + 1;
+  }
+  for (size_t i = 0; i < delta.inserts.size(); ++i) {
+    if (!skip[i]) next.AppendRow(delta.inserts[i]);
   }
   return next;
+}
+
+// AlreadyExists when `name` is taken by a relation or a document.
+Status CheckNameFree(const internal::DatabaseSnapshot& snap,
+                     const std::string& name) {
+  if (snap.relations.count(name) || snap.documents.count(name)) {
+    return Status::AlreadyExists(name + " is already registered");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -113,6 +173,11 @@ void MultiModelDatabase::Publish(
 Status MultiModelDatabase::RegisterRelationCsv(const std::string& name,
                                                std::string_view csv,
                                                const CsvOptions& options) {
+  // Reject a bad name before parsing: parsing interns every cell into
+  // the shared dictionary, which never shrinks. RegisterRelation checks
+  // again under the writer lock.
+  if (name.empty()) return Status::InvalidArgument("empty relation name");
+  XJ_RETURN_NOT_OK(CheckNameFree(*Current(), name));
   XJ_ASSIGN_OR_RETURN(Relation rel, ReadCsv(csv, options, &dict_));
   return RegisterRelation(name, std::move(rel));
 }
@@ -122,9 +187,7 @@ Status MultiModelDatabase::RegisterRelation(const std::string& name,
   if (name.empty()) return Status::InvalidArgument("empty relation name");
   auto shared = std::make_shared<const Relation>(std::move(relation));
   std::lock_guard<std::mutex> update_lock(update_mu_);
-  if (current_->relations.count(name) || current_->documents.count(name)) {
-    return Status::AlreadyExists(name + " is already registered");
-  }
+  XJ_RETURN_NOT_OK(CheckNameFree(*current_, name));
   auto next = std::make_shared<internal::DatabaseSnapshot>(*current_);
   next->relations.emplace(name,
                           internal::SnapshotRelation{std::move(shared), 0});
@@ -192,86 +255,58 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
       std::make_shared<const Relation>(ApplyDeltaRows(*base, delta));
   entry.version = old_version + 1;
 
-  // 2. Collect the cached tries keyed at (name, old_version) and patch
-  // each outside the cache lock (compaction can take a while):
-  // RelationTrie::ApplyDelta returns a new trie sharing the base level
-  // arrays, so session snapshots and plans pinning the old objects are
-  // untouched. Tuples are permuted into each trie's attribute order.
+  // 2. Rebuild every cached trie keyed at (name, old_version) over the
+  // new relation, outside the cache lock. Session snapshots and plans
+  // pinning the old trie objects are untouched.
   auto at_old_version = [&name, old_version](const TrieKey& key) {
     return key.relation == name && key.version == old_version;
   };
-  std::vector<std::shared_ptr<const RelationTrie>> old_tries;
+  std::vector<std::vector<std::string>> orders;
   {
     std::lock_guard<std::mutex> lock(trie_cache_mu_);
-    trie_cache_.ForEach([&](const TrieKey& key, const auto& trie) {
-      if (at_old_version(key)) old_tries.push_back(trie);
+    trie_cache_.ForEach([&](const TrieKey& key, const auto&) {
+      if (at_old_version(key)) orders.push_back(key.order);
     });
   }
-  TrieDeltaOptions delta_options;
-  delta_options.compact_ratio = trie_delta_ratio_;
-  delta_options.compact_min_rows = trie_delta_min_rows_;
-  std::vector<std::pair<TrieKey, std::shared_ptr<const RelationTrie>>> patched;
-  patched.reserve(old_tries.size());
-  int64_t compactions = 0;
-  for (const auto& old_trie : old_tries) {
-    const std::vector<std::string>& order = old_trie->attribute_order();
-    std::vector<size_t> perm(arity);
-    for (size_t i = 0; i < arity; ++i) {
-      perm[i] = static_cast<size_t>(schema.IndexOf(order[i]));
-    }
-    auto permute = [&](const std::vector<Tuple>& tuples) {
-      std::vector<Tuple> out(tuples.size(), Tuple(arity));
-      for (size_t r = 0; r < tuples.size(); ++r) {
-        for (size_t i = 0; i < arity; ++i) out[r][i] = tuples[r][perm[i]];
-      }
-      return out;
-    };
-    XJ_ASSIGN_OR_RETURN(
-        RelationTrie fresh,
-        old_trie->ApplyDelta(permute(delta.inserts), permute(delta.deletes),
-                             delta_options));
-    auto shared = std::make_shared<const RelationTrie>(std::move(fresh));
-    if (!shared->SharesBaseWith(*old_trie)) ++compactions;
-    patched.emplace_back(TrieKey{name, old_version + 1, order},
-                         std::move(shared));
+  std::vector<std::pair<TrieKey, std::shared_ptr<const RelationTrie>>> rebuilt;
+  rebuilt.reserve(orders.size());
+  for (std::vector<std::string>& order : orders) {
+    XJ_ASSIGN_OR_RETURN(RelationTrie trie,
+                        RelationTrie::Build(*entry.relation, order));
+    rebuilt.emplace_back(TrieKey{name, old_version + 1, std::move(order)},
+                         std::make_shared<const RelationTrie>(std::move(trie)));
   }
 
-  // Fault site: a failure here (after patching, before publication)
+  // Fault site: a failure here (after rebuilding, before publication)
   // must leave the old version fully intact — the registry, version,
   // and every cached trie are untouched because nothing above mutated
   // shared state.
   if (XJOIN_FAULT("trie.compact")) {
-    return Status::Internal("fault injection: delta compaction for " + name +
+    return Status::Internal("fault injection: trie rebuild for a delta on " +
+                            name +
                             " failed before publish (site trie.compact)");
   }
 
   // 3. Publish the new storage and version.
   Publish(std::move(next));
 
-  // 4. Re-key the patched tries under the new version and drop the
+  // 4. Cache the rebuilt tries under the new version and drop the
   // old-version entries (pins keep the old objects alive for open
   // sessions). Cached plans are deliberately NOT invalidated: their
-  // next hit revalidates versions and rebinds to the patched tries
+  // next hit revalidates versions and rebinds to the rebuilt tries
   // (see PreparePlanSnapshot) instead of re-planning.
   {
     std::lock_guard<std::mutex> lock(trie_cache_mu_);
     trie_cache_.EraseIf(
         [&](const TrieKey& key, const auto&) { return at_old_version(key); });
-    for (auto& [key, trie] : patched) {
-      ++trie_cache_patches_;
+    for (auto& [key, trie] : rebuilt) {
       const size_t bytes = trie->ByteSizeEstimate();
       trie_cache_.Put(key, std::move(trie), bytes);
     }
-    trie_cache_compactions_ += compactions;
+    trie_cache_patches_ += static_cast<int64_t>(rebuilt.size());
+    trie_cache_compactions_ += static_cast<int64_t>(rebuilt.size());
   }
   return Status::OK();
-}
-
-void MultiModelDatabase::SetTrieDeltaCompaction(double ratio,
-                                                size_t min_rows) {
-  std::lock_guard<std::mutex> update_lock(update_mu_);
-  trie_delta_ratio_ = ratio;
-  trie_delta_min_rows_ = min_rows;
 }
 
 Result<internal::SnapshotDocument> MultiModelDatabase::IndexDocumentXml(
@@ -287,12 +322,13 @@ Status MultiModelDatabase::RegisterDocumentXml(const std::string& name,
                                                std::string_view xml,
                                                ValuePolicy policy) {
   if (name.empty()) return Status::InvalidArgument("empty document name");
+  // Checked before indexing (which interns into the dictionary) and
+  // again under the writer lock.
+  XJ_RETURN_NOT_OK(CheckNameFree(*Current(), name));
   XJ_ASSIGN_OR_RETURN(internal::SnapshotDocument entry,
                       IndexDocumentXml(name, xml, policy));
   std::lock_guard<std::mutex> update_lock(update_mu_);
-  if (current_->relations.count(name) || current_->documents.count(name)) {
-    return Status::AlreadyExists(name + " is already registered");
-  }
+  XJ_RETURN_NOT_OK(CheckNameFree(*current_, name));
   auto next = std::make_shared<internal::DatabaseSnapshot>(*current_);
   next->documents.emplace(name, std::move(entry));
   Publish(std::move(next));
@@ -302,6 +338,11 @@ Status MultiModelDatabase::RegisterDocumentXml(const std::string& name,
 Status MultiModelDatabase::UpdateDocumentXml(const std::string& name,
                                              std::string_view xml,
                                              ValuePolicy policy) {
+  // Checked before indexing (which interns into the dictionary) and
+  // again under the writer lock.
+  if (Current()->documents.count(name) == 0) {
+    return Status::NotFound("no document " + name);
+  }
   XJ_ASSIGN_OR_RETURN(internal::SnapshotDocument entry,
                       IndexDocumentXml(name, xml, policy));
   std::lock_guard<std::mutex> update_lock(update_mu_);
@@ -699,7 +740,8 @@ MultiModelDatabase::PreparePlanSnapshot(
       // with relation pointers remapped onto the snapshot (skips
       // parsing), and let RebindXJoin reuse the old settings and force
       // the old expansion order (skips order selection). The trie
-      // provider serves the delta-patched tries at the new versions.
+      // provider serves the tries ApplyRelationDelta rebuilt at the new
+      // versions.
       MultiModelQuery query = stale->query;
       for (auto& nr : query.relations) {
         nr.relation = snap->relations.find(nr.name)->second.relation.get();

@@ -193,11 +193,11 @@ struct CacheStats {
   int64_t trie_hits = 0;
   int64_t trie_misses = 0;
   int64_t trie_evictions = 0;
-  /// Cached tries delta-patched in place of a rebuild by
-  /// ApplyRelationDelta (copy-on-swap, re-keyed to the new version).
+  /// Cached tries ApplyRelationDelta carried to the new version: each
+  /// is rebuilt over the new relation and re-keyed, so it stays cached.
   int64_t trie_patches = 0;
-  /// Patches whose merged delta crossed the compaction threshold and
-  /// folded into fresh level arrays.
+  /// Patched tries given fresh level arrays; every patch is a rebuild,
+  /// so this equals trie_patches.
   int64_t trie_compactions = 0;
   // Plan cache.
   size_t plan_entries = 0;
@@ -261,28 +261,19 @@ class MultiModelDatabase {
   /// sessions opened after see the new contents.
   Status UpdateRelation(const std::string& name, Relation relation);
 
-  /// The incremental-write path: applies a small batch of tuple inserts
-  /// and deletes to an already-registered relation (NotFound otherwise)
+  /// The incremental-write path: applies a batch of tuple inserts and
+  /// deletes to an already-registered relation (NotFound otherwise)
   /// WITHOUT invalidating dependent state. The relation storage is
   /// copy-on-swapped (set semantics — see RelationDelta) and the
   /// version bumped as with UpdateRelation, but every cached trie over
-  /// the relation is delta-patched in place of a rebuild
-  /// (RelationTrie::ApplyDelta — a new trie object sharing the base
-  /// level arrays, re-keyed under the new version) and cached plans are
-  /// left to re-pin the patched tries at hit time (plan rebind) instead
-  /// of being dropped. Sessions opened before the call keep their
-  /// snapshot — the old storage and tries stay pinned; compaction never
-  /// mutates a trie in place, so even mid-compaction snapshots stay
-  /// byte-stable.
+  /// the relation is rebuilt over the new contents before the new
+  /// version is published and re-keyed under it, so the next query
+  /// finds it cached; cached plans are left to re-pin the rebuilt tries
+  /// at hit time (plan rebind) instead of being dropped. Sessions
+  /// opened before the call keep their snapshot — the old storage and
+  /// trie objects stay pinned and are never mutated.
   Status ApplyRelationDelta(const std::string& name,
                             const RelationDelta& delta);
-
-  /// Tunes when ApplyRelationDelta folds a trie's accumulated delta
-  /// side-file into fresh level arrays: compaction triggers once
-  /// pending rows exceed max(min_rows, ratio * base rows). (0.0, 0)
-  /// compacts on every delta; a huge ratio never compacts. Default
-  /// (0.25, 64).
-  void SetTrieDeltaCompaction(double ratio, size_t min_rows);
 
   /// Parses and registers an XML document under `name`.
   Status RegisterDocumentXml(const std::string& name, std::string_view xml,
@@ -316,9 +307,9 @@ class MultiModelDatabase {
   void ClearTrieCache();
 
   /// Caps the total ByteSizeEstimate() of cached tries — the exact heap
-  /// bytes of their level arrays (8 per key, 4 per child offset) and
-  /// delta side-files, with no allocation slack, so a budget equal to
-  /// cache_stats().trie_bytes holds exactly the cached set.
+  /// bytes of their level arrays (8 per key, 4 per child offset), with
+  /// no allocation slack, so a budget equal to cache_stats().trie_bytes
+  /// holds exactly the cached set.
   /// Least-recently-used entries are evicted on insert once the budget
   /// is exceeded; a trie larger than the whole budget is served
   /// uncached. Default 256 MiB. Setting a smaller budget evicts
@@ -421,12 +412,10 @@ class MultiModelDatabase {
 
   /// Serializes writers (Register*, Update*, ApplyRelationDelta). Each
   /// copies current_, edits the copy and publishes it, and the delta
-  /// path also re-keys the cached tries of the version it replaces, so
+  /// path also rebuilds the cached tries of the version it replaces, so
   /// two writers must not interleave: a second writer copying the same
   /// snapshot would lose the first one's edit.
   std::mutex update_mu_;
-  double trie_delta_ratio_ = 0.25;     // guarded by update_mu_
-  size_t trie_delta_min_rows_ = 64;    // guarded by update_mu_
 
   /// The registry. Only writers replace it (holding update_mu_, then
   /// snapshot_mu_ for the swap); readers copy the pointer under

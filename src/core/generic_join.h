@@ -1,8 +1,8 @@
 // The attribute-at-a-time worst-case-optimal join engine (Algorithm 1's
 // expansion loop). Generic Join / Leapfrog Triejoin over any mix of
-// TrieIterator implementations: materialized relational tries, delta
-// tries and lazy XML path tries all hand the engine the same thing — the
-// sorted distinct keys of an open level as a span — which is what lets
+// TrieIterator implementations: materialized relational tries and lazy
+// XML path tries both hand the engine the same thing — the sorted
+// distinct keys of an open level as a span — which is what lets
 // XJoin "expand attributes by satisfying common values and relations
 // from all databases at the same time".
 //

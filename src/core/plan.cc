@@ -22,9 +22,7 @@ namespace {
 int64_t LevelEstimate(const RelationTrie* trie, const PathRelation* path,
                       size_t local_level) {
   if (trie != nullptr) {
-    // Delta-aware upper bound: base level keys plus pending insert rows
-    // (exact for the common no-delta case).
-    return static_cast<int64_t>(trie->LevelKeyEstimate(local_level));
+    return static_cast<int64_t>(trie->level_keys(local_level).size());
   }
   return static_cast<int64_t>(
       path->index().NodesByTag(path->tags()[local_level]).size());

@@ -263,7 +263,7 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(
 /// unchanged). The stale plan's settings are reused and its expansion
 /// order is forced, so rebinding skips parsing and order selection and
 /// spends its time only re-pinning tries through the provider — which
-/// is where the database's delta-patched tries at the new versions come
+/// is where the tries the database rebuilt at the new versions come
 /// from. Records "plan.rebinds" / "plan.rebind_micros" instead of
 /// "plan.prepared"; used by the plan cache to keep entries serving
 /// across ApplyRelationDelta version bumps without a full re-plan.

@@ -5,11 +5,9 @@
 // yields its sorted distinct int64_t keys as a borrowed span — and runs
 // every intersection over those spans with the dispatched kernels of
 // relational/intersect_kernels.h. Implementations:
-//   * RelationTrieIterator      — CSR level arrays; a span points
-//     straight into the level array (relational/trie.h)
-//   * RelationDeltaTrieIterator — CSR base plus a pending update
-//     side-file, merged per open into a frame-owned key array
-//   * LazyPathTrieIterator      — navigates an XML document in place,
+//   * RelationTrieIterator — CSR level arrays; a span points straight
+//     into the level array (relational/trie.h)
+//   * LazyPathTrieIterator — navigates an XML document in place,
 //     deduplicating the tag-matching children of the parent's value
 //     group per open (core/virtual_relation.h)
 //   * a flattened path (PathRelation::Materialize) is a plain

@@ -48,6 +48,23 @@ TEST_F(DatabaseTest, DuplicateNamesRejected) {
   EXPECT_FALSE(db_.RegisterDocumentXml("invoices", "<a/>").ok());
 }
 
+// A rejected registration or update interns nothing: the name is
+// checked before the input is parsed, so the shared dictionary (which
+// never shrinks) does not grow.
+TEST_F(DatabaseTest, RejectedRegistrationLeavesDictionaryUnchanged) {
+  const int64_t size = db_.dictionary().size();
+  EXPECT_EQ(db_.RegisterDocumentXml("invoices", "<r><s>one</s><t/></r>")
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(db_.dictionary().size(), size);
+  EXPECT_EQ(db_.RegisterRelationCsv("invoices", "A,B\nu,v\nw,z\n").code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(db_.dictionary().size(), size);
+  EXPECT_EQ(db_.UpdateDocumentXml("unknown", "<r><s>three</s></r>").code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(db_.dictionary().size(), size);
+}
+
 TEST_F(DatabaseTest, Figure1QueryThroughTextInterface) {
   auto result = db_.OpenSession().Query(
       "Q(userID, ISBN, price) := R, "

@@ -180,18 +180,14 @@ RelationDelta DiffDelta(const Relation& from, const Relation& to) {
 
 // The delta-path twin of ConcurrentReadersSeeConsistentSnapshots:
 // writers morph R and S between two contents via ApplyRelationDelta
-// (patching cached tries in place, compacting when the side-file
-// crosses the threshold) while readers demand results byte-identical
-// to some consistent snapshot, on a database caching at most
-// `plan_capacity` plans.
+// (rebuilding the cached tries under the new version) while readers
+// demand results byte-identical to some consistent snapshot, on a
+// database caching at most `plan_capacity` plans.
 void CheckConcurrentDeltaWriters(size_t plan_capacity) {
   MultiModelDatabase db;
   db.SetPlanCacheCapacity(plan_capacity);
   ASSERT_TRUE(db.RegisterRelationCsv("R", MakeCsv("A", "B", 40, 5, 0)).ok());
   ASSERT_TRUE(db.RegisterRelationCsv("S", MakeCsv("B", "C", 40, 5, 0)).ok());
-  // Small thresholds so the stream keeps crossing the compaction
-  // boundary: readers see pending side-files and freshly-folded cores.
-  db.SetTrieDeltaCompaction(0.25, 8);
   auto parse = [&](const std::string& csv) {
     auto rel = ReadCsv(csv, CsvOptions{}, db.mutable_dictionary());
     EXPECT_TRUE(rel.ok());
@@ -358,18 +354,17 @@ TEST_F(ServingTest, ConcurrentDeltaWritersSeeConsistentSnapshots) {
 
 TEST_F(ServingTest, SnapshotPinsSurviveCompactionUnderLivePin) {
   // Regression: a session/prepared statement opened before a delta
-  // keeps pinning the PRE-compaction trie object. Compaction must swap
-  // in a new core (never fold in place), so evicting the cache and
-  // compacting under the live pin cannot perturb the pinned snapshot.
-  db_.SetTrieDeltaCompaction(0.0, 0);  // fold on every delta
+  // keeps pinning the pre-update trie object. A delta must cache a new
+  // trie (never rebuild in place), so evicting the cache and applying
+  // deltas under the live pin cannot perturb the pinned snapshot.
   Session session = db_.OpenSession();
   auto prepared = session.Prepare(q_);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   auto expected = session.Execute(*prepared);
   ASSERT_TRUE(expected.ok());
 
-  // Delta + forced compaction patches the cached tries; the pinned
-  // plan must keep executing against the old core.
+  // The deltas rebuild the cached tries; the pinned plan must keep
+  // executing against the old ones.
   RelationDelta delta;
   delta.inserts = {{db_.mutable_dictionary()->Intern("777"),
                     db_.mutable_dictionary()->Intern("777")}};

@@ -7,11 +7,13 @@
 // the plan cache wherever they mean to exercise trie-cache hits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
 #include "core/database.h"
+#include "relational/trie.h"
 
 namespace xjoin {
 namespace {
@@ -132,8 +134,9 @@ TEST_F(TrieCacheTest, ApplyRelationDeltaPatchesInsteadOfInvalidating) {
   EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
   const int64_t misses_before = db_.cache_stats().trie_misses;
 
-  // A delta to R re-keys its cached trie at the new version by
-  // patching it in place — no entry is dropped, nothing is rebuilt.
+  // A delta to R rebuilds its cached trie over the new contents and
+  // re-keys it at the new version — no entry is dropped, and no query
+  // has to build it.
   RelationDelta delta;
   delta.inserts = {{db_.mutable_dictionary()->Intern("2"),
                     db_.mutable_dictionary()->Intern("y")}};
@@ -153,7 +156,7 @@ TEST_F(TrieCacheTest, ApplyRelationDeltaPatchesInsteadOfInvalidating) {
   EXPECT_EQ(db_.cache_stats().trie_misses, misses_before);
 
   // Deleting the same row again via the delta path restores the
-  // original contents (second patch on the already-patched trie).
+  // original contents (second patch, of the already-patched trie).
   RelationDelta undo;
   undo.deletes = delta.inserts;
   ASSERT_TRUE(db_.ApplyRelationDelta("R", undo).ok());
@@ -164,6 +167,46 @@ TEST_F(TrieCacheTest, ApplyRelationDeltaPatchesInsteadOfInvalidating) {
   stats = db_.cache_stats();
   EXPECT_EQ(stats.trie_patches, 2);
   EXPECT_EQ(stats.trie_misses, misses_before);
+}
+
+// A delta leaves in the cache exactly the trie a fresh build of the new
+// relation gives — same level arrays, same charged bytes — and the
+// next prepared plan pins it without a trie-cache miss.
+TEST_F(TrieCacheTest, DeltaPatchedTrieEqualsFreshBuild) {
+  const std::string q = "Q(A, B, C) := R, S";
+  ASSERT_TRUE(db_.OpenSession().Query(q).ok());
+  const int64_t misses_before = db_.cache_stats().trie_misses;
+
+  Dictionary* dict = db_.mutable_dictionary();
+  RelationDelta delta;
+  delta.inserts = {{dict->Intern("3"), dict->Intern("z")},
+                   {dict->Intern("0"), dict->Intern("x")}};
+  delta.deletes = {{dict->Intern("1"), dict->Intern("y")}};
+  ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
+
+  Session session = db_.OpenSession();
+  auto prepared = session.Prepare(q);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_EQ(db_.cache_stats().trie_misses, misses_before);
+  const auto& inputs = prepared->plan->rel_inputs;
+  auto input = std::find_if(inputs.begin(), inputs.end(),
+                            [](const auto& in) { return in.name == "R"; });
+  ASSERT_NE(input, inputs.end());
+  const RelationTrie& patched = *input->trie;
+
+  auto relation = session.relation("R");
+  ASSERT_TRUE(relation.ok());
+  auto fresh = RelationTrie::Build(**relation, patched.attribute_order());
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(patched.arity(), fresh->arity());
+  const size_t k = static_cast<size_t>(fresh->arity());
+  for (size_t d = 0; d < k; ++d) {
+    EXPECT_EQ(patched.level_keys(d), fresh->level_keys(d)) << "level " << d;
+  }
+  for (size_t d = 0; d + 1 < k; ++d) {
+    EXPECT_EQ(patched.child_begin(d), fresh->child_begin(d)) << "level " << d;
+  }
+  EXPECT_EQ(patched.ByteSizeEstimate(), fresh->ByteSizeEstimate());
 }
 
 TEST_F(TrieCacheTest, ExplicitInvalidationHooks) {

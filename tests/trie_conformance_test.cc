@@ -1,21 +1,18 @@
 // Parameterized TrieIterator conformance suite, run against every
-// implementation — RelationTrie (CSR level arrays), its delta-backed
-// form (base CSR + pending insert/tombstone side-file, pre and post
-// compaction), LazyPathTrie (in-place document navigation), and the
-// materialized path trie (RelationTrie over a flattened PathRelation) —
-// plus a randomized equivalence check of the CSR trie against a
-// reference sorted-vector oracle. Every implementation must satisfy the
-// span contract in relational/trie_iterator.h: each opened span holds
-// exactly the oracle's distinct keys for its prefix, in ascending
-// order; spans stay valid while deeper levels open and close; clones
-// start at the root and are independent.
+// implementation — RelationTrie (CSR level arrays), LazyPathTrie
+// (in-place document navigation), and the materialized path trie
+// (RelationTrie over a flattened PathRelation) — plus a randomized
+// equivalence check of the CSR trie against a reference sorted-vector
+// oracle. Every implementation must satisfy the span contract in
+// relational/trie_iterator.h: each opened span holds exactly the
+// oracle's distinct keys for its prefix, in ascending order; spans stay
+// valid while deeper levels open and close; clones start at the root
+// and are independent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -66,50 +63,6 @@ struct TrieFixture {
 
  private:
   std::shared_ptr<const std::vector<Tuple>> oracle_;
-};
-
-// Delta-backed RelationTrie: a base build followed by one or more
-// ApplyDelta rounds (inserts + deletes in trie attribute order). When
-// `compact_last` is false every round stays a pending side-file, so the
-// RelationDeltaTrieIterator merge path is what the suite exercises;
-// when true the final round force-compacts, proving the folded CSR is
-// indistinguishable from a fresh build.
-struct DeltaRelationTrieFixture : TrieFixture {
-  struct Round {
-    std::vector<Tuple> inserts;
-    std::vector<Tuple> deletes;
-  };
-
-  DeltaRelationTrieFixture(const Relation& base,
-                           const std::vector<std::string>& order,
-                           const std::vector<Round>& rounds,
-                           bool compact_last) {
-    auto projected = Project(base, order);
-    std::set<Tuple> logical;
-    for (const Tuple& t : projected->ToTuples()) logical.insert(t);
-
-    auto built = RelationTrie::Build(base, order);
-    RelationTrie current = *std::move(built);
-    for (size_t i = 0; i < rounds.size(); ++i) {
-      TrieDeltaOptions options;
-      options.compact_min_rows = std::numeric_limits<size_t>::max();
-      if (compact_last && i + 1 == rounds.size()) options.force_compact = true;
-      auto next = current.ApplyDelta(rounds[i].inserts, rounds[i].deletes,
-                                     options);
-      current = *std::move(next);
-      for (const Tuple& t : rounds[i].deletes) logical.erase(t);
-      for (const Tuple& t : rounds[i].inserts) logical.insert(t);
-    }
-    trie = std::make_unique<RelationTrie>(std::move(current));
-    SetOracle(std::vector<Tuple>(logical.begin(), logical.end()));
-  }
-
-  std::unique_ptr<TrieIterator> NewIterator() const override {
-    return trie->NewIterator();
-  }
-  int arity() const override { return trie->arity(); }
-
-  std::unique_ptr<RelationTrie> trie;
 };
 
 struct RelationTrieFixture : TrieFixture {
@@ -259,57 +212,6 @@ const std::vector<FixtureSpec>& Registry() {
          r.AppendRow({42});
          return std::make_shared<RelationTrieFixture>(
              r, std::vector<std::string>{"A"});
-       }},
-      // Delta-backed variants: base + pending side-file (the merge
-      // iterator) and the same logical contents after compaction.
-      {"DeltaTriePendingBasic",
-       [] {
-         std::vector<DeltaRelationTrieFixture::Round> rounds = {
-             {{{1, 15}, {3, 3}, {0, 5}, {9, 2}}, {{2, 10}, {9, 1}}}};
-         return std::make_shared<DeltaRelationTrieFixture>(
-             BasicRelation(), std::vector<std::string>{"A", "B"}, rounds,
-             /*compact_last=*/false);
-       }},
-      {"DeltaTrieCompactedBasic",
-       [] {
-         std::vector<DeltaRelationTrieFixture::Round> rounds = {
-             {{{1, 15}, {3, 3}, {0, 5}, {9, 2}}, {{2, 10}, {9, 1}}}};
-         return std::make_shared<DeltaRelationTrieFixture>(
-             BasicRelation(), std::vector<std::string>{"A", "B"}, rounds,
-             /*compact_last=*/true);
-       }},
-      {"DeltaTrieChainedArity3",
-       [] {
-         // Round 2 deletes a round-1 insert (cancel), deletes base rows,
-         // and resurrects a round-1 delete — the full classification
-         // matrix, left pending so the merge iterator serves it.
-         std::vector<DeltaRelationTrieFixture::Round> rounds = {
-             {{{7, 7, 7}, {0, 0, 1}}, {{1, 1, 1}, {2, 3, 0}}},
-             {{{1, 1, 1}, {5, 0, 0}}, {{7, 7, 7}, {0, 1, 0}}}};
-         return std::make_shared<DeltaRelationTrieFixture>(
-             Arity3Relation(), std::vector<std::string>{"A", "B", "C"},
-             rounds, /*compact_last=*/false);
-       }},
-      {"DeltaTrieAllBaseDeleted",
-       [] {
-         // Every base row tombstoned, fresh inserts only: level-0
-         // Reposition must skip fully-dead base subtrees.
-         std::vector<DeltaRelationTrieFixture::Round> rounds = {
-             {{{4, 4}, {6, 1}},
-              {{1, 10}, {1, 20}, {2, 10}, {5, 7}, {5, 9}, {9, 1}}}};
-         return std::make_shared<DeltaRelationTrieFixture>(
-             BasicRelation(), std::vector<std::string>{"A", "B"}, rounds,
-             /*compact_last=*/false);
-       }},
-      {"DeltaTrieEmptiedPending",
-       [] {
-         // Deletes everything, inserts nothing: logically empty trie
-         // whose base arrays are still fully populated.
-         std::vector<DeltaRelationTrieFixture::Round> rounds = {
-             {{}, {{1, 10}, {1, 20}, {2, 10}, {5, 7}, {5, 9}, {9, 1}}}};
-         return std::make_shared<DeltaRelationTrieFixture>(
-             BasicRelation(), std::vector<std::string>{"A", "B"}, rounds,
-             /*compact_last=*/false);
        }},
       {"LazyPathTrieBasic",
        [] {

@@ -83,18 +83,12 @@ TEST(RelationTrieIteratorTest, EmptyRelation) {
   EXPECT_EQ(it->Open(0).size(), 0u);
 }
 
-// The bytes a trie's data needs: 8 per level key, 4 per child offset,
-// and for a pending delta 8 per insert/tombstone column entry plus 8 per
-// merged root key (the delta cursor's root span is that array).
+// The bytes a trie's data needs: 8 per level key, 4 per child offset.
 size_t DataBytes(const RelationTrie& trie) {
   const size_t k = static_cast<size_t>(trie.arity());
   size_t bytes = 0;
   for (size_t d = 0; d < k; ++d) bytes += trie.level_keys(d).size() * 8;
   for (size_t d = 0; d + 1 < k; ++d) bytes += trie.child_begin(d).size() * 4;
-  if (trie.has_delta()) {
-    bytes += (trie.delta_insert_rows() + trie.delta_tombstone_rows()) * k * 8;
-    bytes += trie.NewIterator()->Open(0).size() * 8;
-  }
   return bytes;
 }
 
@@ -143,34 +137,6 @@ TEST(RelationTrieTest, ByteSizeEstimateHasNoSlack) {
       }
     }
   }
-}
-
-TEST(RelationTrieTest, DeltaTriesHaveNoSlack) {
-  Rng rng(29);
-  Relation rel = DuplicatingRelation(&rng, 3, 400);
-  auto base = RelationTrie::Build(rel, rel.schema().attributes());
-  ASSERT_TRUE(base.ok());
-  std::vector<Tuple> tuples;
-  base->EnumerateTuples(&tuples);
-  // Inserts under new root keys (so the merged root grows past the base
-  // root) and tombstones over base rows.
-  std::vector<Tuple> inserts = {{100, 1, 2}, {101, 3, 4}, {7, 100, 5}};
-  std::vector<Tuple> deletes = {tuples[0], tuples[10], tuples[20]};
-
-  auto pending = base->ApplyDelta(inserts, deletes);
-  ASSERT_TRUE(pending.ok());
-  ASSERT_TRUE(pending->has_delta());
-  EXPECT_EQ(pending->delta_insert_rows(), 3u);
-  EXPECT_EQ(pending->delta_tombstone_rows(), 3u);
-  EXPECT_EQ(pending->ByteSizeEstimate(), DataBytes(*pending));
-
-  TrieDeltaOptions compact;
-  compact.force_compact = true;
-  auto compacted = base->ApplyDelta(inserts, deletes, compact);
-  ASSERT_TRUE(compacted.ok());
-  ASSERT_FALSE(compacted->has_delta());
-  EXPECT_EQ(compacted->num_rows(), pending->num_rows());
-  EXPECT_EQ(compacted->ByteSizeEstimate(), DataBytes(*compacted));
 }
 
 // Property: enumerating the trie yields exactly the sorted distinct

@@ -1,36 +1,26 @@
-// Differential update-stream suite: the incremental trie/database
-// maintenance path must be observationally identical to rebuilding
-// from scratch after every update.
-//
-// Two layers of randomized differential checks:
-//  1. Trie layer — a random chain of RelationTrie::ApplyDelta calls
-//     against a std::set<Tuple> oracle, under compaction policies that
-//     never / always / occasionally fold the delta, compared both by
-//     EnumerateTuples and against a fresh Build of the oracle.
-//  2. Database layer — the SAME interleaved insert/delete/query stream
-//     driven through (a) MultiModelDatabase::ApplyRelationDelta (the
-//     delta-patch path that keeps cached tries and plans alive) and
-//     (b) a twin database that does a full UpdateRelation rebuild from
-//     the oracle contents. Every query in the stream must return
-//     byte-identical rows on both databases, across result batch sizes
-//     {1, 7, 1024} x threads {1, 4}, including seeds that straddle the
-//     compaction trigger. The queries mix delta tries with each other
-//     (a three-relation cycle) and with a lazy path trie over a
-//     document whose values share R's domain.
+// Differential update-stream suite: the delta path must be
+// observationally identical to rebuilding from scratch after every
+// update. The SAME interleaved insert/delete/query stream is driven
+// through (a) MultiModelDatabase::ApplyRelationDelta (the path that
+// keeps cached tries and plans alive across version bumps) and (b) a
+// twin database that does a full UpdateRelation rebuild from a
+// std::set<Tuple> oracle. After every batch the delta database's
+// stored relation must equal the oracle as a set, and every query in
+// the stream must return byte-identical rows on both databases, across
+// result batch sizes {1, 7, 1024} x threads {1, 4}. The queries mix
+// updated relation tries with each other (a three-relation cycle) and
+// with a lazy path trie over a document whose values share R's domain.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "core/database.h"
-#include "relational/operators.h"
 #include "relational/relation.h"
-#include "relational/trie.h"
 
 namespace xjoin {
 namespace {
@@ -56,117 +46,12 @@ std::vector<Tuple> RandomTuples(Rng* rng, size_t count, int arity,
 }
 
 // ---------------------------------------------------------------------
-// Layer 1: trie-level differential fuzz.
+// One stream, two databases: `delta_db` takes ApplyRelationDelta,
+// `rebuild_db` swaps in a full UpdateRelation built from the oracle.
+// Queries interleave with updates; rows must match byte-for-byte under
+// every execution config. The parameter is the stream's seed.
 
-struct TrieStreamCase {
-  uint64_t seed;
-  double compact_ratio;
-  size_t compact_min_rows;
-};
-
-class TrieUpdateStreamTest : public ::testing::TestWithParam<TrieStreamCase> {};
-
-TEST_P(TrieUpdateStreamTest, DeltaChainMatchesRebuildOracle) {
-  const TrieStreamCase& param = GetParam();
-  Rng rng(param.seed);
-  const int arity = 3;
-  const int64_t domain = 6;  // 216 possible tuples: dense collisions
-  const std::vector<std::string> order = {"A", "B", "C"};
-  auto schema = Schema::Make(order);
-  ASSERT_TRUE(schema.ok());
-
-  std::set<Tuple> oracle;
-  Relation base(*schema);
-  for (const Tuple& t : RandomTuples(&rng, 40, arity, domain)) {
-    if (oracle.insert(t).second) base.AppendRow(t);
-  }
-  auto built = RelationTrie::Build(base, order);
-  ASSERT_TRUE(built.ok());
-  RelationTrie trie = *std::move(built);
-
-  for (int round = 0; round < 30; ++round) {
-    std::vector<Tuple> inserts =
-        RandomTuples(&rng, rng.NextBounded(8), arity, domain);
-    std::vector<Tuple> deletes;
-    // Half the deletes target live tuples, half are random (mostly
-    // absent) — ApplyDelta must treat absent deletes as no-ops.
-    for (size_t i = 0; i < rng.NextBounded(8); ++i) {
-      if (!oracle.empty() && rng.NextBernoulli(0.5)) {
-        auto it = oracle.begin();
-        std::advance(it, static_cast<long>(rng.NextBounded(oracle.size())));
-        deletes.push_back(*it);
-      } else {
-        deletes.push_back(RandomTuple(&rng, arity, domain));
-      }
-    }
-
-    TrieDeltaOptions options;
-    options.compact_ratio = param.compact_ratio;
-    options.compact_min_rows = param.compact_min_rows;
-    auto next = trie.ApplyDelta(inserts, deletes, options);
-    ASSERT_TRUE(next.ok()) << next.status().ToString();
-    trie = *std::move(next);
-
-    for (const Tuple& t : deletes) oracle.erase(t);
-    for (const Tuple& t : inserts) oracle.insert(t);
-
-    // (a) Enumeration matches the oracle set exactly.
-    std::vector<Tuple> expected(oracle.begin(), oracle.end());
-    std::vector<Tuple> actual;
-    trie.EnumerateTuples(&actual);
-    ASSERT_EQ(actual, expected) << "round " << round;
-    ASSERT_EQ(trie.num_rows(), oracle.size()) << "round " << round;
-
-    // (b) ...and matches a from-scratch rebuild of the same contents.
-    auto rebuilt_rel = Relation::FromTuples(*schema, expected);
-    ASSERT_TRUE(rebuilt_rel.ok());
-    auto rebuilt = RelationTrie::Build(*rebuilt_rel, order);
-    ASSERT_TRUE(rebuilt.ok());
-    std::vector<Tuple> rebuilt_tuples;
-    rebuilt->EnumerateTuples(&rebuilt_tuples);
-    ASSERT_EQ(actual, rebuilt_tuples) << "round " << round;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Policies, TrieUpdateStreamTest,
-    ::testing::Values(
-        // Never compact: every round deepens the pending side-file.
-        TrieStreamCase{101, 1.0, std::numeric_limits<size_t>::max()},
-        TrieStreamCase{102, 1.0, std::numeric_limits<size_t>::max()},
-        // Always compact: every ApplyDelta folds into fresh CSR arrays.
-        TrieStreamCase{201, 0.0, 0},
-        // Boundary-straddling: small thresholds so the stream crosses
-        // the trigger repeatedly, mixing pending and folded states.
-        TrieStreamCase{301, 0.25, 4}, TrieStreamCase{302, 0.25, 4},
-        TrieStreamCase{303, 0.10, 2}),
-    [](const ::testing::TestParamInfo<TrieStreamCase>& info) {
-      return "Seed" + std::to_string(info.param.seed);
-    });
-
-TEST(TrieUpdateStreamTest, DeltaOnZeroArityTrieIsRejected) {
-  auto schema = Schema::Make({});
-  ASSERT_TRUE(schema.ok());
-  auto built = RelationTrie::Build(Relation(*schema), {});
-  ASSERT_TRUE(built.ok());
-  EXPECT_TRUE(built->ApplyDelta({}, {}).ok());
-  EXPECT_FALSE(built->ApplyDelta({{}}, {}).ok());
-}
-
-// ---------------------------------------------------------------------
-// Layer 2: database-level differential stream. One stream, two
-// databases: `delta_db` takes ApplyRelationDelta, `rebuild_db` swaps in
-// a full UpdateRelation built from the oracle. Queries interleave with
-// updates; rows must match byte-for-byte under every execution config.
-
-struct DbStreamCase {
-  uint64_t seed;
-  // Compaction knob for delta_db; rebuild_db never sees deltas.
-  double compact_ratio;
-  size_t compact_min_rows;
-};
-
-class DbUpdateStreamTest : public ::testing::TestWithParam<DbStreamCase> {
+class DbUpdateStreamTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   static constexpr int64_t kDomain = 8;
 
@@ -229,7 +114,7 @@ class DbUpdateStreamTest : public ::testing::TestWithParam<DbStreamCase> {
   }
 
   // Applies one random update batch to `name` on both databases and the
-  // oracle; returns false on generation of an empty batch (harmless).
+  // oracle, and checks the delta database stores exactly the oracle.
   void ApplyRound(Rng* rng, const std::string& name, const Schema& schema,
                   std::set<Tuple>* oracle) {
     RelationDelta delta;
@@ -246,6 +131,12 @@ class DbUpdateStreamTest : public ::testing::TestWithParam<DbStreamCase> {
     ASSERT_TRUE(delta_db_.ApplyRelationDelta(name, delta).ok());
     for (const Tuple& t : delta.deletes) oracle->erase(t);
     for (const Tuple& t : delta.inserts) oracle->insert(t);
+    Session session = delta_db_.OpenSession();
+    auto stored = session.relation(name);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    const std::vector<Tuple> rows = (*stored)->ToTuples();
+    ASSERT_EQ(std::set<Tuple>(rows.begin(), rows.end()), *oracle) << name;
+    ASSERT_EQ(rows.size(), oracle->size()) << name << ": duplicate rows";
     ASSERT_TRUE(
         rebuild_db_.UpdateRelation(name, OracleRelation(schema, *oracle)).ok());
   }
@@ -280,15 +171,13 @@ class DbUpdateStreamTest : public ::testing::TestWithParam<DbStreamCase> {
 };
 
 TEST_P(DbUpdateStreamTest, InterleavedStreamIsByteIdentical) {
-  const DbStreamCase& param = GetParam();
-  Rng rng(param.seed);
+  Rng rng(GetParam());
   SeedDatabases(&rng);
-  delta_db_.SetTrieDeltaCompaction(param.compact_ratio,
-                                   param.compact_min_rows);
 
-  // A delta trie alone at level A and beside S at level B; a delta trie
-  // and a lazy path trie intersecting at levels A and B; and a
-  // three-relation cycle, where delta tries intersect at every level.
+  // An updated trie alone at level A and beside S at level B; an
+  // updated trie and a lazy path trie intersecting at levels A and B;
+  // and a three-relation cycle, where updated tries intersect at every
+  // level.
   const std::vector<std::string> joins = {
       "Q(A, B, C) := R, S", "Q(A, B, C) := R, S, doc : A/B",
       "Q(A, B, C) := R, S, T"};
@@ -325,14 +214,12 @@ TEST_P(DbUpdateStreamTest, InterleavedStreamIsByteIdentical) {
   // The delta path must actually have taken the incremental route over
   // the whole stream: after warm-up it built no trie and missed no plan
   // (plans are re-pinned across version bumps), and every delta patched
-  // at least one cached trie in place.
+  // at least one cached trie.
   const CacheStats stats = delta_db_.cache_stats();
   EXPECT_EQ(stats.trie_misses - warm.trie_misses, 0);
   EXPECT_EQ(stats.plan_misses - warm.plan_misses, 0);
   EXPECT_GE(stats.trie_patches - warm.trie_patches, kRounds);
-  if (param.compact_min_rows == 0) {
-    EXPECT_GT(stats.trie_compactions, 0);
-  }
+  EXPECT_GT(stats.trie_compactions, 0);
 
   // The twig join must have had rows to compare.
   auto twig_rows = delta_db_.OpenSession().Query(joins[1]);
@@ -341,16 +228,9 @@ TEST_P(DbUpdateStreamTest, InterleavedStreamIsByteIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Policies, DbUpdateStreamTest,
-    ::testing::Values(
-        // Pending-heavy: the merge iterator serves nearly every query.
-        DbStreamCase{11, 1.0, std::numeric_limits<size_t>::max()},
-        // Always compact: every delta folds immediately.
-        DbStreamCase{12, 0.0, 0},
-        // Boundary-straddling thresholds.
-        DbStreamCase{13, 0.25, 4}, DbStreamCase{14, 0.25, 4}),
-    [](const ::testing::TestParamInfo<DbStreamCase>& info) {
-      return "Seed" + std::to_string(info.param.seed);
+    Seeds, DbUpdateStreamTest, ::testing::Range<uint64_t>(11, 15),
+    [](const ::testing::TestParamInfo<uint64_t>& info) {
+      return "Seed" + std::to_string(info.param);
     });
 
 // The delta path must keep sessions consistent: a session opened
@@ -390,6 +270,43 @@ TEST_F(DbUpdateStreamTest, DeltaValidation) {
   RelationDelta fine;
   fine.inserts = {{1, 2}};
   EXPECT_FALSE(delta_db_.ApplyRelationDelta("missing", fine).ok());
+}
+
+// RelationDelta's contract, on a relation small enough to spell out:
+// deletes apply before inserts (a tuple in both lists ends present),
+// deleting an absent tuple and inserting a present one are no-ops, and
+// replaying a batch changes nothing. Stored rows keep the base order,
+// then the new inserts in batch order. A zero-arity relation takes no
+// delta.
+TEST(RelationDeltaTest, SetSemanticsAndReplay) {
+  MultiModelDatabase db;
+  auto schema = Schema::Make({"A", "B"});
+  ASSERT_TRUE(schema.ok());
+  auto base = Relation::FromTuples(*schema, {{1, 1}, {2, 2}, {3, 3}});
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(db.RegisterRelation("R", *std::move(base)).ok());
+  auto stored = [&db] {
+    Session session = db.OpenSession();
+    return (*session.relation("R"))->ToTuples();
+  };
+
+  RelationDelta delta;
+  delta.deletes = {{1, 1}, {5, 5}, {9, 9}};
+  delta.inserts = {{2, 2}, {4, 4}, {5, 5}, {4, 4}};
+  const std::vector<Tuple> expected = {{2, 2}, {3, 3}, {4, 4}, {5, 5}};
+  ASSERT_TRUE(db.ApplyRelationDelta("R", delta).ok());
+  EXPECT_EQ(stored(), expected);
+  ASSERT_TRUE(db.ApplyRelationDelta("R", delta).ok());
+  EXPECT_EQ(stored(), expected);
+  EXPECT_EQ(*db.OpenSession().relation_version("R"), 2u);
+
+  auto empty_schema = Schema::Make({});
+  ASSERT_TRUE(empty_schema.ok());
+  ASSERT_TRUE(db.RegisterRelation("Z", Relation(*empty_schema)).ok());
+  RelationDelta zero_arity;
+  zero_arity.inserts = {Tuple{}};
+  const Status status = db.ApplyRelationDelta("Z", zero_arity);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
 }
 
 }  // namespace
