@@ -304,7 +304,6 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
       trie_cache_.Put(key, std::move(trie), bytes);
     }
     trie_cache_patches_ += static_cast<int64_t>(rebuilt.size());
-    trie_cache_compactions_ += static_cast<int64_t>(rebuilt.size());
   }
   return Status::OK();
 }
@@ -576,7 +575,7 @@ CacheStats MultiModelDatabase::cache_stats() const {
     stats.trie_misses = trie_cache_misses_;
     stats.trie_evictions = trie_cache_.evictions();
     stats.trie_patches = trie_cache_patches_;
-    stats.trie_compactions = trie_cache_compactions_;
+    stats.trie_compactions = trie_cache_patches_;
     stats.plan_entries = plan_cache_.size();
     stats.plan_capacity = plan_cache_.budget();
     stats.plan_hits = plan_cache_hits_;

@@ -27,10 +27,10 @@
 // resolves the text to a cached XJoinPlan (key: canonical query text +
 // options fingerprint, validated against the session's snapshot
 // versions) and replays it with ExecutePlan, so repeated query shapes
-// skip order selection, shard planning, and all trie builds. Relation
-// tries and plans live in two LRU caches of one kind (LruCache): tries
-// charged by bytes, plans by count. Twig paths are never materialized,
-// so documents own no cached trie.
+// skip order selection and all trie builds. Relation tries and plans
+// live in two LRU caches of one kind (LruCache): tries charged by
+// bytes, plans by count. Twig paths are never materialized, so
+// documents own no cached trie.
 // Execution runs on the shared morsel-driven Executor pool, so N
 // in-flight queries share cores instead of each spawning threads.
 #ifndef XJOIN_CORE_DATABASE_H_
@@ -196,8 +196,8 @@ struct CacheStats {
   /// Cached tries ApplyRelationDelta carried to the new version: each
   /// is rebuilt over the new relation and re-keyed, so it stays cached.
   int64_t trie_patches = 0;
-  /// Patched tries given fresh level arrays; every patch is a rebuild,
-  /// so this equals trie_patches.
+  /// Patched tries given fresh level arrays. Every patch is a rebuild,
+  /// so this is trie_patches; kept for readers of the field.
   int64_t trie_compactions = 0;
   // Plan cache.
   size_t plan_entries = 0;
@@ -434,7 +434,6 @@ class MultiModelDatabase {
   mutable int64_t trie_cache_hits_ = 0;
   mutable int64_t trie_cache_misses_ = 0;
   mutable int64_t trie_cache_patches_ = 0;
-  mutable int64_t trie_cache_compactions_ = 0;
 
   /// Plans by PlanCacheKey, each charged 1 against the capacity
   /// (default 256 plans).

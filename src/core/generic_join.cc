@@ -19,18 +19,13 @@ namespace {
 // attribute bound at that depth.
 using LevelPlan = std::vector<std::vector<size_t>>;
 
-// Restriction of the leading attributes to a lexicographic half-open
-// prefix range; a shard's slice of the expansion space. `depth` is the
-// number of constrained levels: 1 shards on level-0 keys alone, 2 on
-// (level-0, level-1) composite prefixes — the fallback when the level-0
-// key domain is smaller than the requested shard count. Unbounded by
-// default (serial run).
-struct PrefixRange {
-  int depth = 1;
-  bool has_lo = false;
-  int64_t lo[2] = {0, 0};  // inclusive lexicographic lower bound
+// A shard's slice of the expansion space: a half-open range of level-0
+// keys. The lower bound is inclusive, so the default range (the serial
+// run) cuts nothing.
+struct KeyRange {
+  int64_t lo = std::numeric_limits<int64_t>::min();  // inclusive
   bool has_hi = false;
-  int64_t hi[2] = {0, 0};  // exclusive lexicographic upper bound
+  int64_t hi = 0;  // exclusive
 };
 
 // The raw counters one engine run accumulates; shard runs are summed at
@@ -87,7 +82,7 @@ class Engine {
     counters_.level_totals.assign(plan.size(), 0);
   }
 
-  void Run(const PrefixRange& range) {
+  void Run(const KeyRange& range) {
     const size_t num_levels = levels_.size();
     size_t depth = 0;
     bool entering = true;
@@ -145,27 +140,12 @@ class Engine {
     IntersectStrategy strategy = IntersectStrategy::kGallop;
   };
 
-  // The exclusive bound the shard range puts on keys at `depth` under
-  // the bound prefix, if any. Ranges constrain levels 0 and 1 only.
-  bool UpperBound(size_t depth, const PrefixRange& range, int64_t* hi) const {
-    if (!range.has_hi || depth >= static_cast<size_t>(range.depth) ||
-        (depth == 1 && prefix_[0] != range.hi[0])) {
-      return false;
-    }
-    *hi = range.hi[depth];
-    if (depth == 1 || range.depth == 1) return true;
-    // Composite ranges: a level-0 key equal to hi[0] must still descend
-    // (keys below hi[1] are ours), so level 0 is cut only past hi[0].
-    *hi = range.hi[0] + 1;
-    return range.hi[0] < std::numeric_limits<int64_t>::max();
-  }
-
   // Opens the level in every participant (the root span, or the
   // children of the key the input is bound to one trie level up), leads
   // with the smallest span — the kernel steps the lead, so the smallest
   // level drives the intersection — picks this open's seek strategy from
   // the cardinality skew, and skips to the shard's lower bound.
-  void OpenLevel(size_t depth, const PrefixRange& range) {
+  void OpenLevel(size_t depth, const KeyRange& range) {
     Level& level = levels_[depth];
     size_t lead = 0;
     int64_t min_size = std::numeric_limits<int64_t>::max();
@@ -197,26 +177,21 @@ class Engine {
       constexpr size_t kMaxReserveRows = size_t{1} << 16;
       out_->Reserve(std::min(c.hi - c.pos, kMaxReserveRows));
     }
-    const bool bounded =
-        range.has_lo && (depth == 0 || (depth == 1 && range.depth == 2 &&
-                                        prefix_[0] == range.lo[0]));
-    if (bounded && c.pos < c.hi && c.keys[c.pos] < range.lo[depth]) {
-      c.pos = kernel_->seek(c.keys, c.pos, c.hi, range.lo[depth],
-                            level.strategy);
+    if (depth == 0 && c.pos < c.hi && c.keys[c.pos] < range.lo) {
+      c.pos = kernel_->seek(c.keys, c.pos, c.hi, range.lo, level.strategy);
       ++counters_.seeks;
     }
   }
 
   // Aligns the level on its first (`first`) or next common key within
   // the shard range and binds it; false when the level is exhausted.
-  bool Bind(size_t depth, bool first, const PrefixRange& range) {
-    int64_t hi = 0;
-    const bool has_hi = UpperBound(depth, range, &hi);
+  bool Bind(size_t depth, bool first, const KeyRange& range) {
+    const bool has_hi = depth == 0 && range.has_hi;  // ranges cut level 0
     Level& level = levels_[depth];
     bool done;
     if (kernel_->drain(level.cursors.data(), level.cursors.size(),
-                       level.strategy, first, has_hi, hi, &prefix_[depth], 1,
-                       &counters_.seeks, &done) == 0) {
+                       level.strategy, first, has_hi, range.hi,
+                       &prefix_[depth], 1, &counters_.seeks, &done) == 0) {
       return false;
     }
     ++counters_.level_totals[depth];
@@ -240,10 +215,9 @@ class Engine {
   // Drains the entire deepest level for the current prefix, a batch of
   // keys per kernel call with a budget poll in between, and stages them
   // in bulk as columnar runs under the bound prefix.
-  void DrainDeepest(size_t depth, const PrefixRange& range) {
+  void DrainDeepest(size_t depth, const KeyRange& range) {
     Level& level = levels_[depth];
-    int64_t hi = 0;
-    const bool has_hi = UpperBound(depth, range, &hi);
+    const bool has_hi = depth == 0 && range.has_hi;  // ranges cut level 0
     const size_t cap = kernel_buf_.size();
     bool first = true;
     bool done = false;
@@ -255,7 +229,7 @@ class Engine {
         // the span. Each key stands for one lead step, as in the kernel.
         KeyCursor& c = level.cursors[0];
         size_t end = std::min(c.pos + cap, c.hi);
-        if (has_hi) end = kernel_->lower_bound(c.keys, c.pos, end, hi);
+        if (has_hi) end = kernel_->lower_bound(c.keys, c.pos, end, range.hi);
         n = end - c.pos;
         keys = c.keys + c.pos;
         c.pos = end;
@@ -263,7 +237,7 @@ class Engine {
         done = n < cap;
       } else {
         n = kernel_->drain(level.cursors.data(), level.cursors.size(),
-                           level.strategy, first, has_hi, hi,
+                           level.strategy, first, has_hi, range.hi,
                            kernel_buf_.data(), cap, &counters_.seeks, &done);
         keys = kernel_buf_.data();
         first = false;
@@ -318,22 +292,31 @@ void PublishMetrics(Metrics* metrics, const JoinCounters& counters,
   }
 }
 
-// Enumerates a shard partitioning domain — the distinct bindings of the
-// first `levels` (1 or 2) attributes, lexicographically ascending — by
-// running the engine over the plan truncated to those levels. Leaves
-// every iterator back at the virtual root.
-Relation PrefixDomain(const std::vector<JoinInput>& inputs,
-                      const std::vector<std::string>& order,
-                      const LevelPlan& plan, size_t levels, int batch_size,
-                      int64_t* seeks) {
-  const auto head = static_cast<ptrdiff_t>(levels);
-  Relation domain(*Schema::Make(std::vector<std::string>(
-      order.begin(), order.begin() + head)));
-  Engine engine(inputs, LevelPlan(plan.begin(), plan.begin() + head),
-                &domain, batch_size, nullptr);
-  engine.Run(PrefixRange{});
-  *seeks += engine.counters().seeks;
-  return domain;
+// Cuts the root span of the level-0 lead — the smallest span, first on
+// ties, which is the input OpenLevel leads level 0 with — into
+// min(requested, span size) contiguous key ranges of near-equal size,
+// and returns the first key of every range but the first. Opens level 0
+// of the root-positioned inputs, copies only those boundary keys while
+// the spans are open, and closes it again. Empty when the lead has fewer
+// than two keys.
+std::vector<int64_t> LeadCuts(const std::vector<JoinInput>& inputs,
+                              const std::vector<size_t>& level0,
+                              size_t requested) {
+  std::vector<KeySpan> spans;
+  spans.reserve(level0.size());
+  size_t lead = 0;
+  for (size_t p = 0; p < level0.size(); ++p) {
+    spans.push_back(inputs[level0[p]].iterator->Open(0));
+    if (spans[p].size() < spans[lead].size()) lead = p;
+  }
+  const KeySpan& span = spans[lead];
+  const size_t count = std::min(requested, span.size());
+  std::vector<int64_t> cuts;
+  for (size_t s = 1; s < count; ++s) {
+    cuts.push_back(span.keys[span.lo + s * span.size() / count]);
+  }
+  for (size_t i : level0) inputs[i].iterator->Up();
+  return cuts;
 }
 
 }  // namespace
@@ -400,10 +383,10 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
       options.num_shards > 0 ? options.num_shards : num_threads;
 
   // The serial engine over the whole key space; also the fallback when
-  // the prefix domain is too small to shard.
+  // the level-0 lead is too small to shard.
   auto run_serial = [&]() -> Result<Relation> {
     Engine engine(inputs, plan, &out, options.batch_size, budget);
-    engine.Run(PrefixRange{});
+    engine.Run(KeyRange{});
     if (budget != nullptr && budget->violated()) return budget->status();
     PublishMetrics(options.metrics, engine.counters(),
                    static_cast<int64_t>(out.num_rows()));
@@ -411,44 +394,22 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   };
   if (requested_shards <= 1) return run_serial();
 
-  // Sharded driver: partition the first attribute's matching keys into
-  // contiguous ascending ranges, one per shard. At shard_depth 2 (and
-  // when the order has a second attribute) shard on the
-  // level-0 x level-1 composite prefix instead, so a small leading
-  // domain does not degenerate to ~1 shard.
-  int64_t plan_seeks = 0;
-  Relation domain =
-      PrefixDomain(inputs, order, plan, 1, options.batch_size, &plan_seeks);
-  bool composite = options.shard_depth == 2 && plan.size() >= 2 &&
-                   domain.num_rows() > 0;
-  if (composite) {
-    Relation pairs = PrefixDomain(inputs, order, plan, 2, options.batch_size,
-                                  &plan_seeks);
-    composite = pairs.num_rows() > 1;
-    if (composite) domain = std::move(pairs);
-  }
-  const size_t num_shards =
-      std::min<size_t>(static_cast<size_t>(requested_shards),
-                       std::max<size_t>(domain.num_rows(), 1));
-
-  auto publish_shards = [&](size_t count, int depth) {
-    if (options.metrics == nullptr) return;
-    options.metrics->Add("gj.shards", static_cast<int64_t>(count));
-    options.metrics->Add("gj.shard_depth", depth);
-    options.metrics->Add("gj.plan_seeks", plan_seeks);
-  };
-  if (num_shards <= 1) {
-    // The prefix domain is too small to shard (0 or 1 distinct
-    // prefixes): run serially instead of paying clone + merge overhead.
+  // Sharded driver: one shard per contiguous range of the level-0
+  // lead's keys. A lead of 0 or 1 keys runs serially instead of paying
+  // clone + merge overhead.
+  const std::vector<int64_t> cuts =
+      LeadCuts(inputs, plan[0], static_cast<size_t>(requested_shards));
+  const size_t num_shards = cuts.size() + 1;
+  if (num_shards == 1) {
     Result<Relation> serial = run_serial();
-    if (serial.ok()) publish_shards(1, 1);
+    if (serial.ok()) MetricsAdd(options.metrics, "gj.shards", 1);
     return serial;
   }
 
   struct Shard {
     std::vector<std::unique_ptr<TrieIterator>> owned;
     std::vector<JoinInput> inputs;
-    PrefixRange range;
+    KeyRange range;
     Relation out;
     JoinCounters counters;
 
@@ -457,24 +418,12 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
 
   std::vector<Shard> shards;
   shards.reserve(num_shards);
-  const size_t per_shard = domain.num_rows() / num_shards;
-  const size_t remainder = domain.num_rows() % num_shards;
-  const int range_depth = composite ? 2 : 1;
-  size_t cursor = 0;
   for (size_t s = 0; s < num_shards; ++s) {
     Shard shard(schema);
-    size_t take = per_shard + (s < remainder ? 1 : 0);
-    shard.range.depth = range_depth;
-    shard.range.has_lo = true;
-    for (int c = 0; c < range_depth; ++c) {
-      shard.range.lo[c] = domain.at(cursor, static_cast<size_t>(c));
-    }
-    cursor += take;
-    if (cursor < domain.num_rows()) {
+    if (s > 0) shard.range.lo = cuts[s - 1];
+    if (s < cuts.size()) {
       shard.range.has_hi = true;
-      for (int c = 0; c < range_depth; ++c) {
-        shard.range.hi[c] = domain.at(cursor, static_cast<size_t>(c));
-      }
+      shard.range.hi = cuts[s];
     }
     shard.owned.reserve(inputs.size());
     shard.inputs.reserve(inputs.size());
@@ -548,7 +497,7 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   }
   PublishMetrics(options.metrics, counters,
                  static_cast<int64_t>(out.num_rows()));
-  publish_shards(num_shards, composite ? 2 : 1);
+  MetricsAdd(options.metrics, "gj.shards", static_cast<int64_t>(num_shards));
   return out;
 }
 

@@ -11,11 +11,12 @@
 // leapfrog intersection of its participants' cursors through the
 // runtime-dispatched SIMD kernels (relational/intersect_kernels.h); the
 // deepest level drains whole blocks of keys into a columnar
-// ResultBatch. The loop is optionally sharded — the first attribute's
-// key domain is partitioned into K contiguous ranges, every input is
-// Clone()d per shard, and shards run on a thread pool with zero shared
-// mutable state. Shard outputs are concatenated in shard order, which
-// makes the sharded result byte-identical to the serial one.
+// ResultBatch. The loop is optionally sharded — the root span of the
+// level-0 lead (the smallest one) is cut into K contiguous key ranges,
+// every input is Clone()d per shard, and shards run on a thread pool
+// with zero shared mutable state. Shard outputs are concatenated in
+// shard order, which makes the sharded result byte-identical to the
+// serial one.
 #ifndef XJOIN_CORE_GENERIC_JOIN_H_
 #define XJOIN_CORE_GENERIC_JOIN_H_
 
@@ -49,19 +50,13 @@ struct GenericJoinOptions {
   /// the sharded driver (see num_shards) on up to this many threads of
   /// the shared Executor::Default() pool.
   int num_threads = 1;
-  /// Number of prefix-range shards. 0 means "= num_threads". Values
-  /// > 1 force the sharded driver even when num_threads == 1 (useful for
-  /// deterministic testing of the shard partitioning itself). Shards
-  /// cover contiguous ranges of the prefix domain that shard_depth
-  /// selects; the effective shard count is capped by its size.
+  /// Number of level-0 key-range shards. 0 means "= num_threads".
+  /// Values > 1 force the sharded driver even when num_threads == 1
+  /// (useful for deterministic testing of the shard partitioning
+  /// itself). Shards cover contiguous ranges of the level-0 lead's root
+  /// span; the effective shard count is min(num_shards, its key count),
+  /// and a lead of 0 or 1 keys runs serially.
   int num_shards = 0;
-  /// Shard partitioning depth, set from an XJoinPlan's shard plan
-  /// (PlanShards decides it once, at prepare time). 1 = shard on
-  /// level-0 key ranges; 2 = shard on the level-0 x level-1 composite
-  /// prefix (falls back to level-0 / serial when the order has < 2
-  /// attributes or the pair domain has <= 1 element). Results are
-  /// byte-identical for every setting.
-  int shard_depth = 1;
   /// Result-batch capacity in rows; must be >= 1. Results stage in a
   /// columnar ResultBatch of this many rows, flushed via
   /// Relation::AppendColumnBlock, and the deepest level drains at most
@@ -82,14 +77,10 @@ struct GenericJoinOptions {
   BudgetTracker* budget = nullptr;
   /// Optional counters (nullable): per level "gj.level<i>.bindings" plus
   /// "gj.max_intermediate", "gj.total_intermediate", "gj.seeks",
-  /// "gj.output". Sharded runs additionally record "gj.shards" (effective
-  /// shard count), "gj.shard_depth" (1 = level-0 ranges, 2 = composite
-  /// prefixes), and "gj.plan_seeks" (seeks spent enumerating the shard
-  /// partitioning domain). With level-0 sharding the binding counters
-  /// are exact sums over shards and equal the serial counts; composite
-  /// sharding may recount a level-0 binding once per shard that splits
-  /// its children (at most num_shards extra), while output and
-  /// deeper-level counters stay exact.
+  /// "gj.output". Runs that request more than one shard additionally
+  /// record "gj.shards" (the effective shard count). The binding
+  /// counters are exact sums over shards and equal the serial counts;
+  /// each shard's lower-bound seek adds to "gj.seeks".
   Metrics* metrics = nullptr;
 };
 
@@ -98,14 +89,14 @@ struct GenericJoinOptions {
 /// an input's attribute order is inconsistent with the global order, or
 /// batch_size < 1. The sharded path (num_threads/num_shards > 1)
 /// produces a Relation byte-identical to the serial path: shards cover
-/// contiguous ascending ranges of the first attribute's matching keys
-/// and are concatenated in shard order.
+/// contiguous ascending ranges of the first attribute's keys and are
+/// concatenated in shard order.
 ///
 /// Output contract: the rows are sorted lexicographically by
 /// attribute_order and contain no duplicates (every level enumerates
 /// the sorted distinct keys of its intersection), at any thread count,
-/// shard count, shard depth and batch size. XJoin's projection relies
-/// on it to skip its sort.
+/// shard count and batch size. XJoin's projection relies on it to skip
+/// its sort.
 Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
                              const GenericJoinOptions& options);
 

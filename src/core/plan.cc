@@ -85,81 +85,6 @@ void PlanLevels(XJoinPlan* plan) {
   }
 }
 
-// Chooses the shard partitioning from the level-0 / level-1 domain-size
-// estimates: depth 2 (composite prefixes) when level 0 alone cannot
-// feed the requested shard count but one level deeper can, shard count
-// capped by the chosen domain's estimate.
-void PlanShards(XJoinPlan* plan) {
-  ShardPlan& sp = plan->shard_plan;
-  const PlanSettings& settings = plan->settings;
-  sp.requested =
-      settings.num_shards > 0 ? settings.num_shards : settings.num_threads;
-  sp.requested = std::max(1, sp.requested);
-  if (plan->order.empty()) {
-    sp.depth = 1;
-    sp.count = 1;
-    return;
-  }
-
-  std::vector<PlannedInput> inputs = CollectInputs(*plan);
-  const std::string& attr0 = plan->order[0];
-  // An input covering the first global attribute holds it at local
-  // level 0 (induced orders are subsequences of the global order).
-  int64_t level0 = std::numeric_limits<int64_t>::max();
-  for (const auto& in : inputs) {
-    if (!in.attrs->empty() && (*in.attrs)[0] == attr0) {
-      level0 = std::min(level0, LevelEstimate(in.trie, in.path, 0));
-    }
-  }
-  if (level0 == std::numeric_limits<int64_t>::max()) level0 = 0;
-  sp.level0_keys = level0;
-
-  if (sp.requested <= 1) {
-    sp.depth = 1;
-    sp.count = 1;
-    return;
-  }
-
-  if (level0 >= sp.requested) {
-    sp.depth = 1;
-    sp.count = sp.requested;
-    return;
-  }
-
-  // Level-0 shortfall: estimate the composite (level-0 x level-1)
-  // domain. Inputs covering both leading attributes bound it by their
-  // level-1 key count; inputs covering only the second bound it by
-  // level0 x their root key count.
-  int64_t level01 = std::numeric_limits<int64_t>::max();
-  if (plan->order.size() >= 2) {
-    const std::string& attr1 = plan->order[1];
-    for (const auto& in : inputs) {
-      const auto& attrs = *in.attrs;
-      if (attrs.size() >= 2 && attrs[0] == attr0 && attrs[1] == attr1) {
-        level01 = std::min(level01, LevelEstimate(in.trie, in.path, 1));
-      } else if (!attrs.empty() && attrs[0] == attr1) {
-        int64_t roots = LevelEstimate(in.trie, in.path, 0);
-        if (level0 > 0 &&
-            roots < std::numeric_limits<int64_t>::max() / level0) {
-          level01 = std::min(level01, level0 * roots);
-        }
-      }
-    }
-  }
-  if (level01 == std::numeric_limits<int64_t>::max()) level01 = 0;
-  sp.level01_keys = level01;
-
-  if (level01 > level0) {
-    sp.depth = 2;
-    sp.count = static_cast<int>(
-        std::min<int64_t>(sp.requested, std::max<int64_t>(level01, 1)));
-  } else {
-    sp.depth = 1;
-    sp.count = static_cast<int>(
-        std::min<int64_t>(sp.requested, std::max<int64_t>(level0, 1)));
-  }
-}
-
 // Decides whether a twig's final structural validation (Algorithm 1's
 // "filter R by validating the structure of Sx") can reject any expanded
 // row, and records the outcome with its reason for EXPLAIN. It cannot
@@ -332,10 +257,9 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(
     plan->rel_inputs.push_back(std::move(input));
   }
 
-  // 4. Per-level rationale and the shard plan, from the pinned tries'
-  // O(1) level statistics.
+  // 4. Per-level rationale, from the pinned tries' O(1) level
+  // statistics.
   PlanLevels(plan.get());
-  PlanShards(plan.get());
 
   MetricsAdd(services.metrics, "plan.prepared", 1);
   MetricsAdd(services.metrics, "plan.prepare_micros", timer.ElapsedMicros());
@@ -397,15 +321,18 @@ std::string ExplainPlan(const XJoinPlan& plan) {
     out += "\n";
   }
 
-  const ShardPlan& sp = plan.shard_plan;
-  out += "shard plan: depth=" + std::to_string(sp.depth) +
-         ", shards=" + std::to_string(sp.count) + " (requested " +
-         std::to_string(sp.requested) + "; level-0 domain ~" +
-         std::to_string(sp.level0_keys);
-  if (sp.depth == 2) {
-    out += ", composite domain ~" + std::to_string(sp.level01_keys);
+  // GenericJoin cuts the shards from the level-0 lead's keys at run
+  // time, so the count it reaches is min(requested, that key count).
+  const PlanSettings& settings = plan.settings;
+  out += "shard plan: " +
+         std::to_string(settings.num_shards > 0 ? settings.num_shards
+                                                : settings.num_threads) +
+         " requested";
+  if (!plan.levels.empty()) {
+    out += ", cut from level-0 lead " + plan.levels[0].lead + " (~" +
+           std::to_string(plan.levels[0].lead_estimate) + " keys)";
   }
-  out += ")\n";
+  out += "\n";
   out += "execution: batched (columnar, block=" +
          std::to_string(plan.settings.batch_size) + ")\n";
   // Live property of the host running EXPLAIN, not a plan snapshot: the

@@ -1,19 +1,18 @@
 // The prepared-statement layer of the engine: everything Algorithm 1
-// derives from the *shape* of a query — expansion order, twig
-// decompositions, shard plan — plus pinned trie handles, computed once
-// by PrepareXJoin and replayed by ExecutePlan (core/xjoin.h). The
-// lifecycle is Prepare -> Pin -> Execute:
+// derives from the *shape* of a query — expansion order with its
+// per-level leads, twig decompositions — plus pinned trie handles,
+// computed once by PrepareXJoin and replayed by ExecutePlan
+// (core/xjoin.h). The lifecycle is Prepare -> Pin -> Execute:
 //
 //   Prepare  resolve inputs, transform(Sx) path relations, choose PA
-//            with its per-level rationale, plan the shard partitioning
+//            with its per-level rationale
 //   Pin      obtain shared_ptr<const RelationTrie> handles through the
 //            provider below (the database's trie cache) or build privately
 //   Execute  ExecutePlan walks the pinned tries; no planning work left
 //
 // MultiModelDatabase caches XJoinPlans keyed by canonical query text +
 // PlanSettings fingerprint and re-validates input versions on every hit, so
-// repeated query shapes skip order selection, shard planning, and all
-// trie builds.
+// repeated query shapes skip order selection and all trie builds.
 #ifndef XJOIN_CORE_PLAN_H_
 #define XJOIN_CORE_PLAN_H_
 
@@ -61,13 +60,15 @@ struct PlanSettings {
   OrderHeuristic order_heuristic = OrderHeuristic::kCoverage;
   /// Worker threads for trie builds, the expansion loop and the final
   /// structural validation. <= 1 (default) runs fully serial; > 1
-  /// shards the first attribute's key domain across the shared
-  /// executor pool (see GenericJoinOptions::num_threads). The result
-  /// relation is byte-identical either way.
+  /// shards the level-0 lead's keys across the shared executor pool
+  /// (see GenericJoinOptions::num_threads). The result relation is
+  /// byte-identical either way.
   int num_threads = 1;
-  /// Prefix shard count forwarded to the shard plan (<= 0 = one shard
-  /// per thread). num_shards > 1 with num_threads == 1 exercises the
-  /// shard partitioning deterministically on one thread.
+  /// Requested level-0 key-range shard count, forwarded to
+  /// GenericJoinOptions::num_shards (<= 0 = one shard per thread), which
+  /// caps it by the level-0 lead's key count at run time. num_shards > 1
+  /// with num_threads == 1 exercises the shard partitioning
+  /// deterministically on one thread.
   int num_shards = 0;
   /// Result-batch capacity for the expansion loop (>= 1; PrepareXJoin
   /// rejects smaller values) — see GenericJoinOptions::batch_size.
@@ -121,19 +122,6 @@ struct PlanLevel {
   /// static cardinality skew). Like the lead, the executor re-decides
   /// per prefix from the live span sizes; this is the a-priori choice.
   std::string kernel;
-};
-
-/// The shard partitioning decision, chosen once at prepare time from
-/// the level-0 / level-1 domain-size estimates.
-struct ShardPlan {
-  int requested = 1;  ///< num_shards, defaulted to num_threads
-  /// 1 = contiguous level-0 key ranges; 2 = level-0 x level-1 composite
-  /// prefixes (chosen when the level-0 domain estimate falls short of
-  /// the request and going one level deeper widens the domain).
-  int depth = 1;
-  int count = 1;             ///< planned shard count (capped by domain)
-  int64_t level0_keys = 0;   ///< level-0 domain estimate
-  int64_t level01_keys = 0;  ///< composite domain estimate (0 = unknown)
 };
 
 /// A fully prepared query: the immutable output of PrepareXJoin.
@@ -207,8 +195,6 @@ struct XJoinPlan {
   };
   std::vector<PathInput> path_inputs;
 
-  ShardPlan shard_plan;
-
   /// Pin statistics (EXPLAIN): tries obtained through the provider
   /// (cache hits or fresh inserts — the db counters split those) vs
   /// built privately for this plan.
@@ -245,14 +231,12 @@ size_t PlanFingerprint(const PlanSettings& settings);
 
 /// Prepares `query`: validates it, chooses the expansion order (with
 /// per-level lead rationale), decomposes twigs into lazy path
-/// relations, pins relation tries through the provider or private
-/// builds, and plans the shard partitioning
-/// from the level-0/level-1 domain estimates. O(planning) only — no
-/// expansion runs. Returns the budget's Status as soon as
-/// services.budget is violated (checked before every trie pin). Records
-/// "plan.prepared" and "plan.prepare_micros" on services.metrics. The
-/// returned plan is mutable only so the caching layer can attach
-/// versions; treat it as const afterwards.
+/// relations, and pins relation tries through the provider or private
+/// builds. O(planning) only — no expansion runs. Returns the budget's
+/// Status as soon as services.budget is violated (checked before every
+/// trie pin). Records "plan.prepared" and "plan.prepare_micros" on
+/// services.metrics. The returned plan is mutable only so the caching
+/// layer can attach versions; treat it as const afterwards.
 Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(
     const MultiModelQuery& query, const PlanSettings& settings = {},
     const EngineServices& services = {});
@@ -273,7 +257,8 @@ Result<std::shared_ptr<XJoinPlan>> RebindXJoin(
 
 /// Renders the plan for EXPLAIN: inputs and their transform(Sx)
 /// decompositions, the expansion order with per-level bound rationale,
-/// pinned-trie cache provenance, the shard plan, and the Equation-1
+/// pinned-trie cache provenance, the requested shard count with the
+/// level-0 lead it is cut from, and the Equation-1
 /// worst-case size bound (chain-count path sizes, enumeration-free).
 std::string ExplainPlan(const XJoinPlan& plan);
 

@@ -102,8 +102,7 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   gj_options.attribute_order = plan.order;
   gj_options.metrics = metrics;
   gj_options.num_threads = num_threads;
-  gj_options.num_shards = plan.shard_plan.count;
-  gj_options.shard_depth = plan.shard_plan.depth;
+  gj_options.num_shards = plan.settings.num_shards;
   gj_options.batch_size = plan.settings.batch_size;
   gj_options.budget = budget;
   XJ_ASSIGN_OR_RETURN(Relation expanded, GenericJoin(inputs, gj_options));

@@ -7,7 +7,7 @@
 //
 // The one-shot procedure is split into a prepared pipeline
 // (core/plan.h): PrepareXJoin derives everything shape-dependent once
-// (order, decompositions, shard plan, pinned tries) and ExecutePlan
+// (order, decompositions, pinned tries) and ExecutePlan
 // replays it — ExecuteXJoin below is exactly Prepare + Execute. The
 // path relations are always navigated lazily ("we do not physically
 // transform them into relational tables"), and twig structure is
@@ -24,11 +24,12 @@ namespace xjoin {
 
 /// Executes a prepared plan: instantiates cursors over the pinned tries
 /// (lazy document cursors for the twig paths), runs the expansion
-/// loop under the plan's shard plan, validates twig structure, and
-/// projects. Every engine knob (threads, shards, order, batch size) was
-/// frozen into plan.settings at prepare time, which is what makes a
-/// cached plan deterministic; of the services only metrics and budget
-/// are consulted, on the shared Executor::Default() pool. Safe to call
+/// loop (sharded on level-0 key ranges when the plan's settings ask for
+/// more than one shard), validates twig structure, and projects. Every
+/// engine knob (threads, shards, order, batch size) was frozen into
+/// plan.settings at prepare time, which is what makes a cached plan
+/// deterministic; of the services only metrics and budget are
+/// consulted, on the shared Executor::Default() pool. Safe to call
 /// concurrently on the same plan.
 Result<Relation> ExecutePlan(const XJoinPlan& plan,
                              const EngineServices& services = {});

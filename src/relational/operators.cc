@@ -41,16 +41,6 @@ Result<Relation> Project(const Relation& input,
   return out;
 }
 
-Relation Select(const Relation& input,
-                const std::function<bool(const Tuple&)>& predicate) {
-  Relation out(input.schema());
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    Tuple row = input.GetRow(r);
-    if (predicate(row)) out.AppendRow(row);
-  }
-  return out;
-}
-
 Result<Relation> HashJoin(const Relation& left, const Relation& right,
                           Metrics* metrics) {
   // Shared attributes, with positions in each side.
@@ -126,33 +116,6 @@ Result<Relation> JoinAll(const std::vector<const Relation*>& inputs,
     metrics->Add("plan.total_intermediate", total_intermediate);
   }
   return acc;
-}
-
-Result<Relation> SemiJoin(const Relation& left, const Relation& right) {
-  std::vector<std::pair<size_t, size_t>> shared;
-  for (size_t i = 0; i < left.schema().size(); ++i) {
-    int j = right.schema().IndexOf(left.schema().attribute(i));
-    if (j >= 0) shared.emplace_back(i, static_cast<size_t>(j));
-  }
-  if (shared.empty()) {
-    // Degenerate: keep everything iff right is non-empty.
-    if (right.num_rows() > 0) return left;
-    return Relation(left.schema());
-  }
-  std::unordered_map<Tuple, bool, KeyHash> table;
-  Tuple key(shared.size());
-  for (size_t r = 0; r < right.num_rows(); ++r) {
-    for (size_t c = 0; c < shared.size(); ++c)
-      key[c] = right.at(r, shared[c].second);
-    table[key] = true;
-  }
-  Relation out(left.schema());
-  for (size_t l = 0; l < left.num_rows(); ++l) {
-    for (size_t c = 0; c < shared.size(); ++c)
-      key[c] = left.at(l, shared[c].first);
-    if (table.count(key)) out.AppendRow(left.GetRow(l));
-  }
-  return out;
 }
 
 bool RelationsEqualAsSets(const Relation& a, const Relation& b) {

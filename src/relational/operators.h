@@ -4,7 +4,6 @@
 #ifndef XJOIN_RELATIONAL_OPERATORS_H_
 #define XJOIN_RELATIONAL_OPERATORS_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -17,10 +16,6 @@ namespace xjoin {
 /// Projects onto `attributes` (deduplicated output).
 Result<Relation> Project(const Relation& input,
                          const std::vector<std::string>& attributes);
-
-/// Keeps rows where `predicate(row)` is true; row is in schema order.
-Relation Select(const Relation& input,
-                const std::function<bool(const Tuple&)>& predicate);
 
 /// Natural hash join: matches on all shared attribute names; the output
 /// schema is left's attributes followed by right's non-shared attributes.
@@ -35,10 +30,6 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
 /// "plan.max_intermediate" and the sum in "plan.total_intermediate".
 Result<Relation> JoinAll(const std::vector<const Relation*>& inputs,
                          Metrics* metrics = nullptr);
-
-/// Semi-join: rows of `left` with at least one match in `right` on the
-/// shared attributes.
-Result<Relation> SemiJoin(const Relation& left, const Relation& right);
 
 /// True if both relations contain exactly the same set of rows (order-
 /// insensitive); schemas must list the same attributes in the same order.

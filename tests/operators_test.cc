@@ -35,12 +35,6 @@ TEST(ProjectTest, UnknownAttributeFails) {
   EXPECT_FALSE(Project(r, {"Z"}).ok());
 }
 
-TEST(SelectTest, FiltersByPredicate) {
-  Relation r = MakeRel({"A", "B"}, {{1, 10}, {2, 20}, {3, 30}});
-  Relation out = Select(r, [](const Tuple& t) { return t[0] >= 2; });
-  EXPECT_EQ(out.num_rows(), 2u);
-}
-
 TEST(HashJoinTest, NaturalJoinOnSharedAttribute) {
   Relation r = MakeRel({"A", "B"}, {{1, 10}, {2, 20}});
   Relation s = MakeRel({"B", "C"}, {{10, 100}, {10, 101}, {30, 300}});
@@ -100,23 +94,6 @@ TEST(JoinAllTest, TracksIntermediates) {
 
 TEST(JoinAllTest, EmptyInputFails) {
   EXPECT_FALSE(JoinAll({}).ok());
-}
-
-TEST(SemiJoinTest, KeepsMatchingRows) {
-  Relation r = MakeRel({"A", "B"}, {{1, 10}, {2, 20}});
-  Relation s = MakeRel({"B"}, {{10}});
-  auto out = SemiJoin(r, s);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->num_rows(), 1u);
-  EXPECT_TRUE(out->ContainsRow({1, 10}));
-}
-
-TEST(SemiJoinTest, DisjointSchemas) {
-  Relation r = MakeRel({"A"}, {{1}});
-  Relation s_nonempty = MakeRel({"B"}, {{5}});
-  Relation s_empty = MakeRel({"B"}, {});
-  EXPECT_EQ(SemiJoin(r, s_nonempty)->num_rows(), 1u);
-  EXPECT_EQ(SemiJoin(r, s_empty)->num_rows(), 0u);
 }
 
 TEST(RelationsEqualAsSetsTest, OrderAndDuplicatesIgnored) {

@@ -1,6 +1,6 @@
 // Plan lifecycle (Prepare -> Pin -> Execute): cached-plan reuse is
-// byte-identical to cold execution and skips order selection, shard
-// planning, and all trie builds; UpdateRelation / document mutation
+// byte-identical to cold execution and skips order selection and all
+// trie builds; UpdateRelation / document mutation
 // invalidate dependent plans; the options fingerprint
 // separates num_threads / batch_size variants; the byte-budget
 // LRU bounds the trie cache; and the per-twig validation sub-counters
@@ -87,7 +87,7 @@ TEST_F(PlanTest, PlanCacheHitSkipsPlanningAndTrieWork) {
   QueryOptions options;
   options.metrics = &warm;
   ASSERT_TRUE(db_.OpenSession().Query(q_, options).ok());
-  // The hit skips order selection + shard planning (no prepare ran),
+  // The hit skips order selection (no prepare ran),
   // every trie build, and does not even consult the trie cache — the
   // plan replays its pinned handles.
   EXPECT_EQ(warm.Get("db.plan_cache.hits"), 1);
@@ -348,27 +348,6 @@ TEST_F(PlanTest, ParallelValidationCountersAreExact) {
             parallel.Get("validate.candidates"));
   EXPECT_EQ(serial.Get("xjoin.expanded"), parallel.Get("xjoin.expanded"));
   EXPECT_EQ(serial.Get("xjoin.validated"), parallel.Get("xjoin.validated"));
-}
-
-TEST_F(PlanTest, AdaptiveShardPlanGoesCompositeOnSmallLevel0Domains) {
-  // R has 2 distinct A values but 3 (A, B) pairs; requesting 4 shards
-  // must shard on the composite prefix (depth 2), decided at prepare
-  // time from the domain estimates.
-  Metrics metrics;
-  QueryOptions sharded;
-  sharded.xjoin.num_shards = 4;
-  sharded.metrics = &metrics;
-  sharded.xjoin.attribute_order = {"A", "B", "C"};
-  auto sharded_result = db_.OpenSession().Query("Q(*) := R, S", sharded);
-  ASSERT_TRUE(sharded_result.ok());
-  EXPECT_EQ(metrics.Get("gj.shard_depth"), 2);
-  EXPECT_GE(metrics.Get("gj.shards"), 2);
-
-  QueryOptions serial;
-  serial.xjoin.attribute_order = {"A", "B", "C"};
-  auto serial_result = db_.OpenSession().Query("Q(*) := R, S", serial);
-  ASSERT_TRUE(serial_result.ok());
-  EXPECT_EQ(serial_result->ToTuples(), sharded_result->ToTuples());
 }
 
 TEST_F(PlanTest, ExplainRendersThePlanAndCacheCounters) {
