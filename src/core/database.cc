@@ -43,10 +43,9 @@ bool PlanMatchesSnapshot(const XJoinPlan& plan,
 }
 
 // Records the snapshot versions and storage pins of a freshly prepared
-// (or rebound) plan's inputs, and its cache key.
+// plan's inputs.
 void AttachSnapshotSources(XJoinPlan* plan,
-                           const internal::DatabaseSnapshot& snap,
-                           std::string key) {
+                           const internal::DatabaseSnapshot& snap) {
   for (const auto& nr : plan->query.relations) {
     auto it = snap.relations.find(nr.name);
     if (it == snap.relations.end()) continue;  // defensive; parse bound it
@@ -64,7 +63,6 @@ void AttachSnapshotSources(XJoinPlan* plan,
     plan->pins.push_back(it->second.index);
     plan->pins.push_back(it->second.doc);
   }
-  plan->cache_key = std::move(key);
 }
 
 // Three-way comparison of row `r` of `rel` with `t` (schema order).
@@ -292,9 +290,8 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
 
   // 4. Cache the rebuilt tries under the new version and drop the
   // old-version entries (pins keep the old objects alive for open
-  // sessions). Cached plans are deliberately NOT invalidated: their
-  // next hit revalidates versions and rebinds to the rebuilt tries
-  // (see PreparePlanSnapshot) instead of re-planning.
+  // sessions), then drop the plans that read the relation: the next
+  // query re-prepares through the rebuilt tries without a trie build.
   {
     std::lock_guard<std::mutex> lock(trie_cache_mu_);
     trie_cache_.EraseIf(
@@ -305,6 +302,7 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
     }
     trie_cache_patches_ += static_cast<int64_t>(rebuilt.size());
   }
+  InvalidatePlans(name);
   return Status::OK();
 }
 
@@ -582,7 +580,6 @@ CacheStats MultiModelDatabase::cache_stats() const {
     stats.plan_misses = plan_cache_misses_;
     stats.plan_invalidations = plan_cache_invalidations_;
     stats.plan_evictions = plan_cache_.evictions();
-    stats.plan_rebinds = plan_cache_rebinds_;
   }
   // Admission totals: live pools + pools already removed + queries that
   // ran without a tenant. tenant_mu_ is a leaf lock, taken on its own.
@@ -684,9 +681,8 @@ MultiModelDatabase::PreparePlanSnapshot(
     const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const {
   std::string key = PlanCacheKey(text, options.xjoin);
 
-  // Cache lookup, validated against the *snapshot's* versions. A
-  // version mismatch keeps the entry as a rebind candidate.
-  std::shared_ptr<const XJoinPlan> stale;
+  // Hit only when every source version matches the *snapshot's*; any
+  // other lookup is a miss.
   {
     std::lock_guard<std::mutex> lock(plan_cache_mu_);
     if (const auto* cached = plan_cache_.Get(key)) {
@@ -695,81 +691,6 @@ MultiModelDatabase::PreparePlanSnapshot(
         MetricsAdd(options.metrics, "db.plan_cache.hits", 1);
         return *cached;
       }
-      stale = *cached;
-    }
-  }
-
-  if (stale != nullptr) {
-    // Version mismatch. Rebind-eligible when the plan's *shape* still
-    // transfers: every mismatched source is a relation present in the
-    // snapshot with an unchanged schema (the delta-update path bumps
-    // versions without touching shape); documents must match exactly.
-    bool eligible = true;
-    for (const auto& source : stale->sources) {
-      if (source.is_document) {
-        auto it = snap->documents.find(source.name);
-        if (it == snap->documents.end() ||
-            it->second.version != source.version) {
-          eligible = false;
-          break;
-        }
-      } else {
-        auto it = snap->relations.find(source.name);
-        if (it == snap->relations.end()) {
-          eligible = false;
-          break;
-        }
-        if (it->second.version == source.version) continue;
-        const Relation* old_rel = nullptr;
-        for (const auto& nr : stale->query.relations) {
-          if (nr.name == source.name) {
-            old_rel = nr.relation;
-            break;
-          }
-        }
-        if (old_rel == nullptr ||
-            !(old_rel->schema() == it->second.relation->schema())) {
-          eligible = false;
-          break;
-        }
-      }
-    }
-    if (eligible) {
-      // Re-pin instead of re-plan: reuse the stale plan's parsed query
-      // with relation pointers remapped onto the snapshot (skips
-      // parsing), and let RebindXJoin reuse the old settings and force
-      // the old expansion order (skips order selection). The trie
-      // provider serves the tries ApplyRelationDelta rebuilt at the new
-      // versions.
-      MultiModelQuery query = stale->query;
-      for (auto& nr : query.relations) {
-        nr.relation = snap->relations.find(nr.name)->second.relation.get();
-      }
-      XJ_ASSIGN_OR_RETURN(
-          std::shared_ptr<XJoinPlan> plan,
-          RebindXJoin(*stale, query, Services(options, budget, snap)));
-      AttachSnapshotSources(plan.get(), *snap, key);
-      std::shared_ptr<const XJoinPlan> shared = std::move(plan);
-      // Same publish gate as a miss: a rebind for an *old* snapshot
-      // stays private to its session instead of clobbering the entry
-      // current sessions are hitting.
-      bool current_valid = PlanMatchesSnapshot(*shared, *Current());
-      std::lock_guard<std::mutex> lock(plan_cache_mu_);
-      ++plan_cache_rebinds_;
-      MetricsAdd(options.metrics, "db.plan_cache.rebinds", 1);
-      if (current_valid) plan_cache_.Put(key, shared, 1);
-      return shared;
-    }
-    // Not rebindable. Drop the entry only when it is also stale for the
-    // *current* registry (a missed invalidation); when it is merely
-    // newer than this — old — session's snapshot, leave it for current
-    // sessions and build privately below.
-    if (!PlanMatchesSnapshot(*stale, *Current())) {
-      std::lock_guard<std::mutex> lock(plan_cache_mu_);
-      plan_cache_invalidations_ += static_cast<int64_t>(plan_cache_.EraseIf(
-          [&stale](const std::string&, const auto& plan) {
-            return plan == stale;
-          }));
     }
   }
 
@@ -779,13 +700,14 @@ MultiModelDatabase::PreparePlanSnapshot(
   XJ_ASSIGN_OR_RETURN(
       std::shared_ptr<XJoinPlan> plan,
       PrepareXJoin(query, options.xjoin, Services(options, budget, snap)));
-  AttachSnapshotSources(plan.get(), *snap, key);
+  AttachSnapshotSources(plan.get(), *snap);
   std::shared_ptr<const XJoinPlan> shared = std::move(plan);
 
   // Publish — but only when the plan's versions still match the
-  // *current* registry. A plan prepared on an old snapshot stays
-  // private to its session: inserting it would poison the cache for
-  // new sessions (their validation would drop it, thrashing).
+  // *current* registry, replacing any stale entry under the key. A plan
+  // prepared on an old snapshot stays private to its session: inserting
+  // it would poison the cache for new sessions (their lookups would
+  // miss on it, thrashing).
   bool current_valid = PlanMatchesSnapshot(*shared, *Current());
   std::lock_guard<std::mutex> lock(plan_cache_mu_);
   ++plan_cache_misses_;

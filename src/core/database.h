@@ -25,12 +25,15 @@
 //
 // The database is also a prepared-statement engine: Session::Query
 // resolves the text to a cached XJoinPlan (key: canonical query text +
-// options fingerprint, validated against the session's snapshot
-// versions) and replays it with ExecutePlan, so repeated query shapes
-// skip order selection and all trie builds. Relation tries and plans
-// live in two LRU caches of one kind (LruCache): tries charged by
-// bytes, plans by count. Twig paths are never materialized, so
-// documents own no cached trie.
+// options fingerprint) and replays it with ExecutePlan, so repeated
+// query shapes skip order selection and all trie builds. A cached plan
+// is a hit only when its source versions match the session's snapshot;
+// anything else is a miss that prepares afresh. Every writer bumps the
+// version, carries or drops the name's tries, and then drops the cached
+// plans that read the name. Relation tries and plans live in two LRU
+// caches of one kind (LruCache): tries charged by bytes, plans by
+// count. Twig paths are never materialized, so documents own no cached
+// trie.
 // Execution runs on the shared morsel-driven Executor pool, so N
 // in-flight queries share cores instead of each spawning threads.
 #ifndef XJOIN_CORE_DATABASE_H_
@@ -206,9 +209,8 @@ struct CacheStats {
   int64_t plan_misses = 0;
   int64_t plan_invalidations = 0;
   int64_t plan_evictions = 0;
-  /// Cached plans re-pinned to new trie versions at hit time (same
-  /// query shape, sources version-bumped by ApplyRelationDelta) instead
-  /// of being re-planned from scratch.
+  /// Always 0: a plan whose sources changed is a miss, never re-pinned.
+  /// Kept for readers of the field.
   int64_t plan_rebinds = 0;
   // Admission (all queries; tenant-pool and pool-less combined —
   // removed pools' history is retained).
@@ -262,16 +264,18 @@ class MultiModelDatabase {
   Status UpdateRelation(const std::string& name, Relation relation);
 
   /// The incremental-write path: applies a batch of tuple inserts and
-  /// deletes to an already-registered relation (NotFound otherwise)
-  /// WITHOUT invalidating dependent state. The relation storage is
-  /// copy-on-swapped (set semantics — see RelationDelta) and the
-  /// version bumped as with UpdateRelation, but every cached trie over
-  /// the relation is rebuilt over the new contents before the new
-  /// version is published and re-keyed under it, so the next query
-  /// finds it cached; cached plans are left to re-pin the rebuilt tries
-  /// at hit time (plan rebind) instead of being dropped. Sessions
-  /// opened before the call keep their snapshot — the old storage and
-  /// trie objects stay pinned and are never mutated.
+  /// deletes to an already-registered relation (NotFound otherwise).
+  /// The relation storage is copy-on-swapped (set semantics — see
+  /// RelationDelta) and the version bumped as with UpdateRelation, but
+  /// instead of being dropped, every cached trie over the relation is
+  /// rebuilt over the new contents before the new version is published
+  /// and re-keyed under it, so the next query finds it cached. After
+  /// publishing, the cached plans that read the relation are dropped,
+  /// as UpdateRelation does; the next query re-prepares through the
+  /// rebuilt tries. A call that fails publishes nothing and drops
+  /// nothing. Sessions opened before the call keep their snapshot —
+  /// the old storage and trie objects stay pinned and are never
+  /// mutated.
   Status ApplyRelationDelta(const std::string& name,
                             const RelationDelta& delta);
 
@@ -366,13 +370,13 @@ class MultiModelDatabase {
       const QueryOptions& options, BudgetTracker* budget,
       const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const;
 
-  /// The snapshot-aware planning path behind every entry point: plan
-  /// cache lookup validated against the snapshot's versions, private
-  /// prepare on miss, insert only when the snapshot is still current
-  /// (an old session builds privately rather than poisoning the cache
-  /// for new sessions, and never drops an entry that is valid for the
-  /// current registry). A violated `budget` (nullable) aborts before a
-  /// cold trie build.
+  /// The snapshot-aware planning path behind every entry point: a plan
+  /// cache hit when the entry's versions match the snapshot's, else a
+  /// miss that prepares privately and publishes (replacing the entry)
+  /// only when the plan matches the current registry (an old session
+  /// builds privately rather than poisoning the cache for new
+  /// sessions). A violated `budget` (nullable) aborts before a cold
+  /// trie build.
   Result<std::shared_ptr<const XJoinPlan>> PreparePlanSnapshot(
       const std::string& text, const QueryOptions& options,
       BudgetTracker* budget,
@@ -401,7 +405,8 @@ class MultiModelDatabase {
       std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
       int num_threads, BudgetTracker* budget) const;
 
-  /// Drops cached plans whose sources include `name`.
+  /// Drops cached plans whose sources include `name`. Every update of a
+  /// registered name calls it after publishing the new version.
   void InvalidatePlans(const std::string& name);
 
   Dictionary dict_;
@@ -443,7 +448,6 @@ class MultiModelDatabase {
   mutable int64_t plan_cache_hits_ = 0;
   mutable int64_t plan_cache_misses_ = 0;
   mutable int64_t plan_cache_invalidations_ = 0;
-  mutable int64_t plan_cache_rebinds_ = 0;
 
   /// Tenant admission pools. Pools are shared_ptr so an in-flight query
   /// keeps its pool alive across RemoveTenantPool. `tenant_retired_`

@@ -266,29 +266,6 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(
   return plan;
 }
 
-Result<std::shared_ptr<XJoinPlan>> RebindXJoin(const XJoinPlan& stale,
-                                               const MultiModelQuery& query,
-                                               const EngineServices& services) {
-  Timer timer;
-  // Pin the stale plan's expansion order: the query shape is unchanged,
-  // so re-running order selection could only reproduce (or needlessly
-  // perturb) it. Metrics are detached so a rebind counts below rather
-  // than as a full "plan.prepared"; the trie provider carries its own
-  // metrics pointer and is unaffected.
-  PlanSettings settings = stale.settings;
-  settings.attribute_order = stale.order;
-  EngineServices rebind_services = services;
-  rebind_services.metrics = nullptr;
-  XJ_ASSIGN_OR_RETURN(std::shared_ptr<XJoinPlan> plan,
-                      PrepareXJoin(query, settings, rebind_services));
-  // The forced order is how a rebind works, not a setting: the rebound
-  // plan keeps the settings (and so the fingerprint) of the stale one.
-  plan->settings.attribute_order = stale.settings.attribute_order;
-  MetricsAdd(services.metrics, "plan.rebinds", 1);
-  MetricsAdd(services.metrics, "plan.rebind_micros", timer.ElapsedMicros());
-  return plan;
-}
-
 std::string ExplainPlan(const XJoinPlan& plan) {
   std::string out;
   out += "inputs:\n";

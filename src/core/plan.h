@@ -11,8 +11,10 @@
 //   Execute  ExecutePlan walks the pinned tries; no planning work left
 //
 // MultiModelDatabase caches XJoinPlans keyed by canonical query text +
-// PlanSettings fingerprint and re-validates input versions on every hit, so
-// repeated query shapes skip order selection and all trie builds.
+// PlanSettings fingerprint. A hit requires every input version to match
+// the session's snapshot, so repeated query shapes skip order selection
+// and all trie builds; any other lookup is a miss that prepares afresh,
+// and every write drops the cached plans that read the name it changed.
 #ifndef XJOIN_CORE_PLAN_H_
 #define XJOIN_CORE_PLAN_H_
 
@@ -209,7 +211,6 @@ struct XJoinPlan {
     uint64_t version = 0;
   };
   std::vector<SourceVersion> sources;  ///< input versions at prepare time
-  std::string cache_key;               ///< canonical text + fingerprint
   /// Snapshot pins: shared_ptr handles to the registry storage the raw
   /// pointers above (RelInput::relation, the validators' NodeIndexes)
   /// point into. Filled by the caching layer from the session snapshot
@@ -239,20 +240,6 @@ size_t PlanFingerprint(const PlanSettings& settings);
 /// layer can attach versions; treat it as const afterwards.
 Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(
     const MultiModelQuery& query, const PlanSettings& settings = {},
-    const EngineServices& services = {});
-
-/// Re-prepares a structurally unchanged plan against updated inputs:
-/// the caller supplies `query` as the stale plan's parsed query with
-/// relation pointers remapped to the new storage (documents must be
-/// unchanged). The stale plan's settings are reused and its expansion
-/// order is forced, so rebinding skips parsing and order selection and
-/// spends its time only re-pinning tries through the provider — which
-/// is where the tries the database rebuilt at the new versions come
-/// from. Records "plan.rebinds" / "plan.rebind_micros" instead of
-/// "plan.prepared"; used by the plan cache to keep entries serving
-/// across ApplyRelationDelta version bumps without a full re-plan.
-Result<std::shared_ptr<XJoinPlan>> RebindXJoin(
-    const XJoinPlan& stale, const MultiModelQuery& query,
     const EngineServices& services = {});
 
 /// Renders the plan for EXPLAIN: inputs and their transform(Sx)

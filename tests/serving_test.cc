@@ -264,7 +264,7 @@ void CheckConcurrentDeltaWriters(size_t plan_capacity) {
   EXPECT_EQ(failures.load(), 0);
   CacheStats stats = db.cache_stats();
   EXPECT_GT(stats.trie_patches, 0);
-  // Rebinds and misses racing on the readers' two fingerprints
+  // Misses racing to publish on the readers' two fingerprints
   // (num_threads 1 and 2) never grow the plan cache past capacity.
   EXPECT_LE(stats.plan_entries, stats.plan_capacity);
 }
@@ -393,22 +393,38 @@ TEST_F(ServingTest, SnapshotPinsSurviveCompactionUnderLivePin) {
   EXPECT_EQ(fresh->num_rows(), expected->num_rows() + 1);
 }
 
-TEST_F(ServingTest, PlanRebindKeepsPlansAcrossDeltaVersionBumps) {
-  // Warm the plan cache, apply a delta, query again: the plan must be
-  // re-pinned to the new trie versions (a rebind), not re-planned from
-  // scratch, and the rebound entry must serve subsequent hits.
-  ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
+TEST_F(ServingTest, DeltaDropsReadingPlansAndTheNextQueryReprepares) {
+  // Warm the plan cache, apply a delta, query again: the delta drops
+  // the plan that reads R, so the next query misses and re-prepares,
+  // pinning the tries the delta rebuilt without building one. The
+  // re-prepared entry serves the query after it. The explicit head
+  // gives both engines one column order.
+  const std::string q = "Q(A, B, C) := R, S";
+  ASSERT_TRUE(db_.OpenSession().Query(q).ok());
   CacheStats warm = db_.cache_stats();
   RelationDelta delta;
   delta.inserts = {{db_.mutable_dictionary()->Intern("888"),
                     db_.mutable_dictionary()->Intern("888")}};
   ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
-  ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
+  Session session = db_.OpenSession();
+  auto result = session.Query(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
   CacheStats after = db_.cache_stats();
-  EXPECT_EQ(after.plan_rebinds, warm.plan_rebinds + 1);
-  EXPECT_EQ(after.plan_misses, warm.plan_misses);  // no full re-plan
+  EXPECT_EQ(after.plan_misses, warm.plan_misses + 1);
+  EXPECT_EQ(after.plan_invalidations, warm.plan_invalidations + 1);
+  EXPECT_EQ(after.plan_hits, warm.plan_hits);
+  EXPECT_EQ(after.trie_misses, warm.trie_misses);
   EXPECT_EQ(after.plan_entries, warm.plan_entries);
-  ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
+  QueryOptions baseline;
+  baseline.engine = Engine::kBaseline;
+  auto expected = session.Query(q, baseline);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  auto lhs = result->ToTuples();
+  auto rhs = expected->ToTuples();
+  std::sort(lhs.begin(), lhs.end());
+  std::sort(rhs.begin(), rhs.end());
+  EXPECT_EQ(lhs, rhs);
+  ASSERT_TRUE(db_.OpenSession().Query(q).ok());
   EXPECT_EQ(db_.cache_stats().plan_hits, after.plan_hits + 1);
 }
 
@@ -496,27 +512,50 @@ TEST_F(ServingTest, SessionPinsSurviveCacheEvictionAndUpdates) {
   EXPECT_EQ(fresh->num_rows(), 0u);
 }
 
-TEST_F(ServingTest, OldSessionPlansDoNotPoisonTheCacheForNewSessions) {
-  Session old_session = db_.OpenSession();
-  ASSERT_TRUE(old_session.Query(q_).ok());  // seeds the cache at v0
+// Both relation writers drop the plans that read R after publishing,
+// and only a plan prepared on the current registry is published: an old
+// session's lookups miss on the new entry and build privately, without
+// evicting or replacing it, while a new session's lookups keep hitting.
+void ExpectOldSessionDoesNotPoisonTheCache(
+    MultiModelDatabase* db, const std::string& q,
+    const std::function<Status(const Session&)>& write) {
+  Session old_session = db->OpenSession();
+  ASSERT_TRUE(old_session.Query(q).ok());  // seeds the cache at v0
 
   // v1, same contents.
-  ASSERT_TRUE(db_.UpdateRelation("R", **old_session.relation("R")).ok());
+  ASSERT_TRUE(write(old_session).ok());
 
   // A new session must re-prepare (the cached plan is v0)...
-  Session new_session = db_.OpenSession();
-  ASSERT_TRUE(new_session.Query(q_).ok());
-  CacheStats after_new = db_.cache_stats();
+  Session new_session = db->OpenSession();
+  ASSERT_TRUE(new_session.Query(q).ok());
+  CacheStats after_new = db->cache_stats();
 
   // ...and the old session's private rebuilds must not evict or
-  // replace the fresh entry: repeated old-session queries keep
-  // building privately (no poisoning), repeated new-session queries
-  // keep hitting.
-  ASSERT_TRUE(old_session.Query(q_).ok());
-  ASSERT_TRUE(new_session.Query(q_).ok());
-  CacheStats final_stats = db_.cache_stats();
+  // replace the fresh entry.
+  ASSERT_TRUE(old_session.Query(q).ok());
+  ASSERT_TRUE(new_session.Query(q).ok());
+  CacheStats final_stats = db->cache_stats();
   EXPECT_EQ(final_stats.plan_hits, after_new.plan_hits + 1);
+  EXPECT_EQ(final_stats.plan_misses, after_new.plan_misses + 1);
   EXPECT_EQ(final_stats.plan_entries, after_new.plan_entries);
+}
+
+TEST_F(ServingTest, OldSessionPlansDoNotPoisonTheCacheForNewSessions) {
+  auto update = [this](const Session& old_session) {
+    return db_.UpdateRelation("R", **old_session.relation("R"));
+  };
+  ExpectOldSessionDoesNotPoisonTheCache(&db_, q_, update);
+}
+
+TEST_F(ServingTest, OldSessionPlansDoNotPoisonTheCacheAfterADelta) {
+  auto delete_absent = [this](const Session&) {
+    // Deleting an absent tuple bumps the version and changes no row.
+    RelationDelta delta;
+    const int64_t absent = db_.mutable_dictionary()->Intern("absent");
+    delta.deletes = {{absent, absent}};
+    return db_.ApplyRelationDelta("R", delta);
+  };
+  ExpectOldSessionDoesNotPoisonTheCache(&db_, q_, delete_absent);
 }
 
 // ---------------------------------------------------------------------------
@@ -1192,13 +1231,20 @@ TEST_F(ServingTest, FaultCompactionFailureLeavesOldVersionIntact) {
   RelationDelta delta;
   delta.inserts = {{db_.mutable_dictionary()->Intern("777"),
                     db_.mutable_dictionary()->Intern("777")}};
+  const CacheStats warm = db_.cache_stats();
   Status status = db_.ApplyRelationDelta("R", delta);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
-  // The failed update never published: same version, same answers.
+  // The failed update never published, so it dropped nothing: same
+  // version, same cached plans and tries, and the next query hits.
+  const CacheStats faulted = db_.cache_stats();
+  EXPECT_EQ(faulted.plan_invalidations, warm.plan_invalidations);
+  EXPECT_EQ(faulted.plan_entries, warm.plan_entries);
+  EXPECT_EQ(faulted.trie_entries, warm.trie_entries);
   FaultInjector::Global().Disarm();
   EXPECT_EQ(*db_.OpenSession().relation_version("R"), version);
   EXPECT_EQ(db_.OpenSession().Query(q_)->ToTuples(), before);
+  EXPECT_EQ(db_.cache_stats().plan_hits, faulted.plan_hits + 1);
   // And the stream recovers once the fault clears.
   ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
   EXPECT_EQ(*db_.OpenSession().relation_version("R"), version + 1);

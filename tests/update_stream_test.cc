@@ -2,7 +2,7 @@
 // observationally identical to rebuilding from scratch after every
 // update. The SAME interleaved insert/delete/query stream is driven
 // through (a) MultiModelDatabase::ApplyRelationDelta (the path that
-// keeps cached tries and plans alive across version bumps) and (b) a
+// keeps cached tries alive across version bumps) and (b) a
 // twin database that does a full UpdateRelation rebuild from a
 // std::set<Tuple> oracle. After every batch the delta database's
 // stored relation must equal the oracle as a set, and every query in
@@ -181,6 +181,7 @@ TEST_P(DbUpdateStreamTest, InterleavedStreamIsByteIdentical) {
   const std::vector<std::string> joins = {
       "Q(A, B, C) := R, S", "Q(A, B, C) := R, S, doc : A/B",
       "Q(A, B, C) := R, S, T"};
+  const int kConfigs = 3 * 2;  // batch sizes x thread counts below
   const int kRounds = 12;
   auto run_all = [&](const std::string& label) {
     for (const std::string& join : joins) {
@@ -196,28 +197,38 @@ TEST_P(DbUpdateStreamTest, InterleavedStreamIsByteIdentical) {
   // before the first delta.
   run_all("warm-up");
   const CacheStats warm = delta_db_.cache_stats();
+  int64_t expected_plan_misses = 0;
   for (int round = 0; round < kRounds; ++round) {
+    // How many of `joins` read the relation this round changes: the
+    // delta drops those plans under every execution config.
+    int readers = 0;
     switch (rng.NextBounded(3)) {
       case 0:
         ApplyRound(&rng, "R", r_schema_, &r_oracle_);
+        readers = 3;
         break;
       case 1:
         ApplyRound(&rng, "S", s_schema_, &s_oracle_);
+        readers = 3;
         break;
       default:
         ApplyRound(&rng, "T", t_schema_, &t_oracle_);
+        readers = 1;
         break;
     }
+    expected_plan_misses += kConfigs * readers;
     run_all("round " + std::to_string(round));
   }
 
   // The delta path must actually have taken the incremental route over
-  // the whole stream: after warm-up it built no trie and missed no plan
-  // (plans are re-pinned across version bumps), and every delta patched
-  // at least one cached trie.
+  // the whole stream: after warm-up it built no trie, every delta
+  // patched at least one cached trie, and the only plan misses are the
+  // first query after a delta of each plan that reads the relation it
+  // changed (the delta drops those plans; re-preparing pins the patched
+  // tries).
   const CacheStats stats = delta_db_.cache_stats();
   EXPECT_EQ(stats.trie_misses - warm.trie_misses, 0);
-  EXPECT_EQ(stats.plan_misses - warm.plan_misses, 0);
+  EXPECT_EQ(stats.plan_misses - warm.plan_misses, expected_plan_misses);
   EXPECT_GE(stats.trie_patches - warm.trie_patches, kRounds);
   EXPECT_GT(stats.trie_compactions, 0);
 
