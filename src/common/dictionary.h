@@ -4,13 +4,14 @@
 #ifndef XJOIN_COMMON_DICTIONARY_H_
 #define XJOIN_COMMON_DICTIONARY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace xjoin {
 
@@ -19,16 +20,26 @@ namespace xjoin {
 /// order is insertion order, which is a valid (arbitrary) total order for
 /// trie-based joins.
 ///
-/// Thread-safe: Intern takes a writer lock, the read paths share a
-/// reader lock, so serving-core sessions can decode results while a
-/// writer registers new data. Strings live in a deque — push_back never
-/// relocates existing elements, and a move of the deque hands its blocks
-/// over — so the reference Decode returns stays valid for the
-/// dictionary's lifetime even across concurrent Interns, and the index
-/// keys each string by a view into the deque instead of a second copy.
+/// Strings live in a deque — push_back never relocates existing
+/// elements, and a move of the deque hands its blocks over — so the
+/// reference Decode returns stays valid for the dictionary's lifetime
+/// even across concurrent Interns. The index is one flat open-addressing
+/// table of (hash, code) slots with linear probing, at most 3/4 full;
+/// a probe compares the stored hash before the string it names, and
+/// nothing but the deque holds string bytes.
+///
+/// Thread-safe: the read paths share a reader lock, so serving-core
+/// sessions can decode results while a writer registers new data.
+/// Intern probes under the reader lock first and takes the writer lock
+/// only to insert. InternMany takes the writer lock once per call, so
+/// bulk loaders call it in chunks of at most kBulkChunk strings and a
+/// concurrent reader waits for one chunk, not for a whole load.
 class Dictionary {
  public:
-  Dictionary() = default;
+  /// The chunk size loaders pass to InternMany.
+  static constexpr size_t kBulkChunk = 4096;
+
+  Dictionary();
   Dictionary(const Dictionary&) = delete;
   Dictionary& operator=(const Dictionary&) = delete;
   /// Movable (the lock lives behind a pointer) so an XmlDocument, which
@@ -39,6 +50,11 @@ class Dictionary {
 
   /// Returns the code for `s`, inserting it if new.
   int64_t Intern(std::string_view s);
+
+  /// Interns `n` strings in order under one writer lock: out_codes[i]
+  /// is the code of views[i], exactly as if Intern had been called on
+  /// each in turn.
+  void InternMany(const std::string_view* views, size_t n, int64_t* out_codes);
 
   /// Returns the code for `s` or -1 if absent. Does not insert.
   int64_t Lookup(std::string_view s) const;
@@ -56,9 +72,22 @@ class Dictionary {
   int64_t size() const;
 
  private:
+  /// One index slot: the low 32 bits of the string's hash (which also
+  /// pick its home slot) and its code, or kFreeSlot.
+  struct Slot {
+    uint32_t hash;
+    uint32_t code;
+  };
+  static constexpr uint32_t kFreeSlot = UINT32_MAX;
+
+  /// The slot holding `s`, or the free slot that ends its probe run.
+  size_t FindSlot(std::string_view s, uint32_t hash) const;
+  /// Returns the code for `s`, inserting it if new. Writer lock held.
+  int64_t InternLocked(std::string_view s, uint32_t hash);
+
   mutable std::unique_ptr<std::shared_mutex> mu_ =
       std::make_unique<std::shared_mutex>();
-  std::unordered_map<std::string_view, int64_t> index_;  // views into strings_
+  std::vector<Slot> slots_;  // size is a power of two
   std::deque<std::string> strings_;
 };
 

@@ -491,11 +491,12 @@ TrieProvider MultiModelDatabase::CacheTrieProvider(
       return std::shared_ptr<const RelationTrie>();
     }
     // The key holds the snapshot version, so an old session can never
-    // be served a trie over newer data (and vice versa). Inserting an
-    // old-version trie after an update is harmless: it can only be hit
-    // by sessions on the same version, and the update's relation-wide
-    // invalidation / LRU pressure reclaims it.
-    TrieKey key{name, entry->second.version, order};
+    // be served a trie over newer data (and vice versa). A build for a
+    // version that is no longer current is served uncached: every write
+    // drops or re-keys the old version's entries, so nothing could hit
+    // it and it would only hold budget bytes until evicted.
+    const uint64_t version = entry->second.version;
+    TrieKey key{name, version, order};
     {
       std::lock_guard<std::mutex> lock(trie_cache_mu_);
       if (const auto* hit = trie_cache_.Get(key)) {
@@ -521,9 +522,20 @@ TrieProvider MultiModelDatabase::CacheTrieProvider(
                         RelationTrie::Build(relation, order, build_options));
     auto shared = std::make_shared<const RelationTrie>(std::move(trie));
     const size_t bytes = shared->ByteSizeEstimate();
+    // Declared before the lock so a snapshot it was the last pin of is
+    // freed after the lock is released.
+    std::shared_ptr<const internal::DatabaseSnapshot> current;
     std::lock_guard<std::mutex> lock(trie_cache_mu_);
     ++trie_cache_misses_;
     MetricsAdd(metrics, "db.trie_cache.misses", 1);
+    // Checked under the cache lock: a writer publishes the new version
+    // before it takes this lock to drop the old version's entries, so a
+    // trie put here after a version check that passed is dropped by it.
+    current = Current();
+    auto now = current->relations.find(name);
+    if (now == current->relations.end() || now->second.version != version) {
+      return shared;
+    }
     const int64_t before = trie_cache_.evictions();
     trie_cache_.Put(key, shared, bytes);
     MetricsAdd(metrics, "db.trie_cache.evictions",

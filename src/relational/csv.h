@@ -27,7 +27,9 @@ struct CsvOptions {
   std::vector<ValueType> types;
 };
 
-/// Parses `text` into a relation, interning every cell into `dict`.
+/// Parses `text` into a relation, interning every cell into `dict` in
+/// row-major order (through Dictionary::InternMany, a chunk at a time).
+/// Parse errors name the line, counting non-empty lines.
 Result<Relation> ReadCsv(std::string_view text, const CsvOptions& options,
                          Dictionary* dict);
 

@@ -58,10 +58,16 @@ Status XmlDocument::Validate() const {
 
 XmlDocumentBuilder::XmlDocumentBuilder() = default;
 
-NodeId XmlDocumentBuilder::StartElement(const std::string& tag) {
+NodeId XmlDocumentBuilder::StartElement(std::string_view tag) {
   NodeId id = static_cast<NodeId>(doc_.nodes_.size());
   XmlNode n;
-  n.tag = static_cast<int32_t>(doc_.tag_dict_.Intern(tag));
+  auto known = tag_codes_.find(tag);
+  if (known != tag_codes_.end()) {
+    n.tag = known->second;
+  } else {
+    n.tag = static_cast<int32_t>(doc_.tag_dict_.Intern(tag));
+    tag_codes_.emplace(doc_.tag_dict_.Decode(n.tag), n.tag);
+  }
   n.level = static_cast<int32_t>(stack_.size());
   if (!stack_.empty()) {
     n.parent = stack_.back();
@@ -79,14 +85,29 @@ NodeId XmlDocumentBuilder::StartElement(const std::string& tag) {
   return id;
 }
 
-void XmlDocumentBuilder::AddText(const std::string& text) {
+void XmlDocumentBuilder::AddText(std::string_view text) {
   std::string_view trimmed = TrimWhitespace(text);
   if (trimmed.empty() || stack_.empty()) return;
-  doc_.nodes_[static_cast<size_t>(stack_.back())].text += trimmed;
+  XmlNode& node = doc_.nodes_[static_cast<size_t>(stack_.back())];
+  std::string& arena = doc_.text_;
+  XJ_CHECK(arena.size() + node.text_length + trimmed.size() <= UINT32_MAX)
+      << "XML text arena beyond 4 GiB";
+  if (node.text_length == 0) {
+    node.text_offset = static_cast<uint32_t>(arena.size());
+  } else if (node.text_offset + node.text_length != arena.size()) {
+    // Another node's text follows this one's: move it to the end, where
+    // it can grow.
+    const std::string earlier =
+        arena.substr(node.text_offset, node.text_length);
+    node.text_offset = static_cast<uint32_t>(arena.size());
+    arena += earlier;
+  }
+  arena += trimmed;
+  node.text_length += static_cast<uint32_t>(trimmed.size());
 }
 
-NodeId XmlDocumentBuilder::AddLeaf(const std::string& tag,
-                                   const std::string& text) {
+NodeId XmlDocumentBuilder::AddLeaf(std::string_view tag,
+                                   std::string_view text) {
   NodeId id = StartElement(tag);
   AddText(text);
   XJ_CHECK_OK(EndElement());
@@ -114,6 +135,7 @@ Result<XmlDocument> XmlDocumentBuilder::Finish() {
       static_cast<NodeId>(doc_.nodes_.size()) - 1) {
     return Status::InvalidArgument("document has multiple root elements");
   }
+  doc_.text_.shrink_to_fit();
   return std::move(doc_);
 }
 

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/dictionary.h"
@@ -29,7 +31,8 @@ struct XmlNode {
   NodeId next_sibling = kNullNode;
   NodeId subtree_end = kNullNode;  ///< largest NodeId in this subtree
   int32_t level = 0;               ///< root element has level 0
-  std::string text;                ///< concatenated trimmed direct text
+  uint32_t text_offset = 0;        ///< text: see XmlDocument::text
+  uint32_t text_length = 0;        ///< its length in bytes
 };
 
 /// An XML document. Construct through XmlDocumentBuilder or ParseXml.
@@ -38,6 +41,15 @@ class XmlDocument {
   size_t num_nodes() const { return nodes_.size(); }
   const XmlNode& node(NodeId id) const {
     return nodes_[static_cast<size_t>(id)];
+  }
+
+  /// The node's text: all of its direct character data (entity and
+  /// character references decoded, CDATA included) concatenated and
+  /// trimmed of surrounding whitespace; empty when it has none. A view
+  /// into the document's text arena, valid as long as the document.
+  std::string_view text(NodeId id) const {
+    const XmlNode& n = node(id);
+    return std::string_view(text_.data() + n.text_offset, n.text_length);
   }
 
   /// The root element; kNullNode for an empty document.
@@ -84,6 +96,7 @@ class XmlDocument {
 
   Dictionary tag_dict_;
   std::vector<XmlNode> nodes_;
+  std::string text_;  // every node's text, back to back
 };
 
 /// Event-style builder: StartElement / AddText / EndElement, used by both
@@ -93,14 +106,15 @@ class XmlDocumentBuilder {
   XmlDocumentBuilder();
 
   /// Opens an element; returns its NodeId.
-  NodeId StartElement(const std::string& tag);
+  NodeId StartElement(std::string_view tag);
 
-  /// Appends text to the currently open element. Whitespace-only text is
-  /// ignored; multiple chunks are concatenated with no separator.
-  void AddText(const std::string& text);
+  /// Appends `text`, trimmed of surrounding whitespace, to the currently
+  /// open element. Whitespace-only text is ignored; multiple chunks are
+  /// concatenated with no separator.
+  void AddText(std::string_view text);
 
   /// Convenience: StartElement + AddText + EndElement.
-  NodeId AddLeaf(const std::string& tag, const std::string& text);
+  NodeId AddLeaf(std::string_view tag, std::string_view text);
 
   /// Closes the innermost open element.
   Status EndElement();
@@ -116,6 +130,10 @@ class XmlDocumentBuilder {
   XmlDocument doc_;
   std::vector<NodeId> stack_;
   std::vector<NodeId> last_child_;  // parallel to stack_
+
+  /// Codes of the tags seen so far, keyed by views into tag_dict_: a
+  /// tag is interned once, not under the dictionary's lock per element.
+  std::unordered_map<std::string_view, int32_t> tag_codes_;
   bool root_done_ = false;
 };
 

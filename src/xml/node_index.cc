@@ -1,11 +1,21 @@
 #include "xml/node_index.h"
 
 #include <algorithm>
+#include <charconv>
 #include <string>
 
 #include "common/logging.h"
 
 namespace xjoin {
+
+namespace {
+
+bool ByValueThenNode(const ValueNode& a, const ValueNode& b) {
+  if (a.value != b.value) return a.value < b.value;
+  return a.node < b.node;
+}
+
+}  // namespace
 
 NodeIndex NodeIndex::Build(const XmlDocument* doc, Dictionary* dict,
                            ValuePolicy policy, std::string_view scope) {
@@ -14,14 +24,35 @@ NodeIndex NodeIndex::Build(const XmlDocument* doc, Dictionary* dict,
   index.policy_ = policy;
   const size_t n = doc->num_nodes();
   index.values_.resize(n);
+  // Values are interned in preorder, one dictionary chunk at a time.
+  // A chunk's synthetic values are written back to back into
+  // `synthetic`, reserved up front so that no append moves the bytes
+  // the chunk's views point at.
   const std::string prefix = "\x1F" + std::string(scope) + ":";
-  for (size_t i = 0; i < n; ++i) {
-    const XmlNode& node = doc->node(static_cast<NodeId>(i));
-    if (policy == ValuePolicy::kTextOrNodeId && !node.text.empty()) {
-      index.values_[i] = dict->Intern(node.text);
-    } else {
-      index.values_[i] = dict->Intern(prefix + std::to_string(i));
+  constexpr size_t kMaxIdDigits = 10;  // a NodeId is below 2^31
+  const size_t chunk = std::min(n, Dictionary::kBulkChunk);
+  std::string synthetic;
+  synthetic.reserve(chunk * (prefix.size() + kMaxIdDigits));
+  std::vector<std::string_view> views(chunk);
+  for (size_t begin = 0; begin < n; begin += chunk) {
+    const size_t end = std::min(n, begin + chunk);
+    synthetic.clear();
+    for (size_t i = begin; i < end; ++i) {
+      const std::string_view text = doc->text(static_cast<NodeId>(i));
+      if (policy == ValuePolicy::kTextOrNodeId && !text.empty()) {
+        views[i - begin] = text;
+        continue;
+      }
+      const size_t at = synthetic.size();
+      synthetic += prefix;
+      char digits[kMaxIdDigits];
+      const char* digits_end =
+          std::to_chars(digits, digits + kMaxIdDigits, i).ptr;
+      synthetic.append(digits, static_cast<size_t>(digits_end - digits));
+      views[i - begin] =
+          std::string_view(synthetic.data() + at, synthetic.size() - at);
     }
+    dict->InternMany(views.data(), end - begin, index.values_.data() + begin);
   }
 
   const size_t num_tags = static_cast<size_t>(doc->tag_dict().size());
@@ -47,11 +78,11 @@ NodeIndex NodeIndex::Build(const XmlDocument* doc, Dictionary* dict,
   index.values_unique_.assign(num_tags, 1);
   for (size_t tag = 0; tag < num_tags; ++tag) {
     std::vector<ValueNode>& list = index.by_tag_value_[tag];
-    std::sort(list.begin(), list.end(),
-              [](const ValueNode& a, const ValueNode& b) {
-                if (a.value != b.value) return a.value < b.value;
-                return a.node < b.node;
-              });
+    // Values are interned in preorder, so a tag whose values are all
+    // distinct and new is already in order.
+    if (!std::is_sorted(list.begin(), list.end(), ByValueThenNode)) {
+      std::sort(list.begin(), list.end(), ByValueThenNode);
+    }
     // Sorted by value, so a shared value shows as an adjacent pair.
     for (size_t i = 1; i < list.size(); ++i) {
       if (list[i - 1].value == list[i].value) {
@@ -83,10 +114,7 @@ std::vector<ValueNode> NodeIndex::ChildValues(NodeId parent,
        c = doc_->node(c).next_sibling) {
     if (doc_->node(c).tag == tag) out.push_back(ValueNode{ValueOf(c), c});
   }
-  std::sort(out.begin(), out.end(), [](const ValueNode& a, const ValueNode& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.node < b.node;
-  });
+  std::sort(out.begin(), out.end(), ByValueThenNode);
   return out;
 }
 
@@ -101,10 +129,7 @@ std::vector<ValueNode> NodeIndex::DescendantValues(NodeId ancestor,
   for (auto it = lo; it != stream.end() && *it <= end; ++it) {
     out.push_back(ValueNode{ValueOf(*it), *it});
   }
-  std::sort(out.begin(), out.end(), [](const ValueNode& a, const ValueNode& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.node < b.node;
-  });
+  std::sort(out.begin(), out.end(), ByValueThenNode);
   return out;
 }
 

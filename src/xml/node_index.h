@@ -22,11 +22,14 @@ namespace xjoin {
 /// A synthetic value is the string "\x1F<scope>:<id>": an invisible
 /// U+001F, the index's scope (the registered document name inside a
 /// MultiModelDatabase, "node" by default), a colon and the node's
-/// preorder id. A result cell holding one prints exactly that, e.g.
-/// "\x1Finvoices:7". '\x1F' cannot occur in parsed text, so synthetic
-/// values never equal real ones; distinct scopes keep node i of two
-/// documents apart, and the same scope and document give the same
-/// strings, so re-indexing a document adds no dictionary entries.
+/// preorder id. Like text, it is a real dictionary entry, interned in
+/// preorder with the other node values (bulk ingest keeps these strings
+/// and their codes), and a result cell holding one prints exactly that,
+/// e.g. "\x1Finvoices:7". Distinct scopes keep node i of two documents
+/// apart, and the same scope and document give the same strings, so
+/// re-indexing a document adds no dictionary entries. Text that itself
+/// spells a synthetic value (through a raw U+001F or "&#31;", which the
+/// parser accepts) shares its code.
 enum class ValuePolicy : uint8_t {
   /// Text content when the node has any, otherwise the node's synthetic
   /// value. Default; matches the paper's Figure 1 where value-carrying

@@ -6,7 +6,7 @@
 
 namespace xjoin {
 
-std::string EscapeXml(const std::string& raw) {
+std::string EscapeXml(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());
   for (char c : raw) {
@@ -49,20 +49,20 @@ void WriteNode(const XmlDocument& doc, NodeId id, const XmlWriteOptions& opts,
     const std::string& ctag = doc.TagName(c);
     if (opts.attributes && StartsWith(ctag, "@") &&
         doc.node(c).first_child == kNullNode) {
-      *out << " " << ctag.substr(1) << "=\"" << EscapeXml(doc.node(c).text)
-           << "\"";
+      *out << " " << ctag.substr(1) << "=\"" << EscapeXml(doc.text(c)) << "\"";
     } else {
       element_children.push_back(c);
     }
   }
 
-  if (element_children.empty() && n.text.empty()) {
+  const std::string_view text = doc.text(id);
+  if (element_children.empty() && text.empty()) {
     *out << "/>";
     if (opts.indent) *out << "\n";
     return;
   }
   *out << ">";
-  if (!n.text.empty()) *out << EscapeXml(n.text);
+  if (!text.empty()) *out << EscapeXml(text);
   if (!element_children.empty()) {
     if (opts.indent) *out << "\n";
     for (NodeId c : element_children) {

@@ -4,6 +4,7 @@
 #define XJOIN_XML_SERIALIZE_H_
 
 #include <string>
+#include <string_view>
 
 #include "xml/document.h"
 
@@ -20,7 +21,7 @@ std::string WriteXml(const XmlDocument& doc,
                      const XmlWriteOptions& options = {});
 
 /// Escapes &, <, >, ", ' for use in character data / attribute values.
-std::string EscapeXml(const std::string& raw);
+std::string EscapeXml(std::string_view raw);
 
 }  // namespace xjoin
 

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/budget.h"
@@ -135,6 +138,105 @@ TEST(DictionaryTest, IndexSurvivesMoves) {
   EXPECT_EQ(assigned.Lookup("other"), -1);
   EXPECT_EQ(assigned.Intern("s500"), 501);
   EXPECT_EQ(assigned.Decode(1), long_value);
+}
+
+TEST(DictionaryTest, InternManyMatchesInternInTurn) {
+  // Duplicates inside one call, and strings interned before it, get the
+  // codes a loop of Intern calls would give.
+  Dictionary bulk;
+  Dictionary single;
+  bulk.Intern("seen");
+  single.Intern("seen");
+  std::vector<std::string> strings;
+  for (int i = 0; i < 3000; ++i) {
+    strings.push_back("v" + std::to_string(i % 1700));
+  }
+  strings.push_back("seen");
+  strings.push_back(std::string(40, 'L'));
+  std::vector<std::string_view> views(strings.begin(), strings.end());
+  std::vector<int64_t> codes(views.size(), -2);
+  bulk.InternMany(views.data(), views.size(), codes.data());
+  for (size_t i = 0; i < strings.size(); ++i) {
+    EXPECT_EQ(codes[i], single.Intern(strings[i])) << strings[i];
+  }
+  EXPECT_EQ(bulk.size(), single.size());
+  EXPECT_EQ(bulk.size(), 1 + 1700 + 1);
+  bulk.InternMany(views.data(), 0, codes.data());  // empty call: no-op
+  EXPECT_EQ(bulk.size(), single.size());
+}
+
+// Writers intern overlapping strings, in bulk and one at a time, while
+// readers decode and look up whatever codes exist so far. Every code a
+// reader sees must decode to a string that looks up to that code, and
+// the final codes must be dense and bijective.
+TEST(DictionaryTest, ConcurrentWritersAndReadersKeepCodesBijective) {
+  constexpr int kStrings = 20000;
+  std::vector<std::string> strings;
+  for (int i = 0; i < kStrings; ++i) {
+    strings.push_back("value-" + std::to_string(i) +
+                      (i % 3 == 0 ? std::string(24, 'x') : std::string()));
+  }
+  Dictionary dict;
+  std::atomic<int> writers_left{2};
+  std::atomic<bool> reader_failed{false};
+
+  auto bulk_writer = [&] {
+    std::vector<std::string_view> views;
+    std::vector<int64_t> codes(Dictionary::kBulkChunk);
+    for (int at = 0; at < kStrings; at += 500) {
+      views.clear();
+      for (int i = at; i < std::min(kStrings, at + 500); ++i) {
+        views.push_back(strings[static_cast<size_t>(i)]);
+      }
+      dict.InternMany(views.data(), views.size(), codes.data());
+    }
+    --writers_left;
+  };
+  auto single_writer = [&] {
+    for (int i = kStrings - 1; i >= 0; --i) {
+      dict.Intern(strings[static_cast<size_t>(i)]);
+    }
+    --writers_left;
+  };
+  auto reader = [&](uint64_t seed) {
+    Rng rng(seed);
+    std::vector<int64_t> probes(64);
+    std::vector<const std::string*> decoded(64);
+    while (writers_left.load() > 0) {
+      const int64_t size = dict.size();
+      if (size == 0) continue;
+      for (int64_t& code : probes) {
+        code = static_cast<int64_t>(
+            rng.NextBounded(static_cast<uint64_t>(size)));
+      }
+      dict.DecodeMany(probes.data(), probes.size(), decoded.data());
+      for (size_t i = 0; i < probes.size(); ++i) {
+        if (decoded[i] == nullptr || dict.Lookup(*decoded[i]) != probes[i] ||
+            &dict.Decode(probes[i]) != decoded[i]) {
+          reader_failed = true;
+        }
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back(bulk_writer);
+  threads.emplace_back(single_writer);
+  threads.emplace_back(reader, 1);
+  threads.emplace_back(reader, 2);
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_FALSE(reader_failed.load());
+  ASSERT_EQ(dict.size(), kStrings);
+  std::set<int64_t> codes;
+  for (const std::string& s : strings) {
+    const int64_t code = dict.Lookup(s);
+    ASSERT_GE(code, 0) << s;
+    EXPECT_EQ(dict.Decode(code), s);
+    codes.insert(code);
+  }
+  EXPECT_EQ(codes.size(), static_cast<size_t>(kStrings));
+  EXPECT_EQ(*codes.begin(), 0);
+  EXPECT_EQ(*codes.rbegin(), kStrings - 1);
 }
 
 TEST(RngTest, Deterministic) {

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
+#include "common/string_util.h"
 #include "core/database.h"
+#include "relational/csv.h"
 #include "relational/operators.h"
+#include "workload/bookstore.h"
+#include "workload/xmark.h"
+#include "xml/parser.h"
+#include "xml/serialize.h"
 
 namespace xjoin {
 namespace {
@@ -224,6 +231,61 @@ TEST_F(DatabaseTest, TextlessNodesOfTwoDocumentsNeverJoin) {
   ASSERT_TRUE(db_.UpdateDocumentXml("d1", "<a><b>x</b><c/></a>").ok());
   ASSERT_TRUE(db_.UpdateDocumentXml("d2", "<a><b>y</b><c/></a>").ok());
   EXPECT_EQ(db_.dictionary().size(), entries);
+}
+
+// Loading assigns exactly the codes a plain loop of Intern calls gives:
+// every CSV's cells row-major, in load order, then each document's node
+// values in preorder (text, or the synthetic "\x1F<document>:<id>").
+TEST(DatabaseIngestTest, CodesFollowRowMajorCellsThenPreorderNodes) {
+  BookstoreOptions book_options;
+  book_options.num_orders = 600;
+  book_options.num_invoices = 30;
+  const BookstoreInstance book = MakeBookstore(book_options);
+  XMarkOptions xmark_options;
+  xmark_options.num_items = 200;
+  xmark_options.num_persons = 120;
+  const XMarkInstance xmark = MakeXMark(xmark_options);
+  const std::vector<std::pair<std::string, std::string>> csvs = {
+      {"R", WriteCsv(*book.orders, *book.dict)},
+      {"Cust", WriteCsv(*book.customers, *book.dict)},
+      {"ItemCat", WriteCsv(*xmark.item_category, *xmark.dict)}};
+  const std::vector<std::pair<std::string, std::string>> docs = {
+      {"invoices", WriteXml(*book.doc)}, {"xmark", WriteXml(*xmark.doc)}};
+
+  MultiModelDatabase db;
+  for (const auto& [name, text] : csvs) {
+    ASSERT_TRUE(db.RegisterRelationCsv(name, text).ok()) << name;
+  }
+  for (const auto& [name, text] : docs) {
+    ASSERT_TRUE(db.RegisterDocumentXml(name, text).ok()) << name;
+  }
+
+  Dictionary expected;
+  for (const auto& [name, text] : csvs) {
+    ASSERT_EQ(text.find('"'), std::string::npos) << name;
+    const std::vector<std::string> lines = SplitString(text, '\n');
+    for (size_t line = 1; line < lines.size(); ++line) {  // past the header
+      if (lines[line].empty()) continue;
+      for (const std::string& cell : SplitString(lines[line], ',')) {
+        expected.Intern(cell);
+      }
+    }
+  }
+  for (const auto& [name, text] : docs) {
+    auto doc = ParseXml(text);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    for (size_t i = 0; i < doc->num_nodes(); ++i) {
+      const std::string_view value = doc->text(static_cast<NodeId>(i));
+      expected.Intern(value.empty() ? "\x1F" + name + ":" + std::to_string(i)
+                                    : std::string(value));
+    }
+  }
+
+  const Dictionary& loaded = db.dictionary();
+  ASSERT_EQ(loaded.size(), expected.size());
+  for (int64_t code = 0; code < expected.size(); ++code) {
+    ASSERT_EQ(loaded.Decode(code), expected.Decode(code)) << "code " << code;
+  }
 }
 
 }  // namespace

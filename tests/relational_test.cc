@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/dictionary.h"
+#include "common/string_util.h"
 #include "relational/csv.h"
 #include "relational/relation.h"
 #include "relational/schema.h"
@@ -127,6 +131,67 @@ TEST(CsvTest, QuotedFields) {
   EXPECT_EQ(d.Decode(r->at(0, 1)), "say \"hi\"");
 }
 
+// Quoted fields keep delimiters and doubled quotes, a quote may open
+// mid-field, and CRLF line ends are stripped.
+TEST(CsvTest, QuotedFieldsWithCrlf) {
+  Dictionary d;
+  CsvOptions opts;
+  auto r = ReadCsv(
+      "A,B,C\r\n"
+      "\"x,y\",\"say \"\"hi\"\"\",plain\r\n"
+      "ab\"c,d\"e,\"\",\r\n",
+      opts, &d);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 2u);
+  EXPECT_EQ(d.Decode(r->at(0, 0)), "x,y");
+  EXPECT_EQ(d.Decode(r->at(0, 1)), "say \"hi\"");
+  EXPECT_EQ(d.Decode(r->at(0, 2)), "plain");
+  EXPECT_EQ(d.Decode(r->at(1, 0)), "abc,de");
+  EXPECT_EQ(d.Decode(r->at(1, 1)), "");
+  EXPECT_EQ(d.Decode(r->at(1, 2)), "");
+}
+
+// Typed columns intern their value's canonical text.
+TEST(CsvTest, TypedColumnsInternCanonicalText) {
+  Dictionary d;
+  CsvOptions opts;
+  opts.types = {ValueType::kInt64, ValueType::kDouble, ValueType::kString};
+  auto r = ReadCsv("A,B,C\n007, 2.50 ,007\n", opts, &d);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(d.Decode(r->at(0, 0)), "7");
+  EXPECT_EQ(d.Decode(r->at(0, 1)), "2.5");
+  EXPECT_EQ(d.Decode(r->at(0, 2)), "007");
+  EXPECT_EQ(d.size(), 3);
+}
+
+// A load bigger than one dictionary chunk keeps row order, and its
+// codes are those of interning every cell in turn, row-major.
+TEST(CsvTest, LoadsAcrossChunksInRowMajorOrder) {
+  constexpr size_t kRows = 5000;
+  std::string csv = "A,B,C\n";
+  Dictionary expected;
+  std::vector<std::vector<std::string>> rows;
+  for (size_t i = 0; i < kRows; ++i) {
+    rows.push_back({"a" + std::to_string(i), "b" + std::to_string(i % 7),
+                    "a" + std::to_string(i / 2)});
+    csv += JoinStrings(rows.back(), ",") + "\n";
+    for (const std::string& cell : rows.back()) expected.Intern(cell);
+  }
+  Dictionary loaded;
+  auto r = ReadCsv(csv, CsvOptions{}, &loaded);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), kRows);
+  for (size_t row = 0; row < kRows; ++row) {
+    for (size_t c = 0; c < 3; ++c) {
+      ASSERT_EQ(r->at(row, c), expected.Lookup(rows[row][c]));
+    }
+  }
+  ASSERT_EQ(loaded.size(), expected.size());
+  for (int64_t code = 0; code < expected.size(); ++code) {
+    ASSERT_EQ(loaded.Decode(code), expected.Decode(code));
+  }
+}
+
 TEST(CsvTest, Errors) {
   Dictionary d;
   CsvOptions opts;
@@ -136,6 +201,33 @@ TEST(CsvTest, Errors) {
   opts.types = {ValueType::kInt64};
   EXPECT_FALSE(ReadCsv("A\nnotanum\n", opts, &d).ok());      // bad int
   EXPECT_FALSE(ReadCsv("A,B\n1,2\n", opts, &d).ok());        // type arity
+}
+
+// Arity, quote and value errors name the line they were found on.
+TEST(CsvTest, ErrorsPinLineNumbers) {
+  Dictionary d;
+  CsvOptions opts;
+  const struct {
+    const char* csv;
+    const char* message;
+  } cases[] = {
+      {"A,B\n1,2\n3\n", "line 3: expected 2 fields, got 1"},
+      {"A,B\r\n1,2\r\n3,4,5\r\n", "line 3: expected 2 fields, got 3"},
+      {"A,B\n1,2\n\"x,1\n", "line 3: unterminated quote"},
+      {"A,\"B\n1,2\n", "line 1: unterminated quote"},
+      // Quoted fields do not span lines.
+      {"A,B\n1,2\n3,\"4\n5,6\"\n", "line 3: unterminated quote"},
+  };
+  for (const auto& c : cases) {
+    auto r = ReadCsv(c.csv, opts, &d);
+    ASSERT_FALSE(r.ok()) << c.csv;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << c.csv;
+    EXPECT_EQ(r.status().message(), c.message) << c.csv;
+  }
+  opts.types = {ValueType::kInt64, ValueType::kString};
+  auto typed = ReadCsv("A,B\n1,x\n2,y\nz,w\n", opts, &d);
+  ASSERT_FALSE(typed.ok());
+  EXPECT_EQ(typed.status().message(), "line 4: invalid integer literal: z");
 }
 
 TEST(CsvTest, NoHeader) {
