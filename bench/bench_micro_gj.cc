@@ -4,7 +4,7 @@
 //
 //   triangle  R(A,B) x S(B,C) x T(A,C) over dense random relations —
 //             two CSR participants at the deepest level, drained
-//             through the dispatched intersection kernel
+//             through the intersection kernel
 //   path2     R(A,B) x S(B,C) — the deepest level has one participant,
 //             so it drains as bulk copies out of the span
 //   xmark     the XMark closed-auction join (XJoin end to end, lazy
@@ -13,17 +13,9 @@
 // Every batched run is checked byte-identical to the one-row run, with
 // identical gj.* counters, before its timing is trusted.
 //
-// A second sweep pins the SIMD dispatch override to each compiled
-// kernel table (portable scalar, SSE4.2, AVX2) and times the batched
-// engine under each on the triangle and AGM-tight workloads. Every
-// level's result and gj.* counters are checked identical to the scalar
-// table's before its timing is trusted (the kernels accelerate each
-// seek's interior search, never the jump sequence).
-//
 // Flags: --reps=5          best-of repetitions per measurement
 //        --n=220           triangle/path2 key domain (~n^2-row inputs)
 //        --batch=1024      result-batch capacity for the batched runs
-//        --agm-scale=64    AGM-tight instance scale for the SIMD sweep
 //        --xmark-scale=32  XMark size multiplier
 #include <cstdio>
 #include <functional>
@@ -32,11 +24,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/simd.h"
 #include "core/generic_join.h"
-#include "relational/intersect_kernels.h"
 #include "relational/trie.h"
-#include "workload/adversarial.h"
 #include "workload/xmark.h"
 
 namespace xjoin::bench {
@@ -129,51 +118,6 @@ Record BenchGenericJoin(const std::string& label,
                  batch);
 }
 
-// One dispatch-sweep measurement: the batched engine pinned to one
-// kernel table.
-struct SimdRecord {
-  std::string workload;
-  std::string dispatch;
-  double seconds = 0.0;
-  int64_t rows = 0;
-  int64_t seeks = 0;
-};
-
-// Times `run` batched under every kernel table that is both compiled in
-// and runnable on this host, checking each level's result and counters
-// against the scalar table's run first.
-void SweepDispatch(const std::string& label, const RunFn& run, int reps,
-                   int batch, std::vector<SimdRecord>* out) {
-  SetSimdDispatchOverride(SimdLevel::kScalar);
-  Metrics scalar_m;
-  auto [scalar_s, scalar_rel] = run(batch, &scalar_m);
-  ClearSimdDispatchOverride();
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
-    if (IntersectKernelFor(level) == nullptr) continue;  // not compiled in
-    if (level > DetectedSimdLevel()) continue;           // not runnable here
-    SetSimdDispatchOverride(level);
-    SimdRecord record;
-    record.workload = label;
-    record.dispatch = SimdLevelName(level);
-    Metrics m;
-    auto [seconds, rel] = run(batch, &m);
-    CheckEquivalent(scalar_rel, rel, scalar_m, m,
-                    label + "@" + record.dispatch);
-    record.seconds = level == SimdLevel::kScalar
-                         ? std::min(seconds, scalar_s)
-                         : seconds;
-    record.rows = static_cast<int64_t>(rel.num_rows());
-    record.seeks = m.Get("gj.seeks");
-    for (int rep = 1; rep < reps; ++rep) {
-      Metrics mm;
-      record.seconds = std::min(record.seconds, run(batch, &mm).first);
-    }
-    ClearSimdDispatchOverride();
-    out->push_back(record);
-  }
-}
-
 Record BenchXMark(int64_t scale, int reps, int batch) {
   XMarkOptions opts;
   opts.num_items = 200 * scale;
@@ -202,13 +146,11 @@ void Run(int argc, char** argv) {
   const int reps = static_cast<int>(IntFlag(argc, argv, "reps", 5));
   const int n = static_cast<int>(IntFlag(argc, argv, "n", 220));
   const int batch = static_cast<int>(IntFlag(argc, argv, "batch", 1024));
-  const int agm_scale = static_cast<int>(IntFlag(argc, argv, "agm-scale", 64));
   const int64_t xmark_scale = IntFlag(argc, argv, "xmark-scale", 32);
 
   Banner("Generic join: one-row vs full blocks (output-heavy mix)");
 
   std::vector<Record> records;
-  std::vector<SimdRecord> simd_records;
 
   {
     // Dense triangle: ~n^2/2 rows per relation, many closing wedges.
@@ -224,35 +166,8 @@ void Run(int argc, char** argv) {
     std::vector<JoinInput> inputs{{"R", {"A", "B"}, ir.get()},
                                   {"S", {"B", "C"}, is.get()},
                                   {"T", {"A", "C"}, it.get()}};
-    RunFn run = GenericJoinRunFn(inputs, {"A", "B", "C"});
-    records.push_back(Measure("triangle", run, reps, batch));
-    SweepDispatch("triangle", run, reps, batch, &simd_records);
-  }
-
-  {
-    // AGM-tight triangle: the adversarial instance whose output meets
-    // the worst-case bound — skewed level cardinalities, so the sweep
-    // exercises both the gallop and merge strategies.
-    auto inst = MakeAgmTightInstance({{"A", "B"}, {"B", "C"}, {"C", "A"}},
-                                     agm_scale);
-    XJ_CHECK(inst.ok()) << inst.status().ToString();
-    MultiModelQuery query;
-    for (size_t i = 0; i < inst->relations.size(); ++i) {
-      query.relations.push_back(
-          {"R" + std::to_string(i + 1), inst->relations[i].get()});
-    }
-    RunFn run = [&query](int batch_size, Metrics* metrics) {
-      PlanSettings settings;
-      settings.batch_size = batch_size;
-      EngineServices services;
-      services.metrics = metrics;
-      Timer timer;
-      auto result = ExecuteXJoin(query, settings, services);
-      double seconds = timer.ElapsedSeconds();
-      XJ_CHECK(result.ok()) << result.status().ToString();
-      return std::make_pair(seconds, *std::move(result));
-    };
-    SweepDispatch("agm_tight", run, reps, batch, &simd_records);
+    records.push_back(
+        BenchGenericJoin("triangle", inputs, {"A", "B", "C"}, reps, batch));
   }
 
   {
@@ -279,23 +194,6 @@ void Run(int argc, char** argv) {
                   FmtF(speedup, 2) + "x", FmtInt(r.rows), FmtInt(r.seeks)});
   }
   table.Print();
-
-  Banner("SIMD dispatch sweep: batched engine per kernel table");
-
-  Table simd_table(
-      {"workload", "dispatch", "seconds", "vs scalar", "|Q|", "seeks"});
-  for (const SimdRecord& r : simd_records) {
-    double scalar_s = 0.0;
-    for (const SimdRecord& s : simd_records) {
-      if (s.workload == r.workload && s.dispatch == std::string("scalar")) {
-        scalar_s = s.seconds;
-      }
-    }
-    simd_table.AddRow({r.workload, r.dispatch, FmtSeconds(r.seconds),
-                       FmtRatio(scalar_s, r.seconds), FmtInt(r.rows),
-                       FmtInt(r.seeks)});
-  }
-  simd_table.Print();
 }
 
 }  // namespace

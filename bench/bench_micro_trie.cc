@@ -3,7 +3,7 @@
 // the relational substrate:
 //
 //   BM_TrieBuild            — radix sort + CSR level assembly
-//   BM_TrieSeek             — one dispatched kernel seek into a level span
+//   BM_TrieSeek             — one kernel seek into a level span
 //   BM_TrieIterateSeekHeavy — the generic-join access pattern over spans
 #include <benchmark/benchmark.h>
 
@@ -51,15 +51,14 @@ void BM_TrieSeek(benchmark::State& state) {
   Rng rng(2);
   Relation rel = RandomBinary(&rng, state.range(0), state.range(0));
   auto trie = RelationTrie::Build(rel, {"A", "B"});
-  const IntersectKernel& kernel = ActiveIntersectKernel();
   Rng probe_rng(3);
   for (auto _ : state) {
     auto it = trie->NewIterator();
     KeySpan span = it->Open(0);
     int64_t target = static_cast<int64_t>(
         probe_rng.NextBounded(static_cast<uint64_t>(state.range(0))));
-    size_t pos = kernel.seek(span.keys, span.lo, span.hi, target,
-                             IntersectStrategy::kGallop);
+    size_t pos =
+        Seek(span.keys, span.lo, span.hi, target, IntersectStrategy::kGallop);
     benchmark::DoNotOptimize(pos);
   }
 }
@@ -74,7 +73,6 @@ void BM_TrieIterateSeekHeavy(benchmark::State& state) {
   Rng rng(5);
   Relation rel = RandomBinary(&rng, state.range(0), state.range(0) / 4 + 1);
   auto trie = RelationTrie::Build(rel, {"A", "B"});
-  const IntersectKernel& kernel = ActiveIntersectKernel();
   for (auto _ : state) {
     int64_t sum = 0;
     auto it = trie->NewIterator();
@@ -84,8 +82,8 @@ void BM_TrieIterateSeekHeavy(benchmark::State& state) {
       KeySpan level1 = it->Open(pos);
       for (size_t p = level1.lo; p < level1.hi; ++p) sum += level1.keys[p];
       it->Up();
-      pos = kernel.seek(level0.keys, pos, level0.hi, level0.keys[pos] + 3,
-                        IntersectStrategy::kGallop);
+      pos = Seek(level0.keys, pos, level0.hi, level0.keys[pos] + 3,
+                 IntersectStrategy::kGallop);
     }
     benchmark::DoNotOptimize(sum);
   }

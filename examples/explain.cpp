@@ -5,8 +5,7 @@
 // prints Session::Explain for the multi-model query — inputs with
 // trie-cache provenance, transform(Sx), the expansion order with
 // per-level lead rationale and chosen intersection kernel, the shard
-// plan, the execution mode with the host's SIMD dispatch level, and
-// the worst-case size bound — then runs the query twice to show the
+// plan, the execution mode, and the worst-case size bound — then runs the query twice to show the
 // plan cache taking over (the second EXPLAIN reports the hit and the
 // pinned tries).
 //

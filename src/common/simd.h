@@ -1,36 +1,10 @@
 #ifndef XJOIN_COMMON_SIMD_H_
 #define XJOIN_COMMON_SIMD_H_
 
-// Runtime CPU-feature detection and dispatch policy for the SIMD
-// intersection kernels (relational/intersect_kernels.h).
-//
-// The dispatch ladder is scalar < SSE4.2 < AVX2 (SSE4.2 is the floor
-// for vector work because PCMPGTQ — the 64-bit signed compare the
-// kernels are built on — first appears there). The *effective* level
-// is the minimum of three inputs:
-//
-//   1. what the CPU reports (`__builtin_cpu_supports`, cached once),
-//   2. an optional `XJOIN_SIMD` environment cap ("scalar", "sse42",
-//      "avx2"; unset means "no cap", and a malformed value logs a
-//      warning then falls back to "no cap") read once at first use —
-//      this is how CI forces the portable path on AVX2 hardware,
-//   3. an optional programmatic override (SetSimdDispatchOverride),
-//      which takes precedence over the environment cap but is still
-//      clamped to the detected level so a test requesting AVX2 on an
-//      SSE-only box can never steer execution toward illegal
-//      instructions.
-//
-// Detection is pure policy: whether a kernel table for the chosen
-// level was actually compiled into the binary is resolved separately
-// by the kernel registry (the build may lack -mavx2 support), which
-// walks down the ladder from ActiveSimdLevel() to the first available
-// table.
-
-#include <atomic>
-#include <cstdlib>
-#include <string>
-
-#include "common/logging.h"
+// The host CPU's vector ISA, probed once per process. Nothing in the
+// engine dispatches on it: the intersection kernel
+// (relational/intersect_kernels.h) is portable scalar code. It is
+// reported only in the benchmark harness's host fingerprint.
 
 namespace xjoin {
 
@@ -52,24 +26,6 @@ inline const char* SimdLevelName(SimdLevel level) {
   return "scalar";
 }
 
-/// Parses a level name ("scalar", "sse42"/"sse4.2", "avx2"). Returns
-/// false (leaving *out untouched) on anything else.
-inline bool ParseSimdLevelName(const std::string& name, SimdLevel* out) {
-  if (name == "scalar") {
-    *out = SimdLevel::kScalar;
-    return true;
-  }
-  if (name == "sse42" || name == "sse4.2") {
-    *out = SimdLevel::kSse42;
-    return true;
-  }
-  if (name == "avx2") {
-    *out = SimdLevel::kAvx2;
-    return true;
-  }
-  return false;
-}
-
 /// The highest level this CPU supports, probed once per process.
 inline SimdLevel DetectedSimdLevel() {
   static const SimdLevel detected = [] {
@@ -81,59 +37,6 @@ inline SimdLevel DetectedSimdLevel() {
     return SimdLevel::kScalar;
   }();
   return detected;
-}
-
-/// Resolves an XJOIN_SIMD-style cap value: null/empty means "no cap"
-/// (kAvx2 — detection still clamps), a valid level name parses, and
-/// anything else logs a warning and deterministically falls back to
-/// "no cap" instead of being silently swallowed.
-inline SimdLevel SimdCapFromEnvValue(const char* value) {
-  if (value == nullptr || *value == '\0') return SimdLevel::kAvx2;
-  SimdLevel parsed = SimdLevel::kAvx2;
-  if (!ParseSimdLevelName(value, &parsed)) {
-    XJ_LOG(Warning) << "ignoring malformed XJOIN_SIMD='" << value
-                    << "' (want scalar|sse42|avx2); dispatch is uncapped";
-  }
-  return parsed;
-}
-
-namespace simd_internal {
-
-// -1 = no programmatic override; otherwise a SimdLevel value.
-inline std::atomic<int>& OverrideSlot() {
-  static std::atomic<int> slot{-1};
-  return slot;
-}
-
-// The XJOIN_SIMD environment cap, parsed once (malformed values warn
-// and fall back to "no cap" — see SimdCapFromEnvValue).
-inline SimdLevel EnvSimdCap() {
-  static const SimdLevel cap = SimdCapFromEnvValue(std::getenv("XJOIN_SIMD"));
-  return cap;
-}
-
-}  // namespace simd_internal
-
-/// Test hook: pin the dispatch level (clamped to the detected one).
-/// Takes precedence over the XJOIN_SIMD environment cap.
-inline void SetSimdDispatchOverride(SimdLevel level) {
-  simd_internal::OverrideSlot().store(static_cast<int>(level),
-                                      std::memory_order_relaxed);
-}
-
-inline void ClearSimdDispatchOverride() {
-  simd_internal::OverrideSlot().store(-1, std::memory_order_relaxed);
-}
-
-/// The dispatch level in effect right now:
-/// min(override ?? env cap, detected).
-inline SimdLevel ActiveSimdLevel() {
-  int ov = simd_internal::OverrideSlot().load(std::memory_order_relaxed);
-  SimdLevel requested =
-      ov >= 0 ? static_cast<SimdLevel>(ov) : simd_internal::EnvSimdCap();
-  SimdLevel detected = DetectedSimdLevel();
-  return static_cast<int>(requested) < static_cast<int>(detected) ? requested
-                                                                  : detected;
 }
 
 }  // namespace xjoin

@@ -51,11 +51,10 @@ struct JoinCounters {
 // key range. Opening a level pushes, per participant, a cursor over the
 // span its TrieIterator returns for the key the input is bound to one
 // trie level up. Every level is then a leapfrog intersection of its
-// cursors through the dispatched kernel's resumable drain: one key at
-// a time above the deepest level, whole blocks at the deepest, staged
-// in a columnar ResultBatch. Kernel seeks land where a scalar seek
-// would and are counted once, so counters do not depend on the SIMD
-// level or the batch size. All mutable state lives in this object, so
+// cursors through the kernel's resumable Drain: one key at a time
+// above the deepest level, whole blocks at the deepest, staged in a
+// columnar ResultBatch. Every seek is counted once, so counters do not
+// depend on the batch size. All mutable state lives in this object, so
 // one Engine per shard over Clone()d iterators is data-race-free by
 // construction. The engine only accumulates raw counters; the driver
 // merges and publishes them.
@@ -69,7 +68,6 @@ class Engine {
         row_bytes_(static_cast<int64_t>(plan.size()) * 8),
         prefix_(plan.size(), 0),
         batch_(plan.size(), static_cast<size_t>(batch_size)),
-        kernel_(&ActiveIntersectKernel()),
         kernel_buf_(static_cast<size_t>(batch_size)),
         levels_(plan.size()),
         bound_(inputs.size(), nullptr) {
@@ -178,7 +176,7 @@ class Engine {
       out_->Reserve(std::min(c.hi - c.pos, kMaxReserveRows));
     }
     if (depth == 0 && c.pos < c.hi && c.keys[c.pos] < range.lo) {
-      c.pos = kernel_->seek(c.keys, c.pos, c.hi, range.lo, level.strategy);
+      c.pos = Seek(c.keys, c.pos, c.hi, range.lo, level.strategy);
       ++counters_.seeks;
     }
   }
@@ -189,9 +187,9 @@ class Engine {
     const bool has_hi = depth == 0 && range.has_hi;  // ranges cut level 0
     Level& level = levels_[depth];
     bool done;
-    if (kernel_->drain(level.cursors.data(), level.cursors.size(),
-                       level.strategy, first, has_hi, range.hi,
-                       &prefix_[depth], 1, &counters_.seeks, &done) == 0) {
+    if (Drain(level.cursors.data(), level.cursors.size(), level.strategy,
+              first, has_hi, range.hi, &prefix_[depth], 1, &counters_.seeks,
+              &done) == 0) {
       return false;
     }
     ++counters_.level_totals[depth];
@@ -229,16 +227,16 @@ class Engine {
         // the span. Each key stands for one lead step, as in the kernel.
         KeyCursor& c = level.cursors[0];
         size_t end = std::min(c.pos + cap, c.hi);
-        if (has_hi) end = kernel_->lower_bound(c.keys, c.pos, end, range.hi);
+        if (has_hi) end = LowerBound(c.keys, c.pos, end, range.hi);
         n = end - c.pos;
         keys = c.keys + c.pos;
         c.pos = end;
         counters_.seeks += static_cast<int64_t>(n);
         done = n < cap;
       } else {
-        n = kernel_->drain(level.cursors.data(), level.cursors.size(),
-                           level.strategy, first, has_hi, range.hi,
-                           kernel_buf_.data(), cap, &counters_.seeks, &done);
+        n = Drain(level.cursors.data(), level.cursors.size(), level.strategy,
+                  first, has_hi, range.hi, kernel_buf_.data(), cap,
+                  &counters_.seeks, &done);
         keys = kernel_buf_.data();
         first = false;
       }
@@ -264,7 +262,6 @@ class Engine {
   Tuple prefix_;
   JoinCounters counters_;
   ResultBatch batch_;
-  const IntersectKernel* kernel_;    // resolved once per engine
   std::vector<int64_t> kernel_buf_;  // drain destination, batch capacity
   std::vector<Level> levels_;
   std::vector<const KeyCursor*> bound_;  // per input: its deepest cursor

@@ -8,11 +8,11 @@
 //
 // Execution model: one iterative loop (no recursion) keeps a stack of
 // key cursors per input, one cursor per open level. Each level is a
-// leapfrog intersection of its participants' cursors through the
-// runtime-dispatched SIMD kernels (relational/intersect_kernels.h); the
-// deepest level drains whole blocks of keys into a columnar
-// ResultBatch. The loop is optionally sharded — the root span of the
-// level-0 lead (the smallest one) is cut into K contiguous key ranges,
+// leapfrog intersection of its participants' cursors through the one
+// scalar kernel (relational/intersect_kernels.h); the deepest level
+// drains whole blocks of keys into a columnar ResultBatch. The loop is
+// optionally sharded — the root span of the level-0 lead (the smallest
+// one) is cut into K contiguous key ranges,
 // every input is Clone()d per shard, and shards run on a thread pool
 // with zero shared mutable state. Shard outputs are concatenated in
 // shard order, which makes the sharded result byte-identical to the
@@ -62,8 +62,7 @@ struct GenericJoinOptions {
   /// Relation::AppendColumnBlock, and the deepest level drains at most
   /// this many keys per kernel call between budget polls. Results and
   /// every "gj.*" counter (bindings, seeks, total_intermediate, output)
-  /// are identical at any batch size and SIMD dispatch level, serial or
-  /// sharded.
+  /// are identical at any batch size, serial or sharded.
   int batch_size = kDefaultResultBatchCapacity;
   /// Optional per-query admission budget shared by every shard
   /// (nullable). The engine charges each materialized output row

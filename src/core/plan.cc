@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "common/simd.h"
 #include "common/string_util.h"
 #include "core/bound.h"
 #include "relational/intersect_kernels.h"
@@ -312,10 +311,6 @@ std::string ExplainPlan(const XJoinPlan& plan) {
   out += "\n";
   out += "execution: batched (columnar, block=" +
          std::to_string(plan.settings.batch_size) + ")\n";
-  // Live property of the host running EXPLAIN, not a plan snapshot: the
-  // dispatch ladder is resolved again wherever the plan executes.
-  out += "simd dispatch: " + std::string(SimdLevelName(ActiveSimdLevel())) +
-         "\n";
   out += "pinned tries: " + std::to_string(plan.tries_provider) +
          " via db cache, " + std::to_string(plan.tries_built) +
          " private builds\n";

@@ -80,12 +80,10 @@ class CsvReader {
           static_cast<const char*>(std::memchr(start, '\n', rest));
       const size_t size = newline ? static_cast<size_t>(newline - start) : rest;
       pos_ += size + 1;
+      ++line_no_;
       *line = std::string_view(start, size);
       if (!line->empty() && line->back() == '\r') line->remove_suffix(1);
-      if (!line->empty()) {
-        ++line_no_;
-        return true;
-      }
+      if (!line->empty()) return true;
     }
     return false;
   }
@@ -197,7 +195,8 @@ class CsvReader {
   const CsvOptions& options_;
   Dictionary* const dict_;
   size_t pos_ = 0;
-  // Error messages number lines by this count of non-empty lines.
+  // The physical line NextLine last read, blank ones counted; error
+  // messages number lines by it.
   size_t line_no_ = 0;
   // The current line's fields; unescaped fields and canonical texts.
   std::vector<Field> fields_;

@@ -3,7 +3,7 @@
 // sorted levels: level i holds the distinct values of attribute i given
 // the bound prefix. The engine sees one contract only — opening a level
 // yields its sorted distinct int64_t keys as a borrowed span — and runs
-// every intersection over those spans with the dispatched kernels of
+// every intersection over those spans with the kernel of
 // relational/intersect_kernels.h. Implementations:
 //   * RelationTrieIterator — CSR level arrays; a span points straight
 //     into the level array (relational/trie.h)

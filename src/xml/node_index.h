@@ -27,9 +27,10 @@ namespace xjoin {
 /// and their codes), and a result cell holding one prints exactly that,
 /// e.g. "\x1Finvoices:7". Distinct scopes keep node i of two documents
 /// apart, and the same scope and document give the same strings, so
-/// re-indexing a document adds no dictionary entries. Text that itself
-/// spells a synthetic value (through a raw U+001F or "&#31;", which the
-/// parser accepts) shares its code.
+/// re-indexing a document adds no dictionary entries. ParseXml rejects
+/// U+001F in text and attribute values, so parsed text never spells a
+/// synthetic value; a document built through XmlDocumentBuilder must
+/// keep U+001F out of its text too, or that text shares the code.
 enum class ValuePolicy : uint8_t {
   /// Text content when the node has any, otherwise the node's synthetic
   /// value. Default; matches the paper's Figure 1 where value-carrying

@@ -18,7 +18,11 @@ namespace {
 class Parser {
  public:
   explicit Parser(std::string_view text)
-      : begin_(text.data()), p_(text.data()), end_(text.data() + text.size()) {}
+      : begin_(text.data()),
+        p_(text.data()),
+        end_(text.data() + text.size()),
+        has_unit_separator_(std::memchr(text.data(), 0x1F, text.size()) !=
+                            nullptr) {}
 
   Result<XmlDocument> Run() {
     XJ_RETURN_NOT_OK(ParseProlog());
@@ -62,6 +66,18 @@ class Parser {
 
   void SkipWhitespace() {
     while (!AtEnd() && IsSpace(*p_)) ++p_;
+  }
+
+  // U+001F opens the synthetic value of a textless node
+  // (xml/node_index.h), so text or an attribute value holding it could
+  // spell one and share its code. Fails at the first 0x1F byte in
+  // [from, to), which becomes node text.
+  Status RejectUnitSeparator(const char* from, const char* to) {
+    if (!has_unit_separator_) return Status::OK();
+    const void* us = std::memchr(from, 0x1F, static_cast<size_t>(to - from));
+    if (us == nullptr) return Status::OK();
+    p_ = static_cast<const char*>(us);
+    return Error("U+001F in text");
   }
 
   // Moves past the first `terminator` at or after the cursor; without
@@ -184,6 +200,9 @@ class Parser {
           code <= 0 || code > 0x10FFFF) {
         return Error("bad character reference &" + std::string(entity) + ";");
       }
+      if (code == 0x1F) {
+        return Error("U+001F in text (&" + std::string(entity) + ";)");
+      }
       AppendUtf8(static_cast<unsigned>(code), out);
     } else {
       return Error("unknown entity &" + std::string(entity) + ";");
@@ -201,6 +220,7 @@ class Parser {
     for (;;) {
       const char* run = p_;
       while (!AtEnd() && *p_ != quote && *p_ != '&' && *p_ != '<') ++p_;
+      XJ_RETURN_NOT_OK(RejectUnitSeparator(run, p_));
       value_.append(run, static_cast<size_t>(p_ - run));
       if (AtEnd()) return Error("unterminated attribute value");
       if (*p_ == quote) break;
@@ -276,6 +296,7 @@ class Parser {
       const char* markup = lt ? static_cast<const char*>(lt) : end_;
       const void* amp = std::memchr(p_, '&', static_cast<size_t>(markup - p_));
       const char* stop = amp ? static_cast<const char*>(amp) : markup;
+      XJ_RETURN_NOT_OK(RejectUnitSeparator(p_, stop));
       text.append(p_, static_cast<size_t>(stop - p_));
       p_ = stop;
       if (AtEnd()) {
@@ -291,7 +312,10 @@ class Parser {
         // An unterminated section runs to the end of the input.
         const std::string_view rest(p_, Remaining());
         const size_t close = rest.find("]]>");
-        text.append(rest.substr(0, close));
+        const std::string_view data = rest.substr(0, close);
+        XJ_RETURN_NOT_OK(
+            RejectUnitSeparator(data.data(), data.data() + data.size()));
+        text.append(data);
         p_ = close == std::string_view::npos ? end_ : p_ + close + 3;
       } else if (PeekAt(1) == '?') {
         XJ_RETURN_NOT_OK(SkipPast("?>", "processing instruction"));
@@ -307,6 +331,9 @@ class Parser {
   const char* const begin_;
   const char* p_;
   const char* const end_;
+  // Whether the input holds a 0x1F byte anywhere. Most inputs do not,
+  // and then no text run needs RejectUnitSeparator's scan.
+  const bool has_unit_separator_;
   XmlDocumentBuilder builder_;
   // Tags of the elements whose start tag has been read and whose end
   // tag has not, outermost first.

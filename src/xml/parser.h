@@ -25,7 +25,9 @@ inline constexpr int kMaxXmlDepth = 1024;
 
 /// Parses `text` into a document. Errors carry the 1-based line/column
 /// where parsing stopped; nesting deeper than kMaxXmlDepth is a
-/// kParseError.
+/// kParseError, and so is U+001F (raw, "&#31;" or "&#x1F;") in
+/// character data, CDATA or an attribute value, because it opens the
+/// synthetic values of textless nodes (xml/node_index.h).
 Result<XmlDocument> ParseXml(std::string_view text);
 
 /// Reads and parses a file.

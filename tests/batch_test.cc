@@ -1,12 +1,11 @@
 // Batch-size equivalence: the engine drains the deepest level in blocks
 // of at most batch_size keys (bulk span copies for one participant, the
-// dispatched intersection kernel otherwise) and stages rows in a
-// columnar ResultBatch of that capacity. Every batch size must be
+// intersection kernel otherwise) and stages rows in a columnar
+// ResultBatch of that capacity. Every batch size must be
 // indistinguishable from the one-row reference — byte-identical result
 // relations and identical "gj." / "validate." / "xjoin." counters — on
-// every workload, at every thread count and SIMD dispatch level. Also
-// covers the ResultBatch / Relation::AppendColumnBlock substrate
-// directly.
+// every workload, at every thread count. Also covers the ResultBatch /
+// Relation::AppendColumnBlock substrate directly.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -16,10 +15,8 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/simd.h"
 #include "core/generic_join.h"
 #include "core/xjoin.h"
-#include "relational/intersect_kernels.h"
 #include "relational/result_batch.h"
 #include "relational/trie.h"
 #include "tests/test_util.h"
@@ -281,61 +278,6 @@ TEST(BatchedGenericJoinTest, RejectsBatchSizeBelowOne) {
     auto prepared = PrepareXJoin(inst.Query(), settings);
     ASSERT_FALSE(prepared.ok());
     EXPECT_EQ(prepared.status().code(), StatusCode::kInvalidArgument);
-  }
-}
-
-// Pins the SIMD dispatch override for a scope, restoring on exit.
-class DispatchOverrideGuard {
- public:
-  explicit DispatchOverrideGuard(SimdLevel level) {
-    SetSimdDispatchOverride(level);
-  }
-  ~DispatchOverrideGuard() { ClearSimdDispatchOverride(); }
-};
-
-// The same join must produce byte-identical rows and identical
-// deterministic counters at every compiled SIMD dispatch level — the
-// kernels only accelerate each seek's interior search, never change the
-// jump sequence — across the batch-size and thread matrices.
-TEST(BatchedGenericJoinTest, DispatchMatrixMatchesReference) {
-  TriangleFixture fx(20);
-  GenericJoinOptions ref_opts;
-  ref_opts.attribute_order = {"A", "B", "C"};
-  ref_opts.batch_size = 1;
-  Metrics ref_m;
-  ref_opts.metrics = &ref_m;
-  auto reference = GenericJoin(fx.Inputs(), ref_opts);
-  ASSERT_TRUE(reference.ok());
-  ASSERT_GT(reference->num_rows(), 0u);
-
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
-    if (IntersectKernelFor(level) == nullptr) continue;  // not compiled in
-    if (level > DetectedSimdLevel()) continue;           // not runnable here
-    DispatchOverrideGuard guard(level);
-    for (int batch : kBatchSizes) {
-      for (int threads : kThreadCounts) {
-        GenericJoinOptions opts;
-        opts.attribute_order = {"A", "B", "C"};
-        opts.batch_size = batch;
-        opts.num_threads = threads;
-        Metrics m;
-        opts.metrics = &m;
-        auto batched = GenericJoin(fx.Inputs(), opts);
-        ASSERT_TRUE(batched.ok());
-        SCOPED_TRACE(std::string("level=") + SimdLevelName(level) +
-                     " batch=" + std::to_string(batch) +
-                     " threads=" + std::to_string(threads));
-        ExpectByteIdentical(*reference, *batched);
-        if (threads == 1) {
-          EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(ref_m));
-        } else {
-          EXPECT_EQ(m.Get("gj.output"), ref_m.Get("gj.output"));
-          EXPECT_EQ(m.Get("gj.total_intermediate"),
-                    ref_m.Get("gj.total_intermediate"));
-        }
-      }
-    }
   }
 }
 

@@ -17,7 +17,6 @@
 #include "common/lru_cache.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/simd.h"
 #include "common/status.h"
 #include "common/string_util.h"
 
@@ -360,22 +359,6 @@ TEST(StringUtilTest, EnvUint64OrDefaultHandlesUnsetValidAndGarbage) {
   ::setenv(kName, "", 1);
   EXPECT_EQ(EnvUint64OrDefault(kName, 7), 7u);
   ::unsetenv(kName);
-}
-
-TEST(SimdTest, EnvCapParsesValidLevels) {
-  EXPECT_EQ(SimdCapFromEnvValue("scalar"), SimdLevel::kScalar);
-  EXPECT_EQ(SimdCapFromEnvValue("sse42"), SimdLevel::kSse42);
-  EXPECT_EQ(SimdCapFromEnvValue("sse4.2"), SimdLevel::kSse42);
-  EXPECT_EQ(SimdCapFromEnvValue("avx2"), SimdLevel::kAvx2);
-}
-
-TEST(SimdTest, MalformedEnvCapWarnsAndLeavesDispatchUncapped) {
-  // Garbage in XJOIN_SIMD must not cap dispatch (and must not crash);
-  // the warning is logged once at first use.
-  EXPECT_EQ(SimdCapFromEnvValue(nullptr), SimdLevel::kAvx2);
-  EXPECT_EQ(SimdCapFromEnvValue(""), SimdLevel::kAvx2);
-  EXPECT_EQ(SimdCapFromEnvValue("banana"), SimdLevel::kAvx2);
-  EXPECT_EQ(SimdCapFromEnvValue("AVX2"), SimdLevel::kAvx2);  // case-sensitive
 }
 
 TEST(StatusTest, RetryInfoAttachesAndComparesEqual) {

@@ -169,15 +169,15 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
 
 TEST_F(PlanTest, ExplainShowsExecutionMode) {
   // Execution renders its block size (kDefaultResultBatchCapacity by
-  // default), the live SIMD dispatch level and a per-level kernel; a
-  // batch below one row is rejected.
+  // default) and a per-level kernel, and no SIMD dispatch line; a batch
+  // below one row is rejected.
   auto default_text = db_.OpenSession().Explain(q_);
   ASSERT_TRUE(default_text.ok());
   EXPECT_NE(default_text->find(
                 "execution: batched (columnar, block=" +
                 std::to_string(kDefaultResultBatchCapacity)),
             std::string::npos);
-  EXPECT_NE(default_text->find("simd dispatch: "), std::string::npos);
+  EXPECT_EQ(default_text->find("simd"), std::string::npos);
   EXPECT_NE(default_text->find("kernel "), std::string::npos);
   QueryOptions unbatched;
   unbatched.xjoin.batch_size = 0;

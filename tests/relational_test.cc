@@ -213,6 +213,8 @@ TEST(CsvTest, ErrorsPinLineNumbers) {
   } cases[] = {
       {"A,B\n1,2\n3\n", "line 3: expected 2 fields, got 1"},
       {"A,B\r\n1,2\r\n3,4,5\r\n", "line 3: expected 2 fields, got 3"},
+      // Blank lines count: errors name the physical line.
+      {"A,B\r\n1,2\r\n\r\n3,4,5\r\n", "line 4: expected 2 fields, got 3"},
       {"A,B\n1,2\n\"x,1\n", "line 3: unterminated quote"},
       {"A,\"B\n1,2\n", "line 1: unterminated quote"},
       // Quoted fields do not span lines.

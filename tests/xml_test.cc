@@ -176,6 +176,39 @@ TEST(XmlParserTest, ErrorsPinLineAndColumn) {
   }
 }
 
+// U+001F opens the synthetic values of textless nodes, so text that
+// held it could spell one: <b>&#x1F;d:0</b> in a document registered as
+// "d" would share the textless root's code. Raw, decimal and hex, in
+// character data, CDATA and attribute values, are all parse errors.
+TEST(XmlParserTest, RejectsUnitSeparatorInTextAndAttributes) {
+  const struct {
+    const char* xml;
+    const char* message;
+  } cases[] = {
+      {"<a><b>\x1F" "d:0</b></a>", "XML 1:7: U+001F in text"},
+      {"<a><b>&#31;d:0</b></a>", "XML 1:12: U+001F in text (&#31;)"},
+      {"<a><b>&#x1F;d:0</b></a>", "XML 1:13: U+001F in text (&#x1F;)"},
+      {"<a>\n<b>x\x1F</b></a>", "XML 2:5: U+001F in text"},
+      {"<a><![CDATA[x\x1F]]></a>", "XML 1:14: U+001F in text"},
+      {"<a b=\"\x1F" "d:0\"/>", "XML 1:7: U+001F in text"},
+      {"<a b='&#31;d:0'/>", "XML 1:12: U+001F in text (&#31;)"},
+      {"<a b='x&#x1F;'/>", "XML 1:14: U+001F in text (&#x1F;)"},
+  };
+  for (const auto& c : cases) {
+    auto parsed = ParseXml(c.xml);
+    ASSERT_FALSE(parsed.ok()) << c.xml;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError) << c.xml;
+    EXPECT_EQ(parsed.status().message(), c.message) << c.xml;
+  }
+  // Its neighbours stay plain characters, and markup that never becomes
+  // text (comments, processing instructions) may hold it.
+  for (const char* xml : {"<a b='&#x1E;'>&#30;\x1E&#x20;</a>",
+                          "<a><!--\x1F--><?pi \x1F?>x</a>"}) {
+    auto ok = ParseXml(xml);
+    EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+  }
+}
+
 // <a> nested `depth` deep.
 std::string NestedXml(size_t depth) {
   std::string xml;
