@@ -14,8 +14,8 @@
 //     token the moment a query's expansion loop reaches a tick site.
 //
 // Fault-site catalog (kept in sync with docs/ARCHITECTURE.md):
-//   gj.shard_dispatch     before the sharded driver hands shards to the
-//                         executor (a hit fails the query kInternal)
+//   gj.shard_dispatch     before key ranges go to more than one join
+//                         worker (a hit fails the query kInternal)
 //   gj.tick               observer-only: each budget/cancel poll in the
 //                         expansion loop (never fails; handler hook)
 //   trie.build            before a relation trie build on cache miss
@@ -26,11 +26,11 @@
 //   admission.queue_full  evaluated at tenant admission (a hit makes
 //                         the pool report queue-full regardless of
 //                         actual depth)
-//   gj.morsel             per-shard morsel hand-off inside the sharded
-//                         driver's ParallelFor body (a hit drops that
-//                         shard's work; the query fails kInternal)
-//   gj.result_merge       before shard results merge into the final
-//                         relation (a hit fails the query kInternal)
+//   gj.morsel             per-range morsel hand-off to a join worker,
+//                         with more than one (a hit drops that range's
+//                         work; the query fails kInternal)
+//   gj.result_merge       before the join workers' parts merge into the
+//                         final relation (a hit fails the query kInternal)
 //   net.accept            before the server accepts a pending
 //                         connection (a hit drops it on the floor)
 //   net.read              per read() in the server's frame decoder (a

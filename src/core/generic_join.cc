@@ -19,17 +19,23 @@ namespace {
 // attribute bound at that depth.
 using LevelPlan = std::vector<std::vector<size_t>>;
 
-// A shard's slice of the expansion space: a half-open range of level-0
-// keys. The lower bound is inclusive, so the default range (the serial
-// run) cuts nothing.
+// A slice of the expansion space: a half-open range of level-0 keys.
 struct KeyRange {
-  int64_t lo = std::numeric_limits<int64_t>::min();  // inclusive
-  bool has_hi = false;
-  int64_t hi = 0;  // exclusive
+  int64_t lo;  // inclusive
+  bool has_hi;
+  int64_t hi;  // exclusive
 };
 
-// The raw counters one engine run accumulates; shard runs are summed at
-// the join barrier and published once.
+// Range s of the cuts.size() + 1 ascending ranges the cut keys make:
+// [cuts[s - 1], cuts[s]), unbounded below for the first range and
+// above for the last, so one range with no cuts is the whole key space.
+KeyRange RangeOf(const std::vector<int64_t>& cuts, size_t s) {
+  return KeyRange{s > 0 ? cuts[s - 1] : std::numeric_limits<int64_t>::min(),
+                  s < cuts.size(), s < cuts.size() ? cuts[s] : 0};
+}
+
+// The raw counters engine runs accumulate; the workers' counters are
+// summed after the join barrier and published once.
 struct JoinCounters {
   std::vector<int64_t> level_totals;  // bindings per level
   int64_t seeks = 0;
@@ -37,7 +43,6 @@ struct JoinCounters {
   int64_t cancel_checks = 0;
 
   void Add(const JoinCounters& other) {
-    level_totals.resize(other.level_totals.size(), 0);
     for (size_t d = 0; d < other.level_totals.size(); ++d) {
       level_totals[d] += other.level_totals[d];
     }
@@ -55,15 +60,17 @@ struct JoinCounters {
 // above the deepest level, whole blocks at the deepest, staged in a
 // columnar ResultBatch. Every seek is counted once, so counters do not
 // depend on the batch size. All mutable state lives in this object, so
-// one Engine per shard over Clone()d iterators is data-race-free by
-// construction. The engine only accumulates raw counters; the driver
-// merges and publishes them.
+// one Engine per worker, each over its own iterators, is data-race-free
+// by construction. One engine may run several ranges in turn; its
+// counters then sum exactly as separate engines' would. The engine only
+// accumulates raw counters; the driver merges and publishes them.
 class Engine {
  public:
-  Engine(const std::vector<JoinInput>& inputs, const LevelPlan& plan,
-         Relation* out, int batch_size, BudgetTracker* budget)
-      : out_(out),
-        budget_(budget != nullptr && budget->limited() ? budget : nullptr),
+  // Reads the inputs' own iterators, or, with `clone`, a Clone() of
+  // each that the engine owns.
+  Engine(const std::vector<JoinInput>& inputs, bool clone,
+         const LevelPlan& plan, int batch_size, BudgetTracker* budget)
+      : budget_(budget != nullptr && budget->limited() ? budget : nullptr),
         count_cancel_(budget_ != nullptr && budget_->has_cancel()),
         row_bytes_(static_cast<int64_t>(plan.size()) * 8),
         prefix_(plan.size(), 0),
@@ -71,25 +78,32 @@ class Engine {
         kernel_buf_(static_cast<size_t>(batch_size)),
         levels_(plan.size()),
         bound_(inputs.size(), nullptr) {
+    if (clone) {
+      for (const JoinInput& in : inputs) owned_.push_back(in.iterator->Clone());
+    }
     for (size_t d = 0; d < plan.size(); ++d) {
       for (size_t i : plan[d]) {
-        levels_[d].parts.push_back(Part{inputs[i].iterator, i});
+        TrieIterator* iter = clone ? owned_[i].get() : inputs[i].iterator;
+        levels_[d].parts.push_back(Part{iter, i});
       }
       levels_[d].cursors.resize(plan[d].size());
     }
     counters_.level_totals.assign(plan.size(), 0);
   }
 
-  void Run(const KeyRange& range) {
+  // Expands `range` and appends its rows to `out`.
+  void Run(const KeyRange& range, Relation* out) {
+    out_ = out;
     const size_t num_levels = levels_.size();
     size_t depth = 0;
     bool entering = true;
     for (;;) {
       // Admission budget: sample the deadline periodically, poll the
       // shared violation flag — which also observes the query's
-      // cancellation token — every binding so all shards abort fast.
+      // cancellation token — every binding so all workers abort fast.
       // Partial output is discarded by the driver, so an early break
-      // needs no iterator cleanup.
+      // needs no iterator cleanup; the violation is sticky, so a later
+      // Run on this engine stops here before opening anything.
       if (budget_ != nullptr) {
         if ((++budget_ticks_ & 4095) == 0) {
           budget_->CheckDeadline();
@@ -118,7 +132,7 @@ class Engine {
     batch_.Flush(out_);
   }
 
-  const JoinCounters& counters() const { return counters_; }
+  JoinCounters& counters() { return counters_; }
 
  private:
   // One participant of a level: its iterator, its input index, and,
@@ -254,7 +268,9 @@ class Engine {
     }
   }
 
-  Relation* out_;
+  // The inputs' clones, when the engine was built with `clone`.
+  std::vector<std::unique_ptr<TrieIterator>> owned_;
+  Relation* out_ = nullptr;
   BudgetTracker* budget_;   // null when the query has no finite budget
   bool count_cancel_;       // count cancellation polls (a token is attached)
   int64_t row_bytes_;       // bytes charged per materialized output row
@@ -375,101 +391,75 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   XJ_ASSIGN_OR_RETURN(Schema schema, Schema::Make(order));
   Relation out(schema);
 
+  // The ascending level-0 key ranges: the whole key space, or the ranges
+  // between LeadCuts' cut keys when sharding is requested.
   const int num_threads = std::max(1, options.num_threads);
   const int requested_shards =
       options.num_shards > 0 ? options.num_shards : num_threads;
-
-  // The serial engine over the whole key space; also the fallback when
-  // the level-0 lead is too small to shard.
-  auto run_serial = [&]() -> Result<Relation> {
-    Engine engine(inputs, plan, &out, options.batch_size, budget);
-    engine.Run(KeyRange{});
-    if (budget != nullptr && budget->violated()) return budget->status();
-    PublishMetrics(options.metrics, engine.counters(),
-                   static_cast<int64_t>(out.num_rows()));
-    return std::move(out);
-  };
-  if (requested_shards <= 1) return run_serial();
-
-  // Sharded driver: one shard per contiguous range of the level-0
-  // lead's keys. A lead of 0 or 1 keys runs serially instead of paying
-  // clone + merge overhead.
-  const std::vector<int64_t> cuts =
-      LeadCuts(inputs, plan[0], static_cast<size_t>(requested_shards));
-  const size_t num_shards = cuts.size() + 1;
-  if (num_shards == 1) {
-    Result<Relation> serial = run_serial();
-    if (serial.ok()) MetricsAdd(options.metrics, "gj.shards", 1);
-    return serial;
+  std::vector<int64_t> cuts;
+  if (requested_shards > 1) {
+    cuts = LeadCuts(inputs, plan[0], static_cast<size_t>(requested_shards));
   }
+  const size_t num_ranges = cuts.size() + 1;
 
-  struct Shard {
-    std::vector<std::unique_ptr<TrieIterator>> owned;
-    std::vector<JoinInput> inputs;
-    KeyRange range;
-    Relation out;
-    JoinCounters counters;
+  // One engine per worker slot. One worker reads the caller's
+  // iterators. With more, every slot clones each input: slot 0 here,
+  // every other slot on the worker that claims it, on that thread's
+  // heap. At 4 threads that measured faster than slot 0 on the caller's
+  // iterators, or than every clone made here back to back.
+  const int workers = ParallelWorkerCount(num_threads, num_ranges, 1);
+  Engine first(inputs, /*clone=*/workers > 1, plan, options.batch_size,
+               budget);
+  std::vector<std::unique_ptr<Engine>> others(
+      static_cast<size_t>(workers - 1));
 
-    explicit Shard(Schema s) : out(std::move(s)) {}
-  };
-
-  std::vector<Shard> shards;
-  shards.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    Shard shard(schema);
-    if (s > 0) shard.range.lo = cuts[s - 1];
-    if (s < cuts.size()) {
-      shard.range.has_hi = true;
-      shard.range.hi = cuts[s];
+  // On one worker the ranges run in order straight into `out`. With
+  // more, range s fills parts[s], merged below in range order.
+  std::vector<Relation> parts;
+  if (workers > 1) {
+    // Fault site: the executor hand-off.
+    if (XJOIN_FAULT("gj.shard_dispatch")) {
+      return Status::Internal(
+          "fault injection: shard dispatch to the executor failed "
+          "(site gj.shard_dispatch)");
     }
-    shard.owned.reserve(inputs.size());
-    shard.inputs.reserve(inputs.size());
-    for (const JoinInput& in : inputs) {
-      shard.owned.push_back(in.iterator->Clone());
-      shard.inputs.push_back(
-          JoinInput{in.name, in.attributes, shard.owned.back().get()});
-    }
-    shards.push_back(std::move(shard));
+    parts.reserve(num_ranges);
+    for (size_t s = 0; s < num_ranges; ++s) parts.emplace_back(schema);
   }
 
-  // Fault site: the executor hand-off. An armed hit fails the query
-  // before any shard work is dispatched.
-  if (XJOIN_FAULT("gj.shard_dispatch")) {
-    return Status::Internal(
-        "fault injection: shard dispatch to the executor failed "
-        "(site gj.shard_dispatch)");
-  }
-
-  // Shards run as one morsel-driven job on the shared executor pool
-  // (grain 1: each morsel is one shard), so N in-flight queries share
-  // cores instead of each spawning num_threads threads. A shared budget
-  // tracker aborts every shard once any of them trips a ceiling or sees
-  // a cancellation.
-  Executor* executor = Executor::Default();
 #ifdef XJOIN_FAULTS_ENABLED
-  // Fault site: the per-shard morsel hand-off. A hit makes the worker
-  // drop that shard's work on the floor (the morsel "ran" but produced
+  // Fault site: the per-range morsel hand-off. A hit makes the worker
+  // drop that range's work on the floor (the morsel "ran" but produced
   // nothing), which the barrier below converts into a typed failure —
   // exercising the executor path where a shard silently vanishes.
   std::atomic<bool> morsel_dropped{false};
 #endif
-  executor->ParallelFor(num_threads, shards.size(), /*grain=*/1,
-                        [&](size_t s) {
+  auto run_range = [&](int slot, size_t s) {
 #ifdef XJOIN_FAULTS_ENABLED
-    if (XJOIN_FAULT("gj.morsel")) {
+    if (workers > 1 && XJOIN_FAULT("gj.morsel")) {
       morsel_dropped.store(true, std::memory_order_relaxed);
       return;
     }
 #endif
-    Shard& shard = shards[s];
-    Engine engine(shard.inputs, plan, &shard.out, options.batch_size,
-                  budget);
-    engine.Run(shard.range);
-    shard.counters = engine.counters();
-  });
-  if (budget != nullptr && budget->violated()) {
-    return budget->status();
-  }
+    Engine* engine = &first;
+    if (slot > 0) {
+      std::unique_ptr<Engine>& own = others[static_cast<size_t>(slot - 1)];
+      if (own == nullptr) {
+        own = std::make_unique<Engine>(inputs, /*clone=*/true, plan,
+                                       options.batch_size, budget);
+      }
+      engine = own.get();
+    }
+    engine->Run(RangeOf(cuts, s), workers == 1 ? &out : &parts[s]);
+  };
+  // Each range is one morsel of a job on the shared executor pool, run
+  // inline on the caller when one worker runs. A shared budget tracker
+  // aborts every worker once any trips a ceiling or sees a cancellation.
+  // The callable holds one reference, so std::function needs no heap.
+  Executor::Default()->ParallelForWorker(
+      num_threads, num_ranges, /*grain=*/1,
+      [&run_range](int slot, size_t s) { run_range(slot, s); });
+  if (budget != nullptr && budget->violated()) return budget->status();
 #ifdef XJOIN_FAULTS_ENABLED
   if (morsel_dropped.load(std::memory_order_relaxed)) {
     return Status::Internal(
@@ -478,23 +468,30 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   }
 #endif
 
-  // Fault site: the result merge. A hit fails the query after all shard
-  // work completed but before any rows reach the caller.
-  if (XJOIN_FAULT("gj.result_merge")) {
-    return Status::Internal(
-        "fault injection: shard result merge failed (site gj.result_merge)");
+  // The other workers' counters sum into slot 0's.
+  JoinCounters& counters = first.counters();
+  for (const std::unique_ptr<Engine>& engine : others) {
+    if (engine != nullptr) counters.Add(engine->counters());
   }
-
-  // Deterministic merge: shards cover ascending key ranges, so appending
-  // in shard order reproduces the serial row order exactly.
-  JoinCounters counters;
-  for (Shard& shard : shards) {
-    out.AppendRows(shard.out);
-    counters.Add(shard.counters);
+  if (workers > 1) {
+    // Fault site: the result merge, after every range completed.
+    if (XJOIN_FAULT("gj.result_merge")) {
+      return Status::Internal(
+          "fault injection: shard result merge failed "
+          "(site gj.result_merge)");
+    }
+    // Ranges ascend, so appending the parts in range order reproduces
+    // the one-worker row order exactly.
+    size_t rows = 0;
+    for (const Relation& part : parts) rows += part.num_rows();
+    out.Reserve(rows);
+    for (const Relation& part : parts) out.AppendRows(part);
   }
   PublishMetrics(options.metrics, counters,
                  static_cast<int64_t>(out.num_rows()));
-  MetricsAdd(options.metrics, "gj.shards", static_cast<int64_t>(num_shards));
+  if (requested_shards > 1) {
+    MetricsAdd(options.metrics, "gj.shards", static_cast<int64_t>(num_ranges));
+  }
   return out;
 }
 

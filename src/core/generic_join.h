@@ -10,13 +10,13 @@
 // key cursors per input, one cursor per open level. Each level is a
 // leapfrog intersection of its participants' cursors through the one
 // scalar kernel (relational/intersect_kernels.h); the deepest level
-// drains whole blocks of keys into a columnar ResultBatch. The loop is
-// optionally sharded — the root span of the level-0 lead (the smallest
-// one) is cut into K contiguous key ranges,
-// every input is Clone()d per shard, and shards run on a thread pool
-// with zero shared mutable state. Shard outputs are concatenated in
-// shard order, which makes the sharded result byte-identical to the
-// serial one.
+// drains whole blocks of keys into a columnar ResultBatch. The loop runs
+// over ascending level-0 key ranges: the whole key space, or K ranges
+// cut from the root span of the level-0 lead (the smallest one). One
+// engine per worker runs its ranges in turn — on one worker in order,
+// on the caller's iterators, straight into the result; with more, each
+// worker clones every input once and the per-range parts are appended
+// in range order — so the result is byte-identical to a one-range run.
 #ifndef XJOIN_CORE_GENERIC_JOIN_H_
 #define XJOIN_CORE_GENERIC_JOIN_H_
 
@@ -46,28 +46,28 @@ struct GenericJoinOptions {
   /// Global expansion order (the paper's PA). Every attribute of every
   /// input must appear exactly once.
   std::vector<std::string> attribute_order;
-  /// Number of worker threads. <= 1 runs the serial executor; > 1 runs
-  /// the sharded driver (see num_shards) on up to this many threads of
-  /// the shared Executor::Default() pool.
+  /// Number of worker threads: the key ranges (see num_shards) run on
+  /// up to this many workers of the shared Executor::Default() pool,
+  /// the calling thread included. <= 1 runs every range on the caller.
   int num_threads = 1;
   /// Number of level-0 key-range shards. 0 means "= num_threads".
-  /// Values > 1 force the sharded driver even when num_threads == 1
-  /// (useful for deterministic testing of the shard partitioning
-  /// itself). Shards cover contiguous ranges of the level-0 lead's root
-  /// span; the effective shard count is min(num_shards, its key count),
-  /// and a lead of 0 or 1 keys runs serially.
+  /// Shards cover contiguous ranges of the level-0 lead's root span;
+  /// the effective shard count is min(num_shards, its key count), and a
+  /// lead of 0 or 1 keys runs as one range. Values > 1 with
+  /// num_threads == 1 run the ranges in order on the caller, which
+  /// tests the partition deterministically.
   int num_shards = 0;
   /// Result-batch capacity in rows; must be >= 1. Results stage in a
   /// columnar ResultBatch of this many rows, flushed via
   /// Relation::AppendColumnBlock, and the deepest level drains at most
   /// this many keys per kernel call between budget polls. Results and
   /// every "gj.*" counter (bindings, seeks, total_intermediate, output)
-  /// are identical at any batch size, serial or sharded.
+  /// are identical at any batch size, at any thread and shard count.
   int batch_size = kDefaultResultBatchCapacity;
-  /// Optional per-query admission budget shared by every shard
+  /// Optional per-query admission budget shared by every worker
   /// (nullable). The engine charges each materialized output row
   /// (rows x 8*arity bytes) against it, samples the deadline every few
-  /// thousand bindings, and aborts all shards as soon as any ceiling is
+  /// thousand bindings, and aborts all workers as soon as any ceiling is
   /// crossed or its cancel token is cancelled — GenericJoin
   /// then returns the tracker's typed Status (kResourceExhausted /
   /// kDeadlineExceeded / kCancelled) and discards partial rows. With no
@@ -86,10 +86,9 @@ struct GenericJoinOptions {
 /// Runs the join and returns all result tuples over attribute_order.
 /// Fails with kInvalidArgument when an attribute is covered by no input,
 /// an input's attribute order is inconsistent with the global order, or
-/// batch_size < 1. The sharded path (num_threads/num_shards > 1)
-/// produces a Relation byte-identical to the serial path: shards cover
-/// contiguous ascending ranges of the first attribute's keys and are
-/// concatenated in shard order.
+/// batch_size < 1. Every thread and shard count produces the same
+/// Relation byte for byte: shards cover contiguous ascending ranges of
+/// the first attribute's keys and reach the result in shard order.
 ///
 /// Output contract: the rows are sorted lexicographically by
 /// attribute_order and contain no duplicates (every level enumerates

@@ -61,16 +61,16 @@ struct PlanSettings {
   /// Greedy rule used when attribute_order is empty.
   OrderHeuristic order_heuristic = OrderHeuristic::kCoverage;
   /// Worker threads for trie builds, the expansion loop and the final
-  /// structural validation. <= 1 (default) runs fully serial; > 1
-  /// shards the level-0 lead's keys across the shared executor pool
-  /// (see GenericJoinOptions::num_threads). The result relation is
-  /// byte-identical either way.
+  /// structural validation. <= 1 (default) runs fully serial; > 1 runs
+  /// the expansion's level-0 key ranges on up to this many workers of
+  /// the shared executor pool (see GenericJoinOptions::num_threads). The
+  /// result relation is byte-identical either way.
   int num_threads = 1;
   /// Requested level-0 key-range shard count, forwarded to
   /// GenericJoinOptions::num_shards (<= 0 = one shard per thread), which
   /// caps it by the level-0 lead's key count at run time. num_shards > 1
-  /// with num_threads == 1 exercises the shard partitioning
-  /// deterministically on one thread.
+  /// with num_threads == 1 runs the ranges in order on the calling
+  /// thread, straight into the result.
   int num_shards = 0;
   /// Result-batch capacity for the expansion loop (>= 1; PrepareXJoin
   /// rejects smaller values) — see GenericJoinOptions::batch_size.

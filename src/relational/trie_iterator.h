@@ -65,9 +65,11 @@ class TrieIterator {
   /// Creates a fresh, independent iterator over the same backing data,
   /// at the virtual root regardless of this iterator's open levels. The
   /// clone shares only immutable backing data (CSR arrays, the
-  /// document, the node index), so the sharded generic-join driver can
-  /// hand every shard its own cursor stack with no shared mutable
-  /// state. The backing data must outlive the clone.
+  /// document, the node index), so the generic-join driver can hand
+  /// every worker thread its own cursor stack with no shared mutable
+  /// state. Clone() reads only that immutable data, so several threads
+  /// may clone one iterator at once while no thread drives it. The
+  /// backing data must outlive the clone.
   virtual std::unique_ptr<TrieIterator> Clone() const = 0;
 };
 

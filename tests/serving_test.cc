@@ -1273,7 +1273,7 @@ TEST_F(ServingTest, FaultMorselHandoffFailsQueryWithTypedInternal) {
   ScopedFaultInjection scoped;
   const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   QueryOptions options;
-  options.xjoin.num_threads = 4;  // the site lives in the sharded driver
+  options.xjoin.num_threads = 4;  // the site needs more than one worker
   FaultInjector::Global().FailAt("gj.morsel", 1);
   auto result = db_.OpenSession().Query(q_, options);
   ASSERT_FALSE(result.ok());

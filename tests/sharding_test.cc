@@ -4,6 +4,7 @@
 // root-positioned, independent clones.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -112,6 +113,76 @@ TEST(ShardedGenericJoinTest, BindingCountersEqualSerialCounters) {
             serial_m.Get("gj.total_intermediate"));
   EXPECT_EQ(sharded_m.Get("gj.output"), serial_m.Get("gj.output"));
   EXPECT_GE(sharded_m.Get("gj.shards"), 2);
+}
+
+// Counts Clone() calls, its clones' included, in one shared counter.
+class CloneCountingIterator : public TrieIterator {
+ public:
+  CloneCountingIterator(std::unique_ptr<TrieIterator> inner,
+                        std::atomic<int>* clones)
+      : inner_(std::move(inner)), clones_(clones) {}
+
+  int arity() const override { return inner_->arity(); }
+  KeySpan Open(size_t parent_pos) override { return inner_->Open(parent_pos); }
+  void Up() override { inner_->Up(); }
+  std::unique_ptr<TrieIterator> Clone() const override {
+    clones_->fetch_add(1);
+    return std::make_unique<CloneCountingIterator>(inner_->Clone(), clones_);
+  }
+
+ private:
+  std::unique_ptr<TrieIterator> inner_;
+  std::atomic<int>* clones_;
+};
+
+// Shards that run on one worker run in order on the caller's iterators:
+// nothing is cloned, and rows and binding counters equal the serial
+// run's. With more workers each worker clones every input once, however
+// many shards there are.
+TEST(ShardedGenericJoinTest, ShardsOnOneWorkerCloneNothing) {
+  TriangleFixture fx(20);
+  std::atomic<int> clones[3] = {0, 0, 0};  // per input
+  CloneCountingIterator r(fx.ir->Clone(), &clones[0]);
+  CloneCountingIterator s(fx.is->Clone(), &clones[1]);
+  CloneCountingIterator t(fx.it->Clone(), &clones[2]);
+  const std::vector<JoinInput> inputs{{"R", {"A", "B"}, &r},
+                                      {"S", {"B", "C"}, &s},
+                                      {"T", {"A", "C"}, &t}};
+  GenericJoinOptions opts;
+  opts.attribute_order = {"A", "B", "C"};
+  Metrics serial_m;
+  opts.metrics = &serial_m;
+  auto serial = GenericJoin(inputs, opts);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_GT(serial->num_rows(), 0u);
+
+  for (int shards : {2, 3, 7, 16}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    for (auto& c : clones) c = 0;
+    Metrics m;
+    opts.metrics = &m;
+    opts.num_threads = 1;
+    opts.num_shards = shards;
+    auto sharded = GenericJoin(inputs, opts);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    for (const auto& c : clones) EXPECT_EQ(c.load(), 0);
+    ExpectByteIdentical(*serial, *sharded);
+    for (const char* name :
+         {"gj.level0.bindings", "gj.level1.bindings", "gj.level2.bindings",
+          "gj.total_intermediate", "gj.max_intermediate", "gj.output"}) {
+      EXPECT_EQ(m.Get(name), serial_m.Get(name)) << name;
+    }
+    EXPECT_EQ(m.Get("gj.shards"), shards);
+  }
+
+  for (auto& c : clones) c = 0;
+  opts.metrics = nullptr;
+  opts.num_threads = 4;
+  opts.num_shards = 16;
+  auto parallel = GenericJoin(inputs, opts);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  for (const auto& c : clones) EXPECT_LE(c.load(), 4);  // one per worker
+  ExpectByteIdentical(*serial, *parallel);
 }
 
 TEST(ShardedGenericJoinTest, MoreShardsThanKeysDegradesGracefully) {
