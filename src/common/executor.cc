@@ -13,13 +13,11 @@ int ParallelWorkerCount(int max_parallelism, size_t n, size_t grain) {
   return static_cast<int>(std::max<size_t>(workers, 1));
 }
 
-Executor::Executor(int num_threads) {
-  if (num_threads <= 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    // Floor of 3: on 1-2 core dev machines a hardware-sized pool would
-    // quietly serialize every parallel path (and their tests).
-    num_threads = std::max(3, static_cast<int>(hw));
-  }
+Executor::Executor() {
+  // Floor of 3: on 1-2 core dev machines a hardware-sized pool would
+  // quietly serialize every parallel path (and their tests).
+  const int num_threads =
+      std::max(3, static_cast<int>(std::thread::hardware_concurrency()));
   threads_.reserve(static_cast<size_t>(num_threads));
   for (int t = 0; t < num_threads; ++t) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -35,18 +33,15 @@ Executor::~Executor() {
   for (std::thread& t : threads_) t.join();
 }
 
-int64_t Executor::RunJob(Job* job) {
+void Executor::RunJob(Job* job) {
   int slot = job->next_slot.fetch_add(1, std::memory_order_relaxed);
-  if (slot >= job->max_slots) return -1;
-  int64_t morsels = 0;
+  if (slot >= job->max_slots) return;
   for (;;) {
     size_t begin = job->cursor.fetch_add(job->grain, std::memory_order_relaxed);
-    if (begin >= job->n) break;
+    if (begin >= job->n) return;
     size_t end = std::min(begin + job->grain, job->n);
     for (size_t i = begin; i < end; ++i) (*job->fn)(slot, i);
-    ++morsels;
   }
-  return morsels;
 }
 
 std::shared_ptr<Executor::Job> Executor::PickRunnableJobLocked() {
@@ -77,10 +72,7 @@ void Executor::WorkerLoop() {
     if (stop_) return;
     ++job->active;
     lock.unlock();
-    int64_t morsels = RunJob(job.get());
-    if (morsels > 0) {
-      morsels_stolen_.fetch_add(morsels, std::memory_order_relaxed);
-    }
+    RunJob(job.get());
     lock.lock();
     if (--job->active == 0) done_cv_.notify_all();
   }
@@ -105,7 +97,6 @@ void Executor::ParallelForWorker(int max_parallelism, size_t n, size_t grain,
     std::lock_guard<std::mutex> lock(mu_);
     jobs_.push_back(job);
   }
-  jobs_submitted_.fetch_add(1, std::memory_order_relaxed);
   work_cv_.notify_all();
 
   // Help-first: the submitter drains its own morsels alongside any

@@ -25,7 +25,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -45,11 +44,11 @@ int ParallelWorkerCount(int max_parallelism, size_t n, size_t grain);
 /// round-robin so no query starves another.
 class Executor {
  public:
-  /// Creates a pool with `num_threads` workers. 0 picks a default from
-  /// std::thread::hardware_concurrency(), floored at 3 so the parallel
-  /// paths stay genuinely concurrent even on tiny machines (a pool of
-  /// 3 workers + the submitting thread covers num_threads=4 tests).
-  explicit Executor(int num_threads = 0);
+  /// Creates a pool of std::thread::hardware_concurrency() workers,
+  /// floored at 3 so the parallel paths stay genuinely concurrent even
+  /// on tiny machines (a pool of 3 workers + the submitting thread
+  /// covers num_threads=4 tests).
+  Executor();
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -71,19 +70,6 @@ class Executor {
   void ParallelForWorker(int max_parallelism, size_t n, size_t grain,
                          const std::function<void(int, size_t)>& fn);
 
-  /// Pool width (worker threads, excluding submitters).
-  int num_workers() const { return static_cast<int>(threads_.size()); }
-
-  /// Observability: jobs submitted to the pool (inline-degenerate calls
-  /// excluded) and morsels executed by pool workers (vs submitters) —
-  /// "stolen" morsels in work-stealing terms.
-  int64_t jobs_submitted() const {
-    return jobs_submitted_.load(std::memory_order_relaxed);
-  }
-  int64_t morsels_stolen() const {
-    return morsels_stolen_.load(std::memory_order_relaxed);
-  }
-
   /// The process-wide shared pool (created on first use). Trie builds,
   /// the sharded join and XJoin's validation all run here, which is
   /// what makes concurrent queries share one set of threads.
@@ -100,10 +86,9 @@ class Executor {
     int active = 0;  // participants inside fn (guarded by mu_)
   };
 
-  // Claims a slot and drains morsels until the cursor passes n.
-  // Returns the number of morsels this participant ran, or -1 if the
-  // job was already saturated (no slot left).
-  static int64_t RunJob(Job* job);
+  // Claims a slot and drains morsels until the cursor passes n; returns
+  // at once if the job was already saturated (no slot left).
+  static void RunJob(Job* job);
 
   void WorkerLoop();
   // A job with an unclaimed slot and unclaimed work, or null.
@@ -115,8 +100,6 @@ class Executor {
   std::deque<std::shared_ptr<Job>> jobs_;
   bool stop_ = false;
   std::vector<std::thread> threads_;
-  std::atomic<int64_t> jobs_submitted_{0};
-  std::atomic<int64_t> morsels_stolen_{0};
 };
 
 }  // namespace xjoin

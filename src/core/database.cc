@@ -14,7 +14,7 @@ namespace {
 
 // Plan-cache key: canonical query spelling + settings fingerprint, so
 // "Q(*) := R,S" and "Q(*):=R, S" share a plan while num_threads or
-// batch_size variants get distinct ones.
+// num_shards variants get distinct ones.
 std::string PlanCacheKey(const std::string& text,
                          const PlanSettings& settings) {
   return CanonicalizeQueryText(text) + "\x1F" +

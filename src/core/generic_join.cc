@@ -8,7 +8,6 @@
 #include "common/executor.h"
 #include "common/fault.h"
 #include "relational/intersect_kernels.h"
-#include "relational/result_batch.h"
 #include "relational/schema.h"
 
 namespace xjoin {
@@ -18,6 +17,12 @@ namespace {
 // Per depth: the indices of the inputs that participate in the
 // attribute bound at that depth.
 using LevelPlan = std::vector<std::vector<size_t>>;
+
+// Keys the deepest level drains per kernel call (or per span copy for a
+// one-input level) before it appends them and polls the budget. 1024
+// keys keep the drain buffer (8 KiB) inside L1/L2. Results and counters
+// do not depend on it: every seek is counted once per kernel step.
+constexpr size_t kDrainBlock = 1024;
 
 // A slice of the expansion space: a half-open range of level-0 keys.
 struct KeyRange {
@@ -57,25 +62,24 @@ struct JoinCounters {
 // span its TrieIterator returns for the key the input is bound to one
 // trie level up. Every level is then a leapfrog intersection of its
 // cursors through the kernel's resumable Drain: one key at a time
-// above the deepest level, whole blocks at the deepest, staged in a
-// columnar ResultBatch. Every seek is counted once, so counters do not
-// depend on the batch size. All mutable state lives in this object, so
-// one Engine per worker, each over its own iterators, is data-race-free
-// by construction. One engine may run several ranges in turn; its
-// counters then sum exactly as separate engines' would. The engine only
-// accumulates raw counters; the driver merges and publishes them.
+// above the deepest level, whole blocks at the deepest, each appended
+// straight into the result as a run under the bound prefix. All mutable
+// state lives in this object, so one Engine per worker, each over its
+// own iterators, is data-race-free by construction. One engine may run
+// several ranges in turn; its counters then sum exactly as separate
+// engines' would. The engine only accumulates raw counters; the driver
+// merges and publishes them.
 class Engine {
  public:
   // Reads the inputs' own iterators, or, with `clone`, a Clone() of
   // each that the engine owns.
   Engine(const std::vector<JoinInput>& inputs, bool clone,
-         const LevelPlan& plan, int batch_size, BudgetTracker* budget)
+         const LevelPlan& plan, BudgetTracker* budget)
       : budget_(budget != nullptr && budget->limited() ? budget : nullptr),
         count_cancel_(budget_ != nullptr && budget_->has_cancel()),
         row_bytes_(static_cast<int64_t>(plan.size()) * 8),
         prefix_(plan.size(), 0),
-        batch_(plan.size(), static_cast<size_t>(batch_size)),
-        kernel_buf_(static_cast<size_t>(batch_size)),
+        kernel_buf_(kDrainBlock),
         levels_(plan.size()),
         bound_(inputs.size(), nullptr) {
     if (clone) {
@@ -129,7 +133,6 @@ class Engine {
       --depth;
       entering = false;
     }
-    batch_.Flush(out_);
   }
 
   JoinCounters& counters() { return counters_; }
@@ -224,13 +227,12 @@ class Engine {
     if (budget_ != nullptr) budget_->ChargeRows(n, n * row_bytes_);
   }
 
-  // Drains the entire deepest level for the current prefix, a batch of
-  // keys per kernel call with a budget poll in between, and stages them
-  // in bulk as columnar runs under the bound prefix.
+  // Drains the entire deepest level for the current prefix, a block of
+  // keys per kernel call, and appends each block to the result as one
+  // run under the bound prefix, with a budget poll in between.
   void DrainDeepest(size_t depth, const KeyRange& range) {
     Level& level = levels_[depth];
     const bool has_hi = depth == 0 && range.has_hi;  // ranges cut level 0
-    const size_t cap = kernel_buf_.size();
     bool first = true;
     bool done = false;
     while (!done) {
@@ -240,29 +242,25 @@ class Engine {
         // One participant is its own intersection: emit straight out of
         // the span. Each key stands for one lead step, as in the kernel.
         KeyCursor& c = level.cursors[0];
-        size_t end = std::min(c.pos + cap, c.hi);
+        size_t end = std::min(c.pos + kDrainBlock, c.hi);
         if (has_hi) end = LowerBound(c.keys, c.pos, end, range.hi);
         n = end - c.pos;
         keys = c.keys + c.pos;
         c.pos = end;
         counters_.seeks += static_cast<int64_t>(n);
-        done = n < cap;
+        done = n < kDrainBlock;
       } else {
         n = Drain(level.cursors.data(), level.cursors.size(), level.strategy,
-                  first, has_hi, range.hi, kernel_buf_.data(), cap,
+                  first, has_hi, range.hi, kernel_buf_.data(), kDrainBlock,
                   &counters_.seeks, &done);
         keys = kernel_buf_.data();
         first = false;
       }
       counters_.level_totals[depth] += static_cast<int64_t>(n);
       counters_.total_intermediate += static_cast<int64_t>(n);
-      while (n > 0) {
-        size_t take = std::min(n, batch_.capacity() - batch_.size());
-        batch_.PushRun(prefix_, keys, take);
-        ChargeOutput(static_cast<int64_t>(take));
-        if (batch_.full()) batch_.Flush(out_);
-        keys += take;
-        n -= take;
+      if (n > 0) {
+        out_->AppendRun(prefix_, keys, n);
+        ChargeOutput(static_cast<int64_t>(n));
       }
       if (budget_ != nullptr && budget_->violated()) return;
     }
@@ -277,8 +275,7 @@ class Engine {
   int64_t budget_ticks_ = 0;
   Tuple prefix_;
   JoinCounters counters_;
-  ResultBatch batch_;
-  std::vector<int64_t> kernel_buf_;  // drain destination, batch capacity
+  std::vector<int64_t> kernel_buf_;  // multi-input drain destination
   std::vector<Level> levels_;
   std::vector<const KeyCursor*> bound_;  // per input: its deepest cursor
 };
@@ -338,9 +335,6 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
                              const GenericJoinOptions& options) {
   const auto& order = options.attribute_order;
   if (order.empty()) return Status::InvalidArgument("empty attribute order");
-  if (options.batch_size < 1) {
-    return Status::InvalidArgument("batch_size must be >= 1");
-  }
 
   // The cancellation token rides the budget: the per-binding violation
   // poll observes it for free.
@@ -408,8 +402,7 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   // heap. At 4 threads that measured faster than slot 0 on the caller's
   // iterators, or than every clone made here back to back.
   const int workers = ParallelWorkerCount(num_threads, num_ranges, 1);
-  Engine first(inputs, /*clone=*/workers > 1, plan, options.batch_size,
-               budget);
+  Engine first(inputs, /*clone=*/workers > 1, plan, budget);
   std::vector<std::unique_ptr<Engine>> others(
       static_cast<size_t>(workers - 1));
 
@@ -445,8 +438,7 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
     if (slot > 0) {
       std::unique_ptr<Engine>& own = others[static_cast<size_t>(slot - 1)];
       if (own == nullptr) {
-        own = std::make_unique<Engine>(inputs, /*clone=*/true, plan,
-                                       options.batch_size, budget);
+        own = std::make_unique<Engine>(inputs, /*clone=*/true, plan, budget);
       }
       engine = own.get();
     }

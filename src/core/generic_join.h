@@ -10,7 +10,8 @@
 // key cursors per input, one cursor per open level. Each level is a
 // leapfrog intersection of its participants' cursors through the one
 // scalar kernel (relational/intersect_kernels.h); the deepest level
-// drains whole blocks of keys into a columnar ResultBatch. The loop runs
+// drains whole blocks of keys and appends each straight into the result
+// as a run under the bound prefix (Relation::AppendRun). The loop runs
 // over ascending level-0 key ranges: the whole key space, or K ranges
 // cut from the root span of the level-0 lead (the smallest one). One
 // engine per worker runs its ranges in turn — on one worker in order,
@@ -28,7 +29,6 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "relational/relation.h"
-#include "relational/result_batch.h"
 #include "relational/trie_iterator.h"
 
 namespace xjoin {
@@ -57,13 +57,6 @@ struct GenericJoinOptions {
   /// num_threads == 1 run the ranges in order on the caller, which
   /// tests the partition deterministically.
   int num_shards = 0;
-  /// Result-batch capacity in rows; must be >= 1. Results stage in a
-  /// columnar ResultBatch of this many rows, flushed via
-  /// Relation::AppendColumnBlock, and the deepest level drains at most
-  /// this many keys per kernel call between budget polls. Results and
-  /// every "gj.*" counter (bindings, seeks, total_intermediate, output)
-  /// are identical at any batch size, at any thread and shard count.
-  int batch_size = kDefaultResultBatchCapacity;
   /// Optional per-query admission budget shared by every worker
   /// (nullable). The engine charges each materialized output row
   /// (rows x 8*arity bytes) against it, samples the deadline every few
@@ -84,17 +77,16 @@ struct GenericJoinOptions {
 };
 
 /// Runs the join and returns all result tuples over attribute_order.
-/// Fails with kInvalidArgument when an attribute is covered by no input,
-/// an input's attribute order is inconsistent with the global order, or
-/// batch_size < 1. Every thread and shard count produces the same
-/// Relation byte for byte: shards cover contiguous ascending ranges of
-/// the first attribute's keys and reach the result in shard order.
+/// Fails with kInvalidArgument when an attribute is covered by no input
+/// or an input's attribute order is inconsistent with the global order.
+/// Every thread and shard count produces the same Relation byte for
+/// byte: shards cover contiguous ascending ranges of the first
+/// attribute's keys and reach the result in shard order.
 ///
 /// Output contract: the rows are sorted lexicographically by
 /// attribute_order and contain no duplicates (every level enumerates
-/// the sorted distinct keys of its intersection), at any thread count,
-/// shard count and batch size. XJoin's projection relies on it to skip
-/// its sort.
+/// the sorted distinct keys of its intersection), at any thread and
+/// shard count. XJoin's projection relies on it to skip its sort.
 Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
                              const GenericJoinOptions& options);
 

@@ -162,7 +162,6 @@ size_t PlanFingerprint(const PlanSettings& settings) {
   fp = HashCombine(fp, static_cast<size_t>(settings.order_heuristic));
   fp = HashCombine(fp, static_cast<size_t>(std::max(1, settings.num_threads)));
   fp = HashCombine(fp, static_cast<size_t>(std::max(0, settings.num_shards)));
-  fp = HashCombine(fp, static_cast<size_t>(settings.batch_size));
   return fp;
 }
 
@@ -171,9 +170,6 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(
     const EngineServices& services) {
   Timer timer;
   XJ_RETURN_NOT_OK(ValidateQuery(query));
-  if (settings.batch_size < 1) {
-    return Status::InvalidArgument("batch_size must be >= 1");
-  }
 
   auto plan = std::make_shared<XJoinPlan>();
   plan->query = query;
@@ -309,8 +305,6 @@ std::string ExplainPlan(const XJoinPlan& plan) {
            std::to_string(plan.levels[0].lead_estimate) + " keys)";
   }
   out += "\n";
-  out += "execution: batched (columnar, block=" +
-         std::to_string(plan.settings.batch_size) + ")\n";
   out += "pinned tries: " + std::to_string(plan.tries_provider) +
          " via db cache, " + std::to_string(plan.tries_built) +
          " private builds\n";

@@ -33,7 +33,6 @@
 #include "core/validate.h"
 #include "core/virtual_relation.h"
 #include "relational/relation.h"
-#include "relational/result_batch.h"
 #include "relational/trie.h"
 
 namespace xjoin {
@@ -72,11 +71,6 @@ struct PlanSettings {
   /// with num_threads == 1 runs the ranges in order on the calling
   /// thread, straight into the result.
   int num_shards = 0;
-  /// Result-batch capacity for the expansion loop (>= 1; PrepareXJoin
-  /// rejects smaller values) — see GenericJoinOptions::batch_size.
-  /// Results and "gj.*"/"validate.*" counters are identical at every
-  /// size.
-  int batch_size = kDefaultResultBatchCapacity;
 };
 
 /// The per-call services of one prepare or execute. Never part of a
@@ -225,7 +219,7 @@ struct XJoinPlan {
 std::string PathSignature(const Twig& twig, const TwigPath& path);
 
 /// Fingerprint of every PlanSettings field — the second half of the
-/// database's plan-cache key, so e.g. num_threads and batch_size
+/// database's plan-cache key, so e.g. num_threads and num_shards
 /// variants get distinct plans. Settings that prepare the same plan
 /// share it: every num_threads <= 1, and every num_shards <= 0.
 size_t PlanFingerprint(const PlanSettings& settings);

@@ -103,7 +103,6 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   gj_options.metrics = metrics;
   gj_options.num_threads = num_threads;
   gj_options.num_shards = plan.settings.num_shards;
-  gj_options.batch_size = plan.settings.batch_size;
   gj_options.budget = budget;
   XJ_ASSIGN_OR_RETURN(Relation expanded, GenericJoin(inputs, gj_options));
   XJ_DCHECK(StrictlyAscending(expanded))

@@ -26,7 +26,7 @@ namespace xjoin {
 /// (lazy document cursors for the twig paths), runs the expansion
 /// loop (sharded on level-0 key ranges when the plan's settings ask for
 /// more than one shard), validates twig structure, and projects. Every
-/// engine knob (threads, shards, order, batch size) was frozen into
+/// engine knob (threads, shards, order) was frozen into
 /// plan.settings at prepare time, which is what makes a cached plan
 /// deterministic; of the services only metrics and budget are
 /// consulted, on the shared Executor::Default() pool. Safe to call

@@ -163,7 +163,7 @@ inline bool LeapfrogAdvance(KeyCursor* cursors, size_t n,
 }  // namespace internal
 
 /// Resumable multi-way leapfrog drain, the engine's intersection at
-/// every level (cap 1 above the deepest level, a batch at it): `first`
+/// every level (cap 1 above the deepest level, a block at it): `first`
 /// starts with an align (initial intersection) instead of an advance;
 /// every aligned key < `hi` (when `has_hi`) is appended to `out`; each
 /// underlying seek increments *seeks by one. Returns the number of keys

@@ -60,6 +60,16 @@ void StableRadixSortByColumn(const std::vector<int64_t>& col,
   }
 }
 
+// Makes room for `more` values in `col`, geometrically: vector::insert
+// is only required to fit, so an unlucky sequence of block appends could
+// otherwise reallocate on every append.
+void GrowFor(std::vector<int64_t>* col, size_t more) {
+  size_t need = col->size() + more;
+  if (need > col->capacity()) {
+    col->reserve(std::max(need, col->capacity() * 2));
+  }
+}
+
 }  // namespace
 
 bool SortRowsLexicographically(
@@ -107,15 +117,21 @@ void Relation::AppendColumnBlock(const int64_t* const* columns,
                                  size_t num_rows) {
   for (size_t c = 0; c < columns_.size(); ++c) {
     std::vector<int64_t>& col = columns_[c];
-    // Grow geometrically: vector::insert is only required to fit, so an
-    // unlucky sequence of block flushes could otherwise reallocate on
-    // every flush.
-    size_t need = col.size() + num_rows;
-    if (need > col.capacity()) {
-      col.reserve(std::max(need, col.capacity() * 2));
-    }
+    GrowFor(&col, num_rows);
     col.insert(col.end(), columns[c], columns[c] + num_rows);
   }
+}
+
+void Relation::AppendRun(const Tuple& prefix, const int64_t* keys,
+                         size_t num_rows) {
+  XJ_DCHECK(!columns_.empty() && prefix.size() + 1 >= columns_.size());
+  const size_t last = columns_.size() - 1;
+  for (size_t c = 0; c < last; ++c) {
+    GrowFor(&columns_[c], num_rows);
+    columns_[c].insert(columns_[c].end(), num_rows, prefix[c]);
+  }
+  GrowFor(&columns_[last], num_rows);
+  columns_[last].insert(columns_[last].end(), keys, keys + num_rows);
 }
 
 void Relation::AppendRows(const Relation& other) {

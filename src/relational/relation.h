@@ -36,10 +36,17 @@ class Relation {
 
   /// Appends `num_rows` rows given columnar (SoA): columns[c] points at
   /// `num_rows` values of attribute c, in schema order. One geometric
-  /// reserve + contiguous copy per column — the batched engine's flush
-  /// path, with no per-row temporaries. Precondition: columns has
-  /// num_columns() entries.
+  /// reserve + contiguous copy per column, with no per-row temporaries.
+  /// Precondition: columns has num_columns() entries.
   void AppendColumnBlock(const int64_t* const* columns, size_t num_rows);
+
+  /// Appends `num_rows` rows that share their first num_columns() - 1
+  /// cells, prefix[0..num_columns()-2], and take their last cell from
+  /// keys[0..num_rows-1] — the run a join's deepest level emits under
+  /// one bound prefix. One fill per prefix column and one contiguous copy
+  /// for the last, each growing geometrically. Precondition:
+  /// prefix.size() >= num_columns() - 1 and num_columns() >= 1.
+  void AppendRun(const Tuple& prefix, const int64_t* keys, size_t num_rows);
 
   /// Appends every row of `other`, in order, by bulk column splice —
   /// O(columns) vector inserts, no per-row temporaries. Precondition:

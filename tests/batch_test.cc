@@ -1,89 +1,52 @@
-// Batch-size equivalence: the engine drains the deepest level in blocks
-// of at most batch_size keys (bulk span copies for one participant, the
-// intersection kernel otherwise) and stages rows in a columnar
-// ResultBatch of that capacity. Every batch size must be
-// indistinguishable from the one-row reference — byte-identical result
-// relations and identical "gj." / "validate." / "xjoin." counters — on
-// every workload, at every thread count. Also covers the ResultBatch /
-// Relation::AppendColumnBlock substrate directly.
+// Deepest-level runs: the engine drains the deepest level for one bound
+// prefix in blocks (span copies for one participant, the intersection
+// kernel otherwise) and appends each block straight into the result as
+// a run under that prefix (Relation::AppendRun). Runs of 0, 1, 1023,
+// 1024, 1025 and 3,077 keys straddle the block boundary; every thread
+// and shard count must return the rows a set_intersection / nested-loop
+// oracle computes, with the binding counters of the one-thread run. A
+// row budget below one run fails the whole query. Also covers the
+// AppendRun / AppendColumnBlock substrate directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/budget.h"
 #include "common/metrics.h"
 #include "core/generic_join.h"
-#include "core/xjoin.h"
-#include "relational/result_batch.h"
 #include "relational/trie.h"
-#include "tests/test_util.h"
-#include "workload/adversarial.h"
-#include "workload/paper_example.h"
-#include "workload/xmark.h"
 
 namespace xjoin {
 namespace {
 
-const std::vector<int> kBatchSizes = {1, 7, 1024};
-const std::vector<int> kThreadCounts = {1, 4};
+// --- substrate: AppendRun and AppendColumnBlock --------------------------
 
-// The deterministic counter families that must match exactly between
-// the reference and every batch size. Timing counters (plan.prepare_micros,
-// trie.build_micros) are excluded by construction.
-std::map<std::string, int64_t> DeterministicCounters(const Metrics& m) {
-  std::map<std::string, int64_t> out;
-  for (const auto& [name, value] : m.counters()) {
-    if (name.rfind("gj.", 0) == 0 || name.rfind("validate.", 0) == 0 ||
-        name.rfind("xjoin.", 0) == 0) {
-      out[name] = value;
-    }
-  }
-  return out;
-}
-
-void ExpectByteIdentical(const Relation& reference, const Relation& batched) {
-  ASSERT_EQ(reference.schema().attributes(), batched.schema().attributes());
-  ASSERT_EQ(reference.num_rows(), batched.num_rows());
-  EXPECT_EQ(reference.ToTuples(), batched.ToTuples());
-}
-
-// --- substrate: ResultBatch and AppendColumnBlock ------------------------
-
-TEST(ResultBatchTest, FlushPreservesRowOrderAndClears) {
-  auto schema = Schema::Make({"A", "B"});
-  Relation out(*schema);
-  ResultBatch batch(2, 3);
-  // Stages the one-row run (a, b).
-  auto push = [&batch](int64_t a, int64_t b) { batch.PushRun({a, 0}, &b, 1); };
-  EXPECT_TRUE(batch.empty());
-  push(1, 10);
-  push(2, 20);
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_FALSE(batch.full());
-  push(3, 30);
-  EXPECT_TRUE(batch.full());
-  batch.Flush(&out);
-  EXPECT_TRUE(batch.empty());
-  push(4, 40);
-  batch.Flush(&out);
-  batch.Flush(&out);  // empty flush is a no-op
-  EXPECT_EQ(out.ToTuples(),
-            (std::vector<Tuple>{{1, 10}, {2, 20}, {3, 30}, {4, 40}}));
-}
-
-TEST(ResultBatchTest, PushRunBroadcastsPrefixColumns) {
+TEST(RelationTest, AppendRunMatchesAppendRow) {
   auto schema = Schema::Make({"A", "B", "C"});
-  Relation out(*schema);
-  ResultBatch batch(3, 8);
-  std::vector<int64_t> prefix = {7, 8, 999};  // last entry unused
-  std::vector<int64_t> keys = {1, 2, 5};
-  batch.PushRun(prefix, keys.data(), keys.size());
-  batch.Flush(&out);
-  EXPECT_EQ(out.ToTuples(),
-            (std::vector<Tuple>{{7, 8, 1}, {7, 8, 2}, {7, 8, 5}}));
+  Relation by_row(*schema);
+  Relation by_run(*schema);
+  const std::vector<int64_t> keys = {1, 2, 5, 9};
+  for (int64_t k : keys) by_row.AppendRow({7, 8, k});
+  for (int64_t k : keys) by_row.AppendRow({7, 9, k});
+  const Tuple prefix = {7, 8, 999};  // last entry unused
+  by_run.AppendRun(prefix, keys.data(), 2);
+  by_run.AppendRun(prefix, keys.data(), 0);  // empty run is a no-op
+  by_run.AppendRun(prefix, keys.data() + 2, 2);
+  by_run.AppendRun({7, 9}, keys.data(), keys.size());
+  EXPECT_EQ(by_row.ToTuples(), by_run.ToTuples());
+
+  // One column: the run is the keys alone.
+  auto single = Schema::Make({"A"});
+  Relation keys_only(*single);
+  keys_only.AppendRun({}, keys.data(), keys.size());
+  EXPECT_EQ(keys_only.ToTuples(), (std::vector<Tuple>{{1}, {2}, {5}, {9}}));
 }
 
 TEST(RelationTest, AppendColumnBlockMatchesAppendRow) {
@@ -102,252 +65,169 @@ TEST(RelationTest, AppendColumnBlockMatchesAppendRow) {
   EXPECT_EQ(by_row.ToTuples(), by_block.ToTuples());
 }
 
-// --- engine level: GenericJoin over relation tries -----------------------
+// --- engine level: GenericJoin runs around the block boundary ------------
 
-// Triangle join R(A,B) x S(B,C) x T(A,C): the deepest level has two CSR
-// participants, so it drains through the intersection kernel.
-struct TriangleFixture {
+// Q(A,B,C) := R(A,B), S(B,C) [, T(B,C)] over A in [0, kNumA) and one B
+// per entry of `run_lengths`. With S alone the deepest level C has one
+// participant; with T it intersects S and T, whose C keys interleave:
+// under B = b they share exactly run_lengths[b] keys, the multiples of
+// 3, while S adds keys = 1 and T keys = 2 (mod 3) of its own. Either
+// way every prefix (a, b) binds a deepest run of run_lengths[b] keys.
+// One input cannot make a run of 0: every key of a trie level has at
+// least one child.
+struct RunFixture {
+  static constexpr int64_t kNumA = 4;  // level-0 keys: room for 3 shards
+
+  std::vector<int> run_lengths;
+  bool two_inputs;
+  std::vector<std::vector<int64_t>> s_keys, t_keys;  // per B, sorted
   std::optional<RelationTrie> tr, ts, tt;
-  std::unique_ptr<TrieIterator> ir, is, it;
 
-  explicit TriangleFixture(int n) {
-    auto mk = [](std::vector<Tuple> t, std::vector<std::string> attrs) {
-      auto s = Schema::Make(attrs);
-      return *Relation::FromTuples(*s, std::move(t));
-    };
+  RunFixture(std::vector<int> lengths, bool two)
+      : run_lengths(std::move(lengths)), two_inputs(two) {
     std::vector<Tuple> r_rows, s_rows, t_rows;
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        if ((i * 7 + j * 3) % 5 == 0) r_rows.push_back({i, j});
-        if ((i * 5 + j * 2) % 4 == 0) s_rows.push_back({i, j});
-        if ((i * 3 + j * 11) % 6 == 0) t_rows.push_back({i, j});
+    for (int64_t a = 0; a < kNumA; ++a) {
+      for (size_t b = 0; b < run_lengths.size(); ++b) {
+        r_rows.push_back({a, static_cast<int64_t>(b)});
       }
     }
-    tr = *RelationTrie::Build(mk(r_rows, {"A", "B"}), {"A", "B"});
-    ts = *RelationTrie::Build(mk(s_rows, {"B", "C"}), {"B", "C"});
-    tt = *RelationTrie::Build(mk(t_rows, {"A", "C"}), {"A", "C"});
-    ir = tr->NewIterator();
-    is = ts->NewIterator();
-    it = tt->NewIterator();
+    for (size_t b = 0; b < run_lengths.size(); ++b) {
+      const int64_t len = run_lengths[b];
+      std::vector<int64_t> s, t;
+      for (int64_t c = 0; c < len; ++c) {
+        s.push_back(3 * c);
+        t.push_back(3 * c);
+      }
+      if (two_inputs) {
+        for (int64_t c = 0; c < len + 5; ++c) s.push_back(3 * c + 1);
+        for (int64_t c = 0; c < len / 2 + 3; ++c) t.push_back(3 * c + 2);
+      }
+      std::sort(s.begin(), s.end());
+      std::sort(t.begin(), t.end());
+      for (int64_t c : s) s_rows.push_back({static_cast<int64_t>(b), c});
+      for (int64_t c : t) t_rows.push_back({static_cast<int64_t>(b), c});
+      s_keys.push_back(std::move(s));
+      t_keys.push_back(std::move(t));
+    }
+    tr = *RelationTrie::Build(Make({"A", "B"}, std::move(r_rows)), {"A", "B"});
+    ts = *RelationTrie::Build(Make({"B", "C"}, std::move(s_rows)), {"B", "C"});
+    if (two_inputs) {
+      tt = *RelationTrie::Build(Make({"B", "C"}, std::move(t_rows)),
+                                {"B", "C"});
+    }
   }
 
-  std::vector<JoinInput> Inputs() {
-    return {{"R", {"A", "B"}, ir.get()},
-            {"S", {"B", "C"}, is.get()},
-            {"T", {"A", "C"}, it.get()}};
+  static Relation Make(std::vector<std::string> attrs,
+                       std::vector<Tuple> rows) {
+    return *Relation::FromTuples(*Schema::Make(attrs), std::move(rows));
+  }
+
+  // The answer by nested loops over (a, b) and a set_intersection of
+  // the deepest level's key lists, in (A, B, C) order.
+  std::vector<Tuple> Oracle() const {
+    std::vector<Tuple> rows;
+    for (int64_t a = 0; a < kNumA; ++a) {
+      for (size_t b = 0; b < run_lengths.size(); ++b) {
+        std::vector<int64_t> run = s_keys[b];
+        if (two_inputs) {
+          run.clear();
+          std::set_intersection(s_keys[b].begin(), s_keys[b].end(),
+                                t_keys[b].begin(), t_keys[b].end(),
+                                std::back_inserter(run));
+        }
+        EXPECT_EQ(run.size(), static_cast<size_t>(run_lengths[b]));
+        for (int64_t c : run) rows.push_back({a, static_cast<int64_t>(b), c});
+      }
+    }
+    return rows;
+  }
+
+  // Runs the join on fresh iterators.
+  Result<Relation> Join(GenericJoinOptions options) const {
+    auto ir = tr->NewIterator();
+    auto is = ts->NewIterator();
+    std::unique_ptr<TrieIterator> it;
+    std::vector<JoinInput> inputs{{"R", {"A", "B"}, ir.get()},
+                                  {"S", {"B", "C"}, is.get()}};
+    if (two_inputs) {
+      it = tt->NewIterator();
+      inputs.push_back({"T", {"B", "C"}, it.get()});
+    }
+    options.attribute_order = {"A", "B", "C"};
+    return GenericJoin(inputs, options);
   }
 };
 
-TEST(BatchedGenericJoinTest, TriangleMatchesReferenceAtEveryBatchAndThread) {
-  TriangleFixture fx(20);
-  GenericJoinOptions ref_opts;
-  ref_opts.attribute_order = {"A", "B", "C"};
-  ref_opts.batch_size = 1;  // reference: one-row blocks
-  Metrics ref_m;
-  ref_opts.metrics = &ref_m;
-  auto reference = GenericJoin(fx.Inputs(), ref_opts);
+// The counters of the bindings each level made, which do not depend on
+// how the level-0 keys are cut into shards (seeks do: every shard adds
+// a lower-bound seek).
+std::map<std::string, int64_t> BindingCounters(const Metrics& m) {
+  std::map<std::string, int64_t> out;
+  for (const auto& [name, value] : m.counters()) {
+    if (name != "gj.seeks" && name != "gj.shards") out[name] = value;
+  }
+  return out;
+}
+
+void ExpectRunsMatchOracle(const RunFixture& fx) {
+  const std::vector<Tuple> expected = fx.Oracle();
+  Metrics serial_m;
+  GenericJoinOptions serial;
+  serial.metrics = &serial_m;
+  auto reference = fx.Join(serial);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ASSERT_GT(reference->num_rows(), 0u);
+  EXPECT_EQ(reference->ToTuples(), expected);
+  EXPECT_EQ(serial_m.Get("gj.output"), static_cast<int64_t>(expected.size()));
 
-  for (int batch : kBatchSizes) {
-    for (int threads : kThreadCounts) {
-      GenericJoinOptions opts;
-      opts.attribute_order = {"A", "B", "C"};
-      opts.batch_size = batch;
-      opts.num_threads = threads;
-      Metrics m;
-      opts.metrics = &m;
-      auto batched = GenericJoin(fx.Inputs(), opts);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      SCOPED_TRACE("batch=" + std::to_string(batch) +
-                   " threads=" + std::to_string(threads));
-      ExpectByteIdentical(*reference, *batched);
-      if (threads == 1) {
-        // Serial: every counter matches the serial reference exactly
-        // (sharded runs additionally report gj.shards and spend a
-        // lower-bound seek per shard).
-        EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(ref_m));
-      } else {
-        // Sharded: compare against the reference at the same thread
-        // count below; here the row-level counters still match.
-        EXPECT_EQ(m.Get("gj.output"), ref_m.Get("gj.output"));
-        EXPECT_EQ(m.Get("gj.total_intermediate"),
-                  ref_m.Get("gj.total_intermediate"));
-      }
-    }
-  }
-}
-
-TEST(BatchedGenericJoinTest, ShardedCountersMatchReferenceSharded) {
-  TriangleFixture fx(20);
-  for (int threads : kThreadCounts) {
-    for (int shards : {3, 16}) {
-      GenericJoinOptions opts;
-      opts.attribute_order = {"A", "B", "C"};
-      opts.num_threads = threads;
-      opts.num_shards = shards;
-      opts.batch_size = 1;
-      Metrics ref_m;
-      opts.metrics = &ref_m;
-      auto reference = GenericJoin(fx.Inputs(), opts);
-      ASSERT_TRUE(reference.ok());
-      for (int batch : kBatchSizes) {
-        GenericJoinOptions bopts = opts;
-        bopts.batch_size = batch;
-        Metrics m;
-        bopts.metrics = &m;
-        auto batched = GenericJoin(fx.Inputs(), bopts);
-        ASSERT_TRUE(batched.ok());
-        SCOPED_TRACE("batch=" + std::to_string(batch) +
-                     " threads=" + std::to_string(threads) +
-                     " shards=" + std::to_string(shards));
-        ExpectByteIdentical(*reference, *batched);
-        EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(ref_m));
-      }
-    }
-  }
-}
-
-// Two-relation join R(A,B) x S(B,C): attribute C is covered by S alone,
-// so the deepest level takes the single-participant drain — bulk copies
-// straight out of the span.
-TEST(BatchedGenericJoinTest, SingleParticipantDeepestLevelDrain) {
-  auto mk = [](std::vector<Tuple> t, std::vector<std::string> attrs) {
-    auto s = Schema::Make(attrs);
-    return *Relation::FromTuples(*s, std::move(t));
-  };
-  std::vector<Tuple> r_rows, s_rows;
-  for (int i = 0; i < 30; ++i) {
-    for (int j = 0; j < 30; ++j) {
-      if ((i + j) % 3 == 0) r_rows.push_back({i, j});
-      if ((i * 2 + j) % 4 != 0) s_rows.push_back({i, j});
-    }
-  }
-  auto tr = RelationTrie::Build(mk(r_rows, {"A", "B"}), {"A", "B"});
-  auto ts = RelationTrie::Build(mk(s_rows, {"B", "C"}), {"B", "C"});
-
-  GenericJoinOptions ref_opts;
-  ref_opts.attribute_order = {"A", "B", "C"};
-  ref_opts.batch_size = 1;
-  Metrics ref_m;
-  ref_opts.metrics = &ref_m;
-  auto ir = tr->NewIterator();
-  auto is = ts->NewIterator();
-  std::vector<JoinInput> inputs{{"R", {"A", "B"}, ir.get()},
-                                {"S", {"B", "C"}, is.get()}};
-  auto reference = GenericJoin(inputs, ref_opts);
-  ASSERT_TRUE(reference.ok());
-  ASSERT_GT(reference->num_rows(), 1000u);
-
-  for (int batch : kBatchSizes) {
-    for (int threads : kThreadCounts) {
-      GenericJoinOptions opts;
-      opts.attribute_order = {"A", "B", "C"};
-      opts.batch_size = batch;
-      opts.num_threads = threads;
-      Metrics m;
-      opts.metrics = &m;
-      auto batched = GenericJoin(inputs, opts);
-      ASSERT_TRUE(batched.ok());
-      SCOPED_TRACE("batch=" + std::to_string(batch) +
-                   " threads=" + std::to_string(threads));
-      ExpectByteIdentical(*reference, *batched);
-      if (threads == 1) {
-        EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(ref_m));
-      }
-    }
-  }
-}
-
-// There is no unbatched mode: a batch below one row is a caller error,
-// both for the engine and for plan preparation.
-TEST(BatchedGenericJoinTest, RejectsBatchSizeBelowOne) {
-  TriangleFixture fx(4);
-  for (int batch : {0, -1}) {
-    GenericJoinOptions opts;
-    opts.attribute_order = {"A", "B", "C"};
-    opts.batch_size = batch;
-    auto joined = GenericJoin(fx.Inputs(), opts);
-    ASSERT_FALSE(joined.ok());
-    EXPECT_EQ(joined.status().code(), StatusCode::kInvalidArgument);
-
-    PaperInstance inst = MakePaperInstance(2, PaperSchema::kExample33,
-                                           PaperDataMode::kRandom);
-    PlanSettings settings;
-    settings.batch_size = batch;
-    auto prepared = PrepareXJoin(inst.Query(), settings);
-    ASSERT_FALSE(prepared.ok());
-    EXPECT_EQ(prepared.status().code(), StatusCode::kInvalidArgument);
-  }
-}
-
-// --- XJoin level: paper, adversarial, and XMark workloads ----------------
-
-// Runs `query` at the one-row reference and across the batch/thread
-// matrix and demands byte-identical relations plus identical
-// deterministic counters (per thread count — sharded runs add gj.shards
-// and per-shard seeks, so runs are compared at matching thread counts).
-void ExpectBatchedXJoinMatchesReference(const MultiModelQuery& query,
-                                     PlanSettings base) {
-  for (int threads : kThreadCounts) {
-    PlanSettings ref_settings = base;
-    ref_settings.num_threads = threads;
-    ref_settings.batch_size = 1;
-    Metrics ref_m;
-    EngineServices ref_services;
-    ref_services.metrics = &ref_m;
-    auto reference = ExecuteXJoin(query, ref_settings, ref_services);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-    for (int batch : kBatchSizes) {
-      PlanSettings settings = base;
-      settings.num_threads = threads;
-      settings.batch_size = batch;
-      Metrics m;
-      EngineServices services;
-      services.metrics = &m;
-      auto batched = ExecuteXJoin(query, settings, services);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  for (int threads : {1, 4}) {
+    for (int shards : {0, 3}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      ExpectByteIdentical(*reference, *batched);
-      EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(ref_m));
+                   " shards=" + std::to_string(shards));
+      Metrics m;
+      GenericJoinOptions options;
+      options.num_threads = threads;
+      options.num_shards = shards;
+      options.metrics = &m;
+      auto joined = fx.Join(options);
+      ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+      EXPECT_EQ(joined->ToTuples(), expected);
+      EXPECT_EQ(BindingCounters(m), BindingCounters(serial_m));
     }
   }
 }
 
-TEST(BatchedXJoinTest, PaperExampleWorkloads) {
-  for (PaperSchema schema :
-       {PaperSchema::kExample33, PaperSchema::kExample34}) {
-    for (PaperDataMode mode :
-         {PaperDataMode::kAdversarial, PaperDataMode::kRandom}) {
-      PaperInstance inst = MakePaperInstance(5, schema, mode);
-      ExpectBatchedXJoinMatchesReference(inst.Query(), PlanSettings{});
+const std::vector<int> kRunLengths = {0, 1, 1023, 1024, 1025, 3077};
+
+TEST(RunLengthTest, OneInputRunsMatchOracle) {
+  // Every length but 0, which one input cannot make (see RunFixture).
+  ExpectRunsMatchOracle(RunFixture(
+      std::vector<int>(kRunLengths.begin() + 1, kRunLengths.end()), false));
+}
+
+TEST(RunLengthTest, TwoOverlappingInputsRunsMatchOracle) {
+  ExpectRunsMatchOracle(RunFixture(kRunLengths, true));
+}
+
+// A row budget below one run's length trips inside that run, between
+// two drained blocks, and the query fails whole: no partial rows.
+TEST(RunLengthTest, RowBudgetBelowOneRunFails) {
+  for (bool two : {false, true}) {
+    RunFixture fx({3077}, two);
+    for (int64_t max_rows : {1, 1023, 2000}) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("two_inputs=" + std::to_string(two) +
+                     " max_rows=" + std::to_string(max_rows) +
+                     " threads=" + std::to_string(threads));
+        BudgetTracker budget(max_rows, /*max_bytes=*/0,
+                             /*deadline_micros=*/0);
+        GenericJoinOptions options;
+        options.num_threads = threads;
+        options.budget = &budget;
+        auto joined = fx.Join(options);
+        ASSERT_FALSE(joined.ok());
+        EXPECT_EQ(joined.status().code(), StatusCode::kResourceExhausted);
+      }
     }
-  }
-}
-
-TEST(BatchedXJoinTest, AdversarialAgmTightWorkload) {
-  auto inst = MakeAgmTightInstance({{"A", "B"}, {"B", "C"}, {"C", "A"}}, 64);
-  ASSERT_TRUE(inst.ok());
-  MultiModelQuery q;
-  for (size_t i = 0; i < inst->relations.size(); ++i) {
-    q.relations.push_back(
-        {"R" + std::to_string(i + 1), inst->relations[i].get()});
-  }
-  ExpectBatchedXJoinMatchesReference(q, PlanSettings{});
-}
-
-TEST(BatchedXJoinTest, XMarkWorkloads) {
-  XMarkOptions opts;
-  opts.num_items = 40;
-  opts.num_persons = 25;
-  opts.num_open_auctions = 30;
-  opts.num_closed_auctions = 25;
-  XMarkInstance inst = MakeXMark(opts);
-  for (MultiModelQuery q :
-       {inst.ClosedAuctionQuery(), inst.OpenAuctionQuery()}) {
-    ExpectBatchedXJoinMatchesReference(q, PlanSettings{});
   }
 }
 

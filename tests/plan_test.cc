@@ -2,7 +2,7 @@
 // byte-identical to cold execution and skips order selection and all
 // trie builds; UpdateRelation / document mutation
 // invalidate dependent plans; the options fingerprint
-// separates num_threads / batch_size variants; the byte-budget
+// separates num_threads / num_shards variants; the byte-budget
 // LRU bounds the trie cache; and the per-twig validation sub-counters
 // stay exact in parallel runs.
 #include <gtest/gtest.h>
@@ -114,18 +114,17 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
   QueryOptions threaded;
   threaded.xjoin.num_threads = 2;
   ASSERT_TRUE(db_.OpenSession().Query(q_, threaded).ok());
-  // A non-default batch size is a variant that must fingerprint
-  // separately.
-  QueryOptions small_batch;
-  small_batch.xjoin.batch_size = 7;
-  ASSERT_TRUE(db_.OpenSession().Query(q_, small_batch).ok());
+  // A shard count is a variant that must fingerprint separately.
+  QueryOptions sharded;
+  sharded.xjoin.num_shards = 3;
+  ASSERT_TRUE(db_.OpenSession().Query(q_, sharded).ok());
   CacheStats stats = db_.cache_stats();
   EXPECT_EQ(stats.plan_entries, 3u);
   EXPECT_EQ(stats.plan_hits, 0);
   EXPECT_EQ(stats.plan_misses, 3);
   // Re-running each variant hits its own entry.
   ASSERT_TRUE(db_.OpenSession().Query(q_, threaded).ok());
-  ASSERT_TRUE(db_.OpenSession().Query(q_, small_batch).ok());
+  ASSERT_TRUE(db_.OpenSession().Query(q_, sharded).ok());
   stats = db_.cache_stats();
   EXPECT_EQ(stats.plan_hits, 2);
   EXPECT_EQ(stats.plan_entries, 3u);
@@ -135,23 +134,21 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
   ordered.xjoin.attribute_order = {"item", "B", "D", "A", "C"};
   QueryOptions smallest_domain;
   smallest_domain.xjoin.order_heuristic = OrderHeuristic::kSmallestDomain;
-  QueryOptions sharded;
-  sharded.xjoin.num_shards = 3;
-  const std::vector<QueryOptions> more = {ordered, smallest_domain, sharded};
+  const std::vector<QueryOptions> more = {ordered, smallest_domain};
   for (const QueryOptions& options : more) {
     auto result = db_.OpenSession().Query(q_, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
   stats = db_.cache_stats();
-  EXPECT_EQ(stats.plan_entries, 6u);
-  EXPECT_EQ(stats.plan_misses, 6);
+  EXPECT_EQ(stats.plan_entries, 5u);
+  EXPECT_EQ(stats.plan_misses, 5);
   EXPECT_EQ(stats.plan_hits, 2);
   for (const QueryOptions& options : more) {
     ASSERT_TRUE(db_.OpenSession().Query(q_, options).ok());
   }
   stats = db_.cache_stats();
-  EXPECT_EQ(stats.plan_hits, 5);
-  EXPECT_EQ(stats.plan_entries, 6u);
+  EXPECT_EQ(stats.plan_hits, 4);
+  EXPECT_EQ(stats.plan_entries, 5u);
 
   // Settings that prepare the same plan share its entry: every
   // num_threads <= 1, and every num_shards <= 0.
@@ -162,40 +159,20 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
   ASSERT_TRUE(db_.OpenSession().Query(q_, zero_threads).ok());
   ASSERT_TRUE(db_.OpenSession().Query(q_, negative_shards).ok());
   stats = db_.cache_stats();
-  EXPECT_EQ(stats.plan_hits, 7);
-  EXPECT_EQ(stats.plan_misses, 6);
-  EXPECT_EQ(stats.plan_entries, 6u);
+  EXPECT_EQ(stats.plan_hits, 6);
+  EXPECT_EQ(stats.plan_misses, 5);
+  EXPECT_EQ(stats.plan_entries, 5u);
 }
 
 TEST_F(PlanTest, ExplainShowsExecutionMode) {
-  // Execution renders its block size (kDefaultResultBatchCapacity by
-  // default) and a per-level kernel, and no SIMD dispatch line; a batch
-  // below one row is rejected.
+  // Execution renders a per-level kernel, and no SIMD dispatch line and
+  // no block-size line: the engine has one output path and no knob.
   auto default_text = db_.OpenSession().Explain(q_);
   ASSERT_TRUE(default_text.ok());
-  EXPECT_NE(default_text->find(
-                "execution: batched (columnar, block=" +
-                std::to_string(kDefaultResultBatchCapacity)),
-            std::string::npos);
+  EXPECT_EQ(default_text->find("execution:"), std::string::npos);
+  EXPECT_EQ(default_text->find("block="), std::string::npos);
   EXPECT_EQ(default_text->find("simd"), std::string::npos);
   EXPECT_NE(default_text->find("kernel "), std::string::npos);
-  QueryOptions unbatched;
-  unbatched.xjoin.batch_size = 0;
-  auto unbatched_text = db_.OpenSession().Explain(q_, unbatched);
-  ASSERT_FALSE(unbatched_text.ok());
-  EXPECT_EQ(unbatched_text.status().code(), StatusCode::kInvalidArgument);
-  // A cached plan for one-row blocks must not serve the rejected size.
-  QueryOptions one_row;
-  one_row.xjoin.batch_size = 1;
-  ASSERT_TRUE(db_.OpenSession().Query(q_, one_row).ok());
-  EXPECT_EQ(db_.OpenSession().Query(q_, unbatched).status().code(),
-            StatusCode::kInvalidArgument);
-  QueryOptions batched;
-  batched.xjoin.batch_size = 512;
-  auto batched_text = db_.OpenSession().Explain(q_, batched);
-  ASSERT_TRUE(batched_text.ok());
-  EXPECT_NE(batched_text->find("execution: batched (columnar, block=512"),
-            std::string::npos);
 }
 
 TEST_F(PlanTest, UpdateRelationInvalidatesDependentPlans) {

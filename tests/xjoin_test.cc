@@ -590,10 +590,9 @@ std::map<std::string, int64_t> BindingCounters(const Metrics& m) {
   return out;
 }
 
-// The sharding and batching axes: at 4 shards on one thread and at
-// one-row batches, the answer must be byte-identical (same schema, rows
-// and row order) to the run at default settings. The 4-shard run must
-// also count the same bindings and output as the default run, and no
+// The sharding axis: at 4 shards on one thread the answer must be
+// byte-identical (same schema, rows and row order) to the run at
+// default settings, count the same bindings and output, and make no
 // fewer seeks (each shard's lower-bound seek adds some).
 void ExpectAxesByteIdentical(const MultiModelQuery& q,
                              const PlanSettings& opts, DiffOutcome* outcome) {
@@ -605,24 +604,16 @@ void ExpectAxesByteIdentical(const MultiModelQuery& q,
   PlanSettings sharded = opts;
   sharded.num_threads = 1;
   sharded.num_shards = 4;
-  PlanSettings one_row = opts;
-  one_row.batch_size = 1;
-  for (const PlanSettings& axis : {sharded, one_row}) {
-    SCOPED_TRACE("num_shards=" + std::to_string(axis.num_shards) +
-                 " batch_size=" + std::to_string(axis.batch_size));
-    Metrics metrics;
-    EngineServices services;
-    services.metrics = &metrics;
-    auto result = ExecuteXJoin(q, axis, services);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(result->schema().attributes(), reference->schema().attributes());
-    EXPECT_EQ(result->ToTuples(), reference->ToTuples());
-    if (axis.num_shards > 1) {
-      outcome->shards = metrics.Get("gj.shards");
-      EXPECT_EQ(BindingCounters(metrics), BindingCounters(reference_metrics));
-      EXPECT_GE(metrics.Get("gj.seeks"), reference_metrics.Get("gj.seeks"));
-    }
-  }
+  Metrics metrics;
+  EngineServices services;
+  services.metrics = &metrics;
+  auto result = ExecuteXJoin(q, sharded, services);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->schema().attributes(), reference->schema().attributes());
+  EXPECT_EQ(result->ToTuples(), reference->ToTuples());
+  outcome->shards = metrics.Get("gj.shards");
+  EXPECT_EQ(BindingCounters(metrics), BindingCounters(reference_metrics));
+  EXPECT_GE(metrics.Get("gj.seeks"), reference_metrics.Get("gj.seeks"));
 }
 
 // Runs one differential instance. Beyond the reference answer, a
